@@ -120,6 +120,17 @@ def build_model(file_values: dict, overrides: dict) -> ModelConfig:
         raise ConfigError(f"bad model configuration: {exc}") from exc
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: an integer in [0, 2^64)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 0 <= value < 2 ** 64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2^64), got {value}")
+    return value
+
+
 def _timestamp(args) -> str | None:
     if args.no_timestamp:
         return None
@@ -252,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, default_out):
         p.add_argument("--config", help="flat key = value model file")
-        p.add_argument("--seed", type=int, required=True,
+        p.add_argument("--seed", type=_seed, required=True,
                        help="64-bit master seed (required)")
         p.add_argument("--out", default=default_out, help="output CSV path")
         p.add_argument("--no-timestamp", action="store_true",

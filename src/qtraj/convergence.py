@@ -26,7 +26,12 @@ import numpy as np
 from .discrete import drive_ensemble, ensemble_streams
 from .model import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, ModelConfig
 from .rng import derive_seed
-from .sde import backaction, lindblad, master_on_grid, sde_ensemble_final
+from .sde import (
+    backaction_superop,
+    lindblad_superop,
+    master_on_grid,
+    sde_ensemble_final,
+)
 
 # purpose tags for seed derivation, one per diagnostic
 _PURPOSE_MEAN = 1
@@ -238,23 +243,27 @@ def residual_decay(spec: EnsembleSpec) -> np.ndarray:
     The remainder subtracts the Lindblad drift and the noise term
     -B(rho) x/sqrt(n) realized by this package's conventions from the raw
     state increments; it collects everything the diffusive limit discards.
+    Both are read off one product of the (M, 4) states with [S_L | S_B | g].
     """
+    c = spec.cfg.coupling()
+    s_b, g_row = backaction_superop(c)
+    coeffs = np.hstack([lindblad_superop(spec.cfg.h0, c), s_b, g_row[:, None]])
+    rho0 = spec.rho0.m.reshape(4)
+    num = spec.num_trajectories
     out = np.empty(len(spec.n_values))
     for i, n in enumerate(spec.n_values):
         cfg = _with_n(spec, n)
-        steps = cfg.steps
-        uniforms = _streams(spec, _PURPOSE_RESIDUAL, n, steps)
-        num = spec.num_trajectories
-        c = cfg.coupling()
-        prev = np.broadcast_to(spec.rho0.m, (num, 2, 2)).copy()
-        partial = np.zeros((num, 2, 2), dtype=complex)
+        uniforms = _streams(spec, _PURPOSE_RESIDUAL, n, cfg.steps)
+        prev = np.broadcast_to(rho0, (num, 4)).copy()
+        partial = np.zeros((num, 4), dtype=complex)
         sup = np.zeros(num)
         for k, states, _, x, _, _ in drive_ensemble(cfg, spec.rho0, uniforms):
-            partial += (lindblad(prev, cfg.h0, c) / n
-                        - backaction(prev, c) * x[:, None, None] / np.sqrt(n))
-            eps = states - spec.rho0.m - partial
-            sup = np.maximum(sup, np.abs(eps).max(axis=(1, 2)))
-            prev = states.copy()
+            w = prev @ coeffs
+            back = w[:, 4:8] - w[:, 8:] * prev
+            partial += w[:, :4] / n - back * (x / np.sqrt(n))[:, None]
+            v = states.reshape(num, 4)
+            sup = np.maximum(sup, np.abs(v - rho0 - partial).max(axis=1))
+            prev = v.copy()
         out[i] = float(np.mean(sup))
     return out
 

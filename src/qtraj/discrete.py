@@ -17,6 +17,17 @@ Sign note: with this package's conventions (first eigenvector
 cos(phi/2) f0 + sin(phi/2) f1, emission block +c/sqrt(n)) the noise couples
 through -B; the chain is distributionally identical to the +B form (x -> -x).
 
+Stepping core: the two branch maps are linear in rho. Expanding the field
+partial trace, branch i is sum_{c,d} P_i[d,c] L_c0 rho L_d0+ with P_i the
+outcome projector and L_c0 the field-sector blocks of the unitary, so in the
+row-major Liouville layout of :mod:`qtraj.linalg` it is one 4x4 matrix
+
+    S_i = sum_{c,d} P_i[d,c] kron(L_c0, conj(L_d0)).T,   vec(m_i) = vec(rho) @ S_i.
+
+An ensemble is held as an (M, 4) array and each step is one product with the
+(4, 8) matrix [S_0 | S_1], built once per configuration; the branch weights
+are p = Re(m_0[0] + m_0[3]) and q = Re(m_1[0] + m_1[3]).
+
 Sampling convention: outcome 1 is taken iff the step's uniform draw is < q.
 Each trajectory owns one PCG64 stream seeded with its 64-bit seed and
 consumes exactly one uniform per step.
@@ -29,23 +40,23 @@ from typing import Iterator
 
 import numpy as np
 
-from .linalg import adjoint, max_abs, partial_trace_system, tensor
+from .linalg import adjoint, partial_trace_system, sandwich_superop, tensor
 from .model import (
     FIELD_GROUND,
     ID2,
+    VALIDATE_EVERY,
     DensityMatrix,
     InteractionUnitary,
     ModelConfig,
-    NotAState,
     Observable,
     build_unitary,
     check_state,
+    validate_batch,
 )
-from .rng import derive_seed, generator_for
+from .rng import generator_for, member_streams
 
 DEGENERATE_PROB = 1e-12
 NULL_BRANCH = 1e-14
-VALIDATE_EVERY = 100
 
 
 class DegenerateProbability(ValueError):
@@ -124,25 +135,23 @@ def nonnormalized_maps(rho: DensityMatrix, u: InteractionUnitary,
     return branches[0], branches[1]
 
 
+def branch_superops(u: InteractionUnitary, a: Observable) -> np.ndarray:
+    """(4, 8) matrix [S_0 | S_1] of the two unnormalized branch maps on
+    row-major vec'd states (see the module docstring)."""
+    blocks = (u.l00, u.l10)
+    return np.hstack([
+        sum(proj[d, c] * sandwich_superop(blocks[c], adjoint(blocks[d]))
+            for c in (0, 1) for d in (0, 1))
+        for proj in (a.p0, a.p1)])
+
+
 def _branch_maps_batch(rho: np.ndarray, u: InteractionUnitary,
                        a: Observable) -> tuple[np.ndarray, np.ndarray]:
-    """Branch maps on a (..., 2, 2) stack of states.
-
-    Expands the field partial trace analytically: for projector entries
-    P_{dc}, the branch map is sum_{c,d} P_{dc} L_{c0} rho L_{d0}+. Equal to
-    ``nonnormalized_maps`` entrywise.
-    """
-    l00, l10 = u.l00, u.l10
-    b00 = l00 @ rho @ adjoint(l00)
-    b10 = l10 @ rho @ adjoint(l00)
-    b01 = l00 @ rho @ adjoint(l10)
-    b11 = l10 @ rho @ adjoint(l10)
-
-    def combine(proj: np.ndarray) -> np.ndarray:
-        return (proj[0, 0] * b00 + proj[0, 1] * b10
-                + proj[1, 0] * b01 + proj[1, 1] * b11)
-
-    return combine(a.p0), combine(a.p1)
+    """Branch maps on a (..., 2, 2) stack of states through the stepping
+    core's superoperator; equal to ``nonnormalized_maps`` entrywise."""
+    rho = np.asarray(rho, dtype=complex)
+    m = rho.reshape(-1, 4) @ branch_superops(u, a)
+    return m[:, :4].reshape(rho.shape), m[:, 4:].reshape(rho.shape)
 
 
 def measurement_step(rho: DensityMatrix, u: InteractionUnitary, a: Observable,
@@ -189,23 +198,6 @@ def increment_update(rho: DensityMatrix, u: InteractionUnitary, a: Observable,
     return m0 + m1 + (-np.sqrt(q / p) * m0 + np.sqrt(p / q) * m1) * x
 
 
-def _validate_batch(states: np.ndarray, step: int) -> np.ndarray:
-    """Check the batch against the state invariants, then symmetrize."""
-    herm_dev = max_abs(states - adjoint(states))
-    traces = np.trace(states, axis1=-2, axis2=-1)
-    trace_dev = float(np.max(np.abs(traces - 1.0)))
-    sym = 0.5 * (states + adjoint(states))
-    a = sym[..., 0, 0].real
-    d = sym[..., 1, 1].real
-    rad = np.sqrt(0.25 * (a - d) ** 2 + np.abs(sym[..., 0, 1]) ** 2)
-    eig_min = float(np.min(0.5 * (a + d) - rad))
-    if herm_dev > 1e-10 or trace_dev > 1e-10 or eig_min < -1e-10:
-        raise NotAState(
-            f"invariant violated at step {step}: hermiticity {herm_dev:.3e}, "
-            f"trace {trace_dev:.3e}, min eigenvalue {eig_min:.3e}")
-    return sym
-
-
 def drive_ensemble(cfg: ModelConfig, rho0: DensityMatrix, uniforms: np.ndarray,
                    validate_every: int = VALIDATE_EVERY,
                    ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray,
@@ -216,14 +208,14 @@ def drive_ensemble(cfg: ModelConfig, rho0: DensityMatrix, uniforms: np.ndarray,
     (k, states, outcomes, x, p, q) after each step; the states array is
     reused between iterations, so consumers must copy what they keep.
     """
-    u = build_unitary(cfg)
-    a = cfg.observable
+    s = branch_superops(build_unitary(cfg), cfg.observable)
     num_traj, steps = uniforms.shape
-    rho = np.broadcast_to(rho0.m, (num_traj, 2, 2)).copy()
+    v = np.broadcast_to(rho0.m.reshape(4), (num_traj, 4)).copy()
     for k in range(steps):
-        m0, m1 = _branch_maps_batch(rho, u, a)
-        p = np.trace(m0, axis1=-2, axis2=-1).real
-        q = np.trace(m1, axis1=-2, axis2=-1).real
+        m = v @ s
+        m0, m1 = m[:, :4], m[:, 4:]
+        p = (m0[:, 0] + m0[:, 3]).real
+        q = (m1[:, 0] + m1[:, 3]).real
         degenerate = np.minimum(p, q) < DEGENERATE_PROB
         outcome = np.where(degenerate, (q > p).astype(np.int64),
                            (uniforms[:, k] < q).astype(np.int64))
@@ -235,10 +227,10 @@ def drive_ensemble(cfg: ModelConfig, rho0: DensityMatrix, uniforms: np.ndarray,
             j = int(np.argmin(weight))
             raise DegenerateProbability(
                 f"step {k}, trajectory {j}: branch trace {weight[j]:.3e}")
-        rho = np.where(outcome[:, None, None] == 1, m1, m0) / weight[:, None, None]
+        v = np.where(outcome[:, None] == 1, m1, m0) / weight[:, None]
         if validate_every and (k + 1) % validate_every == 0:
-            rho = _validate_batch(rho, k)
-        yield k, rho, outcome, x, p, q
+            v = validate_batch(v.reshape(num_traj, 2, 2), k).reshape(num_traj, 4)
+        yield k, v.reshape(num_traj, 2, 2), outcome, x, p, q
 
 
 def run_trajectory(cfg: ModelConfig, rho0: DensityMatrix, seed: int,
@@ -265,10 +257,7 @@ def run_trajectory(cfg: ModelConfig, rho0: DensityMatrix, seed: int,
 
 def ensemble_streams(base_seed: int, num_traj: int, steps: int) -> np.ndarray:
     """Uniform streams for an ensemble: row j comes from derive_seed(base, j)."""
-    out = np.empty((num_traj, steps))
-    for j in range(num_traj):
-        out[j] = generator_for(derive_seed(base_seed, j)).random(steps)
-    return out
+    return member_streams(base_seed, num_traj, steps, "random")
 
 
 def embed(record: TrajectoryRecord, horizon: float) -> EmbeddedProcesses:

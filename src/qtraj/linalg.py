@@ -6,6 +6,12 @@ the fast one. Consequently ``tensor(a, b)`` with ``a`` acting on the system
 and ``b`` on the field is ``kron(b, a)``, and the 2x2 blocks of a 4x4
 operator are field-sector blocks whose entries act on the system.
 
+Liouville-space convention: a 2x2 operator x is flattened row-major,
+vec(x) = x.reshape(4), and a stack of states is an (M, 4) array whose
+``reshape(M, 2, 2)`` is a free view. A linear map on operators then acts on
+row vectors, vec(a @ x @ b) = vec(x) @ kron(a, b.T).T, so stepping an
+ensemble is a product of the (M, 4) state array with a 4x4 superoperator.
+
 All functions are pure; matrices are plain complex ndarrays.
 """
 
@@ -37,6 +43,17 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(b, a)
 
 
+def sandwich_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """4x4 superoperator S of x -> a @ x @ b, acting on row vectors:
+    vec(a @ x @ b) = vec(x) @ S with row-major vec.
+
+    S is returned C-contiguous: with a row-major right operand, BLAS computes
+    each row of an (M, 4) @ S product the same way for every M (one row
+    included), which keeps ensemble rows bit-identical to single runs.
+    """
+    return np.ascontiguousarray(np.kron(a, np.transpose(b)).T)
+
+
 def partial_trace_system(m: np.ndarray) -> np.ndarray:
     """Trace the field qubit out of a 4x4 operator, keeping the system.
 
@@ -55,7 +72,7 @@ def herm_eigen2(m: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray
     farther than ``tol`` from its adjoint in max-entry norm.
     """
     m = np.asarray(m, dtype=complex)
-    if max_abs(m - adjoint(m)) > tol:
+    if not max_abs(m - adjoint(m)) <= tol:
         raise NotHermitian("matrix exceeds Hermiticity tolerance "
                            f"{tol:g}: deviation {max_abs(m - adjoint(m)):.3e}")
     m = 0.5 * (m + adjoint(m))

@@ -38,6 +38,7 @@ from .linalg import (
 )
 
 STATE_TOL = 1e-10
+VALIDATE_EVERY = 100   # ensemble steps between invariant checks
 UNITARITY_TOL = 1e-12
 
 ID2 = np.eye(2, dtype=complex)
@@ -154,14 +155,33 @@ def check_state(m: np.ndarray, tol: float = STATE_TOL) -> None:
     """Raise NotAState unless m is Hermitian, trace-one, positive to tol."""
     m = np.asarray(m, dtype=complex)
     herm_dev = max_abs(m - adjoint(m))
-    if herm_dev > tol:
+    if not herm_dev <= tol:
         raise NotAState(f"Hermiticity violated by {herm_dev:.3e}")
     tr = m.trace()
-    if abs(tr - 1.0) > tol:
+    if not abs(tr - 1.0) <= tol:
         raise NotAState(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
     eigs, _ = herm_eigen2(m, tol=max(tol, HERMITICITY_TOL))
-    if eigs[-1] < -tol:
+    if not eigs[-1] >= -tol:
         raise NotAState(f"negative eigenvalue {eigs[-1]:.3e}")
+
+
+def validate_batch(states: np.ndarray, step: int, tol: float = STATE_TOL) -> np.ndarray:
+    """Check a (..., 2, 2) stack against the state invariants of
+    ``check_state``, then return it symmetrized. ``step`` only labels the
+    error message."""
+    herm_dev = max_abs(states - adjoint(states))
+    traces = np.trace(states, axis1=-2, axis2=-1)
+    trace_dev = float(np.max(np.abs(traces - 1.0)))
+    sym = 0.5 * (states + adjoint(states))
+    a = sym[..., 0, 0].real
+    d = sym[..., 1, 1].real
+    rad = np.sqrt(0.25 * (a - d) ** 2 + np.abs(sym[..., 0, 1]) ** 2)
+    eig_min = float(np.min(0.5 * (a + d) - rad))
+    if not (herm_dev <= tol and trace_dev <= tol and eig_min >= -tol):
+        raise NotAState(
+            f"invariant violated at step {step}: hermiticity {herm_dev:.3e}, "
+            f"trace {trace_dev:.3e}, min eigenvalue {eig_min:.3e}")
+    return sym
 
 
 def make_density(m: np.ndarray) -> DensityMatrix:

@@ -31,17 +31,11 @@ def generator_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def uniform_streams(base_seed: int, count: int, steps: int) -> np.ndarray:
-    """Per-member uniform streams, one row per member, one draw per step."""
+def member_streams(base_seed: int, count: int, steps: int, draw: str) -> np.ndarray:
+    """Per-member streams, one row per member: row j holds ``steps`` draws of
+    the Generator method ``draw`` ("random" or "standard_normal") from
+    generator_for(derive_seed(base_seed, j))."""
     out = np.empty((count, steps))
     for j in range(count):
-        out[j] = generator_for(derive_seed(base_seed, j)).random(steps)
-    return out
-
-
-def normal_streams(base_seed: int, count: int, steps: int) -> np.ndarray:
-    """Per-member standard-normal streams, one row per member."""
-    out = np.empty((count, steps))
-    for j in range(count):
-        out[j] = generator_for(derive_seed(base_seed, j)).standard_normal(steps)
+        out[j] = getattr(generator_for(derive_seed(base_seed, j)), draw)(steps)
     return out

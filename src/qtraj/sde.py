@@ -40,6 +40,18 @@ The Lindblad anticommutator uses c+c; the variant with cc+ is kept behind
 the ``variant`` switch for comparison, but only c+c is consistent with the
 norm-preserving wave form and with the short-time expansion of the
 interaction unitary.
+
+Stepping core: ensembles and the master equation are stepped in the
+row-major Liouville layout of :mod:`qtraj.linalg` (an (M, 4) array v whose
+``reshape(M, 2, 2)`` is the state stack) with matrices built once per
+configuration,
+
+    S_L = kron(-i h0 - A/2, I).T + kron(I, (i h0 - A/2).T).T + kron(c, conj(c)).T,
+    S_B = kron(c, I).T + kron(I, conj(c)).T,      g = vec((c + c+).T),
+
+with A = c+c, so vec L(rho) = v @ S_L, vec B(rho) = v @ S_B - (v @ g) v and
+Tr[rho (c + c+)] = v @ g. One Euler step is v @ (I + h S_L) + dW (v @ S_B - g v);
+``lindblad`` and ``backaction`` remain as the matrix-form oracles.
 """
 
 from __future__ import annotations
@@ -48,15 +60,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import adjoint, herm_eigen2
+from .linalg import adjoint, herm_eigen2, sandwich_superop
 from .model import (
     ID2,
+    VALIDATE_EVERY,
     DensityMatrix,
     ModelConfig,
     WaveFunction,
     check_state,
+    validate_batch,
 )
-from .rng import derive_seed, generator_for
+from .rng import generator_for, member_streams
 
 MAX_SDE_STEP = 1e-2
 
@@ -101,16 +115,19 @@ def _trace(m: np.ndarray) -> np.ndarray:
     return np.trace(m, axis1=-2, axis2=-1)
 
 
+def _anticommuted(c: np.ndarray, variant: str) -> np.ndarray:
+    if variant == "cstar_c":
+        return adjoint(c) @ c
+    if variant == "c_cstar":
+        return c @ adjoint(c)
+    raise ValueError("variant must be 'cstar_c' or 'c_cstar'")
+
+
 def lindblad(rho: np.ndarray, h0: np.ndarray, c: np.ndarray,
              variant: str = "cstar_c") -> np.ndarray:
     """Lindblad drift; traceless, Hermiticity-preserving; broadcasts over
     leading axes of ``rho``."""
-    if variant == "cstar_c":
-        anti = adjoint(c) @ c
-    elif variant == "c_cstar":
-        anti = c @ adjoint(c)
-    else:
-        raise ValueError("variant must be 'cstar_c' or 'c_cstar'")
+    anti = _anticommuted(c, variant)
     return (-1j * (h0 @ rho - rho @ h0)
             - 0.5 * (anti @ rho + rho @ anti)
             + c @ rho @ adjoint(c))
@@ -132,6 +149,22 @@ def backaction(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
     """
     g = _trace(rho @ (c + adjoint(c)))
     return c @ rho + rho @ adjoint(c) - g[..., None, None] * rho
+
+
+def lindblad_superop(h0: np.ndarray, c: np.ndarray,
+                     variant: str = "cstar_c") -> np.ndarray:
+    """4x4 S_L with vec(lindblad(rho, h0, c, variant)) = vec(rho) @ S_L."""
+    anti = _anticommuted(c, variant)
+    return (sandwich_superop(-1j * h0 - 0.5 * anti, ID2)
+            + sandwich_superop(ID2, 1j * h0 - 0.5 * anti)
+            + sandwich_superop(c, adjoint(c)))
+
+
+def backaction_superop(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S_B, g): the linear part of the backaction, vec(c rho + rho c+) =
+    vec(rho) @ S_B, and the row g with Tr[rho (c + c+)] = vec(rho) @ g."""
+    s_b = sandwich_superop(c, ID2) + sandwich_superop(ID2, adjoint(c))
+    return s_b, np.transpose(c + adjoint(c)).reshape(4)
 
 
 def _clip_negative(eigs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -305,45 +338,53 @@ def master_evolve(cfg: ModelConfig, rho0: DensityMatrix, h: float,
                   variant: str = "cstar_c") -> MasterPath:
     """Classical RK4 on the averaged equation d nu/dt = L(nu).
 
-    The scheme preserves the trace exactly (L is traceless and RK4 is a
-    linear combination of L evaluations).
+    L is linear, so one RK4 step is exactly v -> v + v @ D with the
+    degree-4 increment D = hS + (hS)^2/2 + (hS)^3/6 + (hS)^4/24, S = S_L.
+    The c+c drift is traceless, S[:, 3] = -S[:, 0], so D[:, 3] = -D[:, 0]
+    in exact arithmetic; pinning it exactly makes the two diagonal
+    increments cancel, so the trace stays one to rounding.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
     steps = int(round(cfg.t_horizon / h))
-    c = cfg.coupling()
-    states = np.empty((steps + 1, 2, 2), dtype=complex)
-    states[0] = rho0.m
-    rho = rho0.m
+    a = h * lindblad_superop(cfg.h0, cfg.coupling(), variant)
+    a2 = a @ a
+    d = a + a2 / 2.0 + (a2 @ a) / 6.0 + (a2 @ a2) / 24.0
+    if variant == "cstar_c":
+        d[:, 3] = -d[:, 0]
+    states = np.empty((steps + 1, 4), dtype=complex)
+    v = states[0] = rho0.m.reshape(4)
     for k in range(steps):
-        k1 = lindblad(rho, cfg.h0, c, variant)
-        k2 = lindblad(rho + 0.5 * h * k1, cfg.h0, c, variant)
-        k3 = lindblad(rho + 0.5 * h * k2, cfg.h0, c, variant)
-        k4 = lindblad(rho + h * k3, cfg.h0, c, variant)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[k + 1] = rho
-    return MasterPath(grid=np.arange(steps + 1) * h, states=states)
+        v = v + v @ d
+        states[k + 1] = v
+    return MasterPath(grid=np.arange(steps + 1) * h,
+                      states=states.reshape(steps + 1, 2, 2))
 
 
 def master_on_grid(cfg: ModelConfig, rho0: DensityMatrix, n: int,
                    refine: int = 10) -> np.ndarray:
-    """Averaged evolution sampled on the grid k/n, k = 0..floor(n T), via RK4
-    at the finer step 1/(refine*n)."""
+    """Averaged evolution sampled on the grid k/n, k = 0..floor(n T): every
+    ``refine``-th state of ``master_evolve`` at the step 1/(refine*n)."""
     m = int(np.floor(n * cfg.t_horizon))
-    h = 1.0 / (refine * n)
-    c = cfg.coupling()
-    rho = rho0.m
-    out = np.empty((m + 1, 2, 2), dtype=complex)
-    out[0] = rho
-    for k in range(m * refine):
-        k1 = lindblad(rho, cfg.h0, c)
-        k2 = lindblad(rho + 0.5 * h * k1, cfg.h0, c)
-        k3 = lindblad(rho + 0.5 * h * k2, cfg.h0, c)
-        k4 = lindblad(rho + h * k3, cfg.h0, c)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (k + 1) % refine == 0:
-            out[(k + 1) // refine] = rho
-    return out
+    path = master_evolve(cfg, rho0, 1.0 / (refine * n))
+    return path.states[:m * refine + 1:refine]
+
+
+def _ensemble_noise(base_seed: int | None, noise: np.ndarray | None,
+                    num_paths: int, steps: int, h: float) -> np.ndarray:
+    """(num_paths, steps) increments: row j from derive_seed(base_seed, j),
+    or the supplied array after a shape check."""
+    if noise is None:
+        if base_seed is None:
+            raise ValueError("either base_seed or noise is required")
+        noise = member_streams(base_seed, num_paths, steps, "standard_normal")
+        noise *= np.sqrt(h)
+        return noise
+    noise = np.asarray(noise, dtype=float)
+    if noise.shape != (num_paths, steps):
+        raise ValueError(f"noise must have shape {(num_paths, steps)}, "
+                         f"got {noise.shape}")
+    return noise
 
 
 def sde_ensemble_final(cfg: ModelConfig, rho0: DensityMatrix, h: float,
@@ -357,39 +398,40 @@ def sde_ensemble_final(cfg: ModelConfig, rho0: DensityMatrix, h: float,
     Path j draws its noise from derive_seed(base_seed, j) unless an explicit
     (num_paths, steps) increment array is supplied. Returns (final states,
     final weights or None); with ``physical`` the innovation-form drift is
-    used and weights are unavailable.
+    used and weights are unavailable. Projected runs are checked against the
+    state invariants every VALIDATE_EVERY steps.
+
+    Each step is one product of the (M, 4) state array with
+    [I + h S_L | S_B | g]; row arithmetic does not depend on M.
     """
     _check_step(h)
     steps = int(round(cfg.t_horizon / h))
-    if noise is None:
-        if base_seed is None:
-            raise ValueError("either base_seed or noise is required")
-        noise = np.empty((num_paths, steps))
-        for j in range(num_paths):
-            noise[j] = generator_for(derive_seed(base_seed, j)).standard_normal(steps)
-        noise *= np.sqrt(h)
-    else:
-        noise = np.asarray(noise, dtype=float)
-        if noise.shape != (num_paths, steps):
-            raise ValueError(f"noise must have shape {(num_paths, steps)}")
+    noise = _ensemble_noise(base_seed, noise, num_paths, steps, h)
     c = cfg.coupling()
-    cpc = c + adjoint(c)
-    rho = np.broadcast_to(rho0.m, (num_paths, 2, 2)).copy()
+    s_b, g_row = backaction_superop(c)
+    step = np.hstack([np.eye(4) + h * lindblad_superop(cfg.h0, c), s_b,
+                      g_row[:, None]])
+    v = np.broadcast_to(rho0.m.reshape(4), (num_paths, 4)).copy()
     log_z = np.zeros(num_paths) if with_weights else None
     for k in range(steps):
-        dw = noise[:, k][:, None, None]
-        back = backaction(rho, c)
-        drift = lindblad(rho, cfg.h0, c)
+        w = v @ step
+        back = w[:, 4:8] - w[:, 8:] * v
+        g = w[:, 8].real
+        dw = noise[:, k]
         if physical:
-            g = _trace(rho @ cpc).real
-            drift = drift + g[:, None, None] * back
-        elif with_weights:
-            g = _trace(rho @ cpc).real
-            log_z += g * noise[:, k] - 0.5 * g * g * h
-        raw = rho + h * drift + dw * back
-        rho = _project_positive_batch(raw) if project else raw
+            kick = dw + h * g
+        else:
+            kick = dw
+            if with_weights:
+                log_z += g * dw - 0.5 * g * g * h
+        v = w[:, :4] + kick[:, None] * back
+        if project:
+            v = _project_positive_batch(v.reshape(num_paths, 2, 2))
+            if (k + 1) % VALIDATE_EVERY == 0:
+                v = validate_batch(v, k)
+            v = v.reshape(num_paths, 4)
     weights = np.exp(log_z) if with_weights else None
-    return rho, weights
+    return v.reshape(num_paths, 2, 2), weights
 
 
 def wave_ensemble_final(cfg: ModelConfig, psi0: WaveFunction, h: float,
@@ -398,15 +440,7 @@ def wave_ensemble_final(cfg: ModelConfig, psi0: WaveFunction, h: float,
     """Vectorized wave-form ensemble, final vectors only."""
     _check_step(h)
     steps = int(round(cfg.t_horizon / h))
-    if noise is None:
-        if base_seed is None:
-            raise ValueError("either base_seed or noise is required")
-        noise = np.empty((num_paths, steps))
-        for j in range(num_paths):
-            noise[j] = generator_for(derive_seed(base_seed, j)).standard_normal(steps)
-        noise *= np.sqrt(h)
-    else:
-        noise = np.asarray(noise, dtype=float)
+    noise = _ensemble_noise(base_seed, noise, num_paths, steps, h)
     c = cfg.coupling()
     cpc = c + adjoint(c)
     csc = adjoint(c) @ c

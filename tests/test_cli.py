@@ -39,6 +39,18 @@ class TestSimulateDiscrete:
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_out_of_range_seed_exits_2(self, tmp_path, capsys, seed):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("simulate-discrete", "--seed", seed,
+                    "--out", str(tmp_path / "x.csv"))
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_largest_seed_accepted(self, tmp_path):
+        assert run_cli("simulate-discrete", "--n", "10", "--seed", str(2 ** 64 - 1),
+                       "--out", str(tmp_path / "x.csv"), "--no-timestamp") == 0
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):

@@ -19,7 +19,12 @@ from qtraj import (
     sup_residual,
 )
 from qtraj.convergence import EnsembleSpec, residual_decay
-from qtraj.discrete import _branch_maps_batch, drive_ensemble, ensemble_streams
+from qtraj.discrete import (
+    _branch_maps_batch,
+    branch_superops,
+    drive_ensemble,
+    ensemble_streams,
+)
 from qtraj.linalg import adjoint, max_abs, tensor
 from qtraj.model import FIELD_GROUND, ID2
 from qtraj.rng import derive_seed, generator_for
@@ -95,6 +100,18 @@ class TestNonnormalizedMaps:
             fast0, fast1 = _branch_maps_batch(rho.m, u, cfg.observable)
             assert max_abs(lit0 - fast0) < 1e-13
             assert max_abs(lit1 - fast1) < 1e-13
+
+    def test_branch_superops_match_literal(self):
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            cfg = rand_config(rng)
+            u = build_unitary(cfg)
+            rho = rand_density(rng)
+            s = branch_superops(u, cfg.observable)
+            assert s.shape == (4, 8)
+            for i, lit in enumerate(nonnormalized_maps(rho, u, cfg.observable)):
+                got = (rho.m.reshape(4) @ s[:, 4 * i:4 * i + 4]).reshape(2, 2)
+                assert max_abs(got - lit) < 1e-13
 
     def test_diagonal_observable_click_rate(self):
         # n * Tr[branch 1] approaches the jump rate Tr[c rho c+] as n grows

@@ -9,6 +9,7 @@ from qtraj.linalg import (
     herm_eigen2,
     max_abs,
     partial_trace_system,
+    sandwich_superop,
     tensor,
 )
 
@@ -131,6 +132,24 @@ class TestHermEigen2:
     def test_not_hermitian_raises(self):
         with pytest.raises(NotHermitian):
             herm_eigen2(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_nan_raises(self):
+        with pytest.raises(NotHermitian):
+            herm_eigen2(np.full((2, 2), np.nan, dtype=complex))
+
+
+class TestSandwichSuperop:
+    def test_row_major_vec_identity(self):
+        # vec(a x b) = vec(x) @ S, with vec the row-major flattening
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            a, x, b = rand_cmat(rng), rand_cmat(rng), rand_cmat(rng)
+            s = sandwich_superop(a, b)
+            assert max_abs(x.reshape(4) @ s - (a @ x @ b).reshape(4)) < 1e-13
+
+    def test_c_contiguous(self):
+        rng = np.random.default_rng(8)
+        assert sandwich_superop(rand_cmat(rng), rand_cmat(rng)).flags["C_CONTIGUOUS"]
 
 
 class TestExpm4:

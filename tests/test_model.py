@@ -15,7 +15,13 @@ from qtraj import (
     purity,
 )
 from qtraj.linalg import adjoint, max_abs, tensor
-from qtraj.model import FIELD_HAMILTONIANS, ID2, field_ground_energy
+from qtraj.model import (
+    FIELD_HAMILTONIANS,
+    ID2,
+    check_state,
+    field_ground_energy,
+    validate_batch,
+)
 
 from helpers import LOWERING, damping_cfg, rand_config, rand_herm, trivial_cfg
 
@@ -205,3 +211,25 @@ class TestBuildUnitary:
     def test_from_matrix_rejects_nonunitary(self):
         with pytest.raises(ValueError):
             InteractionUnitary.from_matrix(np.eye(4) * 2.0)
+
+
+class TestInvariantGuardsRejectNan:
+    def test_check_state(self):
+        with pytest.raises(NotAState):
+            check_state(np.full((2, 2), np.nan))
+
+    def test_check_state_nan_trace(self):
+        m = np.diag([np.nan, 1.0]).astype(complex)
+        with pytest.raises(NotAState):
+            check_state(m)
+
+    def test_validate_batch(self):
+        with pytest.raises(NotAState):
+            validate_batch(np.full((3, 2, 2), np.nan, dtype=complex), step=0)
+
+    def test_validate_batch_passes_and_symmetrizes(self):
+        states = np.stack([np.diag([0.25, 0.75]).astype(complex)] * 3)
+        states[:, 0, 1] = 0.1 + 1e-13
+        states[:, 1, 0] = 0.1
+        out = validate_batch(states, step=0)
+        assert np.array_equal(out, np.conjugate(np.swapaxes(out, -1, -2)))

@@ -24,7 +24,10 @@ from qtraj import (
 from qtraj.linalg import adjoint, max_abs
 from qtraj.model import ID2, SIGMA_X, SIGMA_Z
 from qtraj.sde import (
+    VALIDATE_EVERY,
     _project_positive_batch,
+    backaction_superop,
+    lindblad_superop,
     sde_ensemble_final,
     wave_ensemble_final,
 )
@@ -38,6 +41,7 @@ from helpers import (
     assert_valid_states,
     damping_cfg,
     rand_cmat,
+    rand_config,
     rand_density,
     rand_herm,
     rand_state_matrix,
@@ -390,3 +394,83 @@ class TestEnsembleConsistency:
             gaps.append(np.abs(rf - proj).max(axis=(1, 2)).mean())
         assert gaps[0] > gaps[2]
         assert gaps[1] > gaps[2]
+
+
+class TestSuperoperators:
+    def test_lindblad_superop_matches_oracle(self):
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            cfg = rand_config(rng)
+            rho = rand_density(rng).m
+            c = cfg.coupling()
+            for variant in ("cstar_c", "c_cstar"):
+                s_l = lindblad_superop(cfg.h0, c, variant)
+                got = (rho.reshape(4) @ s_l).reshape(2, 2)
+                assert max_abs(got - lindblad(rho, cfg.h0, c, variant)) < 1e-13
+
+    def test_backaction_superop_matches_oracle(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            cfg = rand_config(rng)
+            rho = rand_density(rng).m
+            c = cfg.coupling()
+            s_b, g = backaction_superop(c)
+            v = rho.reshape(4)
+            trace_term = np.trace(rho @ (c + adjoint(c)))
+            assert abs(v @ g - trace_term) < 1e-13
+            got = (v @ s_b - (v @ g) * v).reshape(2, 2)
+            assert max_abs(got - backaction(rho, c)) < 1e-13
+
+
+class TestEnsembleCore:
+    def test_rows_match_single_path_runs(self):
+        # per-row arithmetic of the stepping core does not depend on M
+        cfg = damping_cfg(h0_scale=0.5)
+        noise = np.random.default_rng(32).normal(scale=np.sqrt(1e-3), size=(5, 1000))
+        for kwargs in ({}, {"physical": True}, {"with_weights": True}):
+            finals, weights = sde_ensemble_final(cfg, PLUS, 1e-3, 5, noise=noise,
+                                                 **kwargs)
+            for j in range(5):
+                one, w1 = sde_ensemble_final(cfg, PLUS, 1e-3, 1,
+                                             noise=noise[j:j + 1], **kwargs)
+                assert np.array_equal(finals[j], one[0])
+                if weights is not None:
+                    assert weights[j] == w1[0]
+
+    def test_periodic_validation(self, monkeypatch):
+        import qtraj.sde as sde_mod
+
+        calls = []
+        original = sde_mod.validate_batch
+
+        def counting(states, step):
+            calls.append(step)
+            return original(states, step)
+
+        monkeypatch.setattr(sde_mod, "validate_batch", counting)
+        cfg = damping_cfg(h0_scale=0.5)
+        finals, _ = sde_ensemble_final(cfg, EXCITED, 1e-3, 20, base_seed=3)
+        assert calls == list(range(VALIDATE_EVERY - 1, 1000, VALIDATE_EVERY))
+        assert_valid_states(finals)
+        calls.clear()
+        sde_ensemble_final(cfg, EXCITED, 1e-3, 20, base_seed=3, project=False)
+        assert calls == []
+
+    def test_seeded_noise_streams(self):
+        # path j of a seeded run is the same path driven by its own stream
+        from qtraj.rng import derive_seed, generator_for
+
+        cfg = damping_cfg(h0_scale=0.5)
+        h = 1e-2
+        finals, _ = sde_ensemble_final(cfg, EXCITED, h, 3, base_seed=9)
+        noise = np.stack([generator_for(derive_seed(9, j)).standard_normal(100)
+                          for j in range(3)]) * np.sqrt(h)
+        explicit, _ = sde_ensemble_final(cfg, EXCITED, h, 3, noise=noise)
+        assert np.array_equal(finals, explicit)
+
+    @pytest.mark.parametrize("shape", [(3, 250), (5, 100), (3,)])
+    def test_wave_noise_shape_checked(self, shape):
+        cfg = damping_cfg()
+        with pytest.raises(ValueError, match="noise must have shape"):
+            wave_ensemble_final(cfg, WaveFunction(PLUS_VEC), 1e-2, 3,
+                                noise=np.zeros(shape))
