@@ -24,13 +24,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .discrete import drive_ensemble, ensemble_streams
+from .linalg import apply_superop
 from .model import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, ModelConfig
 from .rng import derive_seed
 from .sde import (
-    backaction_superop,
-    lindblad_superop,
     master_on_grid,
+    sde_coefficients,
     sde_ensemble_final,
+    split_sde_products,
 )
 
 # purpose tags for seed derivation, one per diagnostic
@@ -245,9 +246,7 @@ def residual_decay(spec: EnsembleSpec) -> np.ndarray:
     state increments; it collects everything the diffusive limit discards.
     Both are read off one product of the (M, 4) states with [S_L | S_B | g].
     """
-    c = spec.cfg.coupling()
-    s_b, g_row = backaction_superop(c)
-    coeffs = np.hstack([lindblad_superop(spec.cfg.h0, c), s_b, g_row[:, None]])
+    coeffs = sde_coefficients(spec.cfg.h0, spec.cfg.coupling())
     rho0 = spec.rho0.m.reshape(4)
     num = spec.num_trajectories
     out = np.empty(len(spec.n_values))
@@ -258,9 +257,8 @@ def residual_decay(spec: EnsembleSpec) -> np.ndarray:
         partial = np.zeros((num, 4), dtype=complex)
         sup = np.zeros(num)
         for k, states, _, x, _, _ in drive_ensemble(cfg, spec.rho0, uniforms):
-            w = prev @ coeffs
-            back = w[:, 4:8] - w[:, 8:] * prev
-            partial += w[:, :4] / n - back * (x / np.sqrt(n))[:, None]
+            drift, back, _ = split_sde_products(prev, apply_superop(prev, coeffs))
+            partial += drift / n - back * (x / np.sqrt(n))[:, None]
             v = states.reshape(num, 4)
             sup = np.maximum(sup, np.abs(v - rho0 - partial).max(axis=1))
             prev = v.copy()

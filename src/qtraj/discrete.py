@@ -24,8 +24,9 @@ row-major Liouville layout of :mod:`qtraj.linalg` it is one 4x4 matrix
 
     S_i = sum_{c,d} P_i[d,c] kron(L_c0, conj(L_d0)).T,   vec(m_i) = vec(rho) @ S_i.
 
-An ensemble is held as an (M, 4) array and each step is one product with the
-(4, 8) matrix [S_0 | S_1], built once per configuration; the branch weights
+An ensemble is held as an (M, 4) array and each step is one product
+``apply_superop(v, [S_0 | S_1])`` with the (4, 8) matrix built once per
+configuration; the branch weights
 are p = Re(m_0[0] + m_0[3]) and q = Re(m_1[0] + m_1[3]).
 
 Sampling convention: outcome 1 is taken iff the step's uniform draw is < q.
@@ -40,7 +41,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .linalg import adjoint, partial_trace_system, sandwich_superop, tensor
+from .linalg import (
+    adjoint,
+    apply_superop,
+    partial_trace_system,
+    sandwich_superop,
+    tensor,
+)
 from .model import (
     FIELD_GROUND,
     ID2,
@@ -150,7 +157,7 @@ def _branch_maps_batch(rho: np.ndarray, u: InteractionUnitary,
     """Branch maps on a (..., 2, 2) stack of states through the stepping
     core's superoperator; equal to ``nonnormalized_maps`` entrywise."""
     rho = np.asarray(rho, dtype=complex)
-    m = rho.reshape(-1, 4) @ branch_superops(u, a)
+    m = apply_superop(rho.reshape(-1, 4), branch_superops(u, a))
     return m[:, :4].reshape(rho.shape), m[:, 4:].reshape(rho.shape)
 
 
@@ -212,7 +219,7 @@ def drive_ensemble(cfg: ModelConfig, rho0: DensityMatrix, uniforms: np.ndarray,
     num_traj, steps = uniforms.shape
     v = np.broadcast_to(rho0.m.reshape(4), (num_traj, 4)).copy()
     for k in range(steps):
-        m = v @ s
+        m = apply_superop(v, s)
         m0, m1 = m[:, :4], m[:, 4:]
         p = (m0[:, 0] + m0[:, 3]).real
         q = (m1[:, 0] + m1[:, 3]).real

@@ -10,7 +10,8 @@ Liouville-space convention: a 2x2 operator x is flattened row-major,
 vec(x) = x.reshape(4), and a stack of states is an (M, 4) array whose
 ``reshape(M, 2, 2)`` is a free view. A linear map on operators then acts on
 row vectors, vec(a @ x @ b) = vec(x) @ kron(a, b.T).T, so stepping an
-ensemble is a product of the (M, 4) state array with a 4x4 superoperator.
+ensemble is a product of the (M, 4) state array with a 4x4 superoperator,
+taken by ``apply_superop``.
 
 All functions are pure; matrices are plain complex ndarrays.
 """
@@ -45,13 +46,22 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def sandwich_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """4x4 superoperator S of x -> a @ x @ b, acting on row vectors:
-    vec(a @ x @ b) = vec(x) @ S with row-major vec.
+    vec(a @ x @ b) = vec(x) @ S with row-major vec."""
+    return np.kron(a, np.transpose(b)).T
 
-    S is returned C-contiguous: with a row-major right operand, BLAS computes
-    each row of an (M, 4) @ S product the same way for every M (one row
-    included), which keeps ensemble rows bit-identical to single runs.
+
+def apply_superop(v: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Row-vector product v @ s of a (..., 4) stack of vec'd states with a
+    (4, k) block of superoperator columns.
+
+    Written as a fixed sequence of elementwise products and sums, so every
+    entry of a row is computed by the same operations whatever the number of
+    rows: ensemble rows are bit-identical to single runs by construction. A
+    BLAS product promises no such thing (gemv for one row and gemm for many
+    may round differently).
     """
-    return np.ascontiguousarray(np.kron(a, np.transpose(b)).T)
+    return (v[..., 0:1] * s[0] + v[..., 1:2] * s[1]
+            + v[..., 2:3] * s[2] + v[..., 3:4] * s[3])
 
 
 def partial_trace_system(m: np.ndarray) -> np.ndarray:

@@ -165,7 +165,7 @@ def check_state(m: np.ndarray, tol: float = STATE_TOL) -> None:
         raise NotAState(f"negative eigenvalue {eigs[-1]:.3e}")
 
 
-def validate_batch(states: np.ndarray, step: int, tol: float = STATE_TOL) -> np.ndarray:
+def validate_batch(states: np.ndarray, step: int) -> np.ndarray:
     """Check a (..., 2, 2) stack against the state invariants of
     ``check_state``, then return it symmetrized. ``step`` only labels the
     error message."""
@@ -177,7 +177,8 @@ def validate_batch(states: np.ndarray, step: int, tol: float = STATE_TOL) -> np.
     d = sym[..., 1, 1].real
     rad = np.sqrt(0.25 * (a - d) ** 2 + np.abs(sym[..., 0, 1]) ** 2)
     eig_min = float(np.min(0.5 * (a + d) - rad))
-    if not (herm_dev <= tol and trace_dev <= tol and eig_min >= -tol):
+    if not (herm_dev <= STATE_TOL and trace_dev <= STATE_TOL
+            and eig_min >= -STATE_TOL):
         raise NotAState(
             f"invariant violated at step {step}: hermiticity {herm_dev:.3e}, "
             f"trace {trace_dev:.3e}, min eigenvalue {eig_min:.3e}")

@@ -50,8 +50,11 @@ configuration,
     S_B = kron(c, I).T + kron(I, conj(c)).T,      g = vec((c + c+).T),
 
 with A = c+c, so vec L(rho) = v @ S_L, vec B(rho) = v @ S_B - (v @ g) v and
-Tr[rho (c + c+)] = v @ g. One Euler step is v @ (I + h S_L) + dW (v @ S_B - g v);
-``lindblad`` and ``backaction`` remain as the matrix-form oracles.
+Tr[rho (c + c+)] = v @ g. ``sde_coefficients`` lays the three side by side
+as one (4, 9) matrix [S_L | S_B | g] and ``split_sde_products`` reads a
+product with it back as (drift, backaction, g). One Euler step is
+v @ (I + h S_L) + dW (v @ S_B - g v); ``lindblad`` and ``backaction``
+remain as the matrix-form oracles.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import adjoint, herm_eigen2, sandwich_superop
+from .linalg import adjoint, apply_superop, herm_eigen2, sandwich_superop
 from .model import (
     ID2,
     VALIDATE_EVERY,
@@ -165,6 +168,21 @@ def backaction_superop(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vec(rho) @ S_B, and the row g with Tr[rho (c + c+)] = vec(rho) @ g."""
     s_b = sandwich_superop(c, ID2) + sandwich_superop(ID2, adjoint(c))
     return s_b, np.transpose(c + adjoint(c)).reshape(4)
+
+
+def sde_coefficients(h0: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(4, 9) matrix [S_L | S_B | g] of the density equation's coefficients;
+    read products with it through ``split_sde_products``."""
+    s_b, g_row = backaction_superop(c)
+    return np.hstack([lindblad_superop(h0, c), s_b, g_row[:, None]])
+
+
+def split_sde_products(v: np.ndarray, w: np.ndarray,
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split w = apply_superop(v, sde_coefficients(...)) for an (M, 4) state
+    array v into (vec L(rho), vec B(rho), Tr[rho (c + c+)]). The first block
+    is whatever the caller put in the S_L columns."""
+    return w[:, :4], w[:, 4:8] - w[:, 8:] * v, w[:, 8].real
 
 
 def _clip_negative(eigs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -347,6 +365,13 @@ def master_evolve(cfg: ModelConfig, rho0: DensityMatrix, h: float,
     if h <= 0:
         raise ValueError("step size must be positive")
     steps = int(round(cfg.t_horizon / h))
+    return MasterPath(grid=np.arange(steps + 1) * h,
+                      states=_rk4_states(cfg, rho0, h, steps, variant))
+
+
+def _rk4_states(cfg: ModelConfig, rho0: DensityMatrix, h: float, steps: int,
+                variant: str) -> np.ndarray:
+    """(steps + 1, 2, 2) RK4 states of the averaged equation at step h."""
     a = h * lindblad_superop(cfg.h0, cfg.coupling(), variant)
     a2 = a @ a
     d = a + a2 / 2.0 + (a2 @ a) / 6.0 + (a2 @ a2) / 24.0
@@ -355,19 +380,19 @@ def master_evolve(cfg: ModelConfig, rho0: DensityMatrix, h: float,
     states = np.empty((steps + 1, 4), dtype=complex)
     v = states[0] = rho0.m.reshape(4)
     for k in range(steps):
-        v = v + v @ d
+        v = v + apply_superop(v, d)
         states[k + 1] = v
-    return MasterPath(grid=np.arange(steps + 1) * h,
-                      states=states.reshape(steps + 1, 2, 2))
+    return states.reshape(steps + 1, 2, 2)
 
 
 def master_on_grid(cfg: ModelConfig, rho0: DensityMatrix, n: int,
                    refine: int = 10) -> np.ndarray:
     """Averaged evolution sampled on the grid k/n, k = 0..floor(n T): every
-    ``refine``-th state of ``master_evolve`` at the step 1/(refine*n)."""
+    ``refine``-th state of ``master_evolve`` at the step 1/(refine*n), run
+    for exactly floor(n T) * refine steps."""
     m = int(np.floor(n * cfg.t_horizon))
-    path = master_evolve(cfg, rho0, 1.0 / (refine * n))
-    return path.states[:m * refine + 1:refine]
+    states = _rk4_states(cfg, rho0, 1.0 / (refine * n), m * refine, "cstar_c")
+    return states[::refine]
 
 
 def _ensemble_noise(base_seed: int | None, noise: np.ndarray | None,
@@ -401,22 +426,19 @@ def sde_ensemble_final(cfg: ModelConfig, rho0: DensityMatrix, h: float,
     used and weights are unavailable. Projected runs are checked against the
     state invariants every VALIDATE_EVERY steps.
 
-    Each step is one product of the (M, 4) state array with
-    [I + h S_L | S_B | g]; row arithmetic does not depend on M.
+    Each step is one ``apply_superop`` product of the (M, 4) state array
+    with [I + h S_L | S_B | g], so rows do not depend on M.
     """
     _check_step(h)
     steps = int(round(cfg.t_horizon / h))
     noise = _ensemble_noise(base_seed, noise, num_paths, steps, h)
     c = cfg.coupling()
-    s_b, g_row = backaction_superop(c)
-    step = np.hstack([np.eye(4) + h * lindblad_superop(cfg.h0, c), s_b,
-                      g_row[:, None]])
+    coeffs = sde_coefficients(cfg.h0, c)
+    coeffs[:, :4] = np.eye(4) + h * coeffs[:, :4]
     v = np.broadcast_to(rho0.m.reshape(4), (num_paths, 4)).copy()
     log_z = np.zeros(num_paths) if with_weights else None
     for k in range(steps):
-        w = v @ step
-        back = w[:, 4:8] - w[:, 8:] * v
-        g = w[:, 8].real
+        euler, back, g = split_sde_products(v, apply_superop(v, coeffs))
         dw = noise[:, k]
         if physical:
             kick = dw + h * g
@@ -424,7 +446,7 @@ def sde_ensemble_final(cfg: ModelConfig, rho0: DensityMatrix, h: float,
             kick = dw
             if with_weights:
                 log_z += g * dw - 0.5 * g * g * h
-        v = w[:, :4] + kick[:, None] * back
+        v = euler + kick[:, None] * back
         if project:
             v = _project_positive_batch(v.reshape(num_paths, 2, 2))
             if (k + 1) % VALIDATE_EVERY == 0:

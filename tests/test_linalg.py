@@ -5,6 +5,7 @@ import scipy.linalg
 from qtraj.linalg import (
     NotHermitian,
     adjoint,
+    apply_superop,
     expm4,
     herm_eigen2,
     max_abs,
@@ -147,9 +148,25 @@ class TestSandwichSuperop:
             s = sandwich_superop(a, b)
             assert max_abs(x.reshape(4) @ s - (a @ x @ b).reshape(4)) < 1e-13
 
-    def test_c_contiguous(self):
+
+
+class TestApplySuperop:
+    def test_matches_matrix_product(self):
         rng = np.random.default_rng(8)
-        assert sandwich_superop(rand_cmat(rng), rand_cmat(rng)).flags["C_CONTIGUOUS"]
+        v = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+        s = rng.normal(size=(4, 9)) + 1j * rng.normal(size=(4, 9))
+        assert max_abs(apply_superop(v, s) - v @ s) < 1e-13
+        assert max_abs(apply_superop(v[0], s) - v[0] @ s) < 1e-13
+
+    def test_rows_independent_of_batch_size(self):
+        rng = np.random.default_rng(9)
+        v = rng.normal(size=(7, 4)) + 1j * rng.normal(size=(7, 4))
+        for s in (sandwich_superop(rand_cmat(rng), rand_cmat(rng)),
+                  np.asfortranarray(rng.normal(size=(4, 8)) + 0j)):
+            batch = apply_superop(v, s)
+            for j in range(7):
+                assert np.array_equal(batch[j], apply_superop(v[j:j + 1], s)[0])
+                assert np.array_equal(batch[j], apply_superop(v[j], s))
 
 
 class TestExpm4:

@@ -357,6 +357,32 @@ class TestMasterEvolve:
         full = master_evolve(cfg, EXCITED, 1.0 / 200.0)
         assert max_abs(grid_states - full.states[::10]) < 1e-12
 
+    @pytest.mark.parametrize("variant", ["cstar_c", "c_cstar"])
+    def test_propagator_matches_classical_rk4(self, variant):
+        # v + v @ D against RK4 stages written with the matrix-form oracle
+        rng = np.random.default_rng(33)
+        h = 0.05
+        for _ in range(20):
+            cfg = rand_config(rng)
+            rho = rand_density(rng).m
+            path = master_evolve(cfg, DensityMatrix(rho), h, variant=variant)
+            c = cfg.coupling()
+            for k in range(3):
+                k1 = lindblad(rho, cfg.h0, c, variant)
+                k2 = lindblad(rho + 0.5 * h * k1, cfg.h0, c, variant)
+                k3 = lindblad(rho + 0.5 * h * k2, cfg.h0, c, variant)
+                k4 = lindblad(rho + h * k3, cfg.h0, c, variant)
+                rho = rho + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                assert max_abs(path.states[k + 1] - rho) < 1e-13
+
+    def test_grid_sampling_stops_at_last_grid_point(self):
+        # n T = 20.5 is not an integer: 20 grid intervals, 200 fine steps
+        cfg = damping_cfg(n=20, t_horizon=1.025)
+        grid_states = master_on_grid(cfg, EXCITED, 20, refine=10)
+        assert grid_states.shape == (21, 2, 2)
+        full = master_evolve(damping_cfg(n=20), EXCITED, 1.0 / 200.0)
+        assert max_abs(grid_states - full.states[::10]) < 1e-12
+
 
 class TestEnsembleConsistency:
     def test_density_ensemble_matches_scalar_path(self):
