@@ -62,7 +62,6 @@ from .model import (
 from .rng import derive_seed, generator_for, mix64
 from .sde import (
     MasterPath,
-    ProjectionFailed,
     SdePath,
     WavePath,
     backaction,

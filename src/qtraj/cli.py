@@ -30,6 +30,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .convergence import EnsembleSpec, run_full_report
+from .csvio import STATE_HEADER, state_columns, table_rows, write_csv
 from .discrete import run_trajectory, trajectory_to_csv
 from .model import DensityMatrix, ModelConfig, WaveFunction, make_observable
 from .rng import derive_seed
@@ -178,19 +179,13 @@ def _cmd_simulate_sde(args) -> int:
 
 def _cmd_master(args) -> int:
     cfg = _load_model(args)
-    if args.h <= 0:
-        raise ConfigError(f"--h must be positive, got {args.h:g}")
+    if not 0 < args.h <= cfg.t_horizon:
+        raise ConfigError(f"--h must be in (0, {cfg.t_horizon:g}], got {args.h:g}")
     path = master_evolve(cfg, EXCITED, args.h)
     with open(args.out, "w") as fh:
-        ts = _timestamp(args)
-        if ts is not None:
-            fh.write(f"# generated {ts}\n")
-        fh.write("time,rho_00_re,rho_01_re,rho_01_im,rho_11_re\n")
-        for k in range(len(path.grid)):
-            s = path.states[k]
-            fh.write(f"{path.grid[k]:.17g},{s[0, 0].real:.17g},"
-                     f"{s[0, 1].real:.17g},{s[0, 1].imag:.17g},"
-                     f"{s[1, 1].real:.17g}\n")
+        write_csv(fh, "time," + STATE_HEADER,
+                  table_rows(path.grid, *state_columns(path.states)),
+                  _timestamp(args))
     final = path.states[-1]
     print(f"wrote {args.out}: {len(path.grid)} rows")
     print(f"final populations: ground {final[0, 0].real:.8f}, "
@@ -204,6 +199,9 @@ def _cmd_converge(args) -> int:
     sde_step = args.sde_step
     if sde_step is None:
         sde_step = min(5e-4, 1.0 / (10.0 * max(n_values)))
+    elif not 0 < sde_step <= MAX_SDE_STEP:
+        raise ConfigError(f"--sde-step must be in (0, {MAX_SDE_STEP:g}], "
+                          f"got {sde_step:g}")
     spec = EnsembleSpec(cfg=cfg, rho0=EXCITED,
                         num_trajectories=args.trajectories,
                         base_seed=args.seed, n_values=n_values,
@@ -237,16 +235,11 @@ def _cmd_girsanov(args) -> int:
     physical = float(np.mean(f_phys))
     se_ph = float(np.std(f_phys, ddof=1) / np.sqrt(m))
     with open(args.out, "w") as fh:
-        ts = _timestamp(args)
-        if ts is not None:
-            fh.write(f"# generated {ts}\n")
-        fh.write("quantity,value\n")
-        for name, val in [("mean_weight", mean_z), ("se_weight", se_z),
-                          ("reweighted_mean_sz", reweighted),
-                          ("se_reweighted", se_rw),
-                          ("physical_mean_sz", physical),
-                          ("se_physical", se_ph)]:
-            fh.write(f"{name},{val:.17g}\n")
+        write_csv(fh, "quantity,value",
+                  [("mean_weight", mean_z), ("se_weight", se_z),
+                   ("reweighted_mean_sz", reweighted), ("se_reweighted", se_rw),
+                   ("physical_mean_sz", physical), ("se_physical", se_ph)],
+                  _timestamp(args))
     print(f"wrote {args.out}")
     print(f"E[Z_T] = {mean_z:.5f} +- {se_z:.5f} (target 1)")
     print(f"reweighted <sigma_z> = {reweighted:.5f} +- {se_rw:.5f}")

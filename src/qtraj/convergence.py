@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .csvio import write_csv
 from .discrete import drive_ensemble, ensemble_streams
 from .linalg import apply_superop
 from .model import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, ModelConfig
@@ -103,23 +104,18 @@ class ConvergenceReport:
         return "\n".join(lines)
 
     def to_csv(self, stream, timestamp: str | None = None) -> None:
-        if timestamp is not None:
-            stream.write(f"# generated {timestamp}\n")
-        stream.write("n,statistic,value\n")
+        rows = []
         for i, n in enumerate(self.n_values):
-            if self.mean_errors:
-                stream.write(f"{n},mean_vs_master_sup_error,{self.mean_errors[i]:.17g}\n")
-            if self.qv_deviations:
-                stream.write(f"{n},qv_l2_deviation,{self.qv_deviations[i]:.17g}\n")
-            if self.qv_means:
-                stream.write(f"{n},qv_mean,{self.qv_means[i]:.17g}\n")
-            if self.qv_max_jumps:
-                stream.write(f"{n},qv_max_jump,{self.qv_max_jumps[i]:.17g}\n")
-            if self.residual_sups:
-                stream.write(f"{n},residual_sup_mean,{self.residual_sups[i]:.17g}\n")
+            for name, values in (("mean_vs_master_sup_error", self.mean_errors),
+                                 ("qv_l2_deviation", self.qv_deviations),
+                                 ("qv_mean", self.qv_means),
+                                 ("qv_max_jump", self.qv_max_jumps),
+                                 ("residual_sup_mean", self.residual_sups)):
+                if values:
+                    rows.append((n, name, values[i]))
             for name, stat, crit in self.ks_stats.get(n, []):
-                stream.write(f"{n},ks_{name},{stat:.17g}\n")
-                stream.write(f"{n},ks_{name}_critical,{crit:.17g}\n")
+                rows += [(n, f"ks_{name}", stat), (n, f"ks_{name}_critical", crit)]
+        write_csv(stream, "n,statistic,value", rows, timestamp)
 
 
 def ks_2samp(a: np.ndarray, b: np.ndarray) -> float:

@@ -41,6 +41,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .csvio import STATE_HEADER, state_columns, table_rows, write_csv
 from .linalg import (
     adjoint,
     apply_superop,
@@ -323,22 +324,8 @@ def sup_residual(record: TrajectoryRecord, cfg: ModelConfig) -> float:
 
 def trajectory_to_csv(record: TrajectoryRecord, stream, timestamp: str | None = None) -> None:
     """CSV dump: step, time, outcome, p, q, x, rho entries (row 0 has empty
-    outcome fields). Hermiticity makes the four real state columns sufficient.
-    """
-    if timestamp is not None:
-        stream.write(f"# generated {timestamp}\n")
-    stream.write("step,time,outcome,p,q,x,rho_00_re,rho_01_re,rho_01_im,rho_11_re\n")
-    n = record.n
-    for k in range(record.steps + 1):
-        s = record.states[k]
-        cells = [str(k), f"{k / n:.17g}"]
-        if k == 0:
-            cells += ["", "", "", ""]
-        else:
-            cells += [str(int(record.outcomes[k - 1])),
-                      f"{record.probabilities[k - 1, 0]:.17g}",
-                      f"{record.probabilities[k - 1, 1]:.17g}",
-                      f"{record.x_increments[k - 1]:.17g}"]
-        cells += [f"{s[0, 0].real:.17g}", f"{s[0, 1].real:.17g}",
-                  f"{s[0, 1].imag:.17g}", f"{s[1, 1].real:.17g}"]
-        stream.write(",".join(cells) + "\n")
+    outcome fields)."""
+    k = np.arange(record.steps + 1)
+    rows = table_rows(k, k / record.n, record.outcomes, *record.probabilities.T,
+                      record.x_increments, *state_columns(record.states))
+    write_csv(stream, "step,time,outcome,p,q,x," + STATE_HEADER, rows, timestamp)

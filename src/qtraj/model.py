@@ -131,11 +131,14 @@ class ModelConfig:
         c = np.asarray(self.c, dtype=complex)
         object.__setattr__(self, "h0", h0)
         object.__setattr__(self, "c", c)
-        if self.n < 1:
+        if not (np.all(np.isfinite(h0)) and np.all(np.isfinite(c))
+                and np.isfinite(self.theta)):
+            raise ValueError("h0, c and theta must be finite")
+        if not self.n >= 1:
             raise ValueError("n must be a positive integer")
-        if self.t_horizon <= 0:
-            raise ValueError("t_horizon must be positive")
-        if max_abs(h0 - adjoint(h0)) > HERMITICITY_TOL:
+        if not 0 < self.t_horizon < np.inf:
+            raise ValueError("t_horizon must be positive and finite")
+        if not max_abs(h0 - adjoint(h0)) <= HERMITICITY_TOL:
             raise ValueError("h0 must be Hermitian to tolerance "
                              f"{HERMITICITY_TOL:g}")
         if self.field_hamiltonian not in FIELD_HAMILTONIANS:
@@ -180,9 +183,18 @@ def validate_batch(states: np.ndarray, step: int) -> np.ndarray:
     if not (herm_dev <= STATE_TOL and trace_dev <= STATE_TOL
             and eig_min >= -STATE_TOL):
         raise NotAState(
-            f"invariant violated at step {step}: hermiticity {herm_dev:.3e}, "
+            f"invariant violated by step {step}: hermiticity {herm_dev:.3e}, "
             f"trace {trace_dev:.3e}, min eigenvalue {eig_min:.3e}")
     return sym
+
+
+def validate_norms(vectors: np.ndarray, step: int) -> None:
+    """Check that every row of a (..., 2) stack of wave functions has unit
+    norm to STATE_TOL. ``step`` only labels the error message."""
+    norm_dev = float(np.max(np.abs(np.linalg.norm(vectors, axis=-1) - 1.0)))
+    if not norm_dev <= STATE_TOL:
+        raise NotAState(f"wave-function norm deviates from 1 by {norm_dev:.3e} "
+                        f"by step {step}")
 
 
 def make_density(m: np.ndarray) -> DensityMatrix:
@@ -205,7 +217,7 @@ def make_wave(v: np.ndarray) -> WaveFunction:
     """Validated wave-function constructor (norm within STATE_TOL of 1)."""
     v = np.asarray(v, dtype=complex)
     nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > STATE_TOL:
+    if not abs(nrm - 1.0) <= STATE_TOL:
         raise ValueError(f"norm deviates from 1 by {abs(nrm - 1.0):.3e}")
     return WaveFunction(v / nrm)
 
@@ -218,6 +230,8 @@ def purity(rho: DensityMatrix) -> float:
 def make_observable(phi: float, lam0: float, lam1: float) -> Observable:
     """Two-outcome observable whose first eigenvector is
     cos(phi/2)*f0 + sin(phi/2)*f1; phi in (0, pi) makes it nondiagonal."""
+    if not np.all(np.isfinite([phi, lam0, lam1])):
+        raise ValueError("phi, lambda0 and lambda1 must be finite")
     if lam0 == lam1:
         raise DegenerateSpectrum("observable eigenvalues must differ")
     u = np.array([np.cos(phi / 2.0), np.sin(phi / 2.0)], dtype=complex)

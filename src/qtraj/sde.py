@@ -41,7 +41,7 @@ the ``variant`` switch for comparison, but only c+c is consistent with the
 norm-preserving wave form and with the short-time expansion of the
 interaction unitary.
 
-Stepping core: ensembles and the master equation are stepped in the
+Stepping core: density paths and the master equation are stepped in the
 row-major Liouville layout of :mod:`qtraj.linalg` (an (M, 4) array v whose
 ``reshape(M, 2, 2)`` is the state stack) with matrices built once per
 configuration,
@@ -53,16 +53,24 @@ with A = c+c, so vec L(rho) = v @ S_L, vec B(rho) = v @ S_B - (v @ g) v and
 Tr[rho (c + c+)] = v @ g. ``sde_coefficients`` lays the three side by side
 as one (4, 9) matrix [S_L | S_B | g] and ``split_sde_products`` reads a
 product with it back as (drift, backaction, g). One Euler step is
-v @ (I + h S_L) + dW (v @ S_B - g v); ``lindblad`` and ``backaction``
-remain as the matrix-form oracles.
+v @ (I + h S_L) + dW (v @ S_B - g v).
+
+Each equation has one Euler loop, a generator over an (M, steps) noise
+array: ``_density_steps`` (density and innovation forms) and ``_wave_steps``.
+The ensembles keep the last step; ``simulate_*`` run a batch of one and
+record every state. ``lindblad``, ``backaction``, ``project_positive``,
+``euler_step_density`` and ``wavefunction_step`` remain as the matrix-form
+oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
+from .csvio import STATE_HEADER, state_columns, table_rows, write_csv
 from .linalg import adjoint, apply_superop, herm_eigen2, sandwich_superop
 from .model import (
     ID2,
@@ -72,14 +80,11 @@ from .model import (
     WaveFunction,
     check_state,
     validate_batch,
+    validate_norms,
 )
 from .rng import generator_for, member_streams
 
 MAX_SDE_STEP = 1e-2
-
-
-class ProjectionFailed(ValueError):
-    """Positivity projection did not produce a valid state."""
 
 
 @dataclass(frozen=True)
@@ -229,10 +234,7 @@ def euler_step_density(rho: DensityMatrix, h: float, dw: float,
     raw = rho.m + h * lindblad(rho.m, h0, c) + dw * backaction(rho.m, c)
     out = project_positive(raw) if project else raw
     if project:
-        try:
-            check_state(out)
-        except Exception as exc:
-            raise ProjectionFailed(str(exc)) from exc
+        check_state(out)
     return DensityMatrix(out)
 
 
@@ -248,22 +250,115 @@ def wavefunction_step(psi: WaveFunction, h: float, dw: float,
     return WaveFunction(raw / np.linalg.norm(raw))
 
 
-def _check_step(h: float) -> int:
+def _euler_steps(cfg: ModelConfig, h: float) -> int:
+    """Number of Euler steps of size h on [0, T], after checking h."""
     if not 0 < h <= MAX_SDE_STEP:
         raise ValueError(f"step size must be in (0, {MAX_SDE_STEP:g}], got {h:g}")
-    return 1
+    return int(round(cfg.t_horizon / h))
+
+
+def _ensemble_noise(base_seed: int | None, noise: np.ndarray | None,
+                    num_paths: int, steps: int, h: float) -> np.ndarray:
+    """(num_paths, steps) increments: row j from derive_seed(base_seed, j),
+    or the supplied array after a shape and finiteness check."""
+    if noise is None:
+        if base_seed is None:
+            raise ValueError("either base_seed or noise is required")
+        noise = member_streams(base_seed, num_paths, steps, "standard_normal")
+        noise *= np.sqrt(h)
+        return noise
+    noise = np.asarray(noise, dtype=float)
+    if noise.shape != (num_paths, steps):
+        raise ValueError(f"noise must have shape {(num_paths, steps)}, "
+                         f"got {noise.shape}")
+    if not np.all(np.isfinite(noise)):
+        raise ValueError("noise must be finite")
+    return noise
 
 
 def _noise_for(seed: int | None, shared_noise: np.ndarray | None,
                steps: int, h: float) -> np.ndarray:
+    """(1, steps) increments of a single path: the first ``steps`` entries
+    of ``shared_noise``, or a stream drawn from generator_for(seed)."""
     if shared_noise is not None:
-        noise = np.asarray(shared_noise, dtype=float)
-        if len(noise) < steps:
-            raise ValueError(f"shared noise has {len(noise)} increments, need {steps}")
-        return noise[:steps]
+        noise = np.asarray(shared_noise, dtype=float)[None, :steps]
+        return _ensemble_noise(None, noise, 1, steps, h)
     if seed is None:
         raise ValueError("either seed or shared_noise is required")
-    return generator_for(seed).standard_normal(steps) * np.sqrt(h)
+    return generator_for(seed).standard_normal((1, steps)) * np.sqrt(h)
+
+
+def _density_steps(cfg: ModelConfig, rho0: DensityMatrix, h: float,
+                   noise: np.ndarray, physical: bool, project: bool,
+                   ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Euler steps of the density equation, one path per row of the
+    (M, steps) increments ``noise``. Yields (k, v, g) after step k: v the
+    (M, 4) states after it, g = Tr[rho (c + c+)] of the states before it.
+    Rows do not depend on M (see ``apply_superop``). With ``physical`` the
+    kick is dW + h g (innovation form). Projected runs are checked against
+    the state invariants every VALIDATE_EVERY steps.
+    """
+    num_paths, steps = noise.shape
+    coeffs = sde_coefficients(cfg.h0, cfg.coupling())
+    coeffs[:, :4] = np.eye(4) + h * coeffs[:, :4]
+    v = np.broadcast_to(rho0.m.reshape(4), (num_paths, 4)).copy()
+    for k in range(steps):
+        euler, back, g = split_sde_products(v, apply_superop(v, coeffs))
+        dw = noise[:, k]
+        kick = dw + h * g if physical else dw
+        v = euler + kick[:, None] * back
+        if project:
+            v = _project_positive_batch(v.reshape(num_paths, 2, 2))
+            if (k + 1) % VALIDATE_EVERY == 0:
+                v = validate_batch(v, k)
+            v = v.reshape(num_paths, 4)
+        yield k, v, g
+
+
+def _wave_steps(cfg: ModelConfig, psi0: WaveFunction, h: float,
+                noise: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Euler steps of the wave form, one path per row of the (M, steps)
+    increment array ``noise``, renormalized each step. Yields (k, psi) after
+    step k with psi the (M, 2) vectors; their norms are checked every
+    VALIDATE_EVERY steps."""
+    num_paths, steps = noise.shape
+    c = cfg.coupling()
+    cpc = c + adjoint(c)
+    csc = adjoint(c) @ c
+    psi = np.broadcast_to(psi0.v, (num_paths, 2)).copy()
+    for k in range(steps):
+        nu = 0.5 * np.einsum("ji,ji->j", psi.conj(), psi @ cpc.T).real
+        dw = noise[:, k][:, None]
+        drift = (psi @ (-1j * cfg.h0 - 0.5 * csc).T
+                 + nu[:, None] * (psi @ c.T) - 0.5 * (nu * nu)[:, None] * psi)
+        raw = psi + dw * (psi @ c.T - nu[:, None] * psi) + h * drift
+        psi = raw / np.linalg.norm(raw, axis=1)[:, None]
+        if (k + 1) % VALIDATE_EVERY == 0:
+            validate_norms(psi, k)
+        yield k, psi
+
+
+def _density_path(cfg: ModelConfig, rho0: DensityMatrix, h: float,
+                  seed: int | None, shared_noise: np.ndarray | None,
+                  physical: bool, project: bool) -> SdePath:
+    """``_density_steps`` on a batch of one, recording every state (and, in
+    the physical form, the companion W path). A projected path is checked
+    state by state against the invariants once recorded."""
+    steps = _euler_steps(cfg, h)
+    noise = _noise_for(seed, shared_noise, steps, h)
+    states = np.empty((steps + 1, 4), dtype=complex)
+    states[0] = rho0.m.reshape(4)
+    g = np.empty(steps)
+    for k, v, g_k in _density_steps(cfg, rho0, h, noise, physical, project):
+        states[k + 1] = v[0]
+        g[k] = g_k[0]
+    states = states.reshape(steps + 1, 2, 2)
+    if project:
+        validate_batch(states, steps)
+    noise = noise[0]
+    companion = np.concatenate([[0.0], np.cumsum(noise + g * h)]) if physical else None
+    return SdePath(grid=np.arange(steps + 1) * h, states=states, noise=noise,
+                   companion=companion)
 
 
 def simulate_belavkin(cfg: ModelConfig, rho0: DensityMatrix, h: float,
@@ -271,17 +366,7 @@ def simulate_belavkin(cfg: ModelConfig, rho0: DensityMatrix, h: float,
                       shared_noise: np.ndarray | None = None,
                       project: bool = True) -> SdePath:
     """Euler path of the reference-measure density equation on [0, T]."""
-    _check_step(h)
-    steps = int(round(cfg.t_horizon / h))
-    noise = _noise_for(seed, shared_noise, steps, h)
-    c = cfg.coupling()
-    states = np.empty((steps + 1, 2, 2), dtype=complex)
-    states[0] = rho0.m
-    state = rho0
-    for k in range(steps):
-        state = euler_step_density(state, h, noise[k], cfg.h0, c, project=project)
-        states[k + 1] = state.m
-    return SdePath(grid=np.arange(steps + 1) * h, states=states, noise=noise)
+    return _density_path(cfg, rho0, h, seed, shared_noise, False, project)
 
 
 def simulate_physical(cfg: ModelConfig, rho0: DensityMatrix, h: float,
@@ -293,41 +378,22 @@ def simulate_physical(cfg: ModelConfig, rho0: DensityMatrix, h: float,
     The drift carries the correction g(rho) B(rho); the companion W path
     W_{k+1} = W_k + dW~_k + g_k h is reconstructed and stored.
     """
-    _check_step(h)
-    steps = int(round(cfg.t_horizon / h))
-    noise = _noise_for(seed, shared_noise, steps, h)
-    c = cfg.coupling()
-    states = np.empty((steps + 1, 2, 2), dtype=complex)
-    states[0] = rho0.m
-    companion = np.empty(steps + 1)
-    companion[0] = 0.0
-    rho = rho0.m
-    for k in range(steps):
-        back = backaction(rho, c)
-        g = _trace(rho @ (c + adjoint(c))).real
-        raw = rho + h * (lindblad(rho, cfg.h0, c) + g * back) + noise[k] * back
-        rho = project_positive(raw) if project else raw
-        states[k + 1] = rho
-        companion[k + 1] = companion[k] + noise[k] + g * h
-    return SdePath(grid=np.arange(steps + 1) * h, states=states, noise=noise,
-                   companion=companion)
+    return _density_path(cfg, rho0, h, seed, shared_noise, True, project)
 
 
 def simulate_wave(cfg: ModelConfig, psi0: WaveFunction, h: float,
                   seed: int | None = None,
                   shared_noise: np.ndarray | None = None) -> WavePath:
-    """Euler path of the wave form on [0, T], renormalized each step."""
-    _check_step(h)
-    steps = int(round(cfg.t_horizon / h))
+    """Euler path of the wave form on [0, T], renormalized each step, with
+    every norm checked."""
+    steps = _euler_steps(cfg, h)
     noise = _noise_for(seed, shared_noise, steps, h)
-    c = cfg.coupling()
     vectors = np.empty((steps + 1, 2), dtype=complex)
     vectors[0] = psi0.v
-    psi = psi0
-    for k in range(steps):
-        psi = wavefunction_step(psi, h, noise[k], cfg.h0, c)
-        vectors[k + 1] = psi.v
-    return WavePath(grid=np.arange(steps + 1) * h, vectors=vectors, noise=noise)
+    for k, psi in _wave_steps(cfg, psi0, h, noise):
+        vectors[k + 1] = psi[0]
+    validate_norms(vectors, steps)
+    return WavePath(grid=np.arange(steps + 1) * h, vectors=vectors, noise=noise[0])
 
 
 def innovation_path(path: SdePath, c: np.ndarray) -> np.ndarray:
@@ -395,23 +461,6 @@ def master_on_grid(cfg: ModelConfig, rho0: DensityMatrix, n: int,
     return states[::refine]
 
 
-def _ensemble_noise(base_seed: int | None, noise: np.ndarray | None,
-                    num_paths: int, steps: int, h: float) -> np.ndarray:
-    """(num_paths, steps) increments: row j from derive_seed(base_seed, j),
-    or the supplied array after a shape check."""
-    if noise is None:
-        if base_seed is None:
-            raise ValueError("either base_seed or noise is required")
-        noise = member_streams(base_seed, num_paths, steps, "standard_normal")
-        noise *= np.sqrt(h)
-        return noise
-    noise = np.asarray(noise, dtype=float)
-    if noise.shape != (num_paths, steps):
-        raise ValueError(f"noise must have shape {(num_paths, steps)}, "
-                         f"got {noise.shape}")
-    return noise
-
-
 def sde_ensemble_final(cfg: ModelConfig, rho0: DensityMatrix, h: float,
                        num_paths: int, base_seed: int | None = None,
                        noise: np.ndarray | None = None,
@@ -425,33 +474,13 @@ def sde_ensemble_final(cfg: ModelConfig, rho0: DensityMatrix, h: float,
     final weights or None); with ``physical`` the innovation-form drift is
     used and weights are unavailable. Projected runs are checked against the
     state invariants every VALIDATE_EVERY steps.
-
-    Each step is one ``apply_superop`` product of the (M, 4) state array
-    with [I + h S_L | S_B | g], so rows do not depend on M.
     """
-    _check_step(h)
-    steps = int(round(cfg.t_horizon / h))
-    noise = _ensemble_noise(base_seed, noise, num_paths, steps, h)
-    c = cfg.coupling()
-    coeffs = sde_coefficients(cfg.h0, c)
-    coeffs[:, :4] = np.eye(4) + h * coeffs[:, :4]
+    noise = _ensemble_noise(base_seed, noise, num_paths, _euler_steps(cfg, h), h)
     v = np.broadcast_to(rho0.m.reshape(4), (num_paths, 4)).copy()
-    log_z = np.zeros(num_paths) if with_weights else None
-    for k in range(steps):
-        euler, back, g = split_sde_products(v, apply_superop(v, coeffs))
-        dw = noise[:, k]
-        if physical:
-            kick = dw + h * g
-        else:
-            kick = dw
-            if with_weights:
-                log_z += g * dw - 0.5 * g * g * h
-        v = euler + kick[:, None] * back
-        if project:
-            v = _project_positive_batch(v.reshape(num_paths, 2, 2))
-            if (k + 1) % VALIDATE_EVERY == 0:
-                v = validate_batch(v, k)
-            v = v.reshape(num_paths, 4)
+    log_z = np.zeros(num_paths)
+    for k, v, g in _density_steps(cfg, rho0, h, noise, physical, project):
+        if with_weights and not physical:
+            log_z += g * noise[:, k] - 0.5 * g * g * h
     weights = np.exp(log_z) if with_weights else None
     return v.reshape(num_paths, 2, 2), weights
 
@@ -460,62 +489,29 @@ def wave_ensemble_final(cfg: ModelConfig, psi0: WaveFunction, h: float,
                         num_paths: int, base_seed: int | None = None,
                         noise: np.ndarray | None = None) -> np.ndarray:
     """Vectorized wave-form ensemble, final vectors only."""
-    _check_step(h)
-    steps = int(round(cfg.t_horizon / h))
-    noise = _ensemble_noise(base_seed, noise, num_paths, steps, h)
-    c = cfg.coupling()
-    cpc = c + adjoint(c)
-    csc = adjoint(c) @ c
+    noise = _ensemble_noise(base_seed, noise, num_paths, _euler_steps(cfg, h), h)
     psi = np.broadcast_to(psi0.v, (num_paths, 2)).copy()
-    for k in range(steps):
-        nu = 0.5 * np.einsum("ji,ji->j", psi.conj(), psi @ cpc.T).real
-        dw = noise[:, k][:, None]
-        drift = (psi @ (-1j * cfg.h0 - 0.5 * csc).T
-                 + nu[:, None] * (psi @ c.T) - 0.5 * (nu * nu)[:, None] * psi)
-        raw = psi + dw * (psi @ c.T - nu[:, None] * psi) + h * drift
-        psi = raw / np.linalg.norm(raw, axis=1)[:, None]
+    for _, psi in _wave_steps(cfg, psi0, h, noise):
+        pass
     return psi
 
 
-def sde_path_to_csv(path: SdePath, stream, timestamp: str | None = None,
-                    wave: WavePath | None = None) -> None:
-    """CSV dump: time, dW, rho entries, optional weight and psi columns."""
-    if timestamp is not None:
-        stream.write(f"# generated {timestamp}\n")
-    header = "time,dW,rho_00_re,rho_01_re,rho_01_im,rho_11_re"
-    if path.weights is not None:
-        header += ",weight"
-    if wave is not None:
-        header += ",psi_0_re,psi_0_im,psi_1_re,psi_1_im"
-    stream.write(header + "\n")
-    for k in range(len(path.grid)):
-        s = path.states[k]
-        cells = [f"{path.grid[k]:.17g}",
-                 "" if k == 0 else f"{path.noise[k - 1]:.17g}",
-                 f"{s[0, 0].real:.17g}", f"{s[0, 1].real:.17g}",
-                 f"{s[0, 1].imag:.17g}", f"{s[1, 1].real:.17g}"]
-        if path.weights is not None:
-            cells.append(f"{path.weights[k]:.17g}")
-        if wave is not None:
-            v = wave.vectors[k]
-            cells += [f"{v[0].real:.17g}", f"{v[0].imag:.17g}",
-                      f"{v[1].real:.17g}", f"{v[1].imag:.17g}"]
-        stream.write(",".join(cells) + "\n")
+_PATH_HEADER = "time,dW," + STATE_HEADER
+
+
+def sde_path_to_csv(path: SdePath, stream, timestamp: str | None = None) -> None:
+    """CSV dump: time, dW, rho entries and, on a weighted path, the weight."""
+    weighted = path.weights is not None
+    write_csv(stream, _PATH_HEADER + (",weight" if weighted else ""),
+              table_rows(path.grid, path.noise, *state_columns(path.states),
+                         *([path.weights] if weighted else [])), timestamp)
 
 
 def wave_path_to_csv(wave: WavePath, stream, timestamp: str | None = None) -> None:
     """CSV dump of a wave path; rho columns come from the outer product."""
-    if timestamp is not None:
-        stream.write(f"# generated {timestamp}\n")
-    stream.write("time,dW,rho_00_re,rho_01_re,rho_01_im,rho_11_re,"
-                 "psi_0_re,psi_0_im,psi_1_re,psi_1_im\n")
-    for k in range(len(wave.grid)):
-        v = wave.vectors[k]
-        s = np.outer(v, v.conj())
-        cells = [f"{wave.grid[k]:.17g}",
-                 "" if k == 0 else f"{wave.noise[k - 1]:.17g}",
-                 f"{s[0, 0].real:.17g}", f"{s[0, 1].real:.17g}",
-                 f"{s[0, 1].imag:.17g}", f"{s[1, 1].real:.17g}",
-                 f"{v[0].real:.17g}", f"{v[0].imag:.17g}",
-                 f"{v[1].real:.17g}", f"{v[1].imag:.17g}"]
-        stream.write(",".join(cells) + "\n")
+    v = wave.vectors
+    rho = v[:, :, None] * v.conj()[:, None, :]
+    write_csv(stream, _PATH_HEADER + ",psi_0_re,psi_0_im,psi_1_re,psi_1_im",
+              table_rows(wave.grid, wave.noise, *state_columns(rho),
+                         v[:, 0].real, v[:, 0].imag, v[:, 1].real, v[:, 1].imag),
+              timestamp)

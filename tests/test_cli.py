@@ -97,6 +97,18 @@ class TestSimulateSde:
         assert outs[0] == outs[1]
 
 
+    @pytest.mark.parametrize("form", ["belavkin", "physical", "wave"])
+    def test_deterministic_output(self, tmp_path, form):
+        texts = []
+        for name in ("a.csv", "b.csv"):
+            out = tmp_path / name
+            assert run_cli("simulate-sde", "--form", form, "--h", "1e-3",
+                           "--seed", "13", "--out", str(out),
+                           "--no-timestamp") == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+
+
 class TestMaster:
     def test_decay_oracle(self, tmp_path):
         out = tmp_path / "m.csv"
@@ -160,3 +172,33 @@ class TestConfigHandling:
                        "--seed", "1", "--out", str(out), "--no-timestamp") == 0
         _, rows = read_rows(out)
         assert len(rows) == 26
+
+
+class TestNonFiniteInputExits2:
+    @pytest.mark.parametrize("line", ["phi = nan", "h0 = nan 0 0 0",
+                                      "t_horizon = nan"])
+    def test_config_value(self, tmp_path, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code = run_cli("simulate-discrete", "--config", str(cfg), "--seed", "1",
+                       "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+
+    @pytest.mark.parametrize("argv", [("master", "--h", "inf"),
+                                      ("master", "--h", "nan"),
+                                      ("converge", "--sde-step", "nan")])
+    def test_step_flag(self, tmp_path, argv):
+        out = tmp_path / "x.csv"
+        assert run_cli(*argv, "--seed", "1", "--out", str(out)) == 2
+        assert not out.exists()
+
+
+def test_csv_cells():
+    import io
+
+    from qtraj.csvio import write_csv
+
+    out = io.StringIO()
+    write_csv(out, "a,b,c,d", [(20000, None, "x", 0.1), (0, 1.0, "", 1e-300)], "T")
+    assert out.getvalue() == ("# generated T\na,b,c,d\n"
+                              "20000,,x,0.10000000000000001\n0,1,,1e-300\n")

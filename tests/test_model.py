@@ -21,6 +21,7 @@ from qtraj.model import (
     check_state,
     field_ground_energy,
     validate_batch,
+    validate_norms,
 )
 
 from helpers import LOWERING, damping_cfg, rand_config, rand_herm, trivial_cfg
@@ -233,3 +234,31 @@ class TestInvariantGuardsRejectNan:
         states[:, 1, 0] = 0.1
         out = validate_batch(states, step=0)
         assert np.array_equal(out, np.conjugate(np.swapaxes(out, -1, -2)))
+
+    def test_validate_norms(self):
+        with pytest.raises(NotAState):
+            validate_norms(np.full((3, 2), np.nan, dtype=complex), step=0)
+        with pytest.raises(NotAState):
+            validate_norms(np.array([[1.0, 1e-4]], dtype=complex), step=0)
+        validate_norms(np.array([[0.6, 0.8j]]), step=0)
+
+    def test_make_wave(self):
+        with pytest.raises(ValueError):
+            make_wave(np.array([np.nan, 1.0]))
+
+    @pytest.mark.parametrize("field, value", [
+        ("h0", np.diag([np.nan, 0.0])), ("c", np.full((2, 2), np.inf)),
+        ("theta", np.nan), ("t_horizon", np.nan), ("t_horizon", np.inf)])
+    def test_model_config(self, field, value):
+        kwargs = dict(h0=np.zeros((2, 2)), c=LOWERING,
+                      observable=make_observable(np.pi / 2, 1.0, -1.0),
+                      n=10, t_horizon=1.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError):
+            ModelConfig(**kwargs)
+
+    @pytest.mark.parametrize("args", [(np.nan, 1.0, -1.0), (0.3, np.inf, -1.0),
+                                      (0.3, 1.0, np.nan)])
+    def test_make_observable(self, args):
+        with pytest.raises(ValueError):
+            make_observable(*args)

@@ -22,7 +22,7 @@ from qtraj import (
     wavefunction_step,
 )
 from qtraj.linalg import adjoint, max_abs
-from qtraj.model import ID2, SIGMA_X, SIGMA_Z
+from qtraj.model import ID2, SIGMA_X, SIGMA_Z, NotAState
 from qtraj.sde import (
     VALIDATE_EVERY,
     _project_positive_batch,
@@ -500,3 +500,99 @@ class TestEnsembleCore:
         with pytest.raises(ValueError, match="noise must have shape"):
             wave_ensemble_final(cfg, WaveFunction(PLUS_VEC), 1e-2, 3,
                                 noise=np.zeros(shape))
+
+
+class TestBatchOfOneOracles:
+    """Single paths against step-by-step loops of the matrix-form oracles,
+    on the same noise; every recorded state is compared."""
+
+    CONFIGS = [damping_cfg(h0_scale=0.5),
+               *(rand_config(np.random.default_rng(40 + i)) for i in range(2))]
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    @pytest.mark.parametrize("project", [True, False])
+    def test_belavkin_matches_euler_step_loop(self, cfg, project):
+        path = simulate_belavkin(cfg, PLUS, 1e-3, seed=41, project=project)
+        state = PLUS
+        for k, dw in enumerate(path.noise):
+            state = euler_step_density(state, 1e-3, dw, cfg.h0, cfg.coupling(),
+                                       project=project)
+            assert max_abs(path.states[k + 1] - state.m) < 1e-12
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_physical_matches_matrix_loop(self, cfg):
+        h = 1e-3
+        path = simulate_physical(cfg, PLUS, h, seed=42)
+        c = cfg.coupling()
+        rho, w = PLUS.m, 0.0
+        for k, dw in enumerate(path.noise):
+            back = backaction(rho, c)
+            g = np.trace(rho @ (c + adjoint(c))).real
+            rho = project_positive(rho + h * (lindblad(rho, cfg.h0, c) + g * back)
+                                   + dw * back)
+            w += dw + g * h
+            assert max_abs(path.states[k + 1] - rho) < 1e-12
+            assert abs(path.companion[k + 1] - w) < 1e-12
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_wave_matches_wavefunction_step_loop(self, cfg):
+        wave = simulate_wave(cfg, WaveFunction(PLUS_VEC), 1e-3, seed=43)
+        psi = WaveFunction(PLUS_VEC)
+        for k, dw in enumerate(wave.noise):
+            psi = wavefunction_step(psi, 1e-3, dw, cfg.h0, cfg.coupling())
+            assert max_abs(wave.vectors[k + 1] - psi.v) < 1e-12
+
+    @pytest.mark.parametrize("simulate", [simulate_belavkin, simulate_physical])
+    def test_projected_path_validated_whole(self, monkeypatch, simulate):
+        import qtraj.sde as sde_mod
+
+        shapes = []
+        original = sde_mod.validate_batch
+
+        def recording(states, step):
+            shapes.append(states.shape)
+            return original(states, step)
+
+        monkeypatch.setattr(sde_mod, "validate_batch", recording)
+        cfg = damping_cfg(h0_scale=0.5)
+        simulate(cfg, EXCITED, 1e-3, seed=44)
+        assert shapes[-1] == (1001, 2, 2)
+        shapes.clear()
+        simulate(cfg, EXCITED, 1e-3, seed=44, project=False)
+        assert shapes == []
+
+
+class TestWaveValidation:
+    def test_periodic_norm_checks(self, monkeypatch):
+        import qtraj.sde as sde_mod
+
+        calls = []
+        original = sde_mod.validate_norms
+
+        def counting(vectors, step):
+            calls.append(step)
+            return original(vectors, step)
+
+        monkeypatch.setattr(sde_mod, "validate_norms", counting)
+        wave_ensemble_final(damping_cfg(), WaveFunction(PLUS_VEC), 1e-3, 4,
+                            base_seed=5)
+        assert calls == list(range(VALIDATE_EVERY - 1, 1000, VALIDATE_EVERY))
+
+    def test_overflowing_path_rejected(self):
+        # finite but huge increments overflow the norm to inf or NaN
+        noise = np.full((2, 100), 1e300)
+        with np.errstate(all="ignore"), pytest.raises(NotAState, match="by step 99"):
+            wave_ensemble_final(damping_cfg(), WaveFunction(PLUS_VEC), 1e-2, 2,
+                                noise=noise)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_noise_rejected(self, bad):
+        cfg = damping_cfg()
+        noise = np.zeros((2, 100))
+        noise[1, 50] = bad
+        with pytest.raises(ValueError, match="noise must be finite"):
+            wave_ensemble_final(cfg, WaveFunction(PLUS_VEC), 1e-2, 2, noise=noise)
+        with pytest.raises(ValueError, match="noise must be finite"):
+            sde_ensemble_final(cfg, EXCITED, 1e-2, 2, noise=noise)
+        with pytest.raises(ValueError, match="noise must be finite"):
+            simulate_belavkin(cfg, EXCITED, 1e-2, shared_noise=noise[1])
