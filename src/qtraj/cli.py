@@ -29,7 +29,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .convergence import EnsembleSpec, run_full_report
+from .convergence import DiagonalObservable, EnsembleSpec, run_full_report
 from .csvio import STATE_HEADER, state_columns, table_rows, write_csv
 from .discrete import run_trajectory, trajectory_to_csv
 from .model import DensityMatrix, ModelConfig, WaveFunction, make_observable
@@ -121,15 +121,30 @@ def build_model(file_values: dict, overrides: dict) -> ModelConfig:
         raise ConfigError(f"bad model configuration: {exc}") from exc
 
 
-def _seed(text: str) -> int:
-    """argparse type of --seed: an integer in [0, 2^64)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not 0 <= value < 2 ** 64:
-        raise argparse.ArgumentTypeError(f"must be in [0, 2^64), got {value}")
-    return value
+def _int_in(low: int, high: float):
+    """argparse type: an integer in [low, high)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(f"must be in [{low}, {high}), got {value}")
+        return value
+    return parse
+
+
+_seed = _int_in(0, 2 ** 64)
+_trajectories = _int_in(2, float("inf"))  # standard errors and KS need two members
+
+
+def _n_values(text: str) -> tuple[int, ...]:
+    """argparse type of --n-values: comma-separated positive integers in
+    strictly increasing order."""
+    values = tuple(map(_int_in(1, float("inf")), text.split(",")))
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise argparse.ArgumentTypeError(f"must be strictly increasing, got {text!r}")
+    return values
 
 
 def _timestamp(args) -> str | None:
@@ -195,18 +210,20 @@ def _cmd_master(args) -> int:
 
 def _cmd_converge(args) -> int:
     cfg = _load_model(args)
-    n_values = tuple(int(tok) for tok in args.n_values.split(","))
     sde_step = args.sde_step
     if sde_step is None:
-        sde_step = min(5e-4, 1.0 / (10.0 * max(n_values)))
+        sde_step = min(5e-4, 1.0 / (10.0 * args.n_values[-1]))
     elif not 0 < sde_step <= MAX_SDE_STEP:
         raise ConfigError(f"--sde-step must be in (0, {MAX_SDE_STEP:g}], "
                           f"got {sde_step:g}")
     spec = EnsembleSpec(cfg=cfg, rho0=EXCITED,
                         num_trajectories=args.trajectories,
-                        base_seed=args.seed, n_values=n_values,
+                        base_seed=args.seed, n_values=args.n_values,
                         sde_step=sde_step)
-    report = run_full_report(spec, t=min(1.0, cfg.t_horizon))
+    try:
+        report = run_full_report(spec, t=min(1.0, cfg.t_horizon))
+    except DiagonalObservable as exc:
+        raise ConfigError(str(exc)) from exc
     with open(args.out, "w") as fh:
         report.to_csv(fh, timestamp=_timestamp(args))
     print(f"wrote {args.out}")
@@ -281,15 +298,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", help="full convergence diagnostic sweep")
     common(p, "converge.csv")
-    p.add_argument("--n-values", default="20,80",
-                   help="comma-separated discretizations to sweep")
-    p.add_argument("--trajectories", type=int, default=1000)
+    p.add_argument("--n-values", type=_n_values, default="20,80",
+                   help="comma-separated increasing discretizations to sweep")
+    p.add_argument("--trajectories", type=_trajectories, default=1000)
     p.add_argument("--sde-step", type=float, default=None)
     p.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("girsanov", help="reweighting cross-validation")
     common(p, "girsanov.csv")
-    p.add_argument("--trajectories", type=int, default=5000)
+    p.add_argument("--trajectories", type=_trajectories, default=5000)
     p.add_argument("--h", type=float, default=1e-3)
     p.set_defaults(func=_cmd_girsanov)
 

@@ -11,15 +11,20 @@ Four diagnostics, each swept over a list of discretizations n:
   chain at a fixed time and of an independently simulated diffusion ensemble;
 * mean sup-norm of the per-step drift-diffusion remainder.
 
-All statistics are deterministic functions of (spec, seeds): ensemble member
-j of purpose P at discretization n draws from
+Each diagnostic is a reducer fed by ``_chain_sweep``, which drives one chain
+ensemble per n. ``run_full_report`` feeds all four reducers from one pass on
+the purpose-1 streams; the standalone functions run their own pass on
+purposes 1 (mean), 2 (QV), 3 (KS) and 5 (residual). Purpose 4 is the KS
+diffusion ensemble. Member j of purpose P at discretization n draws from
 derive_seed(derive_seed(derive_seed(base, P), n), j), and reductions run in
-fixed index order, so re-running a report reproduces it bitwise.
+fixed index order, so every statistic is a deterministic function of
+(spec, seeds) and re-running a report reproduces it bitwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -35,7 +40,7 @@ from .sde import (
     split_sde_products,
 )
 
-# purpose tags for seed derivation, one per diagnostic
+# purpose tags for seed derivation (see the module docstring)
 _PURPOSE_MEAN = 1
 _PURPOSE_QV = 2
 _PURPOSE_KS_DISCRETE = 3
@@ -67,6 +72,8 @@ class EnsembleSpec:
             raise ValueError("need at least 2 trajectories")
         if len(self.n_values) == 0:
             raise ValueError("n_values must be nonempty")
+        if self.n_values[0] < 1:
+            raise ValueError("n_values must be positive")
         if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
             raise ValueError("n_values must be strictly increasing")
 
@@ -78,27 +85,21 @@ class ConvergenceReport:
     n_values: tuple[int, ...]
     num_trajectories: int
     base_seed: int
-    mean_errors: list[float] = field(default_factory=list)
-    qv_deviations: list[float] = field(default_factory=list)
-    qv_means: list[float] = field(default_factory=list)
-    qv_max_jumps: list[float] = field(default_factory=list)
-    ks_stats: dict[int, list[tuple[str, float, float]]] = field(default_factory=dict)
-    residual_sups: list[float] = field(default_factory=list)
+    mean_errors: list[float]
+    qv_deviations: list[float]
+    qv_means: list[float]
+    qv_max_jumps: list[float]
+    ks_stats: dict[int, list[tuple[str, float, float]]]
+    residual_sups: list[float]
 
     def summary(self) -> str:
         lines = [f"ensemble: M={self.num_trajectories}, seed={self.base_seed}"]
         for i, n in enumerate(self.n_values):
-            parts = [f"n={n}"]
-            if self.mean_errors:
-                parts.append(f"mean-vs-master sup error {self.mean_errors[i]:.3e}")
-            if self.qv_deviations:
-                parts.append(f"QV L2 deviation {self.qv_deviations[i]:.3e}")
-            if self.qv_max_jumps:
-                parts.append(f"max jump {self.qv_max_jumps[i]:.3e}")
-            if self.residual_sups:
-                parts.append(f"mean sup residual {self.residual_sups[i]:.3e}")
-            lines.append("  " + ", ".join(parts))
-            for name, stat, crit in self.ks_stats.get(n, []):
+            lines.append(f"  n={n}, mean-vs-master sup error {self.mean_errors[i]:.3e}, "
+                         f"QV L2 deviation {self.qv_deviations[i]:.3e}, "
+                         f"max jump {self.qv_max_jumps[i]:.3e}, "
+                         f"mean sup residual {self.residual_sups[i]:.3e}")
+            for name, stat, crit in self.ks_stats[n]:
                 verdict = "ok" if stat < crit else "REJECT"
                 lines.append(f"    KS {name}: {stat:.4f} (critical {crit:.4f}) {verdict}")
         return "\n".join(lines)
@@ -111,9 +112,8 @@ class ConvergenceReport:
                                  ("qv_mean", self.qv_means),
                                  ("qv_max_jump", self.qv_max_jumps),
                                  ("residual_sup_mean", self.residual_sups)):
-                if values:
-                    rows.append((n, name, values[i]))
-            for name, stat, crit in self.ks_stats.get(n, []):
+                rows.append((n, name, values[i]))
+            for name, stat, crit in self.ks_stats[n]:
                 rows += [(n, f"ks_{name}", stat), (n, f"ks_{name}_critical", crit)]
         write_csv(stream, "n,statistic,value", rows, timestamp)
 
@@ -134,73 +134,123 @@ def ks_critical_value(m: int, mp: int, alpha: float) -> float:
     return float(c * np.sqrt((m + mp) / (m * mp)))
 
 
-def _with_n(spec: EnsembleSpec, n: int) -> ModelConfig:
-    return replace(spec.cfg, n=n)
+def _chain_sweep(spec: EnsembleSpec, purpose: int, reducers) -> list[list]:
+    """One chain pass per n, cfg.steps steps long, on the ``purpose`` streams.
+
+    ``reducers`` are factories cfg -> (update, result): update(k, states, x)
+    sees every step, result() gives the statistic for that n. Returns one
+    list of per-n results per factory.
+    """
+    results = [[] for _ in reducers]
+    for n in spec.n_values:
+        cfg = replace(spec.cfg, n=n)
+        active = [make(cfg) for make in reducers]
+        base = derive_seed(derive_seed(spec.base_seed, purpose), n)
+        uniforms = ensemble_streams(base, spec.num_trajectories, cfg.steps)
+        for k, states, _, x, _, _ in drive_ensemble(cfg, spec.rho0, uniforms):
+            for update, _ in active:
+                update(k, states, x)
+        for out, (_, result) in zip(results, active):
+            out.append(result())
+    return results
 
 
-def _streams(spec: EnsembleSpec, purpose: int, n: int, steps: int) -> np.ndarray:
-    base = derive_seed(derive_seed(spec.base_seed, purpose), n)
-    return ensemble_streams(base, spec.num_trajectories, steps)
+def _mean_reducer(spec: EnsembleSpec, cfg: ModelConfig):
+    """Sup over the grid of |ensemble mean - averaged evolution|."""
+    means = np.empty((cfg.steps + 1, 2, 2), dtype=complex)
+    means[0] = spec.rho0.m
+
+    def update(k, states, x):
+        means[k + 1] = states.mean(axis=0)
+    return update, lambda: np.max(np.abs(means - master_on_grid(cfg, spec.rho0, cfg.n)))
+
+
+def _qv_reducer(spec: EnsembleSpec, t: float, cfg: ModelConfig):
+    """QV deviation from floor(nt)/n, QV mean and largest jump at time t."""
+    n, m = cfg.n, int(np.floor(cfg.n * t))
+    qv = np.zeros(spec.num_trajectories)
+    max_abs_x = 0.0
+
+    def update(k, states, x):
+        nonlocal qv, max_abs_x
+        if k < m:
+            qv += x * x / n
+            max_abs_x = max(max_abs_x, float(np.max(np.abs(x))))
+    return update, lambda: (np.mean((qv - m / n) ** 2), np.mean(qv),
+                            max_abs_x / np.sqrt(n))
+
+
+def _ks_reducer(spec: EnsembleSpec, t: float, functionals, alpha: float):
+    """Factory of the KS reducer, which keeps the chain states after floor(nt)
+    steps (the initial state if that is 0); integrates the diffusion
+    ensemble once, on its own purpose."""
+    functionals = DEFAULT_FUNCTIONALS if functionals is None else functionals
+    sde_finals, _ = sde_ensemble_final(replace(spec.cfg, t_horizon=t), spec.rho0,
+                                       spec.sde_step, spec.num_trajectories,
+                                       derive_seed(spec.base_seed, _PURPOSE_KS_SDE))
+    sde_values = [np.einsum("jab,ba->j", sde_finals, op).real for _, op in functionals]
+    m = spec.num_trajectories
+    critical = ks_critical_value(m, m, alpha)
+
+    def make(cfg):
+        last = int(np.floor(cfg.n * t)) - 1
+        finals = np.broadcast_to(spec.rho0.m, (m, 2, 2))
+
+        def update(k, states, x):
+            nonlocal finals
+            if k == last:
+                finals = states.copy()
+        return update, lambda: [
+            (name, ks_2samp(np.einsum("jab,ba->j", finals, op).real, fb), critical)
+            for (name, op), fb in zip(functionals, sde_values)]
+    return make
+
+
+def _residual_reducer(spec: EnsembleSpec, cfg: ModelConfig):
+    """Ensemble mean of the per-member sup of the drift-diffusion remainder;
+    drift and backaction come from one product with [S_L | S_B | g]."""
+    coeffs = sde_coefficients(cfg.h0, cfg.coupling())
+    num, rho0 = spec.num_trajectories, spec.rho0.m.reshape(4)
+    prev = np.broadcast_to(rho0, (num, 4)).copy()
+    partial_sum = np.zeros((num, 4), dtype=complex)
+    sup = np.zeros(num)
+
+    def update(k, states, x):
+        nonlocal prev, partial_sum, sup
+        drift, back, _ = split_sde_products(prev, apply_superop(prev, coeffs))
+        partial_sum += drift / cfg.n - back * (x / np.sqrt(cfg.n))[:, None]
+        v = states.reshape(num, 4)
+        sup = np.maximum(sup, np.abs(v - rho0 - partial_sum).max(axis=1))
+        prev = v.copy()
+    return update, lambda: np.mean(sup)
+
+
+def _check_nondiagonal(spec: EnsembleSpec) -> None:
+    phi = spec.cfg.observable.mixing_angle
+    if min(abs(phi), abs(phi - np.pi)) < 1e-12:
+        raise DiagonalObservable("quadratic-variation diagnostic needs a "
+                                 "nondiagonal observable (mixing angle in (0, pi))")
+
+
+def _check_horizon(spec: EnsembleSpec, t: float) -> None:
+    if t > spec.cfg.t_horizon:
+        raise ValueError("t exceeds the configured horizon")
 
 
 def mean_vs_master(spec: EnsembleSpec) -> np.ndarray:
     """Per-n sup over the grid of |ensemble mean - averaged evolution| in
     max-entry norm."""
-    errors = np.empty(len(spec.n_values))
-    for i, n in enumerate(spec.n_values):
-        cfg = _with_n(spec, n)
-        steps = cfg.steps
-        uniforms = _streams(spec, _PURPOSE_MEAN, n, steps)
-        means = np.empty((steps + 1, 2, 2), dtype=complex)
-        means[0] = spec.rho0.m
-        for k, states, *_ in drive_ensemble(cfg, spec.rho0, uniforms):
-            means[k + 1] = states.mean(axis=0)
-        reference = master_on_grid(cfg, spec.rho0, n)
-        errors[i] = np.max(np.abs(means - reference))
-    return errors
+    (errors,) = _chain_sweep(spec, _PURPOSE_MEAN, [partial(_mean_reducer, spec)])
+    return np.array(errors)
 
 
 def quadratic_variation_stats(spec: EnsembleSpec, t: float) -> dict[str, np.ndarray]:
     """Per-n sample E[([w,w]_t - floor(nt)/n)^2], the QV sample mean, and the
     largest normalized jump max |x| / sqrt(n)."""
-    phi = spec.cfg.observable.mixing_angle
-    if min(abs(phi), abs(phi - np.pi)) < 1e-12:
-        raise DiagonalObservable("quadratic-variation diagnostic needs a "
-                                 "nondiagonal observable (mixing angle in (0, pi))")
-    if t > spec.cfg.t_horizon:
-        raise ValueError("t exceeds the configured horizon")
-    deviations = np.empty(len(spec.n_values))
-    qv_means = np.empty(len(spec.n_values))
-    max_jumps = np.empty(len(spec.n_values))
-    for i, n in enumerate(spec.n_values):
-        cfg = _with_n(spec, n)
-        m = int(np.floor(n * t))
-        uniforms = _streams(spec, _PURPOSE_QV, n, cfg.steps)
-        qv = np.zeros(spec.num_trajectories)
-        max_abs_x = 0.0
-        for k, _, _, x, _, _ in drive_ensemble(cfg, spec.rho0, uniforms):
-            if k < m:
-                qv += x * x / n
-                max_abs_x = max(max_abs_x, float(np.max(np.abs(x))))
-        compensator = m / n
-        deviations[i] = np.mean((qv - compensator) ** 2)
-        qv_means[i] = np.mean(qv)
-        max_jumps[i] = max_abs_x / np.sqrt(n)
-    return {"l2_deviation": deviations, "qv_mean": qv_means,
-            "max_jump": max_jumps}
-
-
-def _discrete_finals(spec: EnsembleSpec, cfg: ModelConfig, t: float,
-                     purpose: int) -> np.ndarray:
-    m = int(np.floor(cfg.n * t))
-    uniforms = _streams(spec, purpose, cfg.n, m)
-    finals = None
-    for k, states, *_ in drive_ensemble(cfg, spec.rho0, uniforms):
-        if k == m - 1:
-            finals = states.copy()
-    if finals is None:  # t < 1/n: nothing happened yet
-        finals = np.broadcast_to(spec.rho0.m, (spec.num_trajectories, 2, 2)).copy()
-    return finals
+    _check_nondiagonal(spec)
+    _check_horizon(spec, t)
+    (rows,) = _chain_sweep(spec, _PURPOSE_QV, [partial(_qv_reducer, spec, t)])
+    return dict(zip(("l2_deviation", "qv_mean", "max_jump"), map(np.array, zip(*rows))))
 
 
 def distributional_test(spec: EnsembleSpec, functionals=None, t: float = 1.0,
@@ -211,27 +261,10 @@ def distributional_test(spec: EnsembleSpec, functionals=None, t: float = 1.0,
     Re Tr[rho F]; the diffusion ensemble is integrated independently at the
     spec's sde_step. Returns {n: [(name, statistic, critical value)]}.
     """
-    if functionals is None:
-        functionals = DEFAULT_FUNCTIONALS
-    if t > spec.cfg.t_horizon:
-        raise ValueError("t exceeds the configured horizon")
-    sde_cfg = replace(spec.cfg, t_horizon=t)
-    sde_seed = derive_seed(spec.base_seed, _PURPOSE_KS_SDE)
-    sde_finals, _ = sde_ensemble_final(sde_cfg, spec.rho0, spec.sde_step,
-                                       spec.num_trajectories, sde_seed)
-    m = spec.num_trajectories
-    critical = ks_critical_value(m, m, alpha)
-    out: dict[int, list[tuple[str, float, float]]] = {}
-    for n in spec.n_values:
-        cfg = _with_n(spec, n)
-        finals = _discrete_finals(spec, cfg, t, _PURPOSE_KS_DISCRETE)
-        rows = []
-        for name, op in functionals:
-            fa = np.einsum("jab,ba->j", finals, op).real
-            fb = np.einsum("jab,ba->j", sde_finals, op).real
-            rows.append((name, ks_2samp(fa, fb), critical))
-        out[n] = rows
-    return out
+    _check_horizon(spec, t)
+    ks = _ks_reducer(spec, t, functionals, alpha)
+    (rows,) = _chain_sweep(spec, _PURPOSE_KS_DISCRETE, [ks])
+    return dict(zip(spec.n_values, rows))
 
 
 def residual_decay(spec: EnsembleSpec) -> np.ndarray:
@@ -240,39 +273,25 @@ def residual_decay(spec: EnsembleSpec) -> np.ndarray:
     The remainder subtracts the Lindblad drift and the noise term
     -B(rho) x/sqrt(n) realized by this package's conventions from the raw
     state increments; it collects everything the diffusive limit discards.
-    Both are read off one product of the (M, 4) states with [S_L | S_B | g].
     """
-    coeffs = sde_coefficients(spec.cfg.h0, spec.cfg.coupling())
-    rho0 = spec.rho0.m.reshape(4)
-    num = spec.num_trajectories
-    out = np.empty(len(spec.n_values))
-    for i, n in enumerate(spec.n_values):
-        cfg = _with_n(spec, n)
-        uniforms = _streams(spec, _PURPOSE_RESIDUAL, n, cfg.steps)
-        prev = np.broadcast_to(rho0, (num, 4)).copy()
-        partial = np.zeros((num, 4), dtype=complex)
-        sup = np.zeros(num)
-        for k, states, _, x, _, _ in drive_ensemble(cfg, spec.rho0, uniforms):
-            drift, back, _ = split_sde_products(prev, apply_superop(prev, coeffs))
-            partial += drift / n - back * (x / np.sqrt(n))[:, None]
-            v = states.reshape(num, 4)
-            sup = np.maximum(sup, np.abs(v - rho0 - partial).max(axis=1))
-            prev = v.copy()
-        out[i] = float(np.mean(sup))
-    return out
+    (sups,) = _chain_sweep(spec, _PURPOSE_RESIDUAL, [partial(_residual_reducer, spec)])
+    return np.array(sups)
 
 
 def run_full_report(spec: EnsembleSpec, t: float = 1.0,
                     functionals=None) -> ConvergenceReport:
-    """All four diagnostics in one report (used by the CLI)."""
-    report = ConvergenceReport(n_values=spec.n_values,
-                               num_trajectories=spec.num_trajectories,
-                               base_seed=spec.base_seed)
-    report.mean_errors = list(mean_vs_master(spec))
-    qv = quadratic_variation_stats(spec, t)
-    report.qv_deviations = list(qv["l2_deviation"])
-    report.qv_means = list(qv["qv_mean"])
-    report.qv_max_jumps = list(qv["max_jump"])
-    report.ks_stats = distributional_test(spec, functionals=functionals, t=t)
-    report.residual_sups = list(residual_decay(spec))
-    return report
+    """All four diagnostics in one report (used by the CLI): input checks,
+    then the KS diffusion ensemble, then one chain pass per n on the
+    purpose-1 streams that feeds all four reducers."""
+    _check_nondiagonal(spec)
+    _check_horizon(spec, t)
+    reducers = [partial(_mean_reducer, spec), partial(_qv_reducer, spec, t),
+                _ks_reducer(spec, t, functionals, 0.01),
+                partial(_residual_reducer, spec)]
+    mean, qv, ks, residual = _chain_sweep(spec, _PURPOSE_MEAN, reducers)
+    deviations, qv_means, max_jumps = map(list, zip(*qv))
+    return ConvergenceReport(
+        n_values=spec.n_values, num_trajectories=spec.num_trajectories,
+        base_seed=spec.base_seed, mean_errors=mean, qv_deviations=deviations,
+        qv_means=qv_means, qv_max_jumps=max_jumps,
+        ks_stats=dict(zip(spec.n_values, ks)), residual_sups=residual)

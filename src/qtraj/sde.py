@@ -65,6 +65,7 @@ oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -229,8 +230,8 @@ def euler_step_density(rho: DensityMatrix, h: float, dw: float,
                        h0: np.ndarray, c: np.ndarray,
                        project: bool = True) -> DensityMatrix:
     """One Euler iterate rho + h L(rho) + dW B(rho), optionally projected."""
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError("step size must be positive and finite")
     raw = rho.m + h * lindblad(rho.m, h0, c) + dw * backaction(rho.m, c)
     out = project_positive(raw) if project else raw
     if project:
@@ -241,8 +242,8 @@ def euler_step_density(rho: DensityMatrix, h: float, dw: float,
 def wavefunction_step(psi: WaveFunction, h: float, dw: float,
                       h0: np.ndarray, c: np.ndarray) -> WaveFunction:
     """One Euler iterate of the wave form, renormalized to unit norm."""
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError("step size must be positive and finite")
     v = psi.v
     nu = 0.5 * np.vdot(v, (c + adjoint(c)) @ v).real
     drift = (-1j * h0 - 0.5 * (adjoint(c) @ c - 2.0 * nu * c + nu * nu * ID2))
@@ -428,8 +429,8 @@ def master_evolve(cfg: ModelConfig, rho0: DensityMatrix, h: float,
     in exact arithmetic; pinning it exactly makes the two diagonal
     increments cancel, so the trace stays one to rounding.
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError("step size must be positive and finite")
     steps = int(round(cfg.t_horizon / h))
     return MasterPath(grid=np.arange(steps + 1) * h,
                       states=_rk4_states(cfg, rho0, h, steps, variant))
@@ -472,14 +473,16 @@ def sde_ensemble_final(cfg: ModelConfig, rho0: DensityMatrix, h: float,
     Path j draws its noise from derive_seed(base_seed, j) unless an explicit
     (num_paths, steps) increment array is supplied. Returns (final states,
     final weights or None); with ``physical`` the innovation-form drift is
-    used and weights are unavailable. Projected runs are checked against the
+    used and asking for weights raises ValueError. Projected runs are checked against the
     state invariants every VALIDATE_EVERY steps.
     """
+    if physical and with_weights:
+        raise ValueError("weights are unavailable in the physical form")
     noise = _ensemble_noise(base_seed, noise, num_paths, _euler_steps(cfg, h), h)
     v = np.broadcast_to(rho0.m.reshape(4), (num_paths, 4)).copy()
     log_z = np.zeros(num_paths)
     for k, v, g in _density_steps(cfg, rho0, h, noise, physical, project):
-        if with_weights and not physical:
+        if with_weights:
             log_z += g * noise[:, k] - 0.5 * g * g * h
     weights = np.exp(log_z) if with_weights else None
     return v.reshape(num_paths, 2, 2), weights

@@ -202,3 +202,39 @@ def test_csv_cells():
     write_csv(out, "a,b,c,d", [(20000, None, "x", 0.1), (0, 1.0, "", 1e-300)], "T")
     assert out.getvalue() == ("# generated T\na,b,c,d\n"
                               "20000,,x,0.10000000000000001\n0,1,,1e-300\n")
+
+
+class TestEnsembleInputExits2:
+    def test_converge_diagonal_observable(self, tmp_path, monkeypatch):
+        import qtraj.convergence as convergence
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(convergence, "sde_ensemble_final", no_simulation)
+        monkeypatch.setattr(convergence, "ensemble_streams", no_simulation)
+        cfg = tmp_path / "diag.cfg"
+        cfg.write_text("phi = 0\n")
+        out = tmp_path / "c.csv"
+        assert run_cli("converge", "--config", str(cfg), "--n-values", "10,20",
+                       "--trajectories", "20", "--seed", "1", "--out", str(out)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_values", ["10,x", "0,10", "20,10", "10,10", ""])
+    def test_converge_n_values(self, tmp_path, capsys, n_values):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("converge", "--n-values", n_values, "--seed", "1",
+                    "--out", str(tmp_path / "c.csv"))
+        assert exc.value.code == 2
+        assert "--n-values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [("converge", "--trajectories", "1"),
+                                      ("girsanov", "--trajectories", "1"),
+                                      ("girsanov", "--trajectories", "0"),
+                                      ("girsanov", "--trajectories", "-3"),
+                                      ("girsanov", "--trajectories", "2.5")])
+    def test_trajectories(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--seed", "1", "--out", str(tmp_path / "x.csv"))
+        assert exc.value.code == 2
+        assert "--trajectories" in capsys.readouterr().err

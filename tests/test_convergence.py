@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -13,7 +15,9 @@ from qtraj import (
     residual_decay,
     run_full_report,
 )
+from qtraj import convergence
 from qtraj.discrete import drive_ensemble, ensemble_streams
+from qtraj.rng import derive_seed
 
 from helpers import EXCITED, damping_cfg, trivial_cfg
 
@@ -179,3 +183,85 @@ class TestReportPlumbing:
         lines = out.read_text().splitlines()
         assert lines[0] == "n,statistic,value"
         assert any(line.startswith("30,mean_vs_master_sup_error,") for line in lines)
+
+
+def _reducers(spec, t):
+    return [partial(convergence._mean_reducer, spec),
+            partial(convergence._qv_reducer, spec, t),
+            convergence._ks_reducer(spec, t, None, 0.01),
+            partial(convergence._residual_reducer, spec)]
+
+
+class TestSinglePass:
+    def test_report_mean_errors_match_standalone(self):
+        spec = spec_for(damping_cfg(n=30, h0_scale=0.5), (10, 30), m=60, seed=21)
+        assert run_full_report(spec, t=1.0).mean_errors == list(mean_vs_master(spec))
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_reducer_alone_matches_shared_pass(self, index):
+        # t below the horizon, so QV and KS stop before the pass ends
+        spec = spec_for(damping_cfg(phi=np.pi / 3, h0_scale=0.5, t_horizon=1.5),
+                        (7, 20), m=40, seed=33, sde_step=1e-2)
+        reducers = _reducers(spec, 0.7)
+        purpose = convergence._PURPOSE_QV
+        alone = convergence._chain_sweep(spec, purpose, [reducers[index]])[0]
+        shared = convergence._chain_sweep(spec, purpose, reducers)[index]
+        assert alone == shared
+
+    def test_one_chain_pass_per_n(self, monkeypatch):
+        calls = {"drive_ensemble": 0, "ensemble_streams": 0}
+        for name in calls:
+            original = getattr(convergence, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(convergence, name, counting)
+        spec = spec_for(damping_cfg(n=30, h0_scale=0.5), (5, 10, 30), m=20, seed=4,
+                        sde_step=1e-2)
+        run_full_report(spec, t=1.0)
+        assert calls == {"drive_ensemble": 3, "ensemble_streams": 3}
+
+    @pytest.mark.parametrize("n_values", [(0, 10), (-5, 10)])
+    def test_spec_rejects_non_positive_n(self, n_values):
+        with pytest.raises(ValueError, match="positive"):
+            spec_for(damping_cfg(), n_values)
+
+    def test_report_checks_inputs_before_simulating(self, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(convergence, "sde_ensemble_final", no_simulation)
+        monkeypatch.setattr(convergence, "ensemble_streams", no_simulation)
+        with pytest.raises(DiagonalObservable):
+            run_full_report(spec_for(damping_cfg(phi=0.0), (20,)), t=1.0)
+        with pytest.raises(ValueError, match="horizon"):
+            run_full_report(spec_for(damping_cfg(), (20,)), t=2.0)
+
+    def test_ks_finals_match_a_run_that_stops_at_t(self, monkeypatch):
+        # the sweep runs the whole horizon; at t = 0.5 the KS reducer must see
+        # the states of a run of exactly floor(n t) steps on the same streams
+        n, m, seed, t = 30, 50, 12, 0.5
+        spec = spec_for(damping_cfg(n=n, h0_scale=0.5), (n,), m=m, seed=seed,
+                        sde_step=1e-2)
+        seen = []
+        original = convergence.ks_2samp
+
+        def recording(a, b):
+            seen.append(np.array(a))
+            return original(a, b)
+
+        monkeypatch.setattr(convergence, "ks_2samp", recording)
+        distributional_test(spec, t=t)
+        base = derive_seed(derive_seed(seed, convergence._PURPOSE_KS_DISCRETE), n)
+        steps = int(np.floor(n * t))
+        for k, states, *_ in drive_ensemble(spec.cfg, EXCITED,
+                                            ensemble_streams(base, m, steps)):
+            finals = states.copy()
+        assert k == steps - 1
+        expected = [np.einsum("jab,ba->j", finals, op).real
+                    for _, op in convergence.DEFAULT_FUNCTIONALS]
+        assert len(seen) == len(expected)
+        for got, want in zip(seen, expected):
+            assert np.array_equal(got, want)

@@ -596,3 +596,25 @@ class TestWaveValidation:
             sde_ensemble_final(cfg, EXCITED, 1e-2, 2, noise=noise)
         with pytest.raises(ValueError, match="noise must be finite"):
             simulate_belavkin(cfg, EXCITED, 1e-2, shared_noise=noise[1])
+
+
+class TestInputGuards:
+    def test_physical_form_has_no_weights(self):
+        with pytest.raises(ValueError, match="physical form"):
+            sde_ensemble_final(damping_cfg(), EXCITED, 1e-2, 3, base_seed=1,
+                               physical=True, with_weights=True)
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf])
+    def test_master_evolve_step(self, h):
+        with pytest.raises(ValueError, match="step size"):
+            master_evolve(damping_cfg(), EXCITED, h)
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf])
+    def test_euler_step_density_step(self, h):
+        with pytest.raises(ValueError, match="step size"):
+            euler_step_density(EXCITED, h, 0.0, np.zeros((2, 2)), LOWERING)
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf])
+    def test_wavefunction_step_step(self, h):
+        with pytest.raises(ValueError, match="step size"):
+            wavefunction_step(WaveFunction(PLUS_VEC), h, 0.0, np.zeros((2, 2)), LOWERING)
