@@ -20,20 +20,15 @@ from .convergence import (
 )
 from .discrete import (
     DegenerateProbability,
-    EmbeddedProcesses,
     StepOutcome,
     TrajectoryRecord,
-    drift_diffusion_residual,
     drive_ensemble,
-    embed,
     ensemble_streams,
     increment_update,
     interaction_state,
     measurement_step,
     nonnormalized_maps,
-    quadratic_variation,
     run_trajectory,
-    sup_residual,
 )
 from .linalg import (
     NotHermitian,
@@ -68,7 +63,6 @@ from .sde import (
     euler_step_density,
     girsanov_weights,
     innovation_path,
-    jump_and_smooth_parts,
     lindblad,
     master_evolve,
     master_on_grid,

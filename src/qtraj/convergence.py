@@ -14,8 +14,9 @@ Four diagnostics, each swept over a list of discretizations n:
 Each diagnostic is a reducer fed by ``_chain_sweep``, which drives one chain
 ensemble per n. ``run_full_report`` feeds all four reducers from one pass on
 the purpose-1 streams; the standalone functions run their own pass on
-purposes 1 (mean), 2 (QV), 3 (KS) and 5 (residual). Purpose 4 is the KS
-diffusion ensemble. Member j of purpose P at discretization n draws from
+purposes 1 (mean), 2 (QV), 3 (KS) and 5 (residual), and the QV and KS passes
+stop at the statistic's time t. Purpose 4 is the KS diffusion ensemble.
+Member j of purpose P at discretization n draws from
 derive_seed(derive_seed(derive_seed(base, P), n), j), and reductions run in
 fixed index order, so every statistic is a deterministic function of
 (spec, seeds) and re-running a report reproduces it bitwise.
@@ -134,19 +135,22 @@ def ks_critical_value(m: int, mp: int, alpha: float) -> float:
     return float(c * np.sqrt((m + mp) / (m * mp)))
 
 
-def _chain_sweep(spec: EnsembleSpec, purpose: int, reducers) -> list[list]:
-    """One chain pass per n, cfg.steps steps long, on the ``purpose`` streams.
+def _chain_sweep(spec: EnsembleSpec, purpose: int, reducers,
+                 t: float | None = None) -> list[list]:
+    """One chain pass per n, floor(n t) steps long (t defaults to the
+    horizon), on the ``purpose`` streams.
 
     ``reducers`` are factories cfg -> (update, result): update(k, states, x)
     sees every step, result() gives the statistic for that n. Returns one
     list of per-n results per factory.
     """
+    t = spec.cfg.t_horizon if t is None else t
     results = [[] for _ in reducers]
     for n in spec.n_values:
         cfg = replace(spec.cfg, n=n)
         active = [make(cfg) for make in reducers]
         base = derive_seed(derive_seed(spec.base_seed, purpose), n)
-        uniforms = ensemble_streams(base, spec.num_trajectories, cfg.steps)
+        uniforms = ensemble_streams(base, spec.num_trajectories, int(np.floor(n * t)))
         for k, states, _, x, _, _ in drive_ensemble(cfg, spec.rho0, uniforms):
             for update, _ in active:
                 update(k, states, x)
@@ -180,15 +184,16 @@ def _qv_reducer(spec: EnsembleSpec, t: float, cfg: ModelConfig):
                             max_abs_x / np.sqrt(n))
 
 
-def _ks_reducer(spec: EnsembleSpec, t: float, functionals, alpha: float):
+def _ks_reducer(spec: EnsembleSpec, t: float, alpha: float):
     """Factory of the KS reducer, which keeps the chain states after floor(nt)
-    steps (the initial state if that is 0); integrates the diffusion
-    ensemble once, on its own purpose."""
-    functionals = DEFAULT_FUNCTIONALS if functionals is None else functionals
+    steps (the initial state if that is 0) and compares the
+    DEFAULT_FUNCTIONALS; integrates the diffusion ensemble once, on its own
+    purpose."""
     sde_finals, _ = sde_ensemble_final(replace(spec.cfg, t_horizon=t), spec.rho0,
                                        spec.sde_step, spec.num_trajectories,
                                        derive_seed(spec.base_seed, _PURPOSE_KS_SDE))
-    sde_values = [np.einsum("jab,ba->j", sde_finals, op).real for _, op in functionals]
+    sde_values = [np.einsum("jab,ba->j", sde_finals, op).real
+                  for _, op in DEFAULT_FUNCTIONALS]
     m = spec.num_trajectories
     critical = ks_critical_value(m, m, alpha)
 
@@ -202,7 +207,7 @@ def _ks_reducer(spec: EnsembleSpec, t: float, functionals, alpha: float):
                 finals = states.copy()
         return update, lambda: [
             (name, ks_2samp(np.einsum("jab,ba->j", finals, op).real, fb), critical)
-            for (name, op), fb in zip(functionals, sde_values)]
+            for (name, op), fb in zip(DEFAULT_FUNCTIONALS, sde_values)]
     return make
 
 
@@ -233,8 +238,8 @@ def _check_nondiagonal(spec: EnsembleSpec) -> None:
 
 
 def _check_horizon(spec: EnsembleSpec, t: float) -> None:
-    if t > spec.cfg.t_horizon:
-        raise ValueError("t exceeds the configured horizon")
+    if not 0 < t <= spec.cfg.t_horizon:
+        raise ValueError(f"t must be in (0, horizon {spec.cfg.t_horizon:g}], got {t}")
 
 
 def mean_vs_master(spec: EnsembleSpec) -> np.ndarray:
@@ -249,21 +254,21 @@ def quadratic_variation_stats(spec: EnsembleSpec, t: float) -> dict[str, np.ndar
     largest normalized jump max |x| / sqrt(n)."""
     _check_nondiagonal(spec)
     _check_horizon(spec, t)
-    (rows,) = _chain_sweep(spec, _PURPOSE_QV, [partial(_qv_reducer, spec, t)])
+    (rows,) = _chain_sweep(spec, _PURPOSE_QV, [partial(_qv_reducer, spec, t)], t)
     return dict(zip(("l2_deviation", "qv_mean", "max_jump"), map(np.array, zip(*rows))))
 
 
-def distributional_test(spec: EnsembleSpec, functionals=None, t: float = 1.0,
+def distributional_test(spec: EnsembleSpec, t: float = 1.0,
                         alpha: float = 0.01) -> dict[int, list[tuple[str, float, float]]]:
     """Per-n KS statistics between chain and diffusion ensembles at time t.
 
-    Functionals are (name, hermitian matrix) pairs evaluated as
+    The DEFAULT_FUNCTIONALS are (name, hermitian matrix) pairs evaluated as
     Re Tr[rho F]; the diffusion ensemble is integrated independently at the
     spec's sde_step. Returns {n: [(name, statistic, critical value)]}.
     """
     _check_horizon(spec, t)
-    ks = _ks_reducer(spec, t, functionals, alpha)
-    (rows,) = _chain_sweep(spec, _PURPOSE_KS_DISCRETE, [ks])
+    ks = _ks_reducer(spec, t, alpha)
+    (rows,) = _chain_sweep(spec, _PURPOSE_KS_DISCRETE, [ks], t)
     return dict(zip(spec.n_values, rows))
 
 
@@ -278,15 +283,14 @@ def residual_decay(spec: EnsembleSpec) -> np.ndarray:
     return np.array(sups)
 
 
-def run_full_report(spec: EnsembleSpec, t: float = 1.0,
-                    functionals=None) -> ConvergenceReport:
+def run_full_report(spec: EnsembleSpec, t: float = 1.0) -> ConvergenceReport:
     """All four diagnostics in one report (used by the CLI): input checks,
     then the KS diffusion ensemble, then one chain pass per n on the
     purpose-1 streams that feeds all four reducers."""
     _check_nondiagonal(spec)
     _check_horizon(spec, t)
     reducers = [partial(_mean_reducer, spec), partial(_qv_reducer, spec, t),
-                _ks_reducer(spec, t, functionals, 0.01),
+                _ks_reducer(spec, t, 0.01),
                 partial(_residual_reducer, spec)]
     mean, qv, ks, residual = _chain_sweep(spec, _PURPOSE_MEAN, reducers)
     deviations, qv_means, max_jumps = map(list, zip(*qv))

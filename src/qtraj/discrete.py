@@ -98,30 +98,6 @@ class TrajectoryRecord:
         return len(self.outcomes)
 
 
-@dataclass(frozen=True)
-class EmbeddedProcesses:
-    """Piecewise-constant paths w_n, v_n, rho_n on the grid k/n."""
-
-    grid: np.ndarray   # (m+1,) time points k/n
-    w: np.ndarray      # (m+1,) scaled partial sums of x
-    v: np.ndarray      # (m+1,) floor(n t)/n at grid points
-    rho: np.ndarray    # (m+1, 2, 2)
-    n: int
-
-    def _index(self, t: float) -> int:
-        idx = int(np.floor(t * self.n + 1e-12))
-        return min(max(idx, 0), len(self.grid) - 1)
-
-    def w_at(self, t: float) -> float:
-        return float(self.w[self._index(t)])
-
-    def v_at(self, t: float) -> float:
-        return float(self.v[self._index(t)])
-
-    def rho_at(self, t: float) -> np.ndarray:
-        return self.rho[self._index(t)]
-
-
 def interaction_state(rho: DensityMatrix, u: InteractionUnitary) -> np.ndarray:
     """Joint state after one interaction, U (rho (x) |f0><f0|) U+."""
     joint = tensor(rho.m, FIELD_GROUND)
@@ -207,7 +183,6 @@ def increment_update(rho: DensityMatrix, u: InteractionUnitary, a: Observable,
 
 
 def drive_ensemble(cfg: ModelConfig, rho0: DensityMatrix, uniforms: np.ndarray,
-                   validate_every: int = VALIDATE_EVERY,
                    ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray,
                                        np.ndarray, np.ndarray]]:
     """Advance a batch of trajectories in lock-step.
@@ -236,13 +211,12 @@ def drive_ensemble(cfg: ModelConfig, rho0: DensityMatrix, uniforms: np.ndarray,
             raise DegenerateProbability(
                 f"step {k}, trajectory {j}: branch trace {weight[j]:.3e}")
         v = np.where(outcome[:, None] == 1, m1, m0) / weight[:, None]
-        if validate_every and (k + 1) % validate_every == 0:
+        if (k + 1) % VALIDATE_EVERY == 0:
             v = validate_batch(v.reshape(num_traj, 2, 2), k).reshape(num_traj, 4)
         yield k, v.reshape(num_traj, 2, 2), outcome, x, p, q
 
 
-def run_trajectory(cfg: ModelConfig, rho0: DensityMatrix, seed: int,
-                   validate_every: int = VALIDATE_EVERY) -> TrajectoryRecord:
+def run_trajectory(cfg: ModelConfig, rho0: DensityMatrix, seed: int) -> TrajectoryRecord:
     """Simulate floor(n * t_horizon) measurement steps; deterministic in seed."""
     steps = cfg.steps
     uniforms = generator_for(seed).random(steps)[None, :]
@@ -251,8 +225,7 @@ def run_trajectory(cfg: ModelConfig, rho0: DensityMatrix, seed: int,
     outcomes = np.empty(steps, dtype=np.int64)
     x = np.empty(steps)
     probs = np.empty((steps, 2))
-    for k, batch, out, xs, p, q in drive_ensemble(cfg, rho0, uniforms,
-                                                  validate_every=validate_every):
+    for k, batch, out, xs, p, q in drive_ensemble(cfg, rho0, uniforms):
         states[k + 1] = batch[0]
         outcomes[k] = out[0]
         x[k] = xs[0]
@@ -266,60 +239,6 @@ def run_trajectory(cfg: ModelConfig, rho0: DensityMatrix, seed: int,
 def ensemble_streams(base_seed: int, num_traj: int, steps: int) -> np.ndarray:
     """Uniform streams for an ensemble: row j comes from derive_seed(base, j)."""
     return member_streams(base_seed, num_traj, steps, "random")
-
-
-def embed(record: TrajectoryRecord, horizon: float) -> EmbeddedProcesses:
-    """Piecewise-constant embeddings on [0, horizon]:
-
-    w(t) = sum_{k <= floor(n t)} x_k / sqrt(n), v(t) = floor(n t)/n, and the
-    state path itself.
-    """
-    n = record.n
-    m = int(np.floor(n * horizon))
-    if m > record.steps:
-        raise ValueError(f"record holds {record.steps} steps < floor(n*T) = {m}")
-    grid = np.arange(m + 1) / n
-    w = np.concatenate([[0.0], np.cumsum(record.x_increments[:m]) / np.sqrt(n)])
-    return EmbeddedProcesses(grid=grid, w=w, v=grid.copy(),
-                             rho=record.states[:m + 1], n=n)
-
-
-def quadratic_variation(record: TrajectoryRecord, t: float) -> float:
-    """[w, w]_t = sum_{i <= floor(n t)} x_i^2 / n."""
-    m = int(np.floor(record.n * t))
-    return float(np.sum(record.x_increments[:m] ** 2) / record.n)
-
-
-def drift_diffusion_residual(record: TrajectoryRecord, cfg: ModelConfig,
-                             ) -> tuple[np.ndarray, np.ndarray]:
-    """Remainder after removing the diffusive approximation from the chain,
-
-        eps_m = rho_m - rho_0 - sum_{k<m} [L(rho_k)/n - B(rho_k) x_{k+1}/sqrt(n)],
-
-    with the -B noise coupling realized by this package's conventions (see
-    module docstring); eps then collects only the o(1/n) and o(1)/sqrt(n)
-    terms the diffusive limit discards. Returns (grid, eps), eps of shape
-    (m+1, 2, 2).
-    """
-    from .sde import backaction, lindblad
-
-    n = record.n
-    states = record.states
-    m = record.steps
-    drift = lindblad(states[:m], cfg.h0, cfg.coupling()) / n
-    noise = -backaction(states[:m], cfg.coupling()) \
-        * record.x_increments[:m, None, None] / np.sqrt(n)
-    partial = np.zeros((m + 1, 2, 2), dtype=complex)
-    partial[1:] = np.cumsum(drift + noise, axis=0)
-    eps = states - states[0] - partial
-    grid = np.arange(m + 1) / n
-    return grid, eps
-
-
-def sup_residual(record: TrajectoryRecord, cfg: ModelConfig) -> float:
-    """sup over the grid of the max-entry norm of the residual."""
-    _, eps = drift_diffusion_residual(record, cfg)
-    return float(np.max(np.abs(eps)))
 
 
 def trajectory_to_csv(record: TrajectoryRecord, stream, timestamp: str | None = None) -> None:

@@ -74,17 +74,17 @@ def partial_trace_system(m: np.ndarray) -> np.ndarray:
     return m[:2, :2] + m[2:, 2:]
 
 
-def herm_eigen2(m: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
+def herm_eigen2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a 2x2 Hermitian matrix, closed form.
 
     Returns (eigenvalues sorted descending, eigenvectors as columns). The
     input is symmetrized before decomposing; raises NotHermitian if it is
-    farther than ``tol`` from its adjoint in max-entry norm.
+    farther than HERMITICITY_TOL from its adjoint in max-entry norm.
     """
     m = np.asarray(m, dtype=complex)
-    if not max_abs(m - adjoint(m)) <= tol:
+    if not max_abs(m - adjoint(m)) <= HERMITICITY_TOL:
         raise NotHermitian("matrix exceeds Hermiticity tolerance "
-                           f"{tol:g}: deviation {max_abs(m - adjoint(m)):.3e}")
+                           f"{HERMITICITY_TOL:g}: deviation {max_abs(m - adjoint(m)):.3e}")
     m = 0.5 * (m + adjoint(m))
     a = m[0, 0].real
     d = m[1, 1].real

@@ -154,17 +154,17 @@ class ModelConfig:
         return int(np.floor(self.n * self.t_horizon))
 
 
-def check_state(m: np.ndarray, tol: float = STATE_TOL) -> None:
-    """Raise NotAState unless m is Hermitian, trace-one, positive to tol."""
+def check_state(m: np.ndarray) -> None:
+    """Raise NotAState unless m is Hermitian, trace-one, positive to STATE_TOL."""
     m = np.asarray(m, dtype=complex)
     herm_dev = max_abs(m - adjoint(m))
-    if not herm_dev <= tol:
+    if not herm_dev <= STATE_TOL:
         raise NotAState(f"Hermiticity violated by {herm_dev:.3e}")
     tr = m.trace()
-    if not abs(tr - 1.0) <= tol:
+    if not abs(tr - 1.0) <= STATE_TOL:
         raise NotAState(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-    eigs, _ = herm_eigen2(m, tol=max(tol, HERMITICITY_TOL))
-    if not eigs[-1] >= -tol:
+    eigs, _ = herm_eigen2(m)
+    if not eigs[-1] >= -STATE_TOL:
         raise NotAState(f"negative eigenvalue {eigs[-1]:.3e}")
 
 

@@ -9,8 +9,8 @@ Density form (reference measure):
 Both coefficients are traceless, so raw Euler iterates keep unit trace up to
 rounding; Hermiticity is preserved step by step because dW is real and both
 coefficients map Hermitian to Hermitian. Positivity is not preserved by Euler,
-so a per-step projection (eigen-clip at zero, trace renormalization) is on by
-default.
+so density paths are projected every step (eigen-clip at zero, trace
+renormalization).
 
 Wave form (pure states):
 
@@ -35,11 +35,6 @@ measure. The exponential weights
 
 (left-point, Ito) convert reference-measure averages into physical ones:
 E[Z_T f(rho_T)] over reference paths estimates the physical-form mean of f.
-
-The Lindblad anticommutator uses c+c; the variant with cc+ is kept behind
-the ``variant`` switch for comparison, but only c+c is consistent with the
-norm-preserving wave form and with the short-time expansion of the
-interaction unitary.
 
 Stepping core: density paths and the master equation are stepped in the
 row-major Liouville layout of :mod:`qtraj.linalg` (an (M, 4) array v whose
@@ -95,7 +90,6 @@ class SdePath:
     grid: np.ndarray            # (steps+1,)
     states: np.ndarray          # (steps+1, 2, 2)
     noise: np.ndarray           # (steps,) increments dW
-    weights: np.ndarray | None = None     # (steps+1,) Girsanov weights
     companion: np.ndarray | None = None   # (steps+1,) reconstructed W values
 
     @property
@@ -124,30 +118,13 @@ def _trace(m: np.ndarray) -> np.ndarray:
     return np.trace(m, axis1=-2, axis2=-1)
 
 
-def _anticommuted(c: np.ndarray, variant: str) -> np.ndarray:
-    if variant == "cstar_c":
-        return adjoint(c) @ c
-    if variant == "c_cstar":
-        return c @ adjoint(c)
-    raise ValueError("variant must be 'cstar_c' or 'c_cstar'")
-
-
-def lindblad(rho: np.ndarray, h0: np.ndarray, c: np.ndarray,
-             variant: str = "cstar_c") -> np.ndarray:
+def lindblad(rho: np.ndarray, h0: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Lindblad drift; traceless, Hermiticity-preserving; broadcasts over
     leading axes of ``rho``."""
-    anti = _anticommuted(c, variant)
+    anti = adjoint(c) @ c
     return (-1j * (h0 @ rho - rho @ h0)
             - 0.5 * (anti @ rho + rho @ anti)
             + c @ rho @ adjoint(c))
-
-
-def jump_and_smooth_parts(rho: np.ndarray, h0: np.ndarray, c: np.ndarray,
-                          variant: str = "cstar_c") -> tuple[np.ndarray, np.ndarray]:
-    """Split the drift into the photon-detection jump c rho c+ and the smooth
-    remainder between detections."""
-    jump = c @ rho @ adjoint(c)
-    return jump, lindblad(rho, h0, c, variant=variant) - jump
 
 
 def backaction(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -160,10 +137,9 @@ def backaction(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
     return c @ rho + rho @ adjoint(c) - g[..., None, None] * rho
 
 
-def lindblad_superop(h0: np.ndarray, c: np.ndarray,
-                     variant: str = "cstar_c") -> np.ndarray:
-    """4x4 S_L with vec(lindblad(rho, h0, c, variant)) = vec(rho) @ S_L."""
-    anti = _anticommuted(c, variant)
+def lindblad_superop(h0: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """4x4 S_L with vec(lindblad(rho, h0, c)) = vec(rho) @ S_L."""
+    anti = adjoint(c) @ c
     return (sandwich_superop(-1j * h0 - 0.5 * anti, ID2)
             + sandwich_superop(ID2, 1j * h0 - 0.5 * anti)
             + sandwich_superop(c, adjoint(c)))
@@ -290,14 +266,15 @@ def _noise_for(seed: int | None, shared_noise: np.ndarray | None,
 
 
 def _density_steps(cfg: ModelConfig, rho0: DensityMatrix, h: float,
-                   noise: np.ndarray, physical: bool, project: bool,
+                   noise: np.ndarray, physical: bool,
                    ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Euler steps of the density equation, one path per row of the
     (M, steps) increments ``noise``. Yields (k, v, g) after step k: v the
     (M, 4) states after it, g = Tr[rho (c + c+)] of the states before it.
     Rows do not depend on M (see ``apply_superop``). With ``physical`` the
-    kick is dW + h g (innovation form). Projected runs are checked against
-    the state invariants every VALIDATE_EVERY steps.
+    kick is dW + h g (innovation form). Every step is projected onto the
+    positive states, and the states are checked against the invariants
+    every VALIDATE_EVERY steps.
     """
     num_paths, steps = noise.shape
     coeffs = sde_coefficients(cfg.h0, cfg.coupling())
@@ -308,11 +285,10 @@ def _density_steps(cfg: ModelConfig, rho0: DensityMatrix, h: float,
         dw = noise[:, k]
         kick = dw + h * g if physical else dw
         v = euler + kick[:, None] * back
-        if project:
-            v = _project_positive_batch(v.reshape(num_paths, 2, 2))
-            if (k + 1) % VALIDATE_EVERY == 0:
-                v = validate_batch(v, k)
-            v = v.reshape(num_paths, 4)
+        v = _project_positive_batch(v.reshape(num_paths, 2, 2))
+        if (k + 1) % VALIDATE_EVERY == 0:
+            v = validate_batch(v, k)
+        v = v.reshape(num_paths, 4)
         yield k, v, g
 
 
@@ -341,21 +317,20 @@ def _wave_steps(cfg: ModelConfig, psi0: WaveFunction, h: float,
 
 def _density_path(cfg: ModelConfig, rho0: DensityMatrix, h: float,
                   seed: int | None, shared_noise: np.ndarray | None,
-                  physical: bool, project: bool) -> SdePath:
+                  physical: bool) -> SdePath:
     """``_density_steps`` on a batch of one, recording every state (and, in
-    the physical form, the companion W path). A projected path is checked
-    state by state against the invariants once recorded."""
+    the physical form, the companion W path). The path is checked state by
+    state against the invariants once recorded."""
     steps = _euler_steps(cfg, h)
     noise = _noise_for(seed, shared_noise, steps, h)
     states = np.empty((steps + 1, 4), dtype=complex)
     states[0] = rho0.m.reshape(4)
     g = np.empty(steps)
-    for k, v, g_k in _density_steps(cfg, rho0, h, noise, physical, project):
+    for k, v, g_k in _density_steps(cfg, rho0, h, noise, physical):
         states[k + 1] = v[0]
         g[k] = g_k[0]
     states = states.reshape(steps + 1, 2, 2)
-    if project:
-        validate_batch(states, steps)
+    validate_batch(states, steps)
     noise = noise[0]
     companion = np.concatenate([[0.0], np.cumsum(noise + g * h)]) if physical else None
     return SdePath(grid=np.arange(steps + 1) * h, states=states, noise=noise,
@@ -364,22 +339,20 @@ def _density_path(cfg: ModelConfig, rho0: DensityMatrix, h: float,
 
 def simulate_belavkin(cfg: ModelConfig, rho0: DensityMatrix, h: float,
                       seed: int | None = None,
-                      shared_noise: np.ndarray | None = None,
-                      project: bool = True) -> SdePath:
+                      shared_noise: np.ndarray | None = None) -> SdePath:
     """Euler path of the reference-measure density equation on [0, T]."""
-    return _density_path(cfg, rho0, h, seed, shared_noise, False, project)
+    return _density_path(cfg, rho0, h, seed, shared_noise, False)
 
 
 def simulate_physical(cfg: ModelConfig, rho0: DensityMatrix, h: float,
                       seed: int | None = None,
-                      shared_noise: np.ndarray | None = None,
-                      project: bool = True) -> SdePath:
+                      shared_noise: np.ndarray | None = None) -> SdePath:
     """Euler path of the innovation form, driven by the physical noise.
 
     The drift carries the correction g(rho) B(rho); the companion W path
     W_{k+1} = W_k + dW~_k + g_k h is reconstructed and stored.
     """
-    return _density_path(cfg, rho0, h, seed, shared_noise, True, project)
+    return _density_path(cfg, rho0, h, seed, shared_noise, True)
 
 
 def simulate_wave(cfg: ModelConfig, psi0: WaveFunction, h: float,
@@ -419,8 +392,7 @@ def girsanov_weights(path: SdePath, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def master_evolve(cfg: ModelConfig, rho0: DensityMatrix, h: float,
-                  variant: str = "cstar_c") -> MasterPath:
+def master_evolve(cfg: ModelConfig, rho0: DensityMatrix, h: float) -> MasterPath:
     """Classical RK4 on the averaged equation d nu/dt = L(nu).
 
     L is linear, so one RK4 step is exactly v -> v + v @ D with the
@@ -433,17 +405,16 @@ def master_evolve(cfg: ModelConfig, rho0: DensityMatrix, h: float,
         raise ValueError("step size must be positive and finite")
     steps = int(round(cfg.t_horizon / h))
     return MasterPath(grid=np.arange(steps + 1) * h,
-                      states=_rk4_states(cfg, rho0, h, steps, variant))
+                      states=_rk4_states(cfg, rho0, h, steps))
 
 
-def _rk4_states(cfg: ModelConfig, rho0: DensityMatrix, h: float, steps: int,
-                variant: str) -> np.ndarray:
+def _rk4_states(cfg: ModelConfig, rho0: DensityMatrix, h: float,
+                steps: int) -> np.ndarray:
     """(steps + 1, 2, 2) RK4 states of the averaged equation at step h."""
-    a = h * lindblad_superop(cfg.h0, cfg.coupling(), variant)
+    a = h * lindblad_superop(cfg.h0, cfg.coupling())
     a2 = a @ a
     d = a + a2 / 2.0 + (a2 @ a) / 6.0 + (a2 @ a2) / 24.0
-    if variant == "cstar_c":
-        d[:, 3] = -d[:, 0]
+    d[:, 3] = -d[:, 0]
     states = np.empty((steps + 1, 4), dtype=complex)
     v = states[0] = rho0.m.reshape(4)
     for k in range(steps):
@@ -458,7 +429,7 @@ def master_on_grid(cfg: ModelConfig, rho0: DensityMatrix, n: int,
     ``refine``-th state of ``master_evolve`` at the step 1/(refine*n), run
     for exactly floor(n T) * refine steps."""
     m = int(np.floor(n * cfg.t_horizon))
-    states = _rk4_states(cfg, rho0, 1.0 / (refine * n), m * refine, "cstar_c")
+    states = _rk4_states(cfg, rho0, 1.0 / (refine * n), m * refine)
     return states[::refine]
 
 
@@ -466,22 +437,21 @@ def sde_ensemble_final(cfg: ModelConfig, rho0: DensityMatrix, h: float,
                        num_paths: int, base_seed: int | None = None,
                        noise: np.ndarray | None = None,
                        physical: bool = False, with_weights: bool = False,
-                       project: bool = True,
                        ) -> tuple[np.ndarray, np.ndarray | None]:
     """Vectorized ensemble integration keeping only final states.
 
     Path j draws its noise from derive_seed(base_seed, j) unless an explicit
     (num_paths, steps) increment array is supplied. Returns (final states,
     final weights or None); with ``physical`` the innovation-form drift is
-    used and asking for weights raises ValueError. Projected runs are checked against the
-    state invariants every VALIDATE_EVERY steps.
+    used and asking for weights raises ValueError. The states are checked
+    against the invariants every VALIDATE_EVERY steps.
     """
     if physical and with_weights:
         raise ValueError("weights are unavailable in the physical form")
     noise = _ensemble_noise(base_seed, noise, num_paths, _euler_steps(cfg, h), h)
     v = np.broadcast_to(rho0.m.reshape(4), (num_paths, 4)).copy()
     log_z = np.zeros(num_paths)
-    for k, v, g in _density_steps(cfg, rho0, h, noise, physical, project):
+    for k, v, g in _density_steps(cfg, rho0, h, noise, physical):
         if with_weights:
             log_z += g * noise[:, k] - 0.5 * g * g * h
     weights = np.exp(log_z) if with_weights else None
@@ -503,11 +473,9 @@ _PATH_HEADER = "time,dW," + STATE_HEADER
 
 
 def sde_path_to_csv(path: SdePath, stream, timestamp: str | None = None) -> None:
-    """CSV dump: time, dW, rho entries and, on a weighted path, the weight."""
-    weighted = path.weights is not None
-    write_csv(stream, _PATH_HEADER + (",weight" if weighted else ""),
-              table_rows(path.grid, path.noise, *state_columns(path.states),
-                         *([path.weights] if weighted else [])), timestamp)
+    """CSV dump: time, dW, rho entries."""
+    write_csv(stream, _PATH_HEADER,
+              table_rows(path.grid, path.noise, *state_columns(path.states)), timestamp)
 
 
 def wave_path_to_csv(wave: WavePath, stream, timestamp: str | None = None) -> None:

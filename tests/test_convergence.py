@@ -118,6 +118,20 @@ class TestQuadraticVariation:
         stats = quadratic_variation_stats(spec, 1.0)
         assert stats["max_jump"][1] < stats["max_jump"][0]
 
+    def test_qv_mean_matches_record_sums(self):
+        # the reducer against sum(x[:floor(n t)]**2)/n per member, on the
+        # same streams, at a time below the horizon
+        t, m, seed = 0.7, 30, 17
+        spec = spec_for(damping_cfg(phi=np.pi / 3, h0_scale=0.5), (20, 50), m=m, seed=seed)
+        qv_means = quadratic_variation_stats(spec, t)["qv_mean"]
+        for i, n in enumerate(spec.n_values):
+            cfg = damping_cfg(n=n, phi=np.pi / 3, h0_scale=0.5)
+            base = derive_seed(derive_seed(seed, convergence._PURPOSE_QV), n)
+            x = np.array([xs.copy() for _, _, _, xs, _, _ in drive_ensemble(
+                cfg, EXCITED, ensemble_streams(base, m, cfg.steps))])
+            expected = np.mean(np.sum(x[:int(np.floor(n * t))] ** 2, axis=0) / n)
+            assert qv_means[i] == pytest.approx(expected, rel=1e-12)
+
 
 class TestDistributional:
     def test_identical_point_masses(self):
@@ -137,6 +151,21 @@ class TestDistributional:
         spec = spec_for(damping_cfg(), (20,))
         with pytest.raises(ValueError):
             distributional_test(spec, t=2.0)
+
+
+class TestTimeCheck:
+    @pytest.mark.parametrize("t", [-0.5, 0.0, np.nan, 2.0])
+    @pytest.mark.parametrize("diagnostic", ["quadratic_variation_stats",
+                                            "distributional_test", "run_full_report"])
+    def test_time_outside_horizon_rejected(self, monkeypatch, diagnostic, t):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        for name in ("sde_ensemble_final", "ensemble_streams", "drive_ensemble"):
+            monkeypatch.setattr(convergence, name, no_simulation)
+        spec = spec_for(damping_cfg(), (20,))
+        with pytest.raises(ValueError, match="horizon"):
+            getattr(convergence, diagnostic)(spec, t=t)
 
 
 class TestResidualDecay:
@@ -188,7 +217,7 @@ class TestReportPlumbing:
 def _reducers(spec, t):
     return [partial(convergence._mean_reducer, spec),
             partial(convergence._qv_reducer, spec, t),
-            convergence._ks_reducer(spec, t, None, 0.01),
+            convergence._ks_reducer(spec, t, 0.01),
             partial(convergence._residual_reducer, spec)]
 
 
@@ -239,9 +268,23 @@ class TestSinglePass:
         with pytest.raises(ValueError, match="horizon"):
             run_full_report(spec_for(damping_cfg(), (20,)), t=2.0)
 
+    @pytest.mark.parametrize("diagnostic", [quadratic_variation_stats, distributional_test])
+    def test_standalone_sweep_stops_at_t(self, monkeypatch, diagnostic):
+        columns = []
+        original = convergence.ensemble_streams
+
+        def recording(base_seed, num_traj, steps):
+            columns.append(steps)
+            return original(base_seed, num_traj, steps)
+
+        monkeypatch.setattr(convergence, "ensemble_streams", recording)
+        spec = spec_for(damping_cfg(h0_scale=0.5), (21, 40), m=20, sde_step=1e-2)
+        diagnostic(spec, t=0.5)
+        assert columns == [10, 20]
+
     def test_ks_finals_match_a_run_that_stops_at_t(self, monkeypatch):
-        # the sweep runs the whole horizon; at t = 0.5 the KS reducer must see
-        # the states of a run of exactly floor(n t) steps on the same streams
+        # at t = 0.5 the KS reducer must see the states of a run of exactly
+        # floor(n t) steps on the same streams
         n, m, seed, t = 30, 50, 12, 0.5
         spec = spec_for(damping_cfg(n=n, h0_scale=0.5), (n,), m=m, seed=seed,
                         sde_step=1e-2)

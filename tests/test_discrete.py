@@ -7,17 +7,14 @@ from qtraj import (
     InteractionUnitary,
     ModelConfig,
     build_unitary,
-    drift_diffusion_residual,
-    embed,
     increment_update,
     interaction_state,
     make_observable,
     measurement_step,
     nonnormalized_maps,
-    quadratic_variation,
     run_trajectory,
-    sup_residual,
 )
+from qtraj import convergence
 from qtraj.convergence import EnsembleSpec, residual_decay
 from qtraj.discrete import (
     _branch_maps_batch,
@@ -249,12 +246,15 @@ class TestRunTrajectory:
         record = run_trajectory(cfg, EXCITED, seed=5)
         assert_valid_states(record.states)
 
-    def test_per_step_validation_mode(self):
+    def test_per_step_validation_mode(self, monkeypatch):
         # validating every step (debug cadence) leaves the outcome word
         # unchanged and only re-symmetrizes at rounding level
+        import qtraj.discrete as discrete_mod
+
         cfg = damping_cfg(n=300, h0_scale=0.5)
         release = run_trajectory(cfg, EXCITED, seed=12)
-        debug = run_trajectory(cfg, EXCITED, seed=12, validate_every=1)
+        monkeypatch.setattr(discrete_mod, "VALIDATE_EVERY", 1)
+        debug = run_trajectory(cfg, EXCITED, seed=12)
         assert np.array_equal(release.outcomes, debug.outcomes)
         assert np.max(np.abs(release.states - debug.states)) < 1e-12
         assert_valid_states(debug.states)
@@ -291,44 +291,23 @@ class TestRunTrajectory:
             assert np.array_equal(finals[j], rec.states[-1])
 
 
-class TestEmbed:
-    def test_before_first_tick(self):
-        cfg = damping_cfg(n=50)
-        record = run_trajectory(cfg, EXCITED, seed=21)
-        emb = embed(record, 1.0)
-        t = 0.5 / 50
-        assert emb.w_at(t) == 0.0
-        assert emb.v_at(t) == 0.0
-        assert max_abs(emb.rho_at(t) - EXCITED.m) == 0.0
-
-    def test_v_is_floor(self):
-        cfg = damping_cfg(n=30, t_horizon=1.0)
-        record = run_trajectory(cfg, EXCITED, seed=22)
-        emb = embed(record, 0.97)
-        m = int(np.floor(30 * 0.97))
-        assert emb.v_at(0.97) == pytest.approx(m / 30.0, abs=0)
-        assert emb.v_at(0.97) <= 0.97
-
-    def test_quadratic_variation_identity(self):
-        cfg = damping_cfg(n=60)
-        record = run_trajectory(cfg, EXCITED, seed=23)
-        t = 0.73
-        m = int(np.floor(60 * t))
-        direct = np.sum(record.x_increments[:m] ** 2) / 60.0
-        assert quadratic_variation(record, t) == pytest.approx(direct, abs=1e-15)
-
-    def test_horizon_check(self):
-        cfg = damping_cfg(n=60, t_horizon=0.5)
-        record = run_trajectory(cfg, EXCITED, seed=24)
-        with pytest.raises(ValueError):
-            embed(record, 1.0)
-
-
 class TestResidual:
     def test_trivial_dynamics_zero(self):
+        # without coupling or Hamiltonian the state never moves and the drift
+        # and noise terms vanish, so the remainder is zero along the record
         cfg = trivial_cfg(n=100)
         record = run_trajectory(cfg, EXCITED, seed=31)
-        assert sup_residual(record, cfg) < 1e-12
+        total = np.zeros((2, 2), dtype=complex)
+        worst = 0.0
+        for k in range(cfg.steps):
+            rho_k = record.states[k]
+            total = total + lindblad(rho_k, cfg.h0, cfg.c) / cfg.n \
+                - backaction(rho_k, cfg.c) * record.x_increments[k] / np.sqrt(cfg.n)
+            worst = max(worst, max_abs(record.states[k + 1] - record.states[0] - total))
+        assert worst < 1e-12
+        spec = EnsembleSpec(cfg=cfg, rho0=EXCITED, num_trajectories=5,
+                            base_seed=31, n_values=(100,))
+        assert residual_decay(spec)[0] < 1e-12
 
     def test_single_step_order(self):
         # one-step remainder after removing drift and noise terms is O(1/n)
@@ -358,16 +337,24 @@ class TestResidual:
         assert sups[0] > sups[1] > sups[2]
 
     def test_matches_streaming_computation(self):
-        cfg = damping_cfg(n=40)
-        record = run_trajectory(cfg, EXCITED, seed=33)
-        grid, eps = drift_diffusion_residual(record, cfg)
-        assert len(grid) == cfg.steps + 1
-        assert max_abs(eps[0]) == 0.0
-        # recompute the last point directly
-        total = np.zeros((2, 2), dtype=complex)
-        for k in range(cfg.steps):
-            rho_k = record.states[k]
-            total = total + lindblad(rho_k, cfg.h0, cfg.c) / cfg.n \
-                - backaction(rho_k, cfg.c) * record.x_increments[k] / np.sqrt(cfg.n)
-        expected = record.states[-1] - record.states[0] - total
-        assert max_abs(eps[-1] - expected) < 1e-13
+        # the streaming reducer against the remainder summed step by step
+        # with the matrix-form drift and backaction, on the same streams
+        m, seed = 6, 33
+        spec = EnsembleSpec(cfg=damping_cfg(h0_scale=0.5), rho0=EXCITED,
+                            num_trajectories=m, base_seed=seed, n_values=(20, 40))
+        sups = residual_decay(spec)
+        c = spec.cfg.coupling()
+        for i, n in enumerate(spec.n_values):
+            cfg = damping_cfg(n=n, h0_scale=0.5)
+            base = derive_seed(derive_seed(seed, convergence._PURPOSE_RESIDUAL), n)
+            prev = np.broadcast_to(EXCITED.m, (m, 2, 2)).copy()
+            total = np.zeros((m, 2, 2), dtype=complex)
+            sup = np.zeros(m)
+            for _, states, _, x, _, _ in drive_ensemble(
+                    cfg, EXCITED, ensemble_streams(base, m, cfg.steps)):
+                total += lindblad(prev, cfg.h0, c) / n \
+                    - backaction(prev, c) * (x / np.sqrt(n))[:, None, None]
+                eps = states - EXCITED.m - total
+                sup = np.maximum(sup, np.abs(eps).max(axis=(1, 2)))
+                prev = states.copy()
+            assert abs(sups[i] - sup.mean()) < 1e-13

@@ -9,7 +9,6 @@ from qtraj import (
     euler_step_density,
     girsanov_weights,
     innovation_path,
-    jump_and_smooth_parts,
     lindblad,
     make_observable,
     master_evolve,
@@ -78,36 +77,6 @@ class TestLindblad:
         for _ in range(100):
             out = lindblad(rand_state_matrix(rng), rand_herm(rng), rand_cmat(rng))
             assert max_abs(out - adjoint(out)) < 1e-13
-
-    def test_variants_differ_for_nonnormal_coupling(self):
-        rho = rand_state_matrix(np.random.default_rng(3))
-        a = lindblad(rho, np.zeros((2, 2)), LOWERING, variant="cstar_c")
-        b = lindblad(rho, np.zeros((2, 2)), LOWERING, variant="c_cstar")
-        assert max_abs(a - b) > 1e-3
-        with pytest.raises(ValueError):
-            lindblad(rho, np.zeros((2, 2)), LOWERING, variant="bogus")
-
-
-class TestJumpAndSmooth:
-    def test_no_coupling(self):
-        rng = np.random.default_rng(4)
-        rho = rand_state_matrix(rng)
-        h0 = rand_herm(rng)
-        jump, smooth = jump_and_smooth_parts(rho, h0, np.zeros((2, 2)))
-        assert max_abs(jump) == 0.0
-        assert max_abs(smooth - (-1j) * (h0 @ rho - rho @ h0)) < 1e-14
-
-    def test_parts_sum_to_drift(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            rho, h0, c = rand_state_matrix(rng), rand_herm(rng), rand_cmat(rng)
-            jump, smooth = jump_and_smooth_parts(rho, h0, c)
-            assert max_abs(jump + smooth - lindblad(rho, h0, c)) < 1e-14
-
-    def test_emission_rate_from_excited(self):
-        jump, _ = jump_and_smooth_parts(np.diag([0.0, 1.0]).astype(complex),
-                                        np.zeros((2, 2)), LOWERING)
-        assert abs(jump.trace() - 1.0) < 1e-14
 
 
 class TestBackaction:
@@ -300,26 +269,14 @@ class TestGirsanovWeights:
         se = weights.std(ddof=1) / np.sqrt(len(weights))
         assert abs(weights.mean() - 1.0) <= 3.0 * se
 
-
-class TestPathSerialization:
-    def test_weight_column_round_trip(self, tmp_path):
-        import csv
-        from dataclasses import replace
-
-        from qtraj.sde import SdePath, sde_path_to_csv
-
+    def test_matches_ensemble_weights(self):
+        # the path-level weights are the oracle of the ensemble's accumulation
         cfg = damping_cfg(h0_scale=0.5)
-        path = simulate_belavkin(cfg, EXCITED, 1e-3, seed=20)
-        weighted = replace(path, weights=girsanov_weights(path, cfg.c))
-        out = tmp_path / "path.csv"
-        with open(out, "w") as fh:
-            sde_path_to_csv(weighted, fh)
-        rows = list(csv.DictReader(open(out)))
-        assert len(rows) == len(path.grid)
-        assert float(rows[0]["weight"]) == 1.0
-        assert float(rows[-1]["weight"]) == pytest.approx(weighted.weights[-1],
-                                                          rel=1e-15)
-        assert rows[0]["dW"] == ""
+        path = simulate_belavkin(cfg, EXCITED, 1e-3, seed=15)
+        _, weights = sde_ensemble_final(cfg, EXCITED, 1e-3, 1, noise=path.noise[None],
+                                        with_weights=True)
+        assert weights[0] == pytest.approx(girsanov_weights(path, cfg.coupling())[-1],
+                                           rel=1e-12)
 
 
 class TestMasterEvolve:
@@ -357,21 +314,20 @@ class TestMasterEvolve:
         full = master_evolve(cfg, EXCITED, 1.0 / 200.0)
         assert max_abs(grid_states - full.states[::10]) < 1e-12
 
-    @pytest.mark.parametrize("variant", ["cstar_c", "c_cstar"])
-    def test_propagator_matches_classical_rk4(self, variant):
+    def test_propagator_matches_classical_rk4(self):
         # v + v @ D against RK4 stages written with the matrix-form oracle
         rng = np.random.default_rng(33)
         h = 0.05
         for _ in range(20):
             cfg = rand_config(rng)
             rho = rand_density(rng).m
-            path = master_evolve(cfg, DensityMatrix(rho), h, variant=variant)
+            path = master_evolve(cfg, DensityMatrix(rho), h)
             c = cfg.coupling()
             for k in range(3):
-                k1 = lindblad(rho, cfg.h0, c, variant)
-                k2 = lindblad(rho + 0.5 * h * k1, cfg.h0, c, variant)
-                k3 = lindblad(rho + 0.5 * h * k2, cfg.h0, c, variant)
-                k4 = lindblad(rho + h * k3, cfg.h0, c, variant)
+                k1 = lindblad(rho, cfg.h0, c)
+                k2 = lindblad(rho + 0.5 * h * k1, cfg.h0, c)
+                k3 = lindblad(rho + 0.5 * h * k2, cfg.h0, c)
+                k4 = lindblad(rho + h * k3, cfg.h0, c)
                 rho = rho + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 assert max_abs(path.states[k + 1] - rho) < 1e-13
 
@@ -429,10 +385,9 @@ class TestSuperoperators:
             cfg = rand_config(rng)
             rho = rand_density(rng).m
             c = cfg.coupling()
-            for variant in ("cstar_c", "c_cstar"):
-                s_l = lindblad_superop(cfg.h0, c, variant)
-                got = (rho.reshape(4) @ s_l).reshape(2, 2)
-                assert max_abs(got - lindblad(rho, cfg.h0, c, variant)) < 1e-13
+            s_l = lindblad_superop(cfg.h0, c)
+            got = (rho.reshape(4) @ s_l).reshape(2, 2)
+            assert max_abs(got - lindblad(rho, cfg.h0, c)) < 1e-13
 
     def test_backaction_superop_matches_oracle(self):
         rng = np.random.default_rng(31)
@@ -478,9 +433,6 @@ class TestEnsembleCore:
         finals, _ = sde_ensemble_final(cfg, EXCITED, 1e-3, 20, base_seed=3)
         assert calls == list(range(VALIDATE_EVERY - 1, 1000, VALIDATE_EVERY))
         assert_valid_states(finals)
-        calls.clear()
-        sde_ensemble_final(cfg, EXCITED, 1e-3, 20, base_seed=3, project=False)
-        assert calls == []
 
     def test_seeded_noise_streams(self):
         # path j of a seeded run is the same path driven by its own stream
@@ -510,13 +462,11 @@ class TestBatchOfOneOracles:
                *(rand_config(np.random.default_rng(40 + i)) for i in range(2))]
 
     @pytest.mark.parametrize("cfg", CONFIGS)
-    @pytest.mark.parametrize("project", [True, False])
-    def test_belavkin_matches_euler_step_loop(self, cfg, project):
-        path = simulate_belavkin(cfg, PLUS, 1e-3, seed=41, project=project)
+    def test_belavkin_matches_euler_step_loop(self, cfg):
+        path = simulate_belavkin(cfg, PLUS, 1e-3, seed=41)
         state = PLUS
         for k, dw in enumerate(path.noise):
-            state = euler_step_density(state, 1e-3, dw, cfg.h0, cfg.coupling(),
-                                       project=project)
+            state = euler_step_density(state, 1e-3, dw, cfg.h0, cfg.coupling())
             assert max_abs(path.states[k + 1] - state.m) < 1e-12
 
     @pytest.mark.parametrize("cfg", CONFIGS)
@@ -557,9 +507,6 @@ class TestBatchOfOneOracles:
         cfg = damping_cfg(h0_scale=0.5)
         simulate(cfg, EXCITED, 1e-3, seed=44)
         assert shapes[-1] == (1001, 2, 2)
-        shapes.clear()
-        simulate(cfg, EXCITED, 1e-3, seed=44, project=False)
-        assert shapes == []
 
 
 class TestWaveValidation:
