@@ -38,7 +38,6 @@ from .sde import (
     master_on_grid,
     sde_coefficients,
     sde_ensemble_final,
-    split_sde_products,
 )
 
 # purpose tags for seed derivation (see the module docstring)
@@ -222,7 +221,8 @@ def _residual_reducer(spec: EnsembleSpec, cfg: ModelConfig):
 
     def update(k, states, x):
         nonlocal prev, partial_sum, sup
-        drift, back, _ = split_sde_products(prev, apply_superop(prev, coeffs))
+        w = apply_superop(prev, coeffs)
+        drift, back = w[:, :4], w[:, 4:8] - w[:, 8:] * prev
         partial_sum += drift / cfg.n - back * (x / np.sqrt(cfg.n))[:, None]
         v = states.reshape(num, 4)
         sup = np.maximum(sup, np.abs(v - rho0 - partial_sum).max(axis=1))

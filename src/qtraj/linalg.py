@@ -13,6 +13,10 @@ row vectors, vec(a @ x @ b) = vec(x) @ kron(a, b.T).T, so stepping an
 ensemble is a product of the (M, 4) state array with a 4x4 superoperator,
 taken by ``apply_superop``.
 
+Bloch convention: a unit-trace Hermitian x = (I + r.sigma)/2 has vec(x) =
+(1, r) @ T, with the rows of T = BLOCH_BASIS equal to vec(I, sigma_x,
+sigma_y, sigma_z)/2; see ``bloch_superop``.
+
 All functions are pure; matrices are plain complex ndarrays.
 """
 
@@ -23,6 +27,11 @@ import numpy as np
 HERMITICITY_TOL = 1e-10
 
 _EXP_TERM_TOL = 1e-13
+
+BLOCH_BASIS = 0.5 * np.array([[1, 0, 0, 1], [0, 1, 1, 0],
+                              [0, -1j, 1j, 0], [1, 0, 0, -1]])
+_BLOCH_INV = 2.0 * BLOCH_BASIS.conj().T     # the rows are orthogonal, T T+ = I/2
+BLOCH_IMAG_TOL = 1e-12
 
 
 class NotHermitian(ValueError):
@@ -62,6 +71,37 @@ def apply_superop(v: np.ndarray, s: np.ndarray) -> np.ndarray:
     """
     return (v[..., 0:1] * s[0] + v[..., 1:2] * s[1]
             + v[..., 2:3] * s[2] + v[..., 3:4] * s[3])
+
+
+def bloch_superop(s: np.ndarray) -> np.ndarray:
+    """Real form T S T^-1 of a 4x4 superoperator S, acting on u = (1, r):
+    vec(x) @ S = (u @ T S T^-1) @ T. For a (4,) column g of a functional
+    vec(x) @ g, the column T g. Raises ValueError if the imaginary part
+    exceeds BLOCH_IMAG_TOL times max(1, largest real entry): S does not map
+    Hermitian operators to Hermitian ones."""
+    out = BLOCH_BASIS @ s
+    if out.ndim == 2:
+        out = out @ _BLOCH_INV
+    imag = max_abs(out.imag)
+    if not imag <= BLOCH_IMAG_TOL * max(1.0, max_abs(out.real)):
+        raise ValueError(f"superoperator is not real in the Bloch basis: "
+                         f"imaginary part {imag:.3e}")
+    return out.real.copy()
+
+
+def density_to_bloch(m: np.ndarray) -> np.ndarray:
+    """(..., 3) Bloch vectors r = Tr[x sigma] of a (..., 2, 2) Hermitian stack."""
+    return np.stack([(m[..., 0, 1] + m[..., 1, 0]).real,
+                     (m[..., 1, 0] - m[..., 0, 1]).imag,
+                     (m[..., 0, 0] - m[..., 1, 1]).real], axis=-1)
+
+
+def bloch_to_density(r: np.ndarray) -> np.ndarray:
+    """(..., 2, 2) states (I + r.sigma)/2 of a (..., 3) stack of Bloch
+    vectors, entry by entry, so a row does not depend on the stack size."""
+    x, y, z = r[..., 0], r[..., 1], r[..., 2]
+    out = 0.5 * np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=-1)
+    return out.reshape(r.shape[:-1] + (2, 2))
 
 
 def partial_trace_system(m: np.ndarray) -> np.ndarray:

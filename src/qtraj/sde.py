@@ -10,7 +10,7 @@ Both coefficients are traceless, so raw Euler iterates keep unit trace up to
 rounding; Hermiticity is preserved step by step because dW is real and both
 coefficients map Hermitian to Hermitian. Positivity is not preserved by Euler,
 so density paths are projected every step (eigen-clip at zero, trace
-renormalization).
+renormalization; r / max(1, |r|) in the Bloch coordinates below).
 
 Wave form (pure states):
 
@@ -36,19 +36,23 @@ measure. The exponential weights
 (left-point, Ito) convert reference-measure averages into physical ones:
 E[Z_T f(rho_T)] over reference paths estimates the physical-form mean of f.
 
-Stepping core: density paths and the master equation are stepped in the
-row-major Liouville layout of :mod:`qtraj.linalg` (an (M, 4) array v whose
-``reshape(M, 2, 2)`` is the state stack) with matrices built once per
-configuration,
+Stepping core: ``sde_coefficients`` builds the density equation's
+coefficients [S_L | S_B | g] once per configuration, in the row-major
+Liouville layout of :mod:`qtraj.linalg` (v = vec(rho) = rho.reshape(4)),
 
     S_L = kron(-i h0 - A/2, I).T + kron(I, (i h0 - A/2).T).T + kron(c, conj(c)).T,
     S_B = kron(c, I).T + kron(I, conj(c)).T,      g = vec((c + c+).T),
 
 with A = c+c, so vec L(rho) = v @ S_L, vec B(rho) = v @ S_B - (v @ g) v and
-Tr[rho (c + c+)] = v @ g. ``sde_coefficients`` lays the three side by side
-as one (4, 9) matrix [S_L | S_B | g] and ``split_sde_products`` reads a
-product with it back as (drift, backaction, g). One Euler step is
-v @ (I + h S_L) + dW (v @ S_B - g v).
+Tr[rho (c + c+)] = v @ g. Density paths are stepped in Bloch coordinates,
+rho = (I + r.sigma)/2 (Jacobs & Steck, "A straightforward introduction to
+continuous quantum measurement", Contemp. Phys. 47, 279 (2006)): every map
+above keeps Hermiticity, so ``_bloch_sde_matrix`` turns [I + h S_L | S_B | g]
+into one real (4, 7) matrix A, and a step of the (M, 3) array r is
+w = (1, r) @ A, r' = w[:, :3] + dW (w[:, 3:6] - w[:, 6] r). Hermiticity and
+unit trace hold by construction, and the eigen-clip and renormalization of
+``project_positive`` is exactly r / max(1, |r|): with the smallest eigenvalue
+lo = (1 - |r|)/2, (rho - lo I)/(1 - 2 lo) = (I + r.sigma/|r|)/2.
 
 Each equation has one Euler loop, a generator over an (M, steps) noise
 array: ``_density_steps`` (density and innovation forms) and ``_wave_steps``.
@@ -67,7 +71,8 @@ from typing import Iterator
 import numpy as np
 
 from .csvio import STATE_HEADER, state_columns, table_rows, write_csv
-from .linalg import adjoint, apply_superop, herm_eigen2, sandwich_superop
+from .linalg import (adjoint, apply_superop, bloch_superop, bloch_to_density,
+                     density_to_bloch, herm_eigen2, sandwich_superop)
 from .model import (
     ID2,
     VALIDATE_EVERY,
@@ -153,18 +158,9 @@ def backaction_superop(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sde_coefficients(h0: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """(4, 9) matrix [S_L | S_B | g] of the density equation's coefficients;
-    read products with it through ``split_sde_products``."""
+    """(4, 9) matrix [S_L | S_B | g] of the density equation's coefficients."""
     s_b, g_row = backaction_superop(c)
     return np.hstack([lindblad_superop(h0, c), s_b, g_row[:, None]])
-
-
-def split_sde_products(v: np.ndarray, w: np.ndarray,
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split w = apply_superop(v, sde_coefficients(...)) for an (M, 4) state
-    array v into (vec L(rho), vec B(rho), Tr[rho (c + c+)]). The first block
-    is whatever the caller put in the S_L columns."""
-    return w[:, :4], w[:, 4:8] - w[:, 8:] * v, w[:, 8].real
 
 
 def _clip_negative(eigs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -180,26 +176,6 @@ def project_positive(m: np.ndarray) -> np.ndarray:
     if eigs[-1] >= 0.0:
         return m
     return _clip_negative(eigs, vecs)
-
-
-def _project_positive_batch(m: np.ndarray) -> np.ndarray:
-    """Vectorized positivity projection on a (..., 2, 2) Hermitian stack.
-
-    Uses the closed form: clipping the negative eigenvalue and renormalizing
-    lands on (m - lo*I)/(tr - 2*lo), the projector onto the top eigenvector.
-    """
-    m = 0.5 * (m + adjoint(m))
-    a = m[..., 0, 0].real
-    d = m[..., 1, 1].real
-    rad = np.sqrt(0.25 * (a - d) ** 2 + np.abs(m[..., 0, 1]) ** 2)
-    lo = 0.5 * (a + d) - rad
-    bad = lo < 0.0
-    if not np.any(bad):
-        return m
-    denom = np.where(bad, (a + d) - 2.0 * lo, 1.0)[..., None, None]
-    shifted = m - lo[..., None, None] * ID2
-    projected = shifted / denom
-    return np.where(bad[..., None, None], projected, m)
 
 
 def euler_step_density(rho: DensityMatrix, h: float, dw: float,
@@ -265,31 +241,59 @@ def _noise_for(seed: int | None, shared_noise: np.ndarray | None,
     return generator_for(seed).standard_normal((1, steps)) * np.sqrt(h)
 
 
+def _bloch_sde_matrix(cfg: ModelConfig, h: float) -> np.ndarray:
+    """Real (4, 7) matrix A of one Euler step in Bloch coordinates: for
+    u = (1, r), u @ A = [r-part of rho + h L(rho) | r-part of c rho + rho c+ |
+    Tr[rho (c + c+)]]. The u_0 columns are dropped: the Euler block's is
+    (1, 0, 0, 0), as L keeps the trace, and the S_B block's is g."""
+    coeffs = sde_coefficients(cfg.h0, cfg.coupling())
+    euler = bloch_superop(np.eye(4) + h * coeffs[:, :4])
+    back = bloch_superop(coeffs[:, 4:8])
+    return np.hstack([euler[:, 1:], back[:, 1:], bloch_superop(coeffs[:, 8])[:, None]])
+
+
+def _project_ball(r: np.ndarray) -> np.ndarray:
+    """r / max(1, |r|) on an (M, 3) array: the positivity projection of
+    ``project_positive`` in Bloch coordinates. |r| comes from nested hypot,
+    so finite components up to about 1e308 do not overflow it. A row whose
+    |r| is still not finite (components near the float maximum, or an inf
+    or NaN component) becomes NaN, so the invariant checks reject it rather
+    than r / inf giving the maximally mixed state."""
+    norm = np.hypot(np.hypot(r[:, 0], r[:, 1]), r[:, 2])
+    scale = np.where(np.isfinite(norm), np.maximum(norm, 1.0), np.nan)
+    return r / scale[:, None]
+
+
+def _bloch_step(a: np.ndarray, r: np.ndarray, dw: np.ndarray, h: float,
+                physical: bool) -> tuple[np.ndarray, np.ndarray]:
+    """One projected Euler step of (M, 3) Bloch vectors with the matrix of
+    ``_bloch_sde_matrix``; returns (r after the step, g before it). The
+    product is a fixed sequence of elementwise operations, so a row does not
+    depend on M. With ``physical`` the kick is dW + h g (innovation form)."""
+    w = a[0] + r[:, 0:1] * a[1] + r[:, 1:2] * a[2] + r[:, 2:3] * a[3]
+    g = w[:, 6]
+    kick = dw + h * g if physical else dw
+    r = w[:, :3] + kick[:, None] * (w[:, 3:6] - w[:, 6:] * r)
+    return _project_ball(r), g
+
+
 def _density_steps(cfg: ModelConfig, rho0: DensityMatrix, h: float,
                    noise: np.ndarray, physical: bool,
                    ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Euler steps of the density equation, one path per row of the
-    (M, steps) increments ``noise``. Yields (k, v, g) after step k: v the
-    (M, 4) states after it, g = Tr[rho (c + c+)] of the states before it.
-    Rows do not depend on M (see ``apply_superop``). With ``physical`` the
-    kick is dW + h g (innovation form). Every step is projected onto the
-    positive states, and the states are checked against the invariants
-    every VALIDATE_EVERY steps.
+    (M, steps) increments ``noise``. Yields (k, r, g) after step k: r the
+    (M, 3) Bloch vectors after it, g = Tr[rho (c + c+)] of the states before
+    it. Every step is projected onto the positive states, and the states are
+    checked against the invariants every VALIDATE_EVERY steps.
     """
     num_paths, steps = noise.shape
-    coeffs = sde_coefficients(cfg.h0, cfg.coupling())
-    coeffs[:, :4] = np.eye(4) + h * coeffs[:, :4]
-    v = np.broadcast_to(rho0.m.reshape(4), (num_paths, 4)).copy()
+    a = _bloch_sde_matrix(cfg, h)
+    r = np.broadcast_to(density_to_bloch(rho0.m), (num_paths, 3)).copy()
     for k in range(steps):
-        euler, back, g = split_sde_products(v, apply_superop(v, coeffs))
-        dw = noise[:, k]
-        kick = dw + h * g if physical else dw
-        v = euler + kick[:, None] * back
-        v = _project_positive_batch(v.reshape(num_paths, 2, 2))
+        r, g = _bloch_step(a, r, noise[:, k], h, physical)
         if (k + 1) % VALIDATE_EVERY == 0:
-            v = validate_batch(v, k)
-        v = v.reshape(num_paths, 4)
-        yield k, v, g
+            validate_batch(bloch_to_density(r), k)
+        yield k, r, g
 
 
 def _wave_steps(cfg: ModelConfig, psi0: WaveFunction, h: float,
@@ -323,13 +327,13 @@ def _density_path(cfg: ModelConfig, rho0: DensityMatrix, h: float,
     state against the invariants once recorded."""
     steps = _euler_steps(cfg, h)
     noise = _noise_for(seed, shared_noise, steps, h)
-    states = np.empty((steps + 1, 4), dtype=complex)
-    states[0] = rho0.m.reshape(4)
+    bloch = np.empty((steps + 1, 3))
+    bloch[0] = density_to_bloch(rho0.m)
     g = np.empty(steps)
-    for k, v, g_k in _density_steps(cfg, rho0, h, noise, physical):
-        states[k + 1] = v[0]
+    for k, r, g_k in _density_steps(cfg, rho0, h, noise, physical):
+        bloch[k + 1] = r[0]
         g[k] = g_k[0]
-    states = states.reshape(steps + 1, 2, 2)
+    states = bloch_to_density(bloch)
     validate_batch(states, steps)
     noise = noise[0]
     companion = np.concatenate([[0.0], np.cumsum(noise + g * h)]) if physical else None
@@ -449,13 +453,13 @@ def sde_ensemble_final(cfg: ModelConfig, rho0: DensityMatrix, h: float,
     if physical and with_weights:
         raise ValueError("weights are unavailable in the physical form")
     noise = _ensemble_noise(base_seed, noise, num_paths, _euler_steps(cfg, h), h)
-    v = np.broadcast_to(rho0.m.reshape(4), (num_paths, 4)).copy()
+    r = np.broadcast_to(density_to_bloch(rho0.m), (num_paths, 3))
     log_z = np.zeros(num_paths)
-    for k, v, g in _density_steps(cfg, rho0, h, noise, physical):
+    for k, r, g in _density_steps(cfg, rho0, h, noise, physical):
         if with_weights:
             log_z += g * noise[:, k] - 0.5 * g * g * h
     weights = np.exp(log_z) if with_weights else None
-    return v.reshape(num_paths, 2, 2), weights
+    return bloch_to_density(r), weights
 
 
 def wave_ensemble_final(cfg: ModelConfig, psi0: WaveFunction, h: float,

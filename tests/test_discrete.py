@@ -22,10 +22,10 @@ from qtraj.discrete import (
     drive_ensemble,
     ensemble_streams,
 )
-from qtraj.linalg import adjoint, max_abs, tensor
+from qtraj.linalg import adjoint, density_to_bloch, max_abs, tensor
 from qtraj.model import FIELD_GROUND, ID2
 from qtraj.rng import derive_seed, generator_for
-from qtraj.sde import backaction, lindblad
+from qtraj.sde import backaction, lindblad, master_on_grid
 
 from helpers import (
     EXCITED,
@@ -358,3 +358,38 @@ class TestResidual:
                 sup = np.maximum(sup, np.abs(eps).max(axis=(1, 2)))
                 prev = states.copy()
             assert abs(sups[i] - sup.mean()) < 1e-13
+
+
+def exact_chain_mean(cfg: ModelConfig, rho0: DensityMatrix) -> np.ndarray:
+    """E[rho_k], k = 0..steps: the conditional mean of one step is
+    p (m0/p) + q (m1/q) = m0 + m1, so vec E[rho_k] = vec(rho0) @ (S_0 + S_1)^k
+    (up to the degenerate-branch rule, an O(1e-12) change)."""
+    s = branch_superops(build_unitary(cfg), cfg.observable)
+    step = s[:, :4] + s[:, 4:]
+    out = [rho0.m.reshape(4)]
+    for _ in range(cfg.steps):
+        out.append(out[-1] @ step)
+    return np.array(out).reshape(-1, 2, 2)
+
+
+class TestExactChainMean:
+    """Criterion 05's configuration (damping rate 9) from the excited state."""
+
+    def test_ensemble_mean_within_clt_bounds(self):
+        cfg, m = damping_cfg(n=80, c_scale=3.0), 5000
+        exact = density_to_bloch(exact_chain_mean(cfg, EXCITED))
+        for k, states, *_ in drive_ensemble(cfg, EXCITED,
+                                            ensemble_streams(505, m, cfg.steps)):
+            r = density_to_bloch(states)
+            se = r.std(axis=0, ddof=1) / np.sqrt(m)
+            assert np.all(np.abs(r.mean(axis=0) - exact[k + 1]) <= 4.0 * se + 1e-12), k
+
+    def test_gap_to_master_is_first_order(self):
+        ns = [20, 40, 80, 160, 320]
+        gaps = []
+        for n in ns:
+            cfg = damping_cfg(n=n, c_scale=3.0)
+            gaps.append(max_abs(exact_chain_mean(cfg, EXCITED)
+                                - master_on_grid(cfg, EXCITED, n)))
+        slope = np.polyfit(np.log(ns), np.log(gaps), 1)[0]
+        assert -1.1 <= slope <= -0.9

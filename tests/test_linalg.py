@@ -6,6 +6,9 @@ from qtraj.linalg import (
     NotHermitian,
     adjoint,
     apply_superop,
+    bloch_superop,
+    bloch_to_density,
+    density_to_bloch,
     expm4,
     herm_eigen2,
     max_abs,
@@ -167,6 +170,37 @@ class TestApplySuperop:
             for j in range(7):
                 assert np.array_equal(batch[j], apply_superop(v[j:j + 1], s)[0])
                 assert np.array_equal(batch[j], apply_superop(v[j], s))
+
+
+class TestBloch:
+    def test_superop_acts_on_bloch_vectors(self):
+        # (a x a+) in Bloch coordinates: u' = u @ T S T^-1 with u = (1, r)
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            a, rho = rand_cmat(rng), rand_state_matrix(rng)
+            s = bloch_superop(sandwich_superop(a, adjoint(a)))
+            out = a @ rho @ adjoint(a)
+            u = np.concatenate([[1.0], density_to_bloch(rho)]) @ s
+            assert abs(u[0] - out.trace().real) < 1e-13
+            assert max_abs(bloch_to_density(u[1:] / u[0]) - out / out.trace()) < 1e-13
+
+    def test_functional_column(self):
+        rng = np.random.default_rng(11)
+        x, rho = rand_herm(rng), rand_state_matrix(rng)
+        g = bloch_superop(x.T.reshape(4))
+        u = np.concatenate([[1.0], density_to_bloch(rho)])
+        assert abs(u @ g - np.trace(rho @ x).real) < 1e-13
+
+    def test_non_hermitian_map_rejected(self):
+        with pytest.raises(ValueError, match="not real"):
+            bloch_superop(sandwich_superop(1j * np.eye(2), np.eye(2)))
+
+    def test_tolerance_scales_with_the_map(self):
+        # rounding of a large Hermiticity-preserving map is not a violation
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            a = 1e3 * rand_cmat(rng)
+            bloch_superop(np.eye(4) + 1e-2 * sandwich_superop(a, adjoint(a)))
 
 
 class TestExpm4:

@@ -20,13 +20,22 @@ from qtraj import (
     simulate_wave,
     wavefunction_step,
 )
-from qtraj.linalg import adjoint, max_abs
+from qtraj.linalg import (
+    BLOCH_BASIS,
+    adjoint,
+    bloch_to_density,
+    density_to_bloch,
+    max_abs,
+)
 from qtraj.model import ID2, SIGMA_X, SIGMA_Z, NotAState
 from qtraj.sde import (
     VALIDATE_EVERY,
-    _project_positive_batch,
+    _bloch_sde_matrix,
+    _bloch_step,
+    _project_ball,
     backaction_superop,
     lindblad_superop,
+    sde_coefficients,
     sde_ensemble_final,
     wave_ensemble_final,
 )
@@ -135,7 +144,7 @@ class TestEulerStepDensity:
             m = m / m.trace().real if abs(m.trace().real) > 0.1 else m + ID2
             raws.append(m / m.trace().real)
         raws = np.stack(raws)
-        batch = _project_positive_batch(raws.copy())
+        batch = bloch_to_density(_project_ball(density_to_bloch(raws)))
         for j in range(len(raws)):
             assert max_abs(batch[j] - project_positive(raws[j])) < 1e-12
 
@@ -401,6 +410,81 @@ class TestSuperoperators:
             assert abs(v @ g - trace_term) < 1e-13
             got = (v @ s_b - (v @ g) * v).reshape(2, 2)
             assert max_abs(got - backaction(rho, c)) < 1e-13
+
+
+class TestBlochCore:
+    """The real (4, 7) Bloch step against the complex coefficients and the
+    matrix-form Euler step."""
+
+    def test_coefficients_are_real_in_bloch_basis(self):
+        rng = np.random.default_rng(33)
+        inv = 2.0 * BLOCH_BASIS.conj().T
+        for _ in range(200):
+            cfg = rand_config(rng)
+            coeffs = sde_coefficients(cfg.h0, cfg.coupling())
+            coeffs[:, :4] = np.eye(4) + 1e-3 * coeffs[:, :4]
+            for block in (coeffs[:, :4], coeffs[:, 4:8]):
+                assert max_abs((BLOCH_BASIS @ block @ inv).imag) < 1e-14
+            assert max_abs((BLOCH_BASIS @ coeffs[:, 8]).imag) < 1e-14
+            _bloch_sde_matrix(cfg, 1e-3)
+
+    @pytest.mark.parametrize("physical", [False, True])
+    def test_step_matches_euler_step_density(self, physical):
+        rng = np.random.default_rng(34)
+        h, projected = 1e-3, 0
+        for _ in range(200):
+            cfg = rand_config(rng)
+            c = cfg.coupling()
+            rho = rand_density(rng).m
+            dw = rng.normal(scale=0.5, size=1)
+            r, g = _bloch_step(_bloch_sde_matrix(cfg, h), density_to_bloch(rho)[None],
+                               dw, h, physical)
+            g_oracle = np.trace(rho @ (c + adjoint(c))).real
+            assert abs(g[0] - g_oracle) < 1e-13
+            kick = dw[0] + h * g_oracle if physical else dw[0]
+            raw = rho + h * lindblad(rho, cfg.h0, c) + kick * backaction(rho, c)
+            projected += np.linalg.eigvalsh(raw)[0] < 0.0
+            oracle = euler_step_density(DensityMatrix(rho), h, kick, cfg.h0, c)
+            assert max_abs(bloch_to_density(r)[0] - oracle.m) < 1e-13
+        assert projected > 20
+
+    def test_round_trip(self):
+        rng = np.random.default_rng(35)
+        for _ in range(200):
+            rho = rand_density(rng).m
+            assert max_abs(bloch_to_density(density_to_bloch(rho)) - rho) < 1e-15
+
+    def test_antihermitian_coupling_gives_zero_g_column(self):
+        assert np.all(_bloch_sde_matrix(antiherm_cfg(), 1e-3)[:, 6] == 0.0)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e308])
+    def test_huge_increments_stay_on_the_sphere(self, scale):
+        # a finite iterate whose |r| overflows must not become r / inf = 0,
+        # the maximally mixed state: 1e160 squares to inf but not under
+        # hypot; 1e308 overflows hypot too and must be rejected instead
+        noise = np.full((3, 100), scale)
+        noise[1] *= -1.0
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                finals, _ = sde_ensemble_final(damping_cfg(h0_scale=0.5), PLUS, 1e-2,
+                                               3, noise=noise)
+        except NotAState:
+            return
+        norms = np.linalg.norm(density_to_bloch(finals), axis=1)
+        assert np.all(np.abs(norms - 1.0) <= 1e-12)
+
+    def test_unrepresentable_norm_is_not_mixed(self):
+        # components of 1.5e308 are finite but |r| is not: the row must not
+        # be scaled to the origin (a valid state) but flagged as NaN; 1e200
+        # squares to inf, yet its |r| is representable and must be used
+        r = np.array([[1.5e308, 1.5e308, 0.0], [1e200, 1e200, 0.0],
+                      [3.0, 4.0, 0.0], [0.1, 0.0, 0.0]])
+        with np.errstate(over="ignore"):
+            out = _project_ball(r)
+        assert np.all(np.isnan(out[0]))
+        assert np.allclose(out[1], [np.sqrt(0.5), np.sqrt(0.5), 0.0], rtol=0, atol=1e-15)
+        assert np.allclose(out[2], [0.6, 0.8, 0.0], rtol=0, atol=1e-15)
+        assert np.array_equal(out[3], r[3])
 
 
 class TestEnsembleCore:
