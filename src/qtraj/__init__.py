@@ -31,10 +31,7 @@ from .discrete import (
     run_trajectory,
 )
 from .linalg import (
-    NotHermitian,
     adjoint,
-    expm4,
-    herm_eigen2,
     max_abs,
     partial_trace_system,
     tensor,

@@ -189,7 +189,9 @@ def drive_ensemble(cfg: ModelConfig, rho0: DensityMatrix, uniforms: np.ndarray,
 
     ``uniforms`` is (num_traj, steps), one stream row per trajectory. Yields
     (k, states, outcomes, x, p, q) after each step; the states array is
-    reused between iterations, so consumers must copy what they keep.
+    reused between iterations, so consumers must copy what they keep. The
+    states are checked against the invariants, and symmetrized, every
+    VALIDATE_EVERY steps and after the last one.
     """
     s = branch_superops(build_unitary(cfg), cfg.observable)
     num_traj, steps = uniforms.shape
@@ -211,7 +213,7 @@ def drive_ensemble(cfg: ModelConfig, rho0: DensityMatrix, uniforms: np.ndarray,
             raise DegenerateProbability(
                 f"step {k}, trajectory {j}: branch trace {weight[j]:.3e}")
         v = np.where(outcome[:, None] == 1, m1, m0) / weight[:, None]
-        if (k + 1) % VALIDATE_EVERY == 0:
+        if (k + 1) % VALIDATE_EVERY == 0 or k + 1 == steps:
             v = validate_batch(v.reshape(num_traj, 2, 2), k).reshape(num_traj, 4)
         yield k, v.reshape(num_traj, 2, 2), outcome, x, p, q
 

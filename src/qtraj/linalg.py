@@ -15,7 +15,9 @@ taken by ``apply_superop``.
 
 Bloch convention: a unit-trace Hermitian x = (I + r.sigma)/2 has vec(x) =
 (1, r) @ T, with the rows of T = BLOCH_BASIS equal to vec(I, sigma_x,
-sigma_y, sigma_z)/2; see ``bloch_superop``.
+sigma_y, sigma_z)/2; see ``bloch_superop``. x is a state exactly when
+|r| <= 1, so the Bloch ball carries positivity: ``project_ball`` is the
+eigen-clip onto it.
 
 All functions are pure; matrices are plain complex ndarrays.
 """
@@ -26,16 +28,10 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-10
 
-_EXP_TERM_TOL = 1e-13
-
 BLOCH_BASIS = 0.5 * np.array([[1, 0, 0, 1], [0, 1, 1, 0],
                               [0, -1j, 1j, 0], [1, 0, 0, -1]])
 _BLOCH_INV = 2.0 * BLOCH_BASIS.conj().T     # the rows are orthogonal, T T+ = I/2
 BLOCH_IMAG_TOL = 1e-12
-
-
-class NotHermitian(ValueError):
-    """Input fails the Hermiticity tolerance."""
 
 
 def max_abs(m: np.ndarray) -> float:
@@ -104,6 +100,20 @@ def bloch_to_density(r: np.ndarray) -> np.ndarray:
     return out.reshape(r.shape[:-1] + (2, 2))
 
 
+def project_ball(r: np.ndarray) -> np.ndarray:
+    """r / max(1, |r|) on a (..., 3) stack of Bloch vectors: the eigen-clip
+    at zero and trace renormalization of (I + r.sigma)/2, since with its
+    smallest eigenvalue lo = (1 - |r|)/2, (rho - lo I)/(1 - 2 lo) =
+    (I + r.sigma/|r|)/2. |r| comes from nested hypot, so finite components
+    up to about 1e308 do not overflow it. A row whose |r| is still not
+    finite (components near the float maximum, or an inf or NaN component)
+    becomes NaN, so the invariant checks reject it rather than r / inf
+    giving the maximally mixed state."""
+    norm = np.hypot(np.hypot(r[..., 0], r[..., 1]), r[..., 2])
+    scale = np.where(np.isfinite(norm), np.maximum(norm, 1.0), np.nan)
+    return r / scale[..., None]
+
+
 def partial_trace_system(m: np.ndarray) -> np.ndarray:
     """Trace the field qubit out of a 4x4 operator, keeping the system.
 
@@ -112,59 +122,3 @@ def partial_trace_system(m: np.ndarray) -> np.ndarray:
     every system operator x.
     """
     return m[:2, :2] + m[2:, 2:]
-
-
-def herm_eigen2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a 2x2 Hermitian matrix, closed form.
-
-    Returns (eigenvalues sorted descending, eigenvectors as columns). The
-    input is symmetrized before decomposing; raises NotHermitian if it is
-    farther than HERMITICITY_TOL from its adjoint in max-entry norm.
-    """
-    m = np.asarray(m, dtype=complex)
-    if not max_abs(m - adjoint(m)) <= HERMITICITY_TOL:
-        raise NotHermitian("matrix exceeds Hermiticity tolerance "
-                           f"{HERMITICITY_TOL:g}: deviation {max_abs(m - adjoint(m)):.3e}")
-    m = 0.5 * (m + adjoint(m))
-    a = m[0, 0].real
-    d = m[1, 1].real
-    b = m[0, 1]
-    mid = 0.5 * (a + d)
-    rad = np.sqrt(0.25 * (a - d) ** 2 + abs(b) ** 2)
-    lo, hi = mid - rad, mid + rad
-    if rad < 1e-15 * max(1.0, abs(mid)):
-        return np.array([hi, lo]), np.eye(2, dtype=complex)
-    # columns of (m - lo*I) span the hi-eigenspace; pick the better conditioned one
-    shifted = m - lo * np.eye(2)
-    col0 = shifted[:, 0]
-    col1 = shifted[:, 1]
-    v_hi = col0 if np.linalg.norm(col0) >= np.linalg.norm(col1) else col1
-    v_hi = v_hi / np.linalg.norm(v_hi)
-    v_lo = np.array([-np.conj(v_hi[1]), np.conj(v_hi[0])])
-    vecs = np.column_stack([v_hi, v_lo])
-    return np.array([hi, lo]), vecs
-
-
-def expm4(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring on a truncated series.
-
-    Terms are accumulated until they drop below 1e-13 in max-entry norm;
-    accurate to ~1e-12 relative error for inputs of norm up to ~10.
-    """
-    m = np.asarray(m, dtype=complex)
-    dim = m.shape[0]
-    norm = float(np.linalg.norm(m, 1))
-    squarings = 0
-    if norm > 0.5:
-        squarings = int(np.ceil(np.log2(norm / 0.5)))
-        m = m / (2.0 ** squarings)
-    result = np.eye(dim, dtype=complex)
-    term = np.eye(dim, dtype=complex)
-    for k in range(1, 60):
-        term = term @ m / k
-        result = result + term
-        if max_abs(term) < _EXP_TERM_TOL:
-            break
-    for _ in range(squarings):
-        result = result @ result
-    return result

@@ -31,9 +31,10 @@ import numpy as np
 from .linalg import (
     HERMITICITY_TOL,
     adjoint,
-    expm4,
-    herm_eigen2,
+    bloch_to_density,
+    density_to_bloch,
     max_abs,
+    project_ball,
     tensor,
 )
 
@@ -155,23 +156,16 @@ class ModelConfig:
 
 
 def check_state(m: np.ndarray) -> None:
-    """Raise NotAState unless m is Hermitian, trace-one, positive to STATE_TOL."""
-    m = np.asarray(m, dtype=complex)
-    herm_dev = max_abs(m - adjoint(m))
-    if not herm_dev <= STATE_TOL:
-        raise NotAState(f"Hermiticity violated by {herm_dev:.3e}")
-    tr = m.trace()
-    if not abs(tr - 1.0) <= STATE_TOL:
-        raise NotAState(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-    eigs, _ = herm_eigen2(m)
-    if not eigs[-1] >= -STATE_TOL:
-        raise NotAState(f"negative eigenvalue {eigs[-1]:.3e}")
+    """Raise NotAState unless m is Hermitian, trace-one, positive to STATE_TOL
+    (``validate_batch`` on a single state, labelled step 0)."""
+    validate_batch(np.asarray(m), 0)
 
 
 def validate_batch(states: np.ndarray, step: int) -> np.ndarray:
-    """Check a (..., 2, 2) stack against the state invariants of
-    ``check_state``, then return it symmetrized. ``step`` only labels the
-    error message."""
+    """Check a (..., 2, 2) stack for Hermiticity, unit trace and positivity
+    to STATE_TOL, then return it symmetrized. The smallest eigenvalue of each
+    symmetrized state is (a + d)/2 - sqrt((a - d)^2/4 + |b|^2). ``step`` only
+    labels the error message."""
     herm_dev = max_abs(states - adjoint(states))
     traces = np.trace(states, axis1=-2, axis2=-1)
     trace_dev = float(np.max(np.abs(traces - 1.0)))
@@ -198,19 +192,14 @@ def validate_norms(vectors: np.ndarray, step: int) -> None:
 
 
 def make_density(m: np.ndarray) -> DensityMatrix:
-    """Validated state constructor: symmetrizes, renormalizes the trace, and
-    clips eigenvalues inside the tolerance band; rejects anything farther out.
+    """Validated state constructor: rejects anything farther than STATE_TOL
+    from a state, then symmetrizes, renormalizes the trace and clips the
+    eigenvalues at zero by projecting the Bloch vector onto the unit ball.
     """
     m = np.asarray(m, dtype=complex)
     check_state(m)
-    m = 0.5 * (m + adjoint(m))
-    m = m / m.trace().real
-    eigs, vecs = herm_eigen2(m)
-    if eigs[-1] < 0.0:
-        eigs = np.clip(eigs, 0.0, None)
-        m = (vecs * eigs) @ adjoint(vecs)
-        m = m / m.trace().real
-    return DensityMatrix(m)
+    r = density_to_bloch(m) / m.trace().real
+    return DensityMatrix(bloch_to_density(project_ball(r)))
 
 
 def make_wave(v: np.ndarray) -> WaveFunction:
@@ -253,18 +242,20 @@ def build_total_hamiltonian(cfg: ModelConfig) -> np.ndarray:
 def build_unitary(cfg: ModelConfig) -> InteractionUnitary:
     """Per-interaction unitary with the scaling stated in the module docstring.
 
-    The exponent is anti-Hermitian by construction: free Hamiltonians enter
-    at order h = 1/n, the exchange coupling at order 1/sqrt(n) in the
-    combination (c (x) raise - c+ (x) lower) whose phase makes the leading
-    emission block +c/sqrt(n).
+    The exponent is -i G with the Hermitian generator G = h free +
+    i exchange/sqrt(n): free Hamiltonians enter at order h = 1/n, the
+    exchange coupling at order 1/sqrt(n) in the anti-Hermitian combination
+    exchange = c (x) raise - c+ (x) lower, whose phase makes the leading
+    emission block +c/sqrt(n). With G = V diag(lam) V+ from ``eigh``,
+    U = V diag(exp(-i lam)) V+.
     """
     h = 1.0 / cfg.n
     c = cfg.coupling()
     h_field = FIELD_HAMILTONIANS[cfg.field_hamiltonian]
     free = tensor(cfg.h0, ID2) + tensor(ID2, h_field)
     exchange = tensor(c, _FIELD_RAISE) - tensor(adjoint(c), _FIELD_LOWER)
-    exponent = -1j * h * free + exchange / np.sqrt(cfg.n)
-    return InteractionUnitary.from_matrix(expm4(exponent))
+    lam, v = np.linalg.eigh(h * free + 1j * exchange / np.sqrt(cfg.n))
+    return InteractionUnitary.from_matrix((v * np.exp(-1j * lam)) @ adjoint(v))
 
 
 def field_ground_energy(cfg: ModelConfig) -> float:

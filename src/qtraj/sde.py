@@ -51,8 +51,7 @@ above keeps Hermiticity, so ``_bloch_sde_matrix`` turns [I + h S_L | S_B | g]
 into one real (4, 7) matrix A, and a step of the (M, 3) array r is
 w = (1, r) @ A, r' = w[:, :3] + dW (w[:, 3:6] - w[:, 6] r). Hermiticity and
 unit trace hold by construction, and the eigen-clip and renormalization of
-``project_positive`` is exactly r / max(1, |r|): with the smallest eigenvalue
-lo = (1 - |r|)/2, (rho - lo I)/(1 - 2 lo) = (I + r.sigma/|r|)/2.
+``project_positive`` is exactly ``linalg.project_ball``, r / max(1, |r|).
 
 Each equation has one Euler loop, a generator over an (M, steps) noise
 array: ``_density_steps`` (density and innovation forms) and ``_wave_steps``.
@@ -72,7 +71,7 @@ import numpy as np
 
 from .csvio import STATE_HEADER, state_columns, table_rows, write_csv
 from .linalg import (adjoint, apply_superop, bloch_superop, bloch_to_density,
-                     density_to_bloch, herm_eigen2, sandwich_superop)
+                     density_to_bloch, project_ball, sandwich_superop)
 from .model import (
     ID2,
     VALIDATE_EVERY,
@@ -172,8 +171,8 @@ def _clip_negative(eigs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 def project_positive(m: np.ndarray) -> np.ndarray:
     """Eigen-clip negative weight at zero and renormalize the trace."""
     m = 0.5 * (m + adjoint(m))
-    eigs, vecs = herm_eigen2(m)
-    if eigs[-1] >= 0.0:
+    eigs, vecs = np.linalg.eigh(m)
+    if eigs[0] >= 0.0:
         return m
     return _clip_negative(eigs, vecs)
 
@@ -229,15 +228,8 @@ def _ensemble_noise(base_seed: int | None, noise: np.ndarray | None,
     return noise
 
 
-def _noise_for(seed: int | None, shared_noise: np.ndarray | None,
-               steps: int, h: float) -> np.ndarray:
-    """(1, steps) increments of a single path: the first ``steps`` entries
-    of ``shared_noise``, or a stream drawn from generator_for(seed)."""
-    if shared_noise is not None:
-        noise = np.asarray(shared_noise, dtype=float)[None, :steps]
-        return _ensemble_noise(None, noise, 1, steps, h)
-    if seed is None:
-        raise ValueError("either seed or shared_noise is required")
+def _noise_for(seed: int, steps: int, h: float) -> np.ndarray:
+    """(1, steps) increments of a single path, drawn from generator_for(seed)."""
     return generator_for(seed).standard_normal((1, steps)) * np.sqrt(h)
 
 
@@ -252,18 +244,6 @@ def _bloch_sde_matrix(cfg: ModelConfig, h: float) -> np.ndarray:
     return np.hstack([euler[:, 1:], back[:, 1:], bloch_superop(coeffs[:, 8])[:, None]])
 
 
-def _project_ball(r: np.ndarray) -> np.ndarray:
-    """r / max(1, |r|) on an (M, 3) array: the positivity projection of
-    ``project_positive`` in Bloch coordinates. |r| comes from nested hypot,
-    so finite components up to about 1e308 do not overflow it. A row whose
-    |r| is still not finite (components near the float maximum, or an inf
-    or NaN component) becomes NaN, so the invariant checks reject it rather
-    than r / inf giving the maximally mixed state."""
-    norm = np.hypot(np.hypot(r[:, 0], r[:, 1]), r[:, 2])
-    scale = np.where(np.isfinite(norm), np.maximum(norm, 1.0), np.nan)
-    return r / scale[:, None]
-
-
 def _bloch_step(a: np.ndarray, r: np.ndarray, dw: np.ndarray, h: float,
                 physical: bool) -> tuple[np.ndarray, np.ndarray]:
     """One projected Euler step of (M, 3) Bloch vectors with the matrix of
@@ -274,7 +254,7 @@ def _bloch_step(a: np.ndarray, r: np.ndarray, dw: np.ndarray, h: float,
     g = w[:, 6]
     kick = dw + h * g if physical else dw
     r = w[:, :3] + kick[:, None] * (w[:, 3:6] - w[:, 6:] * r)
-    return _project_ball(r), g
+    return project_ball(r), g
 
 
 def _density_steps(cfg: ModelConfig, rho0: DensityMatrix, h: float,
@@ -284,14 +264,15 @@ def _density_steps(cfg: ModelConfig, rho0: DensityMatrix, h: float,
     (M, steps) increments ``noise``. Yields (k, r, g) after step k: r the
     (M, 3) Bloch vectors after it, g = Tr[rho (c + c+)] of the states before
     it. Every step is projected onto the positive states, and the states are
-    checked against the invariants every VALIDATE_EVERY steps.
+    checked against the invariants every VALIDATE_EVERY steps and after the
+    last one.
     """
     num_paths, steps = noise.shape
     a = _bloch_sde_matrix(cfg, h)
     r = np.broadcast_to(density_to_bloch(rho0.m), (num_paths, 3)).copy()
     for k in range(steps):
         r, g = _bloch_step(a, r, noise[:, k], h, physical)
-        if (k + 1) % VALIDATE_EVERY == 0:
+        if (k + 1) % VALIDATE_EVERY == 0 or k + 1 == steps:
             validate_batch(bloch_to_density(r), k)
         yield k, r, g
 
@@ -301,7 +282,7 @@ def _wave_steps(cfg: ModelConfig, psi0: WaveFunction, h: float,
     """Euler steps of the wave form, one path per row of the (M, steps)
     increment array ``noise``, renormalized each step. Yields (k, psi) after
     step k with psi the (M, 2) vectors; their norms are checked every
-    VALIDATE_EVERY steps."""
+    VALIDATE_EVERY steps and after the last one."""
     num_paths, steps = noise.shape
     c = cfg.coupling()
     cpc = c + adjoint(c)
@@ -314,19 +295,18 @@ def _wave_steps(cfg: ModelConfig, psi0: WaveFunction, h: float,
                  + nu[:, None] * (psi @ c.T) - 0.5 * (nu * nu)[:, None] * psi)
         raw = psi + dw * (psi @ c.T - nu[:, None] * psi) + h * drift
         psi = raw / np.linalg.norm(raw, axis=1)[:, None]
-        if (k + 1) % VALIDATE_EVERY == 0:
+        if (k + 1) % VALIDATE_EVERY == 0 or k + 1 == steps:
             validate_norms(psi, k)
         yield k, psi
 
 
 def _density_path(cfg: ModelConfig, rho0: DensityMatrix, h: float,
-                  seed: int | None, shared_noise: np.ndarray | None,
-                  physical: bool) -> SdePath:
+                  seed: int, physical: bool) -> SdePath:
     """``_density_steps`` on a batch of one, recording every state (and, in
     the physical form, the companion W path). The path is checked state by
     state against the invariants once recorded."""
     steps = _euler_steps(cfg, h)
-    noise = _noise_for(seed, shared_noise, steps, h)
+    noise = _noise_for(seed, steps, h)
     bloch = np.empty((steps + 1, 3))
     bloch[0] = density_to_bloch(rho0.m)
     g = np.empty(steps)
@@ -342,30 +322,27 @@ def _density_path(cfg: ModelConfig, rho0: DensityMatrix, h: float,
 
 
 def simulate_belavkin(cfg: ModelConfig, rho0: DensityMatrix, h: float,
-                      seed: int | None = None,
-                      shared_noise: np.ndarray | None = None) -> SdePath:
+                      seed: int) -> SdePath:
     """Euler path of the reference-measure density equation on [0, T]."""
-    return _density_path(cfg, rho0, h, seed, shared_noise, False)
+    return _density_path(cfg, rho0, h, seed, False)
 
 
 def simulate_physical(cfg: ModelConfig, rho0: DensityMatrix, h: float,
-                      seed: int | None = None,
-                      shared_noise: np.ndarray | None = None) -> SdePath:
+                      seed: int) -> SdePath:
     """Euler path of the innovation form, driven by the physical noise.
 
     The drift carries the correction g(rho) B(rho); the companion W path
     W_{k+1} = W_k + dW~_k + g_k h is reconstructed and stored.
     """
-    return _density_path(cfg, rho0, h, seed, shared_noise, True)
+    return _density_path(cfg, rho0, h, seed, True)
 
 
 def simulate_wave(cfg: ModelConfig, psi0: WaveFunction, h: float,
-                  seed: int | None = None,
-                  shared_noise: np.ndarray | None = None) -> WavePath:
+                  seed: int) -> WavePath:
     """Euler path of the wave form on [0, T], renormalized each step, with
     every norm checked."""
     steps = _euler_steps(cfg, h)
-    noise = _noise_for(seed, shared_noise, steps, h)
+    noise = _noise_for(seed, steps, h)
     vectors = np.empty((steps + 1, 2), dtype=complex)
     vectors[0] = psi0.v
     for k, psi in _wave_steps(cfg, psi0, h, noise):
@@ -448,7 +425,7 @@ def sde_ensemble_final(cfg: ModelConfig, rho0: DensityMatrix, h: float,
     (num_paths, steps) increment array is supplied. Returns (final states,
     final weights or None); with ``physical`` the innovation-form drift is
     used and asking for weights raises ValueError. The states are checked
-    against the invariants every VALIDATE_EVERY steps.
+    against the invariants every VALIDATE_EVERY steps and after the last one.
     """
     if physical and with_weights:
         raise ValueError("weights are unavailable in the physical form")

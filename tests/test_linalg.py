@@ -3,21 +3,20 @@ import pytest
 import scipy.linalg
 
 from qtraj.linalg import (
-    NotHermitian,
     adjoint,
     apply_superop,
     bloch_superop,
     bloch_to_density,
     density_to_bloch,
-    expm4,
-    herm_eigen2,
     max_abs,
     partial_trace_system,
     sandwich_superop,
     tensor,
 )
 
-from helpers import rand_cmat, rand_herm, rand_state_matrix
+from qtraj.model import FIELD_HAMILTONIANS, build_unitary
+
+from helpers import rand_cmat, rand_config, rand_herm, rand_state_matrix
 
 
 class TestAdjoint:
@@ -104,44 +103,6 @@ class TestPartialTrace:
         assert abs(partial_trace_system(a).trace() - a.trace()) < 1e-13
 
 
-class TestHermEigen2:
-    def test_diagonal(self):
-        eigs, vecs = herm_eigen2(np.diag([1.0, 0.0]).astype(complex))
-        assert np.allclose(eigs, [1.0, 0.0], atol=1e-14)
-        assert np.allclose(np.abs(vecs), np.eye(2), atol=1e-14)
-
-    def test_sigma_x(self):
-        # characteristic polynomial of ((0,1),(1,0)): lambda^2 - 1 = 0
-        eigs, _ = herm_eigen2(np.array([[0, 1], [1, 0]], dtype=complex))
-        assert np.allclose(eigs, [1.0, -1.0], atol=1e-14)
-
-    def test_degenerate_identity_reconstructs(self):
-        eigs, vecs = herm_eigen2(np.eye(2, dtype=complex))
-        recon = (vecs * eigs) @ adjoint(vecs)
-        assert max_abs(recon - np.eye(2)) < 1e-12
-
-    def test_reconstruction_random(self):
-        rng = np.random.default_rng(6)
-        worst = 0.0
-        for _ in range(10_000):
-            m = rand_herm(rng)
-            eigs, vecs = herm_eigen2(m)
-            assert eigs[0] >= eigs[1]
-            recon = (vecs * eigs) @ adjoint(vecs)
-            worst = max(worst, max_abs(recon - m))
-            gram = adjoint(vecs) @ vecs
-            worst = max(worst, max_abs(gram - np.eye(2)))
-        assert worst < 1e-12
-
-    def test_not_hermitian_raises(self):
-        with pytest.raises(NotHermitian):
-            herm_eigen2(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_nan_raises(self):
-        with pytest.raises(NotHermitian):
-            herm_eigen2(np.full((2, 2), np.nan, dtype=complex))
-
-
 class TestSandwichSuperop:
     def test_row_major_vec_identity(self):
         # vec(a x b) = vec(x) @ S, with vec the row-major flattening
@@ -204,28 +165,16 @@ class TestBloch:
 
 
 class TestExpm4:
-    def test_zero(self):
-        assert np.array_equal(expm4(np.zeros((4, 4))), np.eye(4))
-
-    def test_diagonal(self):
-        d = np.array([0.3, -1.2, 2.0 + 1.0j, -0.5j])
-        got = expm4(np.diag(d))
-        assert max_abs(got - np.diag(np.exp(d))) < 1e-13
-
-    def test_unitarity_for_antihermitian(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            h = rand_cmat(rng, 4)
-            h = 0.5 * (h + adjoint(h))
-            u = expm4(-1j * (1.0 / 100.0) * h)
-            assert max_abs(u @ adjoint(u) - np.eye(4)) < 1e-12
-
     def test_against_scipy(self):
-        # independent oracle: scipy's Pade-based expm
+        # independent oracle for the 4x4 exponential U(n) = exp(-i G) that
+        # build_unitary takes by eigendecomposition: scipy's Pade-based expm
         rng = np.random.default_rng(8)
-        for _ in range(100):
-            m = rand_cmat(rng, 4)
-            m *= rng.uniform(0.01, 10.0) / np.linalg.norm(m, 2)
-            got = expm4(m)
-            ref = scipy.linalg.expm(m)
-            assert max_abs(got - ref) <= 1e-12 * max(1.0, max_abs(ref))
+        raise_, lower = np.array([[0, 0], [1, 0]]), np.array([[0, 1], [0, 0]])
+        for _ in range(600):
+            cfg = rand_config(rng, n_low=1, n_high=10**6)
+            c = cfg.coupling()
+            h_field = FIELD_HAMILTONIANS[cfg.field_hamiltonian]
+            free = tensor(cfg.h0, np.eye(2)) + tensor(np.eye(2), h_field)
+            exchange = tensor(c, raise_) - tensor(adjoint(c), lower)
+            ref = scipy.linalg.expm(-1j * free / cfg.n + exchange / np.sqrt(cfg.n))
+            assert max_abs(build_unitary(cfg).matrix - ref) <= 1e-12

@@ -26,13 +26,13 @@ from qtraj.linalg import (
     bloch_to_density,
     density_to_bloch,
     max_abs,
+    project_ball,
 )
 from qtraj.model import ID2, SIGMA_X, SIGMA_Z, NotAState
 from qtraj.sde import (
     VALIDATE_EVERY,
     _bloch_sde_matrix,
     _bloch_step,
-    _project_ball,
     backaction_superop,
     lindblad_superop,
     sde_coefficients,
@@ -144,7 +144,7 @@ class TestEulerStepDensity:
             m = m / m.trace().real if abs(m.trace().real) > 0.1 else m + ID2
             raws.append(m / m.trace().real)
         raws = np.stack(raws)
-        batch = bloch_to_density(_project_ball(density_to_bloch(raws)))
+        batch = bloch_to_density(project_ball(density_to_bloch(raws)))
         for j in range(len(raws)):
             assert max_abs(batch[j] - project_positive(raws[j])) < 1e-12
 
@@ -213,12 +213,6 @@ class TestSimulatePaths:
         cfg = damping_cfg(h0_scale=0.5)
         path = simulate_belavkin(cfg, EXCITED, 1e-3, seed=7)
         assert_valid_states(path.states)
-
-    def test_shared_noise_override(self):
-        cfg = damping_cfg()
-        noise = np.full(1000, 1e-3)
-        path = simulate_belavkin(cfg, EXCITED, 1e-3, shared_noise=noise)
-        assert np.array_equal(path.noise, noise)
 
     def test_wave_norms(self):
         cfg = damping_cfg(h0_scale=0.5)
@@ -480,7 +474,7 @@ class TestBlochCore:
         r = np.array([[1.5e308, 1.5e308, 0.0], [1e200, 1e200, 0.0],
                       [3.0, 4.0, 0.0], [0.1, 0.0, 0.0]])
         with np.errstate(over="ignore"):
-            out = _project_ball(r)
+            out = project_ball(r)
         assert np.all(np.isnan(out[0]))
         assert np.allclose(out[1], [np.sqrt(0.5), np.sqrt(0.5), 0.0], rtol=0, atol=1e-15)
         assert np.allclose(out[2], [0.6, 0.8, 0.0], rtol=0, atol=1e-15)
@@ -517,6 +511,14 @@ class TestEnsembleCore:
         finals, _ = sde_ensemble_final(cfg, EXCITED, 1e-3, 20, base_seed=3)
         assert calls == list(range(VALIDATE_EVERY - 1, 1000, VALIDATE_EVERY))
         assert_valid_states(finals)
+
+    def test_last_step_validated(self):
+        # 50 steps never reach a VALIDATE_EVERY boundary: the final states
+        # must still be checked rather than returned as NaN
+        noise = np.full((2, 50), 1e308)
+        with np.errstate(all="ignore"), pytest.raises(NotAState, match="by step 49"):
+            sde_ensemble_final(damping_cfg(h0_scale=0.5, t_horizon=0.5), PLUS, 1e-2, 2,
+                               noise=noise)
 
     def test_seeded_noise_streams(self):
         # path j of a seeded run is the same path driven by its own stream
@@ -616,6 +618,14 @@ class TestWaveValidation:
             wave_ensemble_final(damping_cfg(), WaveFunction(PLUS_VEC), 1e-2, 2,
                                 noise=noise)
 
+    def test_last_step_validated(self):
+        # 50 steps never reach a VALIDATE_EVERY boundary: the final vectors
+        # must still be checked rather than returned as NaN
+        noise = np.full((2, 50), 1e300)
+        with np.errstate(all="ignore"), pytest.raises(NotAState, match="by step 49"):
+            wave_ensemble_final(damping_cfg(t_horizon=0.5), WaveFunction(PLUS_VEC),
+                                1e-2, 2, noise=noise)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_noise_rejected(self, bad):
         cfg = damping_cfg()
@@ -625,8 +635,6 @@ class TestWaveValidation:
             wave_ensemble_final(cfg, WaveFunction(PLUS_VEC), 1e-2, 2, noise=noise)
         with pytest.raises(ValueError, match="noise must be finite"):
             sde_ensemble_final(cfg, EXCITED, 1e-2, 2, noise=noise)
-        with pytest.raises(ValueError, match="noise must be finite"):
-            simulate_belavkin(cfg, EXCITED, 1e-2, shared_noise=noise[1])
 
 
 class TestInputGuards:
