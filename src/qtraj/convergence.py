@@ -31,14 +31,11 @@ import numpy as np
 
 from .csvio import write_csv
 from .discrete import drive_ensemble, ensemble_streams
-from .linalg import apply_superop
+from .linalg import bloch_apply, bloch_to_density, density_to_bloch
 from .model import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, ModelConfig
 from .rng import derive_seed
-from .sde import (
-    master_on_grid,
-    sde_coefficients,
-    sde_ensemble_final,
-)
+from .sde import (bloch_coefficients, master_on_grid, sde_coefficients,
+                  sde_ensemble_final)
 
 # purpose tags for seed derivation (see the module docstring)
 _PURPOSE_MEAN = 1
@@ -139,9 +136,9 @@ def _chain_sweep(spec: EnsembleSpec, purpose: int, reducers,
     """One chain pass per n, floor(n t) steps long (t defaults to the
     horizon), on the ``purpose`` streams.
 
-    ``reducers`` are factories cfg -> (update, result): update(k, states, x)
-    sees every step, result() gives the statistic for that n. Returns one
-    list of per-n results per factory.
+    ``reducers`` are factories cfg -> (update, result): update(k, r, x) sees
+    every step's (M, 3) Bloch vectors and centered outcomes, result() gives
+    the statistic for that n. Returns one list of per-n results per factory.
     """
     t = spec.cfg.t_horizon if t is None else t
     results = [[] for _ in reducers]
@@ -150,22 +147,24 @@ def _chain_sweep(spec: EnsembleSpec, purpose: int, reducers,
         active = [make(cfg) for make in reducers]
         base = derive_seed(derive_seed(spec.base_seed, purpose), n)
         uniforms = ensemble_streams(base, spec.num_trajectories, int(np.floor(n * t)))
-        for k, states, _, x, _, _ in drive_ensemble(cfg, spec.rho0, uniforms):
+        for k, r, _, x, _, _ in drive_ensemble(cfg, spec.rho0, uniforms):
             for update, _ in active:
-                update(k, states, x)
+                update(k, r, x)
         for out, (_, result) in zip(results, active):
             out.append(result())
     return results
 
 
 def _mean_reducer(spec: EnsembleSpec, cfg: ModelConfig):
-    """Sup over the grid of |ensemble mean - averaged evolution|."""
-    means = np.empty((cfg.steps + 1, 2, 2), dtype=complex)
-    means[0] = spec.rho0.m
+    """Sup over the grid of |ensemble mean - averaged evolution|; the mean
+    is taken of the Bloch vectors and converted once."""
+    means = np.empty((cfg.steps + 1, 3))
+    means[0] = density_to_bloch(spec.rho0.m)
 
-    def update(k, states, x):
-        means[k + 1] = states.mean(axis=0)
-    return update, lambda: np.max(np.abs(means - master_on_grid(cfg, spec.rho0, cfg.n)))
+    def update(k, r, x):
+        means[k + 1] = r.mean(axis=0)
+    return update, lambda: np.max(np.abs(bloch_to_density(means)
+                                         - master_on_grid(cfg, spec.rho0, cfg.n)))
 
 
 def _qv_reducer(spec: EnsembleSpec, t: float, cfg: ModelConfig):
@@ -174,7 +173,7 @@ def _qv_reducer(spec: EnsembleSpec, t: float, cfg: ModelConfig):
     qv = np.zeros(spec.num_trajectories)
     max_abs_x = 0.0
 
-    def update(k, states, x):
+    def update(k, r, x):
         nonlocal qv, max_abs_x
         if k < m:
             qv += x * x / n
@@ -200,10 +199,10 @@ def _ks_reducer(spec: EnsembleSpec, t: float, alpha: float):
         last = int(np.floor(cfg.n * t)) - 1
         finals = np.broadcast_to(spec.rho0.m, (m, 2, 2))
 
-        def update(k, states, x):
+        def update(k, r, x):
             nonlocal finals
             if k == last:
-                finals = states.copy()
+                finals = bloch_to_density(r)
         return update, lambda: [
             (name, ks_2samp(np.einsum("jab,ba->j", finals, op).real, fb), critical)
             for (name, op), fb in zip(DEFAULT_FUNCTIONALS, sde_values)]
@@ -212,21 +211,23 @@ def _ks_reducer(spec: EnsembleSpec, t: float, alpha: float):
 
 def _residual_reducer(spec: EnsembleSpec, cfg: ModelConfig):
     """Ensemble mean of the per-member sup of the drift-diffusion remainder;
-    drift and backaction come from one product with [S_L | S_B | g]."""
+    drift and backaction come from one product with the real Bloch form of
+    [S_L | S_B | g]. The remainder e.sigma/2 is Hermitian and traceless, so
+    its max-entry norm is max(|e_z|, hypot(e_x, e_y)) / 2."""
     coeffs = sde_coefficients(cfg.h0, cfg.coupling())
-    num, rho0 = spec.num_trajectories, spec.rho0.m.reshape(4)
-    prev = np.broadcast_to(rho0, (num, 4)).copy()
-    partial_sum = np.zeros((num, 4), dtype=complex)
+    a = bloch_coefficients(coeffs[:, :4], coeffs)
+    num, r0 = spec.num_trajectories, density_to_bloch(spec.rho0.m)[:, None]
+    prev = np.broadcast_to(r0.T, (num, 3))
+    partial_sum = np.zeros((3, num))
     sup = np.zeros(num)
 
-    def update(k, states, x):
+    def update(k, r, x):
         nonlocal prev, partial_sum, sup
-        w = apply_superop(prev, coeffs)
-        drift, back = w[:, :4], w[:, 4:8] - w[:, 8:] * prev
-        partial_sum += drift / cfg.n - back * (x / np.sqrt(cfg.n))[:, None]
-        v = states.reshape(num, 4)
-        sup = np.maximum(sup, np.abs(v - rho0 - partial_sum).max(axis=1))
-        prev = v.copy()
+        w = bloch_apply(prev, a)
+        partial_sum += w[:3] / cfg.n - (w[3:6] - w[6] * prev.T) * (x / np.sqrt(cfg.n))
+        e = r.T - r0 - partial_sum
+        sup = np.maximum(sup, 0.5 * np.maximum(np.abs(e[2]), np.hypot(e[0], e[1])))
+        prev = r.copy()
     return update, lambda: np.mean(sup)
 
 

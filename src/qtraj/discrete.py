@@ -24,10 +24,14 @@ row-major Liouville layout of :mod:`qtraj.linalg` it is one 4x4 matrix
 
     S_i = sum_{c,d} P_i[d,c] kron(L_c0, conj(L_d0)).T,   vec(m_i) = vec(rho) @ S_i.
 
-An ensemble is held as an (M, 4) array and each step is one product
-``apply_superop(v, [S_0 | S_1])`` with the (4, 8) matrix built once per
-configuration; the branch weights
-are p = Re(m_0[0] + m_0[3]) and q = Re(m_1[0] + m_1[3]).
+Both maps keep Hermiticity, so in the Bloch coordinates of
+:mod:`qtraj.linalg`, rho = (I + r.sigma)/2, they are the real 4x4 matrices
+``bloch_superop(S_i)``, and B = [bloch_superop(S_0) | bloch_superop(S_1)] is
+built once per configuration. An ensemble is held as an (M, 3) array r and
+each step is one product w = (1, r) @ B, taken by ``linalg.bloch_apply`` as
+an (8, M) array. Column 0 of each half is the branch trace, so p = w[0] and
+q = w[4], and the next state is the chosen half's rows 1-3 divided by its
+weight; Hermiticity and unit trace hold by construction.
 
 Sampling convention: outcome 1 is taken iff the step's uniform draw is < q.
 Each trajectory owns one PCG64 stream seeded with its 64-bit seed and
@@ -42,25 +46,12 @@ from typing import Iterator
 import numpy as np
 
 from .csvio import STATE_HEADER, state_columns, table_rows, write_csv
-from .linalg import (
-    adjoint,
-    apply_superop,
-    partial_trace_system,
-    sandwich_superop,
-    tensor,
-)
-from .model import (
-    FIELD_GROUND,
-    ID2,
-    VALIDATE_EVERY,
-    DensityMatrix,
-    InteractionUnitary,
-    ModelConfig,
-    Observable,
-    build_unitary,
-    check_state,
-    validate_batch,
-)
+from .linalg import (adjoint, apply_superop, bloch_apply, bloch_superop,
+                     bloch_to_density, density_to_bloch, partial_trace_system,
+                     sandwich_superop, tensor)
+from .model import (FIELD_GROUND, ID2, VALIDATE_EVERY, DensityMatrix,
+                    InteractionUnitary, ModelConfig, Observable, build_unitary,
+                    check_state, validate_batch)
 from .rng import generator_for, member_streams
 
 DEGENERATE_PROB = 1e-12
@@ -188,19 +179,18 @@ def drive_ensemble(cfg: ModelConfig, rho0: DensityMatrix, uniforms: np.ndarray,
     """Advance a batch of trajectories in lock-step.
 
     ``uniforms`` is (num_traj, steps), one stream row per trajectory. Yields
-    (k, states, outcomes, x, p, q) after each step; the states array is
-    reused between iterations, so consumers must copy what they keep. The
-    states are checked against the invariants, and symmetrized, every
-    VALIDATE_EVERY steps and after the last one.
+    (k, r, outcomes, x, p, q) after each step, with r the (num_traj, 3) Bloch
+    vectors of the states; consumers must copy what they keep. The states
+    are checked against the invariants every VALIDATE_EVERY steps and after
+    the last one.
     """
     s = branch_superops(build_unitary(cfg), cfg.observable)
+    b = np.hstack([bloch_superop(s[:, :4]), bloch_superop(s[:, 4:])])
     num_traj, steps = uniforms.shape
-    v = np.broadcast_to(rho0.m.reshape(4), (num_traj, 4)).copy()
+    r = np.broadcast_to(density_to_bloch(rho0.m), (num_traj, 3))
     for k in range(steps):
-        m = apply_superop(v, s)
-        m0, m1 = m[:, :4], m[:, 4:]
-        p = (m0[:, 0] + m0[:, 3]).real
-        q = (m1[:, 0] + m1[:, 3]).real
+        w = bloch_apply(r, b)
+        p, q = w[0], w[4]
         degenerate = np.minimum(p, q) < DEGENERATE_PROB
         outcome = np.where(degenerate, (q > p).astype(np.int64),
                            (uniforms[:, k] < q).astype(np.int64))
@@ -212,30 +202,29 @@ def drive_ensemble(cfg: ModelConfig, rho0: DensityMatrix, uniforms: np.ndarray,
             j = int(np.argmin(weight))
             raise DegenerateProbability(
                 f"step {k}, trajectory {j}: branch trace {weight[j]:.3e}")
-        v = np.where(outcome[:, None] == 1, m1, m0) / weight[:, None]
+        r = (np.where(outcome == 1, w[5:], w[1:4]) / weight).T
         if (k + 1) % VALIDATE_EVERY == 0 or k + 1 == steps:
-            v = validate_batch(v.reshape(num_traj, 2, 2), k).reshape(num_traj, 4)
-        yield k, v.reshape(num_traj, 2, 2), outcome, x, p, q
+            validate_batch(bloch_to_density(r), k)
+        yield k, r, outcome, x, p, q
 
 
 def run_trajectory(cfg: ModelConfig, rho0: DensityMatrix, seed: int) -> TrajectoryRecord:
     """Simulate floor(n * t_horizon) measurement steps; deterministic in seed."""
     steps = cfg.steps
     uniforms = generator_for(seed).random(steps)[None, :]
-    states = np.empty((steps + 1, 2, 2), dtype=complex)
-    states[0] = rho0.m
+    bloch = np.empty((steps + 1, 3))
+    bloch[0] = density_to_bloch(rho0.m)
     outcomes = np.empty(steps, dtype=np.int64)
     x = np.empty(steps)
     probs = np.empty((steps, 2))
-    for k, batch, out, xs, p, q in drive_ensemble(cfg, rho0, uniforms):
-        states[k + 1] = batch[0]
+    for k, r, out, xs, p, q in drive_ensemble(cfg, rho0, uniforms):
+        bloch[k + 1] = r[0]
         outcomes[k] = out[0]
         x[k] = xs[0]
         probs[k, 0] = p[0]
         probs[k, 1] = q[0]
-    check_state(states[-1])
-    return TrajectoryRecord(states=states, outcomes=outcomes, x_increments=x,
-                            probabilities=probs, n=cfg.n, seed=seed)
+    return TrajectoryRecord(states=bloch_to_density(bloch), outcomes=outcomes,
+                            x_increments=x, probabilities=probs, n=cfg.n, seed=seed)
 
 
 def ensemble_streams(base_seed: int, num_traj: int, steps: int) -> np.ndarray:

@@ -9,15 +9,15 @@ operator are field-sector blocks whose entries act on the system.
 Liouville-space convention: a 2x2 operator x is flattened row-major,
 vec(x) = x.reshape(4), and a stack of states is an (M, 4) array whose
 ``reshape(M, 2, 2)`` is a free view. A linear map on operators then acts on
-row vectors, vec(a @ x @ b) = vec(x) @ kron(a, b.T).T, so stepping an
-ensemble is a product of the (M, 4) state array with a 4x4 superoperator,
-taken by ``apply_superop``.
+row vectors, vec(a @ x @ b) = vec(x) @ kron(a, b.T).T, so it is a 4x4
+superoperator, applied to a stack by ``apply_superop``.
 
 Bloch convention: a unit-trace Hermitian x = (I + r.sigma)/2 has vec(x) =
 (1, r) @ T, with the rows of T = BLOCH_BASIS equal to vec(I, sigma_x,
 sigma_y, sigma_z)/2; see ``bloch_superop``. x is a state exactly when
 |r| <= 1, so the Bloch ball carries positivity: ``project_ball`` is the
-eigen-clip onto it.
+eigen-clip onto it. The real products (1, r) @ A of the stepping cores are
+taken by ``bloch_apply``.
 
 All functions are pure; matrices are plain complex ndarrays.
 """
@@ -67,6 +67,15 @@ def apply_superop(v: np.ndarray, s: np.ndarray) -> np.ndarray:
     """
     return (v[..., 0:1] * s[0] + v[..., 1:2] * s[1]
             + v[..., 2:3] * s[2] + v[..., 3:4] * s[3])
+
+
+def bloch_apply(r: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """(k, M) array whose column j is (1, r_j) @ a, for an (M, 3) stack of
+    Bloch vectors and a real (4, k) matrix. The same fixed order of
+    elementwise operations as ``apply_superop``, so a column does not depend
+    on M; the (k, M) layout makes numpy's inner loops run over M."""
+    col = a[:, :, None]
+    return col[0] + r[:, 0] * col[1] + r[:, 1] * col[2] + r[:, 2] * col[3]
 
 
 def bloch_superop(s: np.ndarray) -> np.ndarray:

@@ -47,9 +47,10 @@ with A = c+c, so vec L(rho) = v @ S_L, vec B(rho) = v @ S_B - (v @ g) v and
 Tr[rho (c + c+)] = v @ g. Density paths are stepped in Bloch coordinates,
 rho = (I + r.sigma)/2 (Jacobs & Steck, "A straightforward introduction to
 continuous quantum measurement", Contemp. Phys. 47, 279 (2006)): every map
-above keeps Hermiticity, so ``_bloch_sde_matrix`` turns [I + h S_L | S_B | g]
+above keeps Hermiticity, so ``bloch_coefficients`` turns [I + h S_L | S_B | g]
 into one real (4, 7) matrix A, and a step of the (M, 3) array r is
-w = (1, r) @ A, r' = w[:, :3] + dW (w[:, 3:6] - w[:, 6] r). Hermiticity and
+w = (1, r) @ A, r' = w[:, :3] + dW (w[:, 3:6] - w[:, 6] r), with w taken by
+``linalg.bloch_apply`` as a (7, M) array. Hermiticity and
 unit trace hold by construction, and the eigen-clip and renormalization of
 ``project_positive`` is exactly ``linalg.project_ball``, r / max(1, |r|).
 
@@ -70,18 +71,11 @@ from typing import Iterator
 import numpy as np
 
 from .csvio import STATE_HEADER, state_columns, table_rows, write_csv
-from .linalg import (adjoint, apply_superop, bloch_superop, bloch_to_density,
-                     density_to_bloch, project_ball, sandwich_superop)
-from .model import (
-    ID2,
-    VALIDATE_EVERY,
-    DensityMatrix,
-    ModelConfig,
-    WaveFunction,
-    check_state,
-    validate_batch,
-    validate_norms,
-)
+from .linalg import (adjoint, apply_superop, bloch_apply, bloch_superop,
+                     bloch_to_density, density_to_bloch, project_ball,
+                     sandwich_superop)
+from .model import (ID2, VALIDATE_EVERY, DensityMatrix, ModelConfig, WaveFunction,
+                    check_state, validate_batch, validate_norms)
 from .rng import generator_for, member_streams
 
 MAX_SDE_STEP = 1e-2
@@ -233,28 +227,33 @@ def _noise_for(seed: int, steps: int, h: float) -> np.ndarray:
     return generator_for(seed).standard_normal((1, steps)) * np.sqrt(h)
 
 
-def _bloch_sde_matrix(cfg: ModelConfig, h: float) -> np.ndarray:
-    """Real (4, 7) matrix A of one Euler step in Bloch coordinates: for
-    u = (1, r), u @ A = [r-part of rho + h L(rho) | r-part of c rho + rho c+ |
-    Tr[rho (c + c+)]]. The u_0 columns are dropped: the Euler block's is
-    (1, 0, 0, 0), as L keeps the trace, and the S_B block's is g."""
-    coeffs = sde_coefficients(cfg.h0, cfg.coupling())
-    euler = bloch_superop(np.eye(4) + h * coeffs[:, :4])
+def bloch_coefficients(drift: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Real (4, 7) Bloch form [D | S_B | g] of a 4x4 drift block D (S_L, or
+    I + h S_L for an Euler step) and the (4, 9) ``sde_coefficients``: for
+    u = (1, r), u @ A = [r-part of vec(rho) @ D | r-part of c rho + rho c+ |
+    Tr[rho (c + c+)]]. The u_0 columns are dropped: D's is the trace of the
+    image (0 or 1, as L keeps the trace), and S_B's is g."""
     back = bloch_superop(coeffs[:, 4:8])
-    return np.hstack([euler[:, 1:], back[:, 1:], bloch_superop(coeffs[:, 8])[:, None]])
+    return np.hstack([bloch_superop(drift)[:, 1:], back[:, 1:],
+                      bloch_superop(coeffs[:, 8])[:, None]])
+
+
+def _bloch_sde_matrix(cfg: ModelConfig, h: float) -> np.ndarray:
+    """Real (4, 7) matrix A of one Euler step in Bloch coordinates."""
+    coeffs = sde_coefficients(cfg.h0, cfg.coupling())
+    return bloch_coefficients(np.eye(4) + h * coeffs[:, :4], coeffs)
 
 
 def _bloch_step(a: np.ndarray, r: np.ndarray, dw: np.ndarray, h: float,
                 physical: bool) -> tuple[np.ndarray, np.ndarray]:
     """One projected Euler step of (M, 3) Bloch vectors with the matrix of
-    ``_bloch_sde_matrix``; returns (r after the step, g before it). The
-    product is a fixed sequence of elementwise operations, so a row does not
-    depend on M. With ``physical`` the kick is dW + h g (innovation form)."""
-    w = a[0] + r[:, 0:1] * a[1] + r[:, 1:2] * a[2] + r[:, 2:3] * a[3]
-    g = w[:, 6]
+    ``_bloch_sde_matrix``; returns (r after the step, g before it). With
+    ``physical`` the kick is dW + h g (innovation form)."""
+    w = bloch_apply(r, a)
+    g = w[6]
     kick = dw + h * g if physical else dw
-    r = w[:, :3] + kick[:, None] * (w[:, 3:6] - w[:, 6:] * r)
-    return project_ball(r), g
+    r = w[:3] + kick * (w[3:6] - g * r.T)
+    return project_ball(r.T), g
 
 
 def _density_steps(cfg: ModelConfig, rho0: DensityMatrix, h: float,

@@ -34,7 +34,7 @@ from qtraj.convergence import (
     quadratic_variation_stats,
 )
 from qtraj.discrete import drive_ensemble, ensemble_streams
-from qtraj.linalg import adjoint, max_abs
+from qtraj.linalg import adjoint, bloch_to_density, max_abs
 from qtraj.model import ID2, SIGMA_Z, field_ground_energy
 from qtraj.rng import derive_seed, generator_for
 from qtraj.sde import sde_ensemble_final, wave_ensemble_final
@@ -234,7 +234,7 @@ def test_criterion_10_structural_invariants():
     uniforms = ensemble_streams(1002, 200, cfg.steps)
     for k, states, *_ in drive_ensemble(cfg, EXCITED, uniforms):
         if k % 50 == 0 or k == cfg.steps - 1:
-            assert_valid_states(states)
+            assert_valid_states(bloch_to_density(states))
             checked += len(states)
 
     bel = simulate_belavkin(cfg, EXCITED, 1e-3, seed=1003)

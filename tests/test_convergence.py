@@ -17,6 +17,7 @@ from qtraj import (
 )
 from qtraj import convergence
 from qtraj.discrete import drive_ensemble, ensemble_streams
+from qtraj.linalg import bloch_to_density
 from qtraj.rng import derive_seed
 
 from helpers import EXCITED, damping_cfg, trivial_cfg
@@ -76,7 +77,7 @@ def _final_sz(cfg, base_seed, m):
     finals = None
     for k, states, *_ in drive_ensemble(cfg, EXCITED, uniforms):
         if k == cfg.steps - 1:
-            finals = states.copy()
+            finals = bloch_to_density(states)
     return (finals[:, 0, 0] - finals[:, 1, 1]).real
 
 
@@ -301,7 +302,7 @@ class TestSinglePass:
         steps = int(np.floor(n * t))
         for k, states, *_ in drive_ensemble(spec.cfg, EXCITED,
                                             ensemble_streams(base, m, steps)):
-            finals = states.copy()
+            finals = bloch_to_density(states)
         assert k == steps - 1
         expected = [np.einsum("jab,ba->j", finals, op).real
                     for _, op in convergence.DEFAULT_FUNCTIONALS]

@@ -22,7 +22,8 @@ from qtraj.discrete import (
     drive_ensemble,
     ensemble_streams,
 )
-from qtraj.linalg import adjoint, density_to_bloch, max_abs, tensor
+from qtraj.linalg import (adjoint, bloch_superop, bloch_to_density, density_to_bloch,
+                          max_abs, tensor)
 from qtraj.model import FIELD_GROUND, ID2
 from qtraj.rng import derive_seed, generator_for
 from qtraj.sde import backaction, lindblad, master_on_grid
@@ -285,10 +286,65 @@ class TestRunTrajectory:
         finals = None
         for k, states, *_ in drive_ensemble(cfg, EXCITED, uniforms):
             if k == cfg.steps - 1:
-                finals = states.copy()
+                finals = bloch_to_density(states)
         for j in range(num):
             rec = run_trajectory(cfg, EXCITED, derive_seed(base, j))
             assert np.array_equal(finals[j], rec.states[-1])
+
+
+class TestBlochChain:
+    """The real (4, 8) Bloch stepping core against the matrix-form step."""
+
+    def test_branch_maps_are_real_in_bloch_basis(self):
+        # bloch_superop raises unless both halves are real to its tolerance;
+        # (1, r) @ B_i is (Tr m_i, Bloch vector of m_i)
+        rng = np.random.default_rng(40)
+        for _ in range(200):
+            cfg = rand_config(rng)
+            u = build_unitary(cfg)
+            rho = rand_density(rng)
+            s = branch_superops(u, cfg.observable)
+            u_vec = np.concatenate([[1.0], density_to_bloch(rho.m)])
+            for i, lit in enumerate(nonnormalized_maps(rho, u, cfg.observable)):
+                w = u_vec @ bloch_superop(s[:, 4 * i:4 * i + 4])
+                assert abs(w[0] - lit.trace().real) < 1e-13
+                assert np.max(np.abs(w[1:] - density_to_bloch(lit))) < 1e-13
+
+    def test_one_step_matches_measurement_step(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            cfg = rand_config(rng)
+            rho = rand_density(rng)
+            u = build_unitary(cfg)
+            for draw in (0.0, np.nextafter(1.0, 0.0)):
+                step = measurement_step(rho, u, cfg.observable, draw)
+                ((_, r, out, x, p, q),) = drive_ensemble(cfg, rho, np.array([[draw]]))
+                assert out[0] == step.outcome
+                assert abs(p[0] - step.p) < 1e-13 and abs(q[0] - step.q) < 1e-13
+                assert abs(x[0] - step.x) < 1e-13
+                assert max_abs(bloch_to_density(r)[0] - step.next_state.m) < 1e-13
+
+    @pytest.mark.parametrize("phi, draw, dominant",
+                             [(1e-7, 0.0, 0), (np.pi - 1e-7, np.nextafter(1.0, 0.0), 1)])
+    def test_degenerate_step_takes_dominant_branch(self, phi, draw, dominant):
+        # the minor branch has trace ~2.5e-15, below NULL_BRANCH, and the
+        # draw would pick it by the sampling rule alone
+        cfg = trivial_cfg(n=50, phi=phi)
+        rho = rand_density(np.random.default_rng(42))
+        ((_, r, out, x, p, q),) = drive_ensemble(cfg, rho, np.array([[draw]]))
+        assert 0.0 < min(p[0], q[0]) < 1e-12
+        assert out[0] == dominant and x[0] == 0.0
+        assert max_abs(bloch_to_density(r)[0] - rho.m) < 1e-13
+
+    def test_ensemble_rows_bit_equal_to_batches_of_one(self):
+        cfg = damping_cfg(n=120, h0_scale=0.5)
+        rho = rand_density(np.random.default_rng(43))
+        uniforms = ensemble_streams(44, 5, cfg.steps)
+        batch = [[a.copy() for a in item[1:]] for item in drive_ensemble(cfg, rho, uniforms)]
+        for j in range(5):
+            for k, *single in drive_ensemble(cfg, rho, uniforms[j:j + 1]):
+                for whole, one in zip(batch[k], single):
+                    assert np.array_equal(whole[j], one[0]), (j, k)
 
 
 class TestResidual:
@@ -350,8 +406,9 @@ class TestResidual:
             prev = np.broadcast_to(EXCITED.m, (m, 2, 2)).copy()
             total = np.zeros((m, 2, 2), dtype=complex)
             sup = np.zeros(m)
-            for _, states, _, x, _, _ in drive_ensemble(
+            for _, r, _, x, _, _ in drive_ensemble(
                     cfg, EXCITED, ensemble_streams(base, m, cfg.steps)):
+                states = bloch_to_density(r)
                 total += lindblad(prev, cfg.h0, c) / n \
                     - backaction(prev, c) * (x / np.sqrt(n))[:, None, None]
                 eps = states - EXCITED.m - total
@@ -378,9 +435,8 @@ class TestExactChainMean:
     def test_ensemble_mean_within_clt_bounds(self):
         cfg, m = damping_cfg(n=80, c_scale=3.0), 5000
         exact = density_to_bloch(exact_chain_mean(cfg, EXCITED))
-        for k, states, *_ in drive_ensemble(cfg, EXCITED,
-                                            ensemble_streams(505, m, cfg.steps)):
-            r = density_to_bloch(states)
+        for k, r, *_ in drive_ensemble(cfg, EXCITED,
+                                       ensemble_streams(505, m, cfg.steps)):
             se = r.std(axis=0, ddof=1) / np.sqrt(m)
             assert np.all(np.abs(r.mean(axis=0) - exact[k + 1]) <= 4.0 * se + 1e-12), k
 
