@@ -15,24 +15,30 @@ def _cell(x) -> str:
 
 def write_csv(stream, header: str, rows, timestamp: str | None = None) -> None:
     """Write the optional ``# generated <timestamp>`` comment, the header and
-    one line per row."""
+    one line per row: a sequence of cells, or a line ``table_rows`` has
+    already formatted."""
     if timestamp is not None:
         stream.write(f"# generated {timestamp}\n")
     stream.write(header + "\n")
-    stream.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+    stream.writelines((row if isinstance(row, str) else ",".join(map(_cell, row))) + "\n"
+                      for row in rows)
 
 
 def table_rows(*columns: np.ndarray):
-    """Rows, as lists, of a table of real columns with as many rows as the
-    longest column. A column one entry shorter starts in row 1, and its cell
-    in row 0 is empty (per-step data beside the states it leads to)."""
+    """CSV lines of a table of real columns with as many rows as the longest
+    column. A column one entry shorter starts in row 1, and its cell in row 0
+    is empty (per-step data beside the states it leads to). Row 0 is
+    formatted cell by cell; every later row is one %-format of its floats,
+    which gives the same text as ``_cell``, converted one row at a time."""
     num_rows = max(map(len, columns))
     table = np.zeros((num_rows, len(columns)))
     for j, col in enumerate(columns):
         table[num_rows - len(col):, j] = col
-    yield [None if len(col) < num_rows else x for col, x in zip(columns, table[0])]
+    yield ",".join(map(_cell, [None if len(col) < num_rows else x
+                               for col, x in zip(columns, table[0])]))
+    line = ",".join(["%.17g"] * len(columns))
     for row in table[1:]:
-        yield row.tolist()
+        yield line % tuple(row.tolist())
 
 
 def state_columns(states: np.ndarray) -> list[np.ndarray]:

@@ -46,9 +46,9 @@ from typing import Iterator
 import numpy as np
 
 from .csvio import STATE_HEADER, state_columns, table_rows, write_csv
-from .linalg import (adjoint, apply_superop, bloch_apply, bloch_superop,
-                     bloch_to_density, density_to_bloch, partial_trace_system,
-                     sandwich_superop, tensor)
+from .linalg import (adjoint, bloch_apply, bloch_superop, bloch_to_density,
+                     density_to_bloch, partial_trace_system, sandwich_superop,
+                     tensor)
 from .model import (FIELD_GROUND, ID2, VALIDATE_EVERY, DensityMatrix,
                     InteractionUnitary, ModelConfig, Observable, build_unitary,
                     check_state, validate_batch)
@@ -120,15 +120,6 @@ def branch_superops(u: InteractionUnitary, a: Observable) -> np.ndarray:
         for proj in (a.p0, a.p1)])
 
 
-def _branch_maps_batch(rho: np.ndarray, u: InteractionUnitary,
-                       a: Observable) -> tuple[np.ndarray, np.ndarray]:
-    """Branch maps on a (..., 2, 2) stack of states through the stepping
-    core's superoperator; equal to ``nonnormalized_maps`` entrywise."""
-    rho = np.asarray(rho, dtype=complex)
-    m = apply_superop(rho.reshape(-1, 4), branch_superops(u, a))
-    return m[:, :4].reshape(rho.shape), m[:, 4:].reshape(rho.shape)
-
-
 def measurement_step(rho: DensityMatrix, u: InteractionUnitary, a: Observable,
                      uniform_draw: float) -> StepOutcome:
     """One indirect measurement: sample the outcome, collapse, renormalize.
@@ -182,7 +173,10 @@ def drive_ensemble(cfg: ModelConfig, rho0: DensityMatrix, uniforms: np.ndarray,
     (k, r, outcomes, x, p, q) after each step, with r the (num_traj, 3) Bloch
     vectors of the states; consumers must copy what they keep. The states
     are checked against the invariants every VALIDATE_EVERY steps and after
-    the last one.
+    the last one. The sampling and degenerate-branch rules are those of
+    ``measurement_step``; x is sqrt(other trace / chosen trace), negated for
+    outcome 0, and the degenerate rule runs only on a step that has a
+    degenerate trajectory.
     """
     s = branch_superops(build_unitary(cfg), cfg.observable)
     b = np.hstack([bloch_superop(s[:, :4]), bloch_superop(s[:, 4:])])
@@ -191,18 +185,26 @@ def drive_ensemble(cfg: ModelConfig, rho0: DensityMatrix, uniforms: np.ndarray,
     for k in range(steps):
         w = bloch_apply(r, b)
         p, q = w[0], w[4]
+        one = uniforms[:, k] < q
         degenerate = np.minimum(p, q) < DEGENERATE_PROB
-        outcome = np.where(degenerate, (q > p).astype(np.int64),
-                           (uniforms[:, k] < q).astype(np.int64))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = np.where(outcome == 1, np.sqrt(p / q), -np.sqrt(q / p))
-        x = np.where(degenerate, 0.0, x)
-        weight = np.where(outcome == 1, q, p)
-        if np.any(weight < NULL_BRANCH):
-            j = int(np.argmin(weight))
-            raise DegenerateProbability(
-                f"step {k}, trajectory {j}: branch trace {weight[j]:.3e}")
-        r = (np.where(outcome == 1, w[5:], w[1:4]) / weight).T
+        rare = degenerate.any()
+        if rare:
+            one = np.where(degenerate, q > p, one)
+        weight, other = np.where(one, q, p), np.where(one, p, q)
+        if rare:
+            # NULL_BRANCH < DEGENERATE_PROB: only a degenerate step can
+            # choose a null branch
+            if np.any(weight < NULL_BRANCH):
+                j = int(np.argmin(weight))
+                raise DegenerateProbability(
+                    f"step {k}, trajectory {j}: branch trace {weight[j]:.3e}")
+            other[degenerate] = 0.0     # the minor trace may round below 0
+        x = np.sqrt(other / weight)
+        x = np.where(one, x, -x)
+        if rare:
+            x[degenerate] = 0.0         # +0.0, not the -0.0 of -x
+        r = (np.where(one, w[5:], w[1:4]) / weight).T
+        outcome = one.astype(np.int64)
         if (k + 1) % VALIDATE_EVERY == 0 or k + 1 == steps:
             validate_batch(bloch_to_density(r), k)
         yield k, r, outcome, x, p, q

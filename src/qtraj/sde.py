@@ -71,9 +71,8 @@ from typing import Iterator
 import numpy as np
 
 from .csvio import STATE_HEADER, state_columns, table_rows, write_csv
-from .linalg import (adjoint, apply_superop, bloch_apply, bloch_superop,
-                     bloch_to_density, density_to_bloch, project_ball,
-                     sandwich_superop)
+from .linalg import (adjoint, bloch_apply, bloch_superop, bloch_to_density,
+                     density_to_bloch, project_ball, sandwich_superop)
 from .model import (ID2, VALIDATE_EVERY, DensityMatrix, ModelConfig, WaveFunction,
                     check_state, validate_batch, validate_norms)
 from .rng import generator_for, member_streams
@@ -281,19 +280,22 @@ def _wave_steps(cfg: ModelConfig, psi0: WaveFunction, h: float,
     """Euler steps of the wave form, one path per row of the (M, steps)
     increment array ``noise``, renormalized each step. Yields (k, psi) after
     step k with psi the (M, 2) vectors; their norms are checked every
-    VALIDATE_EVERY steps and after the last one."""
+    VALIDATE_EVERY steps and after the last one. With A = I + h (-i h0 -
+    c+c/2) built once and nu = Re<psi, c psi>, a step is raw = A psi +
+    (dW + h nu) c psi - (dW nu + h nu^2/2) psi over sqrt(sum re^2 + im^2),
+    the real sums taken on float views of the contiguous complex rows."""
     num_paths, steps = noise.shape
     c = cfg.coupling()
-    cpc = c + adjoint(c)
-    csc = adjoint(c) @ c
+    a_t = (ID2 + h * (-1j * cfg.h0 - 0.5 * adjoint(c) @ c)).T
+    c_t = c.T
     psi = np.broadcast_to(psi0.v, (num_paths, 2)).copy()
     for k in range(steps):
-        nu = 0.5 * np.einsum("ji,ji->j", psi.conj(), psi @ cpc.T).real
+        c_psi = psi @ c_t
+        nu = (psi.view(float) * c_psi.view(float)).sum(axis=1)[:, None]
         dw = noise[:, k][:, None]
-        drift = (psi @ (-1j * cfg.h0 - 0.5 * csc).T
-                 + nu[:, None] * (psi @ c.T) - 0.5 * (nu * nu)[:, None] * psi)
-        raw = psi + dw * (psi @ c.T - nu[:, None] * psi) + h * drift
-        psi = raw / np.linalg.norm(raw, axis=1)[:, None]
+        raw = psi @ a_t + (dw + h * nu) * c_psi - (dw * nu + 0.5 * h * nu * nu) * psi
+        parts = raw.view(float)
+        psi = raw / np.sqrt((parts * parts).sum(axis=1))[:, None]
         if (k + 1) % VALIDATE_EVERY == 0 or k + 1 == steps:
             validate_norms(psi, k)
         yield k, psi
@@ -376,10 +378,9 @@ def master_evolve(cfg: ModelConfig, rho0: DensityMatrix, h: float) -> MasterPath
     """Classical RK4 on the averaged equation d nu/dt = L(nu).
 
     L is linear, so one RK4 step is exactly v -> v + v @ D with the
-    degree-4 increment D = hS + (hS)^2/2 + (hS)^3/6 + (hS)^4/24, S = S_L.
-    The c+c drift is traceless, S[:, 3] = -S[:, 0], so D[:, 3] = -D[:, 0]
-    in exact arithmetic; pinning it exactly makes the two diagonal
-    increments cancel, so the trace stays one to rounding.
+    degree-4 increment D = hS + (hS)^2/2 + (hS)^3/6 + (hS)^4/24, S = S_L;
+    ``_rk4_states`` takes these steps in Bloch coordinates, with the trace
+    held at exactly one.
     """
     if not (h > 0 and math.isfinite(h)):
         raise ValueError("step size must be positive and finite")
@@ -390,17 +391,31 @@ def master_evolve(cfg: ModelConfig, rho0: DensityMatrix, h: float) -> MasterPath
 
 def _rk4_states(cfg: ModelConfig, rho0: DensityMatrix, h: float,
                 steps: int) -> np.ndarray:
-    """(steps + 1, 2, 2) RK4 states of the averaged equation at step h."""
+    """(steps + 1, 2, 2) RK4 states of the averaged equation at step h.
+
+    A step is u -> u (I + d) on u = (1, r), with d = bloch_superop(D). L is
+    traceless, so column 0 of d vanishes in exact arithmetic; it is pinned
+    to 0, and u_0, the trace, stays exactly 1. The steps go in blocks of
+    B = isqrt(steps): with the increments E_j = (I + d)^j - I, taken as
+    E_j = E_{j-1} + d + E_{j-1} d, the states after a block start s are
+    u_{s+j} = u_s + u_s E_j, one stacked product per block. The increment
+    form keeps d's low bits, which the plain powers (I + d)^j round away.
+    """
     a = h * lindblad_superop(cfg.h0, cfg.coupling())
     a2 = a @ a
-    d = a + a2 / 2.0 + (a2 @ a) / 6.0 + (a2 @ a2) / 24.0
-    d[:, 3] = -d[:, 0]
-    states = np.empty((steps + 1, 4), dtype=complex)
-    v = states[0] = rho0.m.reshape(4)
-    for k in range(steps):
-        v = v + apply_superop(v, d)
-        states[k + 1] = v
-    return states.reshape(steps + 1, 2, 2)
+    d = bloch_superop(a + a2 / 2.0 + (a2 @ a) / 6.0 + (a2 @ a2) / 24.0)
+    d[:, 0] = 0.0
+    block = max(1, math.isqrt(steps))
+    incr = np.empty((block, 4, 4))
+    incr[0] = d
+    for j in range(1, block):
+        incr[j] = incr[j - 1] + d + incr[j - 1] @ d
+    u = np.empty((steps + 1, 4))
+    u[0] = 1.0, *density_to_bloch(rho0.m)
+    for s in range(0, steps, block):
+        n = min(block, steps - s)
+        u[s + 1:s + 1 + n] = u[s] + u[s] @ incr[:n]
+    return bloch_to_density(u[:, 1:])
 
 
 def master_on_grid(cfg: ModelConfig, rho0: DensityMatrix, n: int,

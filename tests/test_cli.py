@@ -196,12 +196,21 @@ class TestNonFiniteInputExits2:
 def test_csv_cells():
     import io
 
-    from qtraj.csvio import write_csv
+    from qtraj.csvio import table_rows, write_csv
 
     out = io.StringIO()
     write_csv(out, "a,b,c,d", [(20000, None, "x", 0.1), (0, 1.0, "", 1e-300)], "T")
     assert out.getvalue() == ("# generated T\na,b,c,d\n"
                               "20000,,x,0.10000000000000001\n0,1,,1e-300\n")
+    # table_rows: a short column leaves row 0's cell empty, and every other
+    # cell is format(x, ".17g")
+    columns = [np.array([0.1, 20000.0, -0.0, 5e-324, 1e16]),
+               np.array([5e-324, 1e16, 0.1, -0.0])]
+    out = io.StringIO()
+    write_csv(out, "a,b", table_rows(*columns))
+    cells = [[format(columns[0][0], ".17g"), ""]] + [
+        [format(x, ".17g") for x in row] for row in zip(columns[0][1:], columns[1])]
+    assert out.getvalue() == "a,b\n" + "".join(",".join(row) + "\n" for row in cells)
 
 
 class TestEnsembleInputExits2:

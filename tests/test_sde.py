@@ -305,6 +305,16 @@ class TestMasterEvolve:
         p2 = master_evolve(cfg, r2, 1e-2)
         assert max_abs(pm.states - alpha * p1.states - (1 - alpha) * p2.states) < 1e-12
 
+    @pytest.mark.parametrize("c_scale", [1.0, 0.5])
+    def test_long_run_precision(self, c_scale):
+        # 10^4 steps: rounding must not build up against the exact decay
+        # e^(-c^2 t). At rate 1, 1 + d rounds by only ~1e-18, so a propagator
+        # that forms I + d loses little; rate 0.25 exposes it.
+        path = master_evolve(damping_cfg(c_scale=c_scale), EXCITED, 1e-4)
+        exact = np.exp(-c_scale ** 2 * path.grid)
+        assert np.max(np.abs(path.states[:, 1, 1].real - exact)) <= 1e-14
+        assert np.all(np.trace(path.states, axis1=-2, axis2=-1) == 1.0)
+
     def test_trace_exactly_preserved(self):
         cfg = damping_cfg(h0_scale=0.5)
         path = master_evolve(cfg, EXCITED, 1e-3)
