@@ -47,11 +47,9 @@ import numpy as np
 
 from .csvio import STATE_HEADER, state_columns, table_rows, write_csv
 from .linalg import (adjoint, bloch_apply, bloch_superop, bloch_to_density,
-                     density_to_bloch, partial_trace_system, sandwich_superop,
-                     tensor)
-from .model import (FIELD_GROUND, ID2, VALIDATE_EVERY, DensityMatrix,
-                    InteractionUnitary, ModelConfig, Observable, build_unitary,
-                    check_state, validate_batch)
+                     density_to_bloch, sandwich_superop)
+from .model import (VALIDATE_EVERY, DensityMatrix, InteractionUnitary, ModelConfig,
+                    Observable, build_unitary, validate_batch)
 from .rng import generator_for, member_streams
 
 DEGENERATE_PROB = 1e-12
@@ -60,17 +58,6 @@ NULL_BRANCH = 1e-14
 
 class DegenerateProbability(ValueError):
     """A branch with vanishing probability was requested."""
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """Result of one measurement step."""
-
-    outcome: int
-    p: float
-    q: float
-    x: float
-    next_state: DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -89,27 +76,6 @@ class TrajectoryRecord:
         return len(self.outcomes)
 
 
-def interaction_state(rho: DensityMatrix, u: InteractionUnitary) -> np.ndarray:
-    """Joint state after one interaction, U (rho (x) |f0><f0|) U+."""
-    joint = tensor(rho.m, FIELD_GROUND)
-    return u.matrix @ joint @ adjoint(u.matrix)
-
-
-def nonnormalized_maps(rho: DensityMatrix, u: InteractionUnitary,
-                       a: Observable) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized post-measurement branches.
-
-    Sandwiches the joint state with I (x) p_i and traces the field out;
-    both outputs are positive and their traces sum to one.
-    """
-    mu = interaction_state(rho, u)
-    branches = []
-    for proj in (a.p0, a.p1):
-        sandwich = tensor(ID2, proj)
-        branches.append(partial_trace_system(sandwich @ mu @ sandwich))
-    return branches[0], branches[1]
-
-
 def branch_superops(u: InteractionUnitary, a: Observable) -> np.ndarray:
     """(4, 8) matrix [S_0 | S_1] of the two unnormalized branch maps on
     row-major vec'd states (see the module docstring)."""
@@ -118,50 +84,6 @@ def branch_superops(u: InteractionUnitary, a: Observable) -> np.ndarray:
         sum(proj[d, c] * sandwich_superop(blocks[c], adjoint(blocks[d]))
             for c in (0, 1) for d in (0, 1))
         for proj in (a.p0, a.p1)])
-
-
-def measurement_step(rho: DensityMatrix, u: InteractionUnitary, a: Observable,
-                     uniform_draw: float) -> StepOutcome:
-    """One indirect measurement: sample the outcome, collapse, renormalize.
-
-    Outcome 1 iff uniform_draw < q. If min(p, q) < 1e-12 the step is taken
-    deterministically on the dominant branch with x recorded as 0.
-    """
-    m0, m1 = nonnormalized_maps(rho, u, a)
-    p = float(m0.trace().real)
-    q = float(m1.trace().real)
-    if min(p, q) < DEGENERATE_PROB:
-        outcome = 0 if p >= q else 1
-        x = 0.0
-    else:
-        outcome = 1 if uniform_draw < q else 0
-        x = float(np.sqrt(p / q)) if outcome == 1 else -float(np.sqrt(q / p))
-    branch, weight = ((m1, q) if outcome == 1 else (m0, p))
-    if weight < NULL_BRANCH:
-        raise DegenerateProbability(
-            f"branch {outcome} has trace {weight:.3e} < {NULL_BRANCH:g}")
-    nxt = branch / weight
-    check_state(nxt)
-    return StepOutcome(outcome=outcome, p=p, q=q, x=x,
-                       next_state=DensityMatrix(nxt))
-
-
-def increment_update(rho: DensityMatrix, u: InteractionUnitary, a: Observable,
-                     outcome: int) -> np.ndarray:
-    """Increment-form update for the given outcome,
-
-        m0 + m1 + [-sqrt(q/p) m0 + sqrt(p/q) m1] * x,
-
-    algebraically identical to the normalized branch m_outcome / weight.
-    """
-    m0, m1 = nonnormalized_maps(rho, u, a)
-    p = float(m0.trace().real)
-    q = float(m1.trace().real)
-    if min(p, q) < DEGENERATE_PROB:
-        raise DegenerateProbability(
-            f"branch probabilities ({p:.3e}, {q:.3e}) below {DEGENERATE_PROB:g}")
-    x = np.sqrt(p / q) if outcome == 1 else -np.sqrt(q / p)
-    return m0 + m1 + (-np.sqrt(q / p) * m0 + np.sqrt(p / q) * m1) * x
 
 
 def drive_ensemble(cfg: ModelConfig, rho0: DensityMatrix, uniforms: np.ndarray,
@@ -173,10 +95,14 @@ def drive_ensemble(cfg: ModelConfig, rho0: DensityMatrix, uniforms: np.ndarray,
     (k, r, outcomes, x, p, q) after each step, with r the (num_traj, 3) Bloch
     vectors of the states; consumers must copy what they keep. The states
     are checked against the invariants every VALIDATE_EVERY steps and after
-    the last one. The sampling and degenerate-branch rules are those of
-    ``measurement_step``; x is sqrt(other trace / chosen trace), negated for
-    outcome 0, and the degenerate rule runs only on a step that has a
-    degenerate trajectory.
+    the last one.
+
+    Outcome 1 is taken iff the step's uniform is < q, and x is
+    sqrt(other trace / chosen trace), negated for outcome 0. A trajectory
+    with min(p, q) < DEGENERATE_PROB instead takes the dominant branch
+    (outcome 0 when p >= q) and records x = 0; this rule runs only on a step
+    that has a degenerate trajectory. A chosen branch whose trace is below
+    NULL_BRANCH raises DegenerateProbability.
     """
     s = branch_superops(build_unitary(cfg), cfg.observable)
     b = np.hstack([bloch_superop(s[:, :4]), bloch_superop(s[:, 4:])])

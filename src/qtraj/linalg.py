@@ -7,10 +7,10 @@ and ``b`` on the field is ``kron(b, a)``, and the 2x2 blocks of a 4x4
 operator are field-sector blocks whose entries act on the system.
 
 Liouville-space convention: a 2x2 operator x is flattened row-major,
-vec(x) = x.reshape(4), and a stack of states is an (M, 4) array whose
-``reshape(M, 2, 2)`` is a free view. A linear map on operators then acts on
-row vectors, vec(a @ x @ b) = vec(x) @ kron(a, b.T).T, so it is a 4x4
-superoperator, applied to a stack by ``apply_superop``.
+vec(x) = x.reshape(4). A linear map on operators then acts on row vectors,
+vec(a @ x @ b) = vec(x) @ kron(a, b.T).T, so it is a 4x4 superoperator,
+built from such terms by ``sandwich_superop``. The stepping cores do not
+apply it to vec'd states: they take its real Bloch form below.
 
 Bloch convention: a unit-trace Hermitian x = (I + r.sigma)/2 has vec(x) =
 (1, r) @ T, with the rows of T = BLOCH_BASIS equal to vec(I, sigma_x,
@@ -55,25 +55,17 @@ def sandwich_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, np.transpose(b)).T
 
 
-def apply_superop(v: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Row-vector product v @ s of a (..., 4) stack of vec'd states with a
-    (4, k) block of superoperator columns.
-
-    Written as a fixed sequence of elementwise products and sums, so every
-    entry of a row is computed by the same operations whatever the number of
-    rows: ensemble rows are bit-identical to single runs by construction. A
-    BLAS product promises no such thing (gemv for one row and gemm for many
-    may round differently).
-    """
-    return (v[..., 0:1] * s[0] + v[..., 1:2] * s[1]
-            + v[..., 2:3] * s[2] + v[..., 3:4] * s[3])
-
-
 def bloch_apply(r: np.ndarray, a: np.ndarray) -> np.ndarray:
     """(k, M) array whose column j is (1, r_j) @ a, for an (M, 3) stack of
-    Bloch vectors and a real (4, k) matrix. The same fixed order of
-    elementwise operations as ``apply_superop``, so a column does not depend
-    on M; the (k, M) layout makes numpy's inner loops run over M."""
+    Bloch vectors and a real (4, k) matrix.
+
+    Written as a fixed sequence of elementwise products and sums, so every
+    entry of a column is computed by the same operations whatever M:
+    ensemble members are bit-identical to single runs by construction. A
+    BLAS product promises no such thing (gemv for one row and gemm for many
+    may round differently). The (k, M) layout makes numpy's inner loops run
+    over M.
+    """
     col = a[:, :, None]
     return col[0] + r[:, 0] * col[1] + r[:, 1] * col[2] + r[:, 2] * col[3]
 
@@ -121,13 +113,3 @@ def project_ball(r: np.ndarray) -> np.ndarray:
     norm = np.hypot(np.hypot(r[..., 0], r[..., 1]), r[..., 2])
     scale = np.where(np.isfinite(norm), np.maximum(norm, 1.0), np.nan)
     return r / scale[..., None]
-
-
-def partial_trace_system(m: np.ndarray) -> np.ndarray:
-    """Trace the field qubit out of a 4x4 operator, keeping the system.
-
-    In the block layout above this is the sum of the diagonal field blocks;
-    it is the unique linear map with Tr[out @ x] = Tr[m @ tensor(x, I)] for
-    every system operator x.
-    """
-    return m[:2, :2] + m[2:, 2:]

@@ -31,10 +31,7 @@ import numpy as np
 from .linalg import (
     HERMITICITY_TOL,
     adjoint,
-    bloch_to_density,
-    density_to_bloch,
     max_abs,
-    project_ball,
     tensor,
 )
 
@@ -47,7 +44,6 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-FIELD_GROUND = np.array([[1, 0], [0, 0]], dtype=complex)   # |f0><f0|
 _FIELD_RAISE = np.array([[0, 0], [1, 0]], dtype=complex)   # |f1><f0|
 _FIELD_LOWER = np.array([[0, 1], [0, 0]], dtype=complex)   # |f0><f1|
 
@@ -103,7 +99,7 @@ class InteractionUnitary:
     @classmethod
     def from_matrix(cls, u: np.ndarray) -> "InteractionUnitary":
         u = np.asarray(u, dtype=complex)
-        if max_abs(u @ adjoint(u) - np.eye(4)) > UNITARITY_TOL:
+        if not max_abs(u @ adjoint(u) - np.eye(4)) <= UNITARITY_TOL:
             raise ValueError("matrix is not unitary to tolerance "
                              f"{UNITARITY_TOL:g}")
         return cls(matrix=u, l00=u[:2, :2], l01=u[:2, 2:],
@@ -155,12 +151,6 @@ class ModelConfig:
         return int(np.floor(self.n * self.t_horizon))
 
 
-def check_state(m: np.ndarray) -> None:
-    """Raise NotAState unless m is Hermitian, trace-one, positive to STATE_TOL
-    (``validate_batch`` on a single state, labelled step 0)."""
-    validate_batch(np.asarray(m), 0)
-
-
 def validate_batch(states: np.ndarray, step: int) -> np.ndarray:
     """Check a (..., 2, 2) stack for Hermiticity, unit trace and positivity
     to STATE_TOL, then return it symmetrized. The smallest eigenvalue of each
@@ -191,31 +181,6 @@ def validate_norms(vectors: np.ndarray, step: int) -> None:
                         f"by step {step}")
 
 
-def make_density(m: np.ndarray) -> DensityMatrix:
-    """Validated state constructor: rejects anything farther than STATE_TOL
-    from a state, then symmetrizes, renormalizes the trace and clips the
-    eigenvalues at zero by projecting the Bloch vector onto the unit ball.
-    """
-    m = np.asarray(m, dtype=complex)
-    check_state(m)
-    r = density_to_bloch(m) / m.trace().real
-    return DensityMatrix(bloch_to_density(project_ball(r)))
-
-
-def make_wave(v: np.ndarray) -> WaveFunction:
-    """Validated wave-function constructor (norm within STATE_TOL of 1)."""
-    v = np.asarray(v, dtype=complex)
-    nrm = float(np.linalg.norm(v))
-    if not abs(nrm - 1.0) <= STATE_TOL:
-        raise ValueError(f"norm deviates from 1 by {abs(nrm - 1.0):.3e}")
-    return WaveFunction(v / nrm)
-
-
-def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2), in [1/2, 1]; equals 1 exactly on pure states."""
-    return float((rho.m @ rho.m).trace().real)
-
-
 def make_observable(phi: float, lam0: float, lam1: float) -> Observable:
     """Two-outcome observable whose first eigenvector is
     cos(phi/2)*f0 + sin(phi/2)*f1; phi in (0, pi) makes it nondiagonal."""
@@ -228,15 +193,6 @@ def make_observable(phi: float, lam0: float, lam1: float) -> Observable:
     p1 = ID2 - p0
     return Observable(lam0=float(lam0), lam1=float(lam1),
                       p0=p0, p1=p1, mixing_angle=float(phi))
-
-
-def build_total_hamiltonian(cfg: ModelConfig) -> np.ndarray:
-    """Joint Hamiltonian with the 1/sqrt(n)-weighted exchange coupling."""
-    c = cfg.coupling()
-    h_field = FIELD_HAMILTONIANS[cfg.field_hamiltonian]
-    coupling = (tensor(c, _FIELD_RAISE) + tensor(adjoint(c), _FIELD_LOWER))
-    return (tensor(cfg.h0, ID2) + tensor(ID2, h_field)
-            + coupling / np.sqrt(cfg.n))
 
 
 def build_unitary(cfg: ModelConfig) -> InteractionUnitary:
@@ -256,8 +212,3 @@ def build_unitary(cfg: ModelConfig) -> InteractionUnitary:
     exchange = tensor(c, _FIELD_RAISE) - tensor(adjoint(c), _FIELD_LOWER)
     lam, v = np.linalg.eigh(h * free + 1j * exchange / np.sqrt(cfg.n))
     return InteractionUnitary.from_matrix((v * np.exp(-1j * lam)) @ adjoint(v))
-
-
-def field_ground_energy(cfg: ModelConfig) -> float:
-    """Energy of the field ground level; sets the global phase of L00."""
-    return float(FIELD_HAMILTONIANS[cfg.field_hamiltonian][0, 0].real)

@@ -51,15 +51,15 @@ above keeps Hermiticity, so ``bloch_coefficients`` turns [I + h S_L | S_B | g]
 into one real (4, 7) matrix A, and a step of the (M, 3) array r is
 w = (1, r) @ A, r' = w[:, :3] + dW (w[:, 3:6] - w[:, 6] r), with w taken by
 ``linalg.bloch_apply`` as a (7, M) array. Hermiticity and
-unit trace hold by construction, and the eigen-clip and renormalization of
-``project_positive`` is exactly ``linalg.project_ball``, r / max(1, |r|).
+unit trace hold by construction, and the positivity projection (eigen-clip
+at zero, trace renormalization) is exactly ``linalg.project_ball``,
+r / max(1, |r|).
 
 Each equation has one Euler loop, a generator over an (M, steps) noise
 array: ``_density_steps`` (density and innovation forms) and ``_wave_steps``.
 The ensembles keep the last step; ``simulate_*`` run a batch of one and
-record every state. ``lindblad``, ``backaction``, ``project_positive``,
-``euler_step_density`` and ``wavefunction_step`` remain as the matrix-form
-oracles.
+record every state. The 2x2 matrix forms of L, B, the projection and both
+Euler steps are test oracles in ``tests/oracles.py``, not package code.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from .csvio import STATE_HEADER, state_columns, table_rows, write_csv
 from .linalg import (adjoint, bloch_apply, bloch_superop, bloch_to_density,
                      density_to_bloch, project_ball, sandwich_superop)
 from .model import (ID2, VALIDATE_EVERY, DensityMatrix, ModelConfig, WaveFunction,
-                    check_state, validate_batch, validate_norms)
+                    validate_batch, validate_norms)
 from .rng import generator_for, member_streams
 
 MAX_SDE_STEP = 1e-2
@@ -111,29 +111,6 @@ class MasterPath:
     states: np.ndarray
 
 
-def _trace(m: np.ndarray) -> np.ndarray:
-    return np.trace(m, axis1=-2, axis2=-1)
-
-
-def lindblad(rho: np.ndarray, h0: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Lindblad drift; traceless, Hermiticity-preserving; broadcasts over
-    leading axes of ``rho``."""
-    anti = adjoint(c) @ c
-    return (-1j * (h0 @ rho - rho @ h0)
-            - 0.5 * (anti @ rho + rho @ anti)
-            + c @ rho @ adjoint(c))
-
-
-def backaction(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Diffusive measurement backaction c rho + rho c+ - Tr[rho (c+c+)] rho.
-
-    Traceless whenever Tr rho = 1; Hermitian output for Hermitian input.
-    Broadcasts over leading axes.
-    """
-    g = _trace(rho @ (c + adjoint(c)))
-    return c @ rho + rho @ adjoint(c) - g[..., None, None] * rho
-
-
 def lindblad_superop(h0: np.ndarray, c: np.ndarray) -> np.ndarray:
     """4x4 S_L with vec(lindblad(rho, h0, c)) = vec(rho) @ S_L."""
     anti = adjoint(c) @ c
@@ -153,46 +130,6 @@ def sde_coefficients(h0: np.ndarray, c: np.ndarray) -> np.ndarray:
     """(4, 9) matrix [S_L | S_B | g] of the density equation's coefficients."""
     s_b, g_row = backaction_superop(c)
     return np.hstack([lindblad_superop(h0, c), s_b, g_row[:, None]])
-
-
-def _clip_negative(eigs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    eigs = np.clip(eigs, 0.0, None)
-    m = (vecs * eigs) @ adjoint(vecs)
-    return m / m.trace().real
-
-
-def project_positive(m: np.ndarray) -> np.ndarray:
-    """Eigen-clip negative weight at zero and renormalize the trace."""
-    m = 0.5 * (m + adjoint(m))
-    eigs, vecs = np.linalg.eigh(m)
-    if eigs[0] >= 0.0:
-        return m
-    return _clip_negative(eigs, vecs)
-
-
-def euler_step_density(rho: DensityMatrix, h: float, dw: float,
-                       h0: np.ndarray, c: np.ndarray,
-                       project: bool = True) -> DensityMatrix:
-    """One Euler iterate rho + h L(rho) + dW B(rho), optionally projected."""
-    if not (h > 0 and math.isfinite(h)):
-        raise ValueError("step size must be positive and finite")
-    raw = rho.m + h * lindblad(rho.m, h0, c) + dw * backaction(rho.m, c)
-    out = project_positive(raw) if project else raw
-    if project:
-        check_state(out)
-    return DensityMatrix(out)
-
-
-def wavefunction_step(psi: WaveFunction, h: float, dw: float,
-                      h0: np.ndarray, c: np.ndarray) -> WaveFunction:
-    """One Euler iterate of the wave form, renormalized to unit norm."""
-    if not (h > 0 and math.isfinite(h)):
-        raise ValueError("step size must be positive and finite")
-    v = psi.v
-    nu = 0.5 * np.vdot(v, (c + adjoint(c)) @ v).real
-    drift = (-1j * h0 - 0.5 * (adjoint(c) @ c - 2.0 * nu * c + nu * nu * ID2))
-    raw = v + dw * ((c @ v) - nu * v) + h * (drift @ v)
-    return WaveFunction(raw / np.linalg.norm(raw))
 
 
 def _euler_steps(cfg: ModelConfig, h: float) -> int:
@@ -350,28 +287,6 @@ def simulate_wave(cfg: ModelConfig, psi0: WaveFunction, h: float,
         vectors[k + 1] = psi[0]
     validate_norms(vectors, steps)
     return WavePath(grid=np.arange(steps + 1) * h, vectors=vectors, noise=noise[0])
-
-
-def innovation_path(path: SdePath, c: np.ndarray) -> np.ndarray:
-    """Innovation values W~_k = W_k - sum_{i<k} g_i h reconstructed from a
-    reference-measure path (bookkeeping inverse of the companion relation)."""
-    g = _trace(path.states[:-1] @ (c + adjoint(c))).real
-    out = np.empty(len(path.grid))
-    out[0] = 0.0
-    out[1:] = np.cumsum(path.noise - g * path.h)
-    return out
-
-
-def girsanov_weights(path: SdePath, c: np.ndarray) -> np.ndarray:
-    """Exponential reweighting sequence along a path (left-point rule):
-    Z_0 = 1, Z_{k+1} = Z_k exp(g_k dW_k - g_k^2 h / 2). All entries positive.
-    """
-    g = _trace(path.states[:-1] @ (c + adjoint(c))).real
-    incr = g * path.noise - 0.5 * g * g * path.h
-    out = np.empty(len(path.grid))
-    out[0] = 1.0
-    out[1:] = np.exp(np.cumsum(incr))
-    return out
 
 
 def master_evolve(cfg: ModelConfig, rho0: DensityMatrix, h: float) -> MasterPath:

@@ -15,13 +15,8 @@ from qtraj import (
     ModelConfig,
     WaveFunction,
     build_unitary,
-    girsanov_weights,
-    increment_update,
-    make_density,
     make_observable,
     master_evolve,
-    measurement_step,
-    purity,
     run_trajectory,
     simulate_belavkin,
     simulate_physical,
@@ -35,7 +30,7 @@ from qtraj.convergence import (
 )
 from qtraj.discrete import drive_ensemble, ensemble_streams
 from qtraj.linalg import adjoint, bloch_to_density, max_abs
-from qtraj.model import ID2, SIGMA_Z, field_ground_energy
+from qtraj.model import ID2, SIGMA_Z
 from qtraj.rng import derive_seed, generator_for
 from qtraj.sde import sde_ensemble_final, wave_ensemble_final
 
@@ -51,6 +46,7 @@ from helpers import (
     rand_density,
     rand_herm,
 )
+from oracles import field_ground_energy, increment_update, measurement_step
 
 
 def _report(num, text, t0):

@@ -7,11 +7,7 @@ from qtraj import (
     InteractionUnitary,
     ModelConfig,
     build_unitary,
-    increment_update,
-    interaction_state,
     make_observable,
-    measurement_step,
-    nonnormalized_maps,
     run_trajectory,
 )
 from qtraj import convergence
@@ -21,11 +17,11 @@ from qtraj.discrete import (
     drive_ensemble,
     ensemble_streams,
 )
-from qtraj.linalg import (adjoint, apply_superop, bloch_superop, bloch_to_density,
+from qtraj.linalg import (adjoint, bloch_superop, bloch_to_density,
                           density_to_bloch, max_abs, tensor)
-from qtraj.model import FIELD_GROUND, ID2
+from qtraj.model import ID2
 from qtraj.rng import derive_seed, generator_for
-from qtraj.sde import backaction, lindblad, master_on_grid
+from qtraj.sde import master_on_grid
 
 from helpers import (
     EXCITED,
@@ -34,6 +30,16 @@ from helpers import (
     rand_config,
     rand_density,
     trivial_cfg,
+)
+from oracles import (
+    FIELD_GROUND,
+    apply_superop,
+    backaction,
+    increment_update,
+    interaction_state,
+    lindblad,
+    measurement_step,
+    nonnormalized_maps,
 )
 
 IDENTITY_U = InteractionUnitary.from_matrix(np.eye(4, dtype=complex))

@@ -4,12 +4,10 @@ import scipy.linalg
 
 from qtraj.linalg import (
     adjoint,
-    apply_superop,
     bloch_superop,
     bloch_to_density,
     density_to_bloch,
     max_abs,
-    partial_trace_system,
     sandwich_superop,
     tensor,
 )
@@ -17,6 +15,7 @@ from qtraj.linalg import (
 from qtraj.model import FIELD_HAMILTONIANS, build_unitary
 
 from helpers import rand_cmat, rand_config, rand_herm, rand_state_matrix
+from oracles import apply_superop, partial_trace_system
 
 
 class TestAdjoint:

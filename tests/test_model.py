@@ -7,24 +7,26 @@ from qtraj import (
     InteractionUnitary,
     ModelConfig,
     NotAState,
-    build_total_hamiltonian,
     build_unitary,
-    make_density,
     make_observable,
-    make_wave,
-    purity,
 )
 from qtraj.linalg import adjoint, max_abs, tensor
 from qtraj.model import (
     FIELD_HAMILTONIANS,
     ID2,
-    check_state,
-    field_ground_energy,
     validate_batch,
     validate_norms,
 )
 
 from helpers import LOWERING, damping_cfg, rand_config, rand_herm, trivial_cfg
+from oracles import (
+    build_total_hamiltonian,
+    check_state,
+    field_ground_energy,
+    make_density,
+    make_wave,
+    purity,
+)
 
 
 class TestMakeDensity:
@@ -210,8 +212,11 @@ class TestBuildUnitary:
         assert 1.7 <= -slope <= 2.3
 
     def test_from_matrix_rejects_nonunitary(self):
-        with pytest.raises(ValueError):
-            InteractionUnitary.from_matrix(np.eye(4) * 2.0)
+        one_nan = np.eye(4)
+        one_nan[1, 2] = np.nan
+        for u in (np.eye(4) * 2.0, np.full((4, 4), np.nan), one_nan):
+            with pytest.raises(ValueError):
+                InteractionUnitary.from_matrix(u)
 
 
 class TestInvariantGuardsRejectNan:

@@ -5,20 +5,12 @@ from qtraj import (
     DensityMatrix,
     ModelConfig,
     WaveFunction,
-    backaction,
-    euler_step_density,
-    girsanov_weights,
-    innovation_path,
-    lindblad,
     make_observable,
     master_evolve,
     master_on_grid,
-    project_positive,
-    purity,
     simulate_belavkin,
     simulate_physical,
     simulate_wave,
-    wavefunction_step,
 )
 from qtraj.linalg import (
     BLOCH_BASIS,
@@ -53,6 +45,16 @@ from helpers import (
     rand_density,
     rand_herm,
     rand_state_matrix,
+)
+from oracles import (
+    backaction,
+    euler_step_density,
+    girsanov_weights,
+    innovation_path,
+    lindblad,
+    project_positive,
+    purity,
+    wavefunction_step,
 )
 
 ANTIHERM_C = 1j * SIGMA_X  # c + c+ = 0

@@ -58,12 +58,16 @@ class _Recorder:
 def test_only_the_matrix_form_oracles_are_unpatched(tracer):
     with tracer.Tracer().patched() as t:
         unpatched = list(t.unpatched)
-    # besides the oracles, the tracer still names the deleted kernels
-    # expm4 and herm_eigen2; their per-layer metrics read 0
+    # the matrix-form oracles live in tests/oracles.py, so no qtraj module
+    # holds lindblad, backaction or check_state; the tracer also still names
+    # the deleted kernels expm4 and herm_eigen2. All their per-layer metrics
+    # read 0
     assert sorted(unpatched) == ["qtraj.convergence.backaction",
                                  "qtraj.convergence.lindblad",
+                                 "qtraj.discrete.check_state",
                                  "qtraj.model.expm4",
                                  "qtraj.model.herm_eigen2",
+                                 "qtraj.sde.check_state",
                                  "qtraj.sde.herm_eigen2"]
 
 
