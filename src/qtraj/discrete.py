@@ -93,9 +93,9 @@ def drive_ensemble(cfg: ModelConfig, rho0: DensityMatrix, uniforms: np.ndarray,
 
     ``uniforms`` is (num_traj, steps), one stream row per trajectory. Yields
     (k, r, outcomes, x, p, q) after each step, with r the (num_traj, 3) Bloch
-    vectors of the states; consumers must copy what they keep. The states
-    are checked against the invariants every VALIDATE_EVERY steps and after
-    the last one.
+    vectors of the states; consumers must copy what they keep. The initial
+    state is checked against the invariants first, and the states every
+    VALIDATE_EVERY steps and after the last one.
 
     Outcome 1 is taken iff the step's uniform is < q, and x is
     sqrt(other trace / chosen trace), negated for outcome 0. A trajectory
@@ -104,6 +104,7 @@ def drive_ensemble(cfg: ModelConfig, rho0: DensityMatrix, uniforms: np.ndarray,
     that has a degenerate trajectory. A chosen branch whose trace is below
     NULL_BRANCH raises DegenerateProbability.
     """
+    validate_batch(rho0.m, None)
     s = branch_superops(build_unitary(cfg), cfg.observable)
     b = np.hstack([bloch_superop(s[:, :4]), bloch_superop(s[:, 4:])])
     num_traj, steps = uniforms.shape

@@ -45,14 +45,17 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product operator a (system) tensor b (field) in the basis above."""
-    return np.kron(b, a)
+    """Product operator a (system) tensor b (field) of 2x2 matrices in the
+    basis above: kron(b, a), as one broadcast product with the same scalar
+    products, so the same bits."""
+    return (b[:, None, :, None] * a[None, :, None, :]).reshape(4, 4)
 
 
 def sandwich_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """4x4 superoperator S of x -> a @ x @ b, acting on row vectors:
-    vec(a @ x @ b) = vec(x) @ S with row-major vec."""
-    return np.kron(a, np.transpose(b)).T
+    """4x4 superoperator S of x -> a @ x @ b on 2x2 matrices, acting on row
+    vectors: vec(a @ x @ b) = vec(x) @ S with row-major vec. S =
+    kron(a, b.T).T, as one broadcast product like ``tensor``."""
+    return (a.T[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
 def bloch_apply(r: np.ndarray, a: np.ndarray) -> np.ndarray:

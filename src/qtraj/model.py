@@ -151,11 +151,17 @@ class ModelConfig:
         return int(np.floor(self.n * self.t_horizon))
 
 
-def validate_batch(states: np.ndarray, step: int) -> np.ndarray:
+def _where(step: int | None) -> str:
+    """Error-message label of a check after step ``step``, or with None of
+    the initial state."""
+    return "in the initial state" if step is None else f"by step {step}"
+
+
+def validate_batch(states: np.ndarray, step: int | None) -> np.ndarray:
     """Check a (..., 2, 2) stack for Hermiticity, unit trace and positivity
     to STATE_TOL, then return it symmetrized. The smallest eigenvalue of each
     symmetrized state is (a + d)/2 - sqrt((a - d)^2/4 + |b|^2). ``step`` only
-    labels the error message."""
+    labels the error message; None names the initial state."""
     herm_dev = max_abs(states - adjoint(states))
     traces = np.trace(states, axis1=-2, axis2=-1)
     trace_dev = float(np.max(np.abs(traces - 1.0)))
@@ -167,18 +173,19 @@ def validate_batch(states: np.ndarray, step: int) -> np.ndarray:
     if not (herm_dev <= STATE_TOL and trace_dev <= STATE_TOL
             and eig_min >= -STATE_TOL):
         raise NotAState(
-            f"invariant violated by step {step}: hermiticity {herm_dev:.3e}, "
+            f"invariant violated {_where(step)}: hermiticity {herm_dev:.3e}, "
             f"trace {trace_dev:.3e}, min eigenvalue {eig_min:.3e}")
     return sym
 
 
-def validate_norms(vectors: np.ndarray, step: int) -> None:
+def validate_norms(vectors: np.ndarray, step: int | None) -> None:
     """Check that every row of a (..., 2) stack of wave functions has unit
-    norm to STATE_TOL. ``step`` only labels the error message."""
+    norm to STATE_TOL. ``step`` only labels the error message; None names
+    the initial state."""
     norm_dev = float(np.max(np.abs(np.linalg.norm(vectors, axis=-1) - 1.0)))
     if not norm_dev <= STATE_TOL:
         raise NotAState(f"wave-function norm deviates from 1 by {norm_dev:.3e} "
-                        f"by step {step}")
+                        f"{_where(step)}")
 
 
 def make_observable(phi: float, lam0: float, lam1: float) -> Observable:

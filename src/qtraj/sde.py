@@ -198,10 +198,11 @@ def _density_steps(cfg: ModelConfig, rho0: DensityMatrix, h: float,
     """Euler steps of the density equation, one path per row of the
     (M, steps) increments ``noise``. Yields (k, r, g) after step k: r the
     (M, 3) Bloch vectors after it, g = Tr[rho (c + c+)] of the states before
-    it. Every step is projected onto the positive states, and the states are
-    checked against the invariants every VALIDATE_EVERY steps and after the
-    last one.
+    it. Every step is projected onto the positive states. The initial state
+    is checked against the invariants first, and the states every
+    VALIDATE_EVERY steps and after the last one.
     """
+    validate_batch(rho0.m, None)
     num_paths, steps = noise.shape
     a = _bloch_sde_matrix(cfg, h)
     r = np.broadcast_to(density_to_bloch(rho0.m), (num_paths, 3)).copy()
@@ -216,11 +217,13 @@ def _wave_steps(cfg: ModelConfig, psi0: WaveFunction, h: float,
                 noise: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Euler steps of the wave form, one path per row of the (M, steps)
     increment array ``noise``, renormalized each step. Yields (k, psi) after
-    step k with psi the (M, 2) vectors; their norms are checked every
-    VALIDATE_EVERY steps and after the last one. With A = I + h (-i h0 -
-    c+c/2) built once and nu = Re<psi, c psi>, a step is raw = A psi +
-    (dW + h nu) c psi - (dW nu + h nu^2/2) psi over sqrt(sum re^2 + im^2),
-    the real sums taken on float views of the contiguous complex rows."""
+    step k with psi the (M, 2) vectors. The norm of psi0 is checked first,
+    and the norms every VALIDATE_EVERY steps and after the last one. With
+    A = I + h (-i h0 - c+c/2) built once and nu = Re<psi, c psi>, a step is
+    raw = A psi + (dW + h nu) c psi - (dW nu + h nu^2/2) psi over
+    sqrt(sum re^2 + im^2), the real sums taken on float views of the
+    contiguous complex rows."""
+    validate_norms(psi0.v, None)
     num_paths, steps = noise.shape
     c = cfg.coupling()
     a_t = (ID2 + h * (-1j * cfg.h0 - 0.5 * adjoint(c) @ c)).T
@@ -315,7 +318,10 @@ def _rk4_states(cfg: ModelConfig, rho0: DensityMatrix, h: float,
     E_j = E_{j-1} + d + E_{j-1} d, the states after a block start s are
     u_{s+j} = u_s + u_s E_j, one stacked product per block. The increment
     form keeps d's low bits, which the plain powers (I + d)^j round away.
+    The initial state and then the whole path are checked against the
+    invariants.
     """
+    validate_batch(rho0.m, None)
     a = h * lindblad_superop(cfg.h0, cfg.coupling())
     a2 = a @ a
     d = bloch_superop(a + a2 / 2.0 + (a2 @ a) / 6.0 + (a2 @ a2) / 24.0)
@@ -330,7 +336,9 @@ def _rk4_states(cfg: ModelConfig, rho0: DensityMatrix, h: float,
     for s in range(0, steps, block):
         n = min(block, steps - s)
         u[s + 1:s + 1 + n] = u[s] + u[s] @ incr[:n]
-    return bloch_to_density(u[:, 1:])
+    states = bloch_to_density(u[:, 1:])
+    validate_batch(states, steps)
+    return states
 
 
 def master_on_grid(cfg: ModelConfig, rho0: DensityMatrix, n: int,

@@ -30,6 +30,7 @@ from qtraj.model import (
     WaveFunction,
     validate_batch,
 )
+from qtraj.rng import derive_seed, generator_for
 from qtraj.sde import SdePath
 
 FIELD_GROUND = np.array([[1, 0], [0, 0]], dtype=complex)   # |f0><f0|
@@ -262,4 +263,15 @@ def girsanov_weights(path: SdePath, c: np.ndarray) -> np.ndarray:
     out = np.empty(len(path.grid))
     out[0] = 1.0
     out[1:] = np.exp(np.cumsum(incr))
+    return out
+
+
+def member_streams_per_generator(base_seed: int, count: int, steps: int,
+                                 draw: str) -> np.ndarray:
+    """``rng.member_streams`` built literally, one Generator per member: row
+    j holds ``steps`` draws of ``draw`` from
+    generator_for(derive_seed(base_seed, j))."""
+    out = np.empty((count, steps))
+    for j in range(count):
+        out[j] = getattr(generator_for(derive_seed(base_seed, j)), draw)(steps)
     return out

@@ -8,10 +8,8 @@ reruns are reproducible.
 import time
 
 import numpy as np
-import pytest
 
 from qtraj import (
-    DensityMatrix,
     ModelConfig,
     WaveFunction,
     build_unitary,
@@ -36,15 +34,12 @@ from qtraj.sde import sde_ensemble_final, wave_ensemble_final
 
 from helpers import (
     EXCITED,
-    LOWERING,
     PLUS,
     PLUS_VEC,
     assert_valid_states,
     damping_cfg,
-    rand_cmat,
     rand_config,
     rand_density,
-    rand_herm,
 )
 from oracles import field_ground_energy, increment_update, measurement_step
 

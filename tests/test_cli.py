@@ -3,6 +3,8 @@ import pytest
 
 from qtraj.cli import main
 
+from oracles import member_streams_per_generator
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -141,6 +143,23 @@ class TestGirsanov:
         mean_z = float(rows["mean_weight"])
         se_z = float(rows["se_weight"])
         assert abs(mean_z - 1.0) <= 3.0 * se_z
+
+
+@pytest.mark.parametrize("argv", [
+    ("converge", "--n-values", "10,40", "--trajectories", "80", "--sde-step", "1e-2"),
+    ("girsanov", "--trajectories", "100", "--h", "5e-3"),
+])
+def test_ensemble_bytes_match_per_member_generators(tmp_path, monkeypatch, argv):
+    # the bulk-seeded streams give the bytes of one Generator per member
+    import qtraj.discrete
+    import qtraj.sde
+
+    bulk, literal = tmp_path / "bulk.csv", tmp_path / "literal.csv"
+    assert run_cli(*argv, "--seed", "7", "--out", str(bulk), "--no-timestamp") == 0
+    for module in (qtraj.discrete, qtraj.sde):
+        monkeypatch.setattr(module, "member_streams", member_streams_per_generator)
+    assert run_cli(*argv, "--seed", "7", "--out", str(literal), "--no-timestamp") == 0
+    assert bulk.read_bytes() == literal.read_bytes()
 
 
 class TestConfigHandling:

@@ -19,7 +19,7 @@ from qtraj.discrete import (
 )
 from qtraj.linalg import (adjoint, bloch_superop, bloch_to_density,
                           density_to_bloch, max_abs, tensor)
-from qtraj.model import ID2
+from qtraj.model import NotAState
 from qtraj.rng import derive_seed, generator_for
 from qtraj.sde import master_on_grid
 
@@ -272,6 +272,16 @@ class TestRunTrajectory:
         assert np.array_equal(release.outcomes, debug.outcomes)
         assert np.max(np.abs(release.states - debug.states)) < 1e-12
         assert_valid_states(debug.states)
+
+    @pytest.mark.parametrize("m", [np.diag([2.0, -1.0]), np.full((2, 2), np.nan)],
+                             ids=["diag", "nan"])
+    def test_bad_initial_state_rejected_at_entry(self, m):
+        rho0 = DensityMatrix(m.astype(complex))
+        cfg = damping_cfg(h0_scale=0.5)
+        with pytest.raises(NotAState, match="in the initial state"):
+            run_trajectory(cfg, rho0, seed=1)
+        with pytest.raises(NotAState, match="in the initial state"):
+            next(drive_ensemble(cfg, rho0, np.zeros((3, cfg.steps))))
 
     def test_probability_normalization(self):
         cfg = damping_cfg(n=300, h0_scale=0.5)

@@ -60,6 +60,13 @@ class TestTensor:
                         expected = a[si, sj] * b[fi, fj]
                         assert abs(got[2 * fi + si, 2 * fj + sj] - expected) < 1e-15
 
+    def test_bit_identical_to_kron(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            a, b = rand_cmat(rng), rand_cmat(rng)
+            assert np.array_equal(tensor(a, b), np.kron(b, a))
+            assert np.array_equal(sandwich_superop(a, b), np.kron(a, b.T).T)
+
     def test_trace_multiplicative(self):
         rng = np.random.default_rng(2)
         for _ in range(100):

@@ -18,7 +18,7 @@ from qtraj.model import (
     validate_norms,
 )
 
-from helpers import LOWERING, damping_cfg, rand_config, rand_herm, trivial_cfg
+from helpers import LOWERING, damping_cfg, rand_config, trivial_cfg
 from oracles import (
     build_total_hamiltonian,
     check_state,

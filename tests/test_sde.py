@@ -521,7 +521,8 @@ class TestEnsembleCore:
         monkeypatch.setattr(sde_mod, "validate_batch", counting)
         cfg = damping_cfg(h0_scale=0.5)
         finals, _ = sde_ensemble_final(cfg, EXCITED, 1e-3, 20, base_seed=3)
-        assert calls == list(range(VALIDATE_EVERY - 1, 1000, VALIDATE_EVERY))
+        # None is the initial state, checked once before the first step
+        assert calls == [None, *range(VALIDATE_EVERY - 1, 1000, VALIDATE_EVERY)]
         assert_valid_states(finals)
 
     def test_last_step_validated(self):
@@ -550,6 +551,56 @@ class TestEnsembleCore:
         with pytest.raises(ValueError, match="noise must have shape"):
             wave_ensemble_final(cfg, WaveFunction(PLUS_VEC), 1e-2, 3,
                                 noise=np.zeros(shape))
+
+
+NOT_POSITIVE = DensityMatrix(np.diag([2.0, -1.0]).astype(complex))
+ALL_NAN = DensityMatrix(np.full((2, 2), np.nan, dtype=complex))
+
+
+class TestInitialStateRejected:
+    """A bad initial state is rejected where it enters a core, by an error
+    that names it rather than a later step."""
+
+    DENSITY_ENTRIES = {
+        "ensemble": lambda cfg, rho0: sde_ensemble_final(cfg, rho0, 1e-2, 3,
+                                                         base_seed=1),
+        "belavkin": lambda cfg, rho0: simulate_belavkin(cfg, rho0, 1e-2, seed=1),
+        "physical": lambda cfg, rho0: simulate_physical(cfg, rho0, 1e-2, seed=1),
+        "master": lambda cfg, rho0: master_evolve(cfg, rho0, 1e-2),
+        "master_on_grid": lambda cfg, rho0: master_on_grid(cfg, rho0, 20),
+    }
+    WAVE_ENTRIES = {
+        "ensemble": lambda cfg, psi0: wave_ensemble_final(cfg, psi0, 1e-2, 3,
+                                                          base_seed=1),
+        "path": lambda cfg, psi0: simulate_wave(cfg, psi0, 1e-2, seed=1),
+    }
+
+    @pytest.mark.parametrize("rho0", [NOT_POSITIVE, ALL_NAN], ids=["diag", "nan"])
+    @pytest.mark.parametrize("entry", sorted(DENSITY_ENTRIES))
+    def test_density_entries(self, entry, rho0):
+        with pytest.raises(NotAState, match="in the initial state"):
+            self.DENSITY_ENTRIES[entry](damping_cfg(h0_scale=0.5), rho0)
+
+    @pytest.mark.parametrize("v", [[3.0, 0.0], [np.nan, np.nan]], ids=["norm3", "nan"])
+    @pytest.mark.parametrize("entry", sorted(WAVE_ENTRIES))
+    def test_wave_entries(self, entry, v):
+        psi0 = WaveFunction(np.array(v, dtype=complex))
+        with pytest.raises(NotAState, match="in the initial state"):
+            self.WAVE_ENTRIES[entry](damping_cfg(h0_scale=0.5), psi0)
+
+    def test_master_path_validated_whole(self, monkeypatch):
+        import qtraj.sde as sde_mod
+
+        shapes = []
+        original = sde_mod.validate_batch
+
+        def recording(states, step):
+            shapes.append(states.shape)
+            return original(states, step)
+
+        monkeypatch.setattr(sde_mod, "validate_batch", recording)
+        master_evolve(damping_cfg(h0_scale=0.5), EXCITED, 1e-2)
+        assert shapes == [(2, 2), (101, 2, 2)]
 
 
 class TestBatchOfOneOracles:
@@ -621,7 +672,7 @@ class TestWaveValidation:
         monkeypatch.setattr(sde_mod, "validate_norms", counting)
         wave_ensemble_final(damping_cfg(), WaveFunction(PLUS_VEC), 1e-3, 4,
                             base_seed=5)
-        assert calls == list(range(VALIDATE_EVERY - 1, 1000, VALIDATE_EVERY))
+        assert calls == [None, *range(VALIDATE_EVERY - 1, 1000, VALIDATE_EVERY)]
 
     def test_overflowing_path_rejected(self):
         # finite but huge increments overflow the norm to inf or NaN
