@@ -35,8 +35,9 @@ from .discrete import run_trajectory, trajectory_to_csv
 from .model import DensityMatrix, ModelConfig, WaveFunction, make_observable
 from .rng import derive_seed
 from .sde import (
-    MAX_SDE_STEP,
+    UnstableStep,
     master_evolve,
+    max_euler_step,
     sde_ensemble_final,
     sde_path_to_csv,
     simulate_belavkin,
@@ -158,6 +159,12 @@ def _load_model(args, **overrides) -> ModelConfig:
     return build_model(file_values, overrides)
 
 
+def _check_euler_step(flag: str, h: float, cfg: ModelConfig) -> None:
+    bound = max_euler_step(cfg)
+    if not 0 < h <= bound:
+        raise ConfigError(f"{flag} must be in (0, {bound:g}], got {h:g}")
+
+
 def _cmd_simulate_discrete(args) -> int:
     cfg = _load_model(args, n=args.n)
     record = run_trajectory(cfg, EXCITED, args.seed)
@@ -175,8 +182,7 @@ def _cmd_simulate_discrete(args) -> int:
 
 def _cmd_simulate_sde(args) -> int:
     cfg = _load_model(args)
-    if not 0 < args.h <= MAX_SDE_STEP:
-        raise ConfigError(f"--h must be in (0, {MAX_SDE_STEP:g}], got {args.h:g}")
+    _check_euler_step("--h", args.h, cfg)
     with open(args.out, "w") as fh:
         if args.form == "wave":
             psi0 = WaveFunction(np.array([0.0, 1.0], dtype=complex))
@@ -196,7 +202,10 @@ def _cmd_master(args) -> int:
     cfg = _load_model(args)
     if not 0 < args.h <= cfg.t_horizon:
         raise ConfigError(f"--h must be in (0, {cfg.t_horizon:g}], got {args.h:g}")
-    path = master_evolve(cfg, EXCITED, args.h)
+    try:
+        path = master_evolve(cfg, EXCITED, args.h)
+    except UnstableStep as exc:
+        raise ConfigError(str(exc)) from exc
     with open(args.out, "w") as fh:
         write_csv(fh, "time," + STATE_HEADER,
                   table_rows(path.grid, *state_columns(path.states)),
@@ -213,16 +222,14 @@ def _cmd_converge(args) -> int:
     sde_step = args.sde_step
     if sde_step is None:
         sde_step = min(5e-4, 1.0 / (10.0 * args.n_values[-1]))
-    elif not 0 < sde_step <= MAX_SDE_STEP:
-        raise ConfigError(f"--sde-step must be in (0, {MAX_SDE_STEP:g}], "
-                          f"got {sde_step:g}")
+    _check_euler_step("--sde-step", sde_step, cfg)
     spec = EnsembleSpec(cfg=cfg, rho0=EXCITED,
                         num_trajectories=args.trajectories,
                         base_seed=args.seed, n_values=args.n_values,
                         sde_step=sde_step)
     try:
         report = run_full_report(spec, t=min(1.0, cfg.t_horizon))
-    except DiagonalObservable as exc:
+    except (DiagonalObservable, UnstableStep) as exc:
         raise ConfigError(str(exc)) from exc
     with open(args.out, "w") as fh:
         report.to_csv(fh, timestamp=_timestamp(args))
@@ -233,8 +240,7 @@ def _cmd_converge(args) -> int:
 
 def _cmd_girsanov(args) -> int:
     cfg = _load_model(args)
-    if not 0 < args.h <= MAX_SDE_STEP:
-        raise ConfigError(f"--h must be in (0, {MAX_SDE_STEP:g}], got {args.h:g}")
+    _check_euler_step("--h", args.h, cfg)
     m = args.trajectories
     ref_seed = derive_seed(args.seed, 1)
     phys_seed = derive_seed(args.seed, 2)

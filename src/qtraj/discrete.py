@@ -33,6 +33,14 @@ an (8, M) array. Column 0 of each half is the branch trace, so p = w[0] and
 q = w[4], and the next state is the chosen half's rows 1-3 divided by its
 weight; Hermiticity and unit trace hold by construction.
 
+A single recorded trajectory (``run_trajectory``) is not a batch of one:
+with M = 1 the numpy calls of a step are all overhead. ``_scalar_chain``
+steps it in Python floats, reading B through ``tolist()`` and taking the
+operations of ``bloch_apply`` and ``drive_ensemble`` in the same order, so
+every recorded number has the bits of the ensemble row. The tests check this
+step by step against ``drive_ensemble``; it does not hold by construction.
+The caller fixes which loop runs: a recorded path or an ensemble.
+
 Sampling convention: outcome 1 is taken iff the step's uniform draw is < q.
 Each trajectory owns one PCG64 stream seeded with its 64-bit seed and
 consumes exactly one uniform per step.
@@ -40,7 +48,9 @@ consumes exactly one uniform per step.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from math import nan, sqrt
 from typing import Iterator
 
 import numpy as np
@@ -86,6 +96,13 @@ def branch_superops(u: InteractionUnitary, a: Observable) -> np.ndarray:
         for proj in (a.p0, a.p1)])
 
 
+def _chain_matrix(cfg: ModelConfig) -> np.ndarray:
+    """Real (4, 8) matrix B = [bloch_superop(S_0) | bloch_superop(S_1)] of
+    the two branch maps, acting on u = (1, r)."""
+    s = branch_superops(build_unitary(cfg), cfg.observable)
+    return np.hstack([bloch_superop(s[:, :4]), bloch_superop(s[:, 4:])])
+
+
 def drive_ensemble(cfg: ModelConfig, rho0: DensityMatrix, uniforms: np.ndarray,
                    ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray,
                                        np.ndarray, np.ndarray]]:
@@ -105,8 +122,7 @@ def drive_ensemble(cfg: ModelConfig, rho0: DensityMatrix, uniforms: np.ndarray,
     NULL_BRANCH raises DegenerateProbability.
     """
     validate_batch(rho0.m, None)
-    s = branch_superops(build_unitary(cfg), cfg.observable)
-    b = np.hstack([bloch_superop(s[:, :4]), bloch_superop(s[:, 4:])])
+    b = _chain_matrix(cfg)
     num_traj, steps = uniforms.shape
     r = np.broadcast_to(density_to_bloch(rho0.m), (num_traj, 3))
     for k in range(steps):
@@ -137,21 +153,71 @@ def drive_ensemble(cfg: ModelConfig, rho0: DensityMatrix, uniforms: np.ndarray,
         yield k, r, outcome, x, p, q
 
 
+def _scalar_chain(b: np.ndarray, r0: np.ndarray, uniforms: np.ndarray,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The steps of ``drive_ensemble`` for one trajectory, in Python floats.
+
+    Takes the (4, 8) matrix of ``_chain_matrix``, the initial Bloch vector
+    and the (steps,) uniforms, and returns (Bloch vectors (steps+1, 3),
+    outcomes, x, (p, q) columns). Each number comes from the operations that
+    ``bloch_apply`` and ``drive_ensemble`` take on a row, in the same order,
+    so it has the same bits; the tests check this step by step. Only the
+    chosen branch's state is computed. The degenerate-branch rule, its +0.0
+    x, the DegenerateProbability raise and the invariant checks every
+    VALIDATE_EVERY steps and after the last one are those of
+    ``drive_ensemble``. A NaN p or q makes no step degenerate, as
+    ``np.minimum`` propagates it.
+    """
+    (e0, e1, e2, e3, e4, e5, e6, e7), (x0, x1, x2, x3, x4, x5, x6, x7), \
+        (y0, y1, y2, y3, y4, y5, y6, y7), (z0, z1, z2, z3, z4, z5, z6, z7) = b.tolist()
+    x, y, z = r0.tolist()
+    # a memoryview yields Python floats without holding a list of them
+    draws = memoryview(np.ascontiguousarray(uniforms, dtype=float))
+    steps = len(draws)
+    # row 0 holds r0 (and no step data), row k + 1 the state after step k
+    # and that step's (p, q, x, outcome)
+    rec = array("d", (x, y, z, nan, nan, nan, nan))
+    put = rec.extend
+    for start in range(0, steps, VALIDATE_EVERY):
+        for k in range(start, min(start + VALIDATE_EVERY, steps)):
+            p = e0 + x * x0 + y * y0 + z * z0
+            q = e4 + x * x4 + y * y4 + z * z4
+            one = draws[k] < q
+            degenerate = (p < DEGENERATE_PROB or q < DEGENERATE_PROB) and p == p and q == q
+            if degenerate:
+                one = q > p
+            weight, other = (q, p) if one else (p, q)
+            if degenerate:
+                if weight < NULL_BRANCH:
+                    raise DegenerateProbability(
+                        f"step {k}, trajectory 0: branch trace {weight:.3e}")
+                xs = 0.0
+            else:
+                xs = sqrt(other / weight)
+                if not one:
+                    xs = -xs
+            if one:
+                x, y, z = ((e5 + x * x5 + y * y5 + z * z5) / weight,
+                           (e6 + x * x6 + y * y6 + z * z6) / weight,
+                           (e7 + x * x7 + y * y7 + z * z7) / weight)
+            else:
+                x, y, z = ((e1 + x * x1 + y * y1 + z * z1) / weight,
+                           (e2 + x * x2 + y * y2 + z * z2) / weight,
+                           (e3 + x * x3 + y * y3 + z * z3) / weight)
+            put((x, y, z, p, q, xs, one))
+        validate_batch(bloch_to_density(np.array([x, y, z])), k)
+    table = np.frombuffer(rec).reshape(steps + 1, 7)
+    return (table[:, :3], table[1:, 6].astype(np.int64), table[1:, 5],
+            table[1:, 3:5])
+
+
 def run_trajectory(cfg: ModelConfig, rho0: DensityMatrix, seed: int) -> TrajectoryRecord:
-    """Simulate floor(n * t_horizon) measurement steps; deterministic in seed."""
-    steps = cfg.steps
-    uniforms = generator_for(seed).random(steps)[None, :]
-    bloch = np.empty((steps + 1, 3))
-    bloch[0] = density_to_bloch(rho0.m)
-    outcomes = np.empty(steps, dtype=np.int64)
-    x = np.empty(steps)
-    probs = np.empty((steps, 2))
-    for k, r, out, xs, p, q in drive_ensemble(cfg, rho0, uniforms):
-        bloch[k + 1] = r[0]
-        outcomes[k] = out[0]
-        x[k] = xs[0]
-        probs[k, 0] = p[0]
-        probs[k, 1] = q[0]
+    """Simulate floor(n * t_horizon) measurement steps; deterministic in seed.
+    The initial state is checked first; the steps are ``_scalar_chain``'s."""
+    uniforms = generator_for(seed).random(cfg.steps)
+    validate_batch(rho0.m, None)
+    bloch, outcomes, x, probs = _scalar_chain(_chain_matrix(cfg),
+                                              density_to_bloch(rho0.m), uniforms)
     return TrajectoryRecord(states=bloch_to_density(bloch), outcomes=outcomes,
                             x_increments=x, probabilities=probs, n=cfg.n, seed=seed)
 

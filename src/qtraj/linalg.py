@@ -63,11 +63,14 @@ def bloch_apply(r: np.ndarray, a: np.ndarray) -> np.ndarray:
     Bloch vectors and a real (4, k) matrix.
 
     Written as a fixed sequence of elementwise products and sums, so every
-    entry of a column is computed by the same operations whatever M:
-    ensemble members are bit-identical to single runs by construction. A
-    BLAS product promises no such thing (gemv for one row and gemm for many
-    may round differently). The (k, M) layout makes numpy's inner loops run
-    over M.
+    entry of a column is computed by the same operations whatever M: an
+    ensemble member is bit-identical to the same member run as a batch of
+    one by construction. A BLAS product promises no such thing (gemv for one
+    row and gemm for many may round differently). The (k, M) layout makes
+    numpy's inner loops run over M. The single-path loops
+    ``discrete._scalar_chain`` and ``sde._scalar_density`` take the same
+    products and sums, in the same order, on Python floats; that they give
+    the same bits is checked by the tests, not given by construction.
     """
     col = a[:, :, None]
     return col[0] + r[:, 0] * col[1] + r[:, 1] * col[2] + r[:, 2] * col[3]

@@ -55,16 +55,26 @@ unit trace hold by construction, and the positivity projection (eigen-clip
 at zero, trace renormalization) is exactly ``linalg.project_ball``,
 r / max(1, |r|).
 
-Each equation has one Euler loop, a generator over an (M, steps) noise
-array: ``_density_steps`` (density and innovation forms) and ``_wave_steps``.
-The ensembles keep the last step; ``simulate_*`` run a batch of one and
-record every state. The 2x2 matrix forms of L, B, the projection and both
-Euler steps are test oracles in ``tests/oracles.py``, not package code.
+Each equation has one ensemble Euler loop, a generator over an (M, steps)
+noise array: ``_density_steps`` (density and innovation forms) and
+``_wave_steps``. The ensembles keep the last step. A recorded density path
+(``simulate_belavkin``, ``simulate_physical``) is stepped by
+``_scalar_density`` in Python floats instead, with the operations of
+``_bloch_step`` in the same order, so it has the bits of the ensemble row;
+the tests check this step by step, as it does not hold by construction.
+The wave form is the exception: ``simulate_wave`` runs ``_wave_steps`` on a
+batch of one. numpy's complex matmul (BLAS) and complex multiply round
+differently from Python's complex arithmetic, so no scalar wave step has the
+same bits; and as its matmul takes gemm for many rows and gemv for one, a
+wave ensemble's rows need not match their members run alone either. The
+2x2 matrix forms of L, B, the projection and both Euler steps are test
+oracles in ``tests/oracles.py``, not package code.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -78,6 +88,14 @@ from .model import (ID2, VALIDATE_EVERY, DensityMatrix, ModelConfig, WaveFunctio
 from .rng import generator_for, member_streams
 
 MAX_SDE_STEP = 1e-2
+RK4_GROWTH_TOL = 1e-12
+# |r|^2 at or below this leaves the projection's scale exactly 1: the
+# rounding of the sum and of hypot is far below the margin
+_INSIDE = 1.0 - 1e-12
+
+
+class UnstableStep(ValueError):
+    """An RK4 step size outside the method's stability region."""
 
 
 @dataclass(frozen=True)
@@ -132,10 +150,17 @@ def sde_coefficients(h0: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.hstack([lindblad_superop(h0, c), s_b, g_row[:, None]])
 
 
+def max_euler_step(cfg: ModelConfig) -> float:
+    """Largest Euler step: MAX_SDE_STEP, or the horizon T if shorter, so
+    that a run takes at least one step."""
+    return min(MAX_SDE_STEP, cfg.t_horizon)
+
+
 def _euler_steps(cfg: ModelConfig, h: float) -> int:
     """Number of Euler steps of size h on [0, T], after checking h."""
-    if not 0 < h <= MAX_SDE_STEP:
-        raise ValueError(f"step size must be in (0, {MAX_SDE_STEP:g}], got {h:g}")
+    bound = max_euler_step(cfg)
+    if not 0 < h <= bound:
+        raise ValueError(f"step size must be in (0, {bound:g}], got {h:g}")
     return int(round(cfg.t_horizon / h))
 
 
@@ -241,22 +266,62 @@ def _wave_steps(cfg: ModelConfig, psi0: WaveFunction, h: float,
         yield k, psi
 
 
+def _scalar_density(a: np.ndarray, r0: np.ndarray, h: float, noise: np.ndarray,
+                    physical: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The steps of ``_density_steps`` for one path, in Python floats.
+
+    Takes the (4, 7) matrix of ``_bloch_sde_matrix``, the initial Bloch
+    vector and the (steps,) increments, and returns (Bloch vectors
+    (steps+1, 3), g (steps,)). Each number comes from the operations that
+    ``_bloch_step`` takes on a row, in the same order, so it has the same
+    bits; the tests check this step by step. The projection takes |r| from
+    nested ``np.hypot``, as ``project_ball`` does (``math.hypot`` rounds
+    differently), and skips it when x^2 + y^2 + z^2 <= _INSIDE, where the
+    scale is exactly 1. A non-finite |r| makes the state NaN. The states are
+    checked every VALIDATE_EVERY steps and after the last one.
+    """
+    (e0, e1, e2, e3, e4, e5, e6), (x0, x1, x2, x3, x4, x5, x6), \
+        (y0, y1, y2, y3, y4, y5, y6), (z0, z1, z2, z3, z4, z5, z6) = a.tolist()
+    x, y, z = r0.tolist()
+    kicks, h = memoryview(np.ascontiguousarray(noise, dtype=float)), float(h)
+    steps = len(kicks)
+    # row 0 holds r0, row k + 1 the state after step k and g before it
+    rec = array("d", (x, y, z, math.nan))
+    put = rec.extend
+    for start in range(0, steps, VALIDATE_EVERY):
+        for k in range(start, min(start + VALIDATE_EVERY, steps)):
+            g = e6 + x * x6 + y * y6 + z * z6
+            kick = kicks[k] + h * g if physical else kicks[k]
+            x, y, z = (e0 + x * x0 + y * y0 + z * z0
+                       + kick * (e3 + x * x3 + y * y3 + z * z3 - g * x),
+                       e1 + x * x1 + y * y1 + z * z1
+                       + kick * (e4 + x * x4 + y * y4 + z * z4 - g * y),
+                       e2 + x * x2 + y * y2 + z * z2
+                       + kick * (e5 + x * x5 + y * y5 + z * z5 - g * z))
+            if not x * x + y * y + z * z <= _INSIDE:
+                norm = float(np.hypot(np.hypot(x, y), z))
+                if not norm <= 1.0:
+                    if not norm < math.inf:
+                        norm = math.nan
+                    x, y, z = x / norm, y / norm, z / norm
+            put((x, y, z, g))
+        validate_batch(bloch_to_density(np.array([x, y, z])), k)
+    table = np.frombuffer(rec).reshape(steps + 1, 4)
+    return table[:, :3], table[1:, 3]
+
+
 def _density_path(cfg: ModelConfig, rho0: DensityMatrix, h: float,
                   seed: int, physical: bool) -> SdePath:
-    """``_density_steps`` on a batch of one, recording every state (and, in
-    the physical form, the companion W path). The path is checked state by
-    state against the invariants once recorded."""
+    """``_scalar_density`` on one path, recording every state (and, in the
+    physical form, the companion W path). The initial state is checked
+    first, and the path state by state once recorded."""
     steps = _euler_steps(cfg, h)
-    noise = _noise_for(seed, steps, h)
-    bloch = np.empty((steps + 1, 3))
-    bloch[0] = density_to_bloch(rho0.m)
-    g = np.empty(steps)
-    for k, r, g_k in _density_steps(cfg, rho0, h, noise, physical):
-        bloch[k + 1] = r[0]
-        g[k] = g_k[0]
+    noise = _noise_for(seed, steps, h)[0]
+    validate_batch(rho0.m, None)
+    bloch, g = _scalar_density(_bloch_sde_matrix(cfg, h), density_to_bloch(rho0.m),
+                               h, noise, physical)
     states = bloch_to_density(bloch)
     validate_batch(states, steps)
-    noise = noise[0]
     companion = np.concatenate([[0.0], np.cumsum(noise + g * h)]) if physical else None
     return SdePath(grid=np.arange(steps + 1) * h, states=states, noise=noise,
                    companion=companion)
@@ -318,11 +383,19 @@ def _rk4_states(cfg: ModelConfig, rho0: DensityMatrix, h: float,
     E_j = E_{j-1} + d + E_{j-1} d, the states after a block start s are
     u_{s+j} = u_s + u_s E_j, one stacked product per block. The increment
     form keeps d's low bits, which the plain powers (I + d)^j round away.
-    The initial state and then the whole path are checked against the
-    invariants.
+    The initial state is checked against the invariants, and the step
+    against RK4's stability region: UnstableStep is raised before any step
+    if max |R(h lam)| over the eigenvalues lam of S_L exceeds
+    1 + RK4_GROWTH_TOL, with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 the
+    growth factor of one step. The whole path is checked once at the end.
     """
     validate_batch(rho0.m, None)
     a = h * lindblad_superop(cfg.h0, cfg.coupling())
+    z = np.linalg.eigvals(a)
+    growth = float(np.max(np.abs(1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0)))
+    if not growth <= 1.0 + RK4_GROWTH_TOL:
+        raise UnstableStep(f"step size {h:g} is outside RK4's stability region: "
+                           f"one step grows a mode by {growth:.6g}")
     a2 = a @ a
     d = bloch_superop(a + a2 / 2.0 + (a2 @ a) / 6.0 + (a2 @ a2) / 24.0)
     d[:, 0] = 0.0

@@ -6,6 +6,9 @@ the joint Hamiltonian, the joint state after one interaction, the field
 partial trace, the branch maps, the sampled measurement step and its
 increment form, and the diffusive SME in 2x2 matrix form. The tests compare
 the package's stepping cores against them; nothing in ``qtraj`` calls them.
+The single paths taken as a batch of one through the ensemble cores are
+here too: the package steps single paths in Python floats, and these are the
+references their bits are checked against.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qtraj.discrete import DEGENERATE_PROB, NULL_BRANCH, DegenerateProbability
+from qtraj.discrete import (DEGENERATE_PROB, NULL_BRANCH, DegenerateProbability,
+                            TrajectoryRecord, drive_ensemble)
 from qtraj.linalg import adjoint, bloch_to_density, density_to_bloch, project_ball, tensor
 from qtraj.model import (
     _FIELD_LOWER,
@@ -31,7 +35,7 @@ from qtraj.model import (
     validate_batch,
 )
 from qtraj.rng import derive_seed, generator_for
-from qtraj.sde import SdePath
+from qtraj.sde import SdePath, _density_steps, _euler_steps, _noise_for
 
 FIELD_GROUND = np.array([[1, 0], [0, 0]], dtype=complex)   # |f0><f0|
 
@@ -275,3 +279,43 @@ def member_streams_per_generator(base_seed: int, count: int, steps: int,
     for j in range(count):
         out[j] = getattr(generator_for(derive_seed(base_seed, j)), draw)(steps)
     return out
+
+
+def run_trajectory_batch_of_one(cfg: ModelConfig, rho0: DensityMatrix,
+                                seed: int) -> TrajectoryRecord:
+    """``discrete.run_trajectory`` as a batch of one through
+    ``drive_ensemble``, recording every step."""
+    steps = cfg.steps
+    uniforms = generator_for(seed).random(steps)[None, :]
+    bloch = np.empty((steps + 1, 3))
+    bloch[0] = density_to_bloch(rho0.m)
+    outcomes = np.empty(steps, dtype=np.int64)
+    x = np.empty(steps)
+    probs = np.empty((steps, 2))
+    for k, r, out, xs, p, q in drive_ensemble(cfg, rho0, uniforms):
+        bloch[k + 1] = r[0]
+        outcomes[k] = out[0]
+        x[k] = xs[0]
+        probs[k] = p[0], q[0]
+    return TrajectoryRecord(states=bloch_to_density(bloch), outcomes=outcomes,
+                            x_increments=x, probabilities=probs, n=cfg.n, seed=seed)
+
+
+def density_path_batch_of_one(cfg: ModelConfig, rho0: DensityMatrix, h: float,
+                              seed: int, physical: bool) -> SdePath:
+    """``sde._density_path`` as a batch of one through ``_density_steps``,
+    recording every state and checking the path once recorded."""
+    steps = _euler_steps(cfg, h)
+    noise = _noise_for(seed, steps, h)
+    bloch = np.empty((steps + 1, 3))
+    bloch[0] = density_to_bloch(rho0.m)
+    g = np.empty(steps)
+    for k, r, g_k in _density_steps(cfg, rho0, h, noise, physical):
+        bloch[k + 1] = r[0]
+        g[k] = g_k[0]
+    states = bloch_to_density(bloch)
+    validate_batch(states, steps)
+    noise = noise[0]
+    companion = np.concatenate([[0.0], np.cumsum(noise + g * h)]) if physical else None
+    return SdePath(grid=np.arange(steps + 1) * h, states=states, noise=noise,
+                   companion=companion)

@@ -3,7 +3,8 @@ import pytest
 
 from qtraj.cli import main
 
-from oracles import member_streams_per_generator
+from oracles import (density_path_batch_of_one, member_streams_per_generator,
+                     run_trajectory_batch_of_one)
 
 
 def run_cli(*argv):
@@ -162,6 +163,26 @@ def test_ensemble_bytes_match_per_member_generators(tmp_path, monkeypatch, argv)
     assert bulk.read_bytes() == literal.read_bytes()
 
 
+
+@pytest.mark.parametrize("argv", [
+    ("simulate-discrete", "--n", "2000"),
+    ("simulate-sde", "--form", "belavkin", "--h", "1e-3"),
+    ("simulate-sde", "--form", "physical", "--h", "1e-3"),
+])
+def test_single_path_bytes_match_batch_of_one(tmp_path, monkeypatch, argv):
+    # the scalar single-path loops give the bytes of the ensemble cores run
+    # on a batch of one
+    import qtraj.cli
+    import qtraj.sde
+
+    scalar, batch = tmp_path / "scalar.csv", tmp_path / "batch.csv"
+    assert run_cli(*argv, "--seed", "7", "--out", str(scalar), "--no-timestamp") == 0
+    monkeypatch.setattr(qtraj.cli, "run_trajectory", run_trajectory_batch_of_one)
+    monkeypatch.setattr(qtraj.sde, "_density_path", density_path_batch_of_one)
+    assert run_cli(*argv, "--seed", "7", "--out", str(batch), "--no-timestamp") == 0
+    assert scalar.read_bytes() == batch.read_bytes()
+
+
 class TestConfigHandling:
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -210,6 +231,36 @@ class TestNonFiniteInputExits2:
         out = tmp_path / "x.csv"
         assert run_cli(*argv, "--seed", "1", "--out", str(out)) == 2
         assert not out.exists()
+
+
+class TestStepBoundsExit2:
+    def test_unstable_rk4_step(self, tmp_path):
+        # damping rate 9: h = 0.5 grows the decaying modes by |R(-4.5)| = 8.5,
+        # h = 0.3 keeps every |R(h lam)| <= 1
+        cfg = tmp_path / "strong.cfg"
+        cfg.write_text("c = 0 0 3 0 0 0 0 0\n")
+        out = tmp_path / "m.csv"
+        assert run_cli("master", "--config", str(cfg), "--h", "0.5", "--seed", "1",
+                       "--out", str(out)) == 2
+        assert not out.exists()
+        assert run_cli("master", "--config", str(cfg), "--h", "0.3", "--seed", "1",
+                       "--out", str(out)) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate-sde", "--h", "1e-2"),
+        ("simulate-sde", "--form", "wave", "--h", "1e-2"),
+        ("girsanov", "--trajectories", "10", "--h", "1e-2"),
+        ("converge", "--n-values", "1000,2000", "--trajectories", "10",
+         "--sde-step", "1e-2"),
+    ])
+    def test_euler_step_beyond_horizon(self, tmp_path, capsys, argv):
+        # h = 1e-2 > t_horizon = 0.004 would take round(0.4) = 0 steps
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("t_horizon = 0.004\n")
+        out = tmp_path / "x.csv"
+        assert run_cli(*argv, "--config", str(cfg), "--seed", "1", "--out", str(out)) == 2
+        assert not out.exists()
+        assert "must be in (0, 0.004]" in capsys.readouterr().err
 
 
 def test_csv_cells():

@@ -12,7 +12,10 @@ from qtraj import (
 )
 from qtraj import convergence
 from qtraj.convergence import EnsembleSpec, residual_decay
+import qtraj.discrete as discrete_mod
 from qtraj.discrete import (
+    _chain_matrix,
+    _scalar_chain,
     branch_superops,
     drive_ensemble,
     ensemble_streams,
@@ -40,6 +43,7 @@ from oracles import (
     lindblad,
     measurement_step,
     nonnormalized_maps,
+    run_trajectory_batch_of_one,
 )
 
 IDENTITY_U = InteractionUnitary.from_matrix(np.eye(4, dtype=complex))
@@ -368,6 +372,104 @@ class TestBlochChain:
             for k, *single in drive_ensemble(cfg, rho, uniforms[j:j + 1]):
                 for whole, one in zip(batch[k], single):
                     assert np.array_equal(whole[j], one[0]), (j, k)
+
+
+
+def _chain_batch_of_one(cfg, rho, uniforms):
+    """``drive_ensemble`` on a batch of one, in ``_scalar_chain``'s layout."""
+    bloch, outcomes, x, probs = [density_to_bloch(rho.m)], [], [], []
+    for _, r, out, xs, p, q in drive_ensemble(cfg, rho, uniforms[None]):
+        bloch.append(r[0].copy())
+        outcomes.append(out[0])
+        x.append(xs[0])
+        probs.append((p[0], q[0]))
+    return (np.array(bloch), np.array(outcomes, dtype=np.int64), np.array(x),
+            np.array(probs).reshape(-1, 2))
+
+
+def _assert_chains_equal(cfg, rho, uniforms, equal_nan=False):
+    # the module attribute, which a test may patch for both cores
+    b = discrete_mod._chain_matrix(cfg)
+    scalar = _scalar_chain(b, density_to_bloch(rho.m), uniforms)
+    ensemble = _chain_batch_of_one(cfg, rho, uniforms)
+    for name, got, want in zip(("states", "outcomes", "x", "p, q"), scalar, ensemble):
+        assert got.shape == want.shape, name
+        assert np.array_equal(got, want, equal_nan=equal_nan), name
+    return scalar
+
+
+class TestScalarChain:
+    """The single-path loop ``_scalar_chain`` against ``drive_ensemble`` on a
+    batch of one, bit for bit at every step."""
+
+    def test_matches_drive_ensemble(self):
+        rng = np.random.default_rng(46)
+        cfgs = [damping_cfg(n=300, h0_scale=0.5)] + [rand_config(rng, n_high=400)
+                                                     for _ in range(6)]
+        for cfg in cfgs:
+            _assert_chains_equal(cfg, rand_density(rng), rng.random(cfg.steps))
+
+    def test_validates_at_the_steps_of_drive_ensemble(self, monkeypatch):
+        # None is the initial state; then every VALIDATE_EVERY steps and the
+        # last one, each a (2, 2) state whatever the core
+        calls = []
+        original = discrete_mod.validate_batch
+
+        def recording(states, step):
+            calls.append((step, states.shape[-2:]))
+            return original(states, step)
+
+        monkeypatch.setattr(discrete_mod, "validate_batch", recording)
+        cfg = damping_cfg(n=250, h0_scale=0.5)
+        run_trajectory(cfg, EXCITED, seed=3)
+        scalar = calls[:]
+        calls.clear()
+        run_trajectory_batch_of_one(cfg, EXCITED, seed=3)
+        assert scalar == calls == [(k, (2, 2)) for k in (None, 99, 199, 249)]
+
+    @pytest.mark.parametrize("phi, dominant", [(1e-7, 0), (np.pi - 1e-7, 1)])
+    def test_degenerate_chain(self, phi, dominant):
+        # every step is degenerate; the draws 0 and 1^- would pick the minor
+        # branch by the sampling rule alone
+        cfg = trivial_cfg(n=250, phi=phi)
+        uniforms = np.random.default_rng(47).random(cfg.steps)
+        uniforms[::3] = 0.0
+        uniforms[1::3] = np.nextafter(1.0, 0.0)
+        _, outcomes, x, probs = _assert_chains_equal(cfg, EXCITED, uniforms)
+        assert np.all(probs.min(axis=1) < 1e-12)
+        assert np.all(outcomes == dominant)
+        assert np.all(x == 0.0) and not np.any(np.signbit(x))
+
+    def test_null_branch_raises_like_drive_ensemble(self, monkeypatch):
+        cfg = damping_cfg(n=50)
+        b = 1e-15 * _chain_matrix(cfg)
+        monkeypatch.setattr(discrete_mod, "_chain_matrix", lambda cfg: b)
+        uniforms = np.full(cfg.steps, 0.5)
+        with pytest.raises(DegenerateProbability) as scalar:
+            _scalar_chain(b, density_to_bloch(EXCITED.m), uniforms)
+        with pytest.raises(DegenerateProbability) as ensemble:
+            next(drive_ensemble(cfg, EXCITED, uniforms[None]))
+        assert str(scalar.value) == str(ensemble.value)
+        with pytest.raises(DegenerateProbability, match="step 0, trajectory 0"):
+            run_trajectory(cfg, EXCITED, seed=1)
+
+    @pytest.mark.parametrize("nan_column, tiny_column", [(0, None), (4, None), (4, 0)],
+                             ids=["p", "q", "q-with-tiny-p"])
+    def test_nan_branch_trace_takes_the_core_branch(self, monkeypatch, nan_column,
+                                                    tiny_column):
+        # np.minimum propagates NaN, so a NaN p or q makes no step degenerate,
+        # even when the other trace is below DEGENERATE_PROB
+        cfg = damping_cfg(n=200, h0_scale=0.5)
+        b = _chain_matrix(cfg)
+        if tiny_column is not None:
+            b[:, tiny_column] *= 1e-13
+        b[:, nan_column] = np.nan
+        monkeypatch.setattr(discrete_mod, "_chain_matrix", lambda cfg: b)
+        monkeypatch.setattr(discrete_mod, "validate_batch", lambda states, step: states)
+        uniforms = np.random.default_rng(48).random(cfg.steps)
+        with np.errstate(invalid="ignore"):
+            _, _, x, _ = _assert_chains_equal(cfg, EXCITED, uniforms, equal_nan=True)
+        assert np.isnan(x).any()
 
 
 class TestResidual:

@@ -21,10 +21,14 @@ from qtraj.linalg import (
     project_ball,
 )
 from qtraj.model import ID2, SIGMA_X, SIGMA_Z, NotAState
+import qtraj.sde as sde_mod
 from qtraj.sde import (
     VALIDATE_EVERY,
+    UnstableStep,
     _bloch_sde_matrix,
     _bloch_step,
+    _density_steps,
+    _scalar_density,
     backaction_superop,
     lindblad_superop,
     sde_coefficients,
@@ -48,6 +52,7 @@ from helpers import (
 )
 from oracles import (
     backaction,
+    density_path_batch_of_one,
     euler_step_density,
     girsanov_weights,
     innovation_path,
@@ -361,14 +366,14 @@ class TestEnsembleConsistency:
         path = simulate_belavkin(cfg, EXCITED, 1e-3, seed=16)
         finals, _ = sde_ensemble_final(cfg, EXCITED, 1e-3, 1,
                                        noise=path.noise[None, :])
-        assert max_abs(finals[0] - path.states[-1]) < 1e-12
+        assert np.array_equal(finals[0], path.states[-1])
 
     def test_physical_ensemble_matches_scalar_path(self):
         cfg = damping_cfg(h0_scale=0.5)
         path = simulate_physical(cfg, EXCITED, 1e-3, seed=17)
         finals, _ = sde_ensemble_final(cfg, EXCITED, 1e-3, 1,
                                        noise=path.noise[None, :], physical=True)
-        assert max_abs(finals[0] - path.states[-1]) < 1e-12
+        assert np.array_equal(finals[0], path.states[-1])
 
     def test_wave_ensemble_matches_scalar_path(self):
         cfg = damping_cfg(h0_scale=0.5)
@@ -553,6 +558,131 @@ class TestEnsembleCore:
                                 noise=np.zeros(shape))
 
 
+def _density_batch_of_one(cfg, rho, h, noise, physical):
+    """``_density_steps`` on a batch of one, in ``_scalar_density``'s layout."""
+    bloch, g = [density_to_bloch(rho.m)], []
+    for _, r, g_k in _density_steps(cfg, rho, h, noise[None], physical):
+        bloch.append(r[0].copy())
+        g.append(g_k[0])
+    return np.array(bloch), np.array(g)
+
+
+def _assert_density_paths_equal(cfg, rho, h, noise, physical, equal_nan=False):
+    # the module attribute, which a test may patch for both cores
+    a = sde_mod._bloch_sde_matrix(cfg, h)
+    scalar = _scalar_density(a, density_to_bloch(rho.m), h, noise, physical)
+    ensemble = _density_batch_of_one(cfg, rho, h, noise, physical)
+    for name, got, want in zip(("states", "g"), scalar, ensemble):
+        assert got.shape == want.shape, name
+        assert np.array_equal(got, want, equal_nan=equal_nan), name
+    return scalar
+
+
+class TestScalarDensity:
+    """The single-path loop ``_scalar_density`` against ``_density_steps`` on a
+    batch of one, bit for bit at every step."""
+
+    @pytest.mark.parametrize("physical", [False, True])
+    def test_matches_density_steps_with_projection(self, physical):
+        # kicks of scale 0.1 push most steps out of the ball
+        h = 1e-3
+        noise = np.random.default_rng(37).normal(scale=0.1, size=300)
+        bloch, _ = _assert_density_paths_equal(damping_cfg(h0_scale=0.5), PLUS, h,
+                                               noise, physical)
+        on_sphere = np.abs(np.linalg.norm(bloch, axis=1) - 1.0) < 1e-14
+        assert on_sphere.sum() > 150
+
+    @pytest.mark.parametrize("physical", [False, True])
+    def test_matches_density_steps_on_random_configs(self, physical):
+        rng = np.random.default_rng(38)
+        for _ in range(4):
+            h = 1e-3
+            noise = rng.normal(scale=np.sqrt(h), size=400)
+            _assert_density_paths_equal(rand_config(rng), rand_density(rng), h, noise,
+                                        physical)
+
+    @pytest.mark.parametrize("physical", [False, True])
+    def test_validates_at_the_steps_of_density_steps(self, monkeypatch, physical):
+        # None is the initial state; then every VALIDATE_EVERY steps, the
+        # last one and the recorded path as a whole
+        calls = []
+        original = sde_mod.validate_batch
+
+        def recording(states, step):
+            calls.append((step, states.shape))
+            return original(states, step)
+
+        monkeypatch.setattr(sde_mod, "validate_batch", recording)
+        cfg = damping_cfg(h0_scale=0.5, t_horizon=0.25)
+        sde_mod._density_path(cfg, EXCITED, 1e-3, 5, physical)
+        scalar = calls[:]
+        calls.clear()
+        density_path_batch_of_one(cfg, EXCITED, 1e-3, 5, physical)
+        # the oracle checks the whole path through qtraj.model's own name
+        assert [k for k, _ in scalar[:-1]] == [k for k, _ in calls] == [None, 99, 199, 249]
+        assert scalar[-1] == (250, (251, 2, 2))
+
+    @pytest.mark.parametrize("physical", [False, True])
+    def test_huge_increments_stay_on_the_sphere(self, physical):
+        # the squares overflow, |r| from nested hypot does not
+        noise = 1e160 * np.random.default_rng(39).standard_normal(150)
+        with np.errstate(over="ignore"):
+            bloch, _ = _assert_density_paths_equal(damping_cfg(h0_scale=0.5), PLUS,
+                                                   1e-2, noise, physical)
+        assert np.all(np.abs(np.linalg.norm(bloch, axis=1) - 1.0) <= 1e-12)
+
+    @pytest.mark.parametrize("physical", [False, True])
+    def test_overflowing_increments_raise(self, monkeypatch, physical):
+        # |r| overflows hypot: the state becomes NaN, never r / inf = 0
+        cfg, h = damping_cfg(h0_scale=0.5), 1e-2
+        r0 = density_to_bloch(PLUS.m)
+        with np.errstate(all="ignore"):
+            noise = 1e308 * np.random.default_rng(39).standard_normal(150)
+            with pytest.raises(NotAState) as scalar:
+                _scalar_density(_bloch_sde_matrix(cfg, h), r0, h, noise, physical)
+            with pytest.raises(NotAState) as ensemble:
+                _density_batch_of_one(cfg, PLUS, h, noise, physical)
+            assert str(scalar.value) == str(ensemble.value)
+            monkeypatch.setattr(sde_mod, "validate_batch", lambda states, step: states)
+            bloch, _ = _assert_density_paths_equal(cfg, PLUS, h, noise, physical,
+                                                   equal_nan=True)
+        assert np.all(np.isnan(bloch[-1]))
+
+    @pytest.mark.parametrize("kick, finite", [(1e200, True), (1.5e308, False)])
+    def test_unrepresentable_norm_is_nan(self, monkeypatch, kick, finite):
+        # a step to kick * (1, 1, 0): components of 1.5e308 are finite but
+        # |r| is not, and the state must become NaN, not r / inf = 0
+        a = np.zeros((4, 7))
+        a[0, 3:5] = 1.0
+        monkeypatch.setattr(sde_mod, "_bloch_sde_matrix", lambda cfg, h: a)
+        monkeypatch.setattr(sde_mod, "validate_batch", lambda states, step: states)
+        with np.errstate(over="ignore"):
+            bloch, _ = _assert_density_paths_equal(damping_cfg(), PLUS, 1e-2,
+                                                   np.array([kick]), False,
+                                                   equal_nan=True)
+        assert np.all(np.isfinite(bloch[1])) == finite
+        assert np.all(np.isnan(bloch[1])) != finite
+
+    def test_near_sphere_rows_keep_project_ball_bits(self, monkeypatch):
+        # an identity step: a row with x^2 + y^2 + z^2 <= 1 whose nested hypot
+        # rounds to 1 + ulp is still divided by it, as in project_ball, so
+        # the projection may only be skipped well inside the ball
+        a = np.zeros((4, 7))
+        a[1:, :3] = np.eye(3)
+        monkeypatch.setattr(sde_mod, "_bloch_sde_matrix", lambda cfg, h: a)
+        v = np.random.default_rng(50).normal(size=(20000, 3))
+        v = density_to_bloch(bloch_to_density(v / np.linalg.norm(v, axis=1)[:, None]))
+        sums = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2]
+        norms = np.hypot(np.hypot(v[:, 0], v[:, 1]), v[:, 2])
+        rows = v[(sums <= 1.0) & (norms > 1.0)][:10]
+        assert len(rows) == 10
+        for r0 in rows:
+            rho = DensityMatrix(bloch_to_density(r0))
+            bloch, _ = _assert_density_paths_equal(damping_cfg(), rho, 1e-3,
+                                                   np.zeros(2), False)
+            assert not np.array_equal(bloch[1], r0)
+
+
 NOT_POSITIVE = DensityMatrix(np.diag([2.0, -1.0]).astype(complex))
 ALL_NAN = DensityMatrix(np.full((2, 2), np.nan, dtype=complex))
 
@@ -710,6 +840,27 @@ class TestInputGuards:
     def test_master_evolve_step(self, h):
         with pytest.raises(ValueError, match="step size"):
             master_evolve(damping_cfg(), EXCITED, h)
+
+    def test_master_evolve_unstable_step(self, monkeypatch):
+        # damping rate 9: |R(-9 h)| is 8.5 at h = 0.5; at h = 0.3 the largest
+        # |R(h lam)| is the stationary mode's 1. The bound is checked before
+        # any step
+        cfg = damping_cfg(c_scale=3.0)
+        assert master_evolve(cfg, EXCITED, 0.3).states.shape == (4, 2, 2)
+        monkeypatch.setattr(sde_mod, "bloch_superop", None)
+        with pytest.raises(UnstableStep, match="stability region"):
+            master_evolve(cfg, EXCITED, 0.5)
+        assert issubclass(UnstableStep, ValueError)
+
+    @pytest.mark.parametrize("h", [1e-2, 5e-3])
+    def test_euler_step_beyond_horizon(self, h):
+        cfg = damping_cfg(t_horizon=0.004)
+        with pytest.raises(ValueError, match=r"step size must be in \(0, 0.004\]"):
+            sde_ensemble_final(cfg, EXCITED, h, 2, base_seed=1)
+        with pytest.raises(ValueError, match="step size"):
+            simulate_belavkin(cfg, EXCITED, h, seed=1)
+        with pytest.raises(ValueError, match="step size"):
+            wave_ensemble_final(cfg, WaveFunction(PLUS_VEC), h, 2, base_seed=1)
 
     @pytest.mark.parametrize("h", [np.nan, np.inf])
     def test_euler_step_density_step(self, h):

@@ -12,8 +12,11 @@ For each of PAIRS pairs i = 0, 1, ... and each workload W, both trees run
 one after the other, the base first on even pairs and the change first on
 odd ones. The last stdout line of a run holds its end-to-end metrics and the
 line before it the machine facts. The output file holds the git shas, the
-machine, ``wc -l src/qtraj/*.py`` of both trees, every run's metrics and
-their per-workload medians.
+machine, ``wc -l src/qtraj/*.py`` of both trees, every run's metrics, their
+per-workload medians and, per workload and metric, the ``summarize`` record
+of the pairs: how many the change won, tied and lost (the direction is the
+metric's ``better`` in BENCHMARK.json), the base's quartiles and the median
+gain, which a claimed gain needs to beat the base's interquartile range.
 """
 
 from __future__ import annotations
@@ -54,6 +57,40 @@ def _src_lines(tree: Path) -> int:
                for p in sorted((tree / "src" / "qtraj").glob("*.py")))
 
 
+def directions(spec: dict) -> dict[str, str]:
+    """The ``better`` direction ("lower" or "higher") of each METRICS entry
+    in a BENCHMARK.json spec."""
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m: better[m] for m in METRICS}
+
+
+def summarize(base: list[dict], change: list[dict], better: dict[str, str]) -> dict:
+    """Per metric of ``better``, for runs where base[i] and change[i] are
+    pair i: the pairs the change won, tied and lost in the metric's
+    direction, the base's quartiles [Q1, Q3] and their distance, and the
+    median gain, median(change) - median(base) signed so that positive is
+    better."""
+    if len(base) != len(change) or len(base) < 2:
+        raise ValueError("need at least two pairs of runs")
+    out = {}
+    for metric, direction in better.items():
+        sign = {"lower": -1.0, "higher": 1.0}[direction]
+        b = [r[metric] for r in base]
+        c = [r[metric] for r in change]
+        gains = [sign * (y - x) for x, y in zip(b, c)]
+        q1, _, q3 = statistics.quantiles(b, n=4)
+        out[metric] = {
+            "better": direction,
+            "won": sum(g > 0 for g in gains),
+            "tied": sum(g == 0 for g in gains),
+            "lost": sum(g < 0 for g in gains),
+            "base_quartiles": [q1, q3],
+            "base_iqr": q3 - q1,
+            "median_gain": sign * (statistics.median(c) - statistics.median(b)),
+        }
+    return out
+
+
 def _run(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
@@ -71,6 +108,7 @@ def main() -> int:
     p.add_argument("--base", default="HEAD")
     args = p.parse_args()
     dirty = bool(_git("status", "--porcelain", "--", "src", "perfbench"))
+    better = directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
     record = {
         "harness": "python3 perfbench/run.py --workload W --seed N "
                    f"--seconds {SECONDS} --trace 0",
@@ -101,6 +139,7 @@ def main() -> int:
             side: {"median": {m: statistics.median(r[m] for r in rs) for m in METRICS},
                    "runs": rs}
             for side, rs in sides.items()}
+        record["workloads"][w]["pairs"] = summarize(sides["base"], sides["change"], better)
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
