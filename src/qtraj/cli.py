@@ -12,7 +12,9 @@ file keys. Model keys:
     h0                four reals: h00, h01_re, h01_im, h11 (Hermitian)
     c                 eight reals: row-major re/im pairs of the coupling
     phi               observable mixing angle (radians)
-    lambda0, lambda1  observable eigenvalues
+    lambda0, lambda1  observable eigenvalues; they only need to differ, as
+                      no output depends on them (the centred record x
+                      depends only on the projectors)
     theta             coupling phase, folded in as c -> exp(i theta) c
     n                 interactions per unit time
     t_horizon         time horizon
@@ -30,14 +32,13 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .convergence import DiagonalObservable, EnsembleSpec, run_full_report
-from .csvio import STATE_HEADER, state_columns, table_rows, write_csv
+from .csvio import STATE_HEADER, state_columns, write_csv
 from .discrete import run_trajectory, trajectory_to_csv
-from .model import DensityMatrix, ModelConfig, WaveFunction, make_observable
+from .model import SIGMA_Z, DensityMatrix, ModelConfig, WaveFunction, make_observable
 from .rng import derive_seed
 from .sde import (
-    UnstableStep,
+    StepOutOfRange,
     master_evolve,
-    max_euler_step,
     sde_ensemble_final,
     sde_path_to_csv,
     simulate_belavkin,
@@ -159,12 +160,6 @@ def _load_model(args, **overrides) -> ModelConfig:
     return build_model(file_values, overrides)
 
 
-def _check_euler_step(flag: str, h: float, cfg: ModelConfig) -> None:
-    bound = max_euler_step(cfg)
-    if not 0 < h <= bound:
-        raise ConfigError(f"{flag} must be in (0, {bound:g}], got {h:g}")
-
-
 def _cmd_simulate_discrete(args) -> int:
     cfg = _load_model(args, n=args.n)
     record = run_trajectory(cfg, EXCITED, args.seed)
@@ -182,33 +177,22 @@ def _cmd_simulate_discrete(args) -> int:
 
 def _cmd_simulate_sde(args) -> int:
     cfg = _load_model(args)
-    _check_euler_step("--h", args.h, cfg)
+    if args.form == "wave":
+        psi0 = WaveFunction(np.array([0.0, 1.0], dtype=complex))
+        path, to_csv = simulate_wave(cfg, psi0, args.h, args.seed), wave_path_to_csv
+    else:
+        simulate = simulate_physical if args.form == "physical" else simulate_belavkin
+        path, to_csv = simulate(cfg, EXCITED, args.h, args.seed), sde_path_to_csv
     with open(args.out, "w") as fh:
-        if args.form == "wave":
-            psi0 = WaveFunction(np.array([0.0, 1.0], dtype=complex))
-            wave = simulate_wave(cfg, psi0, args.h, args.seed)
-            wave_path_to_csv(wave, fh, timestamp=_timestamp(args))
-            rows = len(wave.grid)
-        else:
-            simulate = simulate_physical if args.form == "physical" else simulate_belavkin
-            path = simulate(cfg, EXCITED, args.h, args.seed)
-            sde_path_to_csv(path, fh, timestamp=_timestamp(args))
-            rows = len(path.grid)
-    print(f"wrote {args.out}: {rows} rows ({args.form} form, h = {args.h:g})")
+        to_csv(path, fh, timestamp=_timestamp(args))
+    print(f"wrote {args.out}: {len(path.grid)} rows ({args.form} form, h = {args.h:g})")
     return 0
 
 
 def _cmd_master(args) -> int:
-    cfg = _load_model(args)
-    if not 0 < args.h <= cfg.t_horizon:
-        raise ConfigError(f"--h must be in (0, {cfg.t_horizon:g}], got {args.h:g}")
-    try:
-        path = master_evolve(cfg, EXCITED, args.h)
-    except UnstableStep as exc:
-        raise ConfigError(str(exc)) from exc
+    path = master_evolve(_load_model(args), EXCITED, args.h)
     with open(args.out, "w") as fh:
-        write_csv(fh, "time," + STATE_HEADER,
-                  table_rows(path.grid, *state_columns(path.states)),
+        write_csv(fh, "time," + STATE_HEADER, [path.grid, *state_columns(path.states)],
                   _timestamp(args))
     final = path.states[-1]
     print(f"wrote {args.out}: {len(path.grid)} rows")
@@ -222,15 +206,11 @@ def _cmd_converge(args) -> int:
     sde_step = args.sde_step
     if sde_step is None:
         sde_step = min(5e-4, 1.0 / (10.0 * args.n_values[-1]))
-    _check_euler_step("--sde-step", sde_step, cfg)
     spec = EnsembleSpec(cfg=cfg, rho0=EXCITED,
                         num_trajectories=args.trajectories,
                         base_seed=args.seed, n_values=args.n_values,
                         sde_step=sde_step)
-    try:
-        report = run_full_report(spec, t=min(1.0, cfg.t_horizon))
-    except (DiagonalObservable, UnstableStep) as exc:
-        raise ConfigError(str(exc)) from exc
+    report = run_full_report(spec, t=min(1.0, cfg.t_horizon))
     with open(args.out, "w") as fh:
         report.to_csv(fh, timestamp=_timestamp(args))
     print(f"wrote {args.out}")
@@ -240,7 +220,6 @@ def _cmd_converge(args) -> int:
 
 def _cmd_girsanov(args) -> int:
     cfg = _load_model(args)
-    _check_euler_step("--h", args.h, cfg)
     m = args.trajectories
     ref_seed = derive_seed(args.seed, 1)
     phys_seed = derive_seed(args.seed, 2)
@@ -248,9 +227,8 @@ def _cmd_girsanov(args) -> int:
                                          with_weights=True)
     phys_finals, _ = sde_ensemble_final(cfg, EXCITED, args.h, m, phys_seed,
                                         physical=True)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    f_ref = np.einsum("jab,ba->j", finals, sz).real
-    f_phys = np.einsum("jab,ba->j", phys_finals, sz).real
+    f_ref = np.einsum("jab,ba->j", finals, SIGMA_Z).real
+    f_phys = np.einsum("jab,ba->j", phys_finals, SIGMA_Z).real
     mean_z = float(np.mean(weights))
     se_z = float(np.std(weights, ddof=1) / np.sqrt(m))
     reweighted = float(np.mean(weights * f_ref))
@@ -259,9 +237,9 @@ def _cmd_girsanov(args) -> int:
     se_ph = float(np.std(f_phys, ddof=1) / np.sqrt(m))
     with open(args.out, "w") as fh:
         write_csv(fh, "quantity,value",
-                  [("mean_weight", mean_z), ("se_weight", se_z),
-                   ("reweighted_mean_sz", reweighted), ("se_reweighted", se_rw),
-                   ("physical_mean_sz", physical), ("se_physical", se_ph)],
+                  [["mean_weight", "se_weight", "reweighted_mean_sz", "se_reweighted",
+                    "physical_mean_sz", "se_physical"],
+                   [mean_z, se_z, reweighted, se_rw, physical, se_ph]],
                   _timestamp(args))
     print(f"wrote {args.out}")
     print(f"E[Z_T] = {mean_z:.5f} +- {se_z:.5f} (target 1)")
@@ -324,7 +302,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, StepOutOfRange, DiagonalObservable) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

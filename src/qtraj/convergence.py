@@ -102,17 +102,19 @@ class ConvergenceReport:
         return "\n".join(lines)
 
     def to_csv(self, stream, timestamp: str | None = None) -> None:
-        rows = []
+        ns, names, values = [], [], []
         for i, n in enumerate(self.n_values):
-            for name, values in (("mean_vs_master_sup_error", self.mean_errors),
-                                 ("qv_l2_deviation", self.qv_deviations),
-                                 ("qv_mean", self.qv_means),
-                                 ("qv_max_jump", self.qv_max_jumps),
-                                 ("residual_sup_mean", self.residual_sups)):
-                rows.append((n, name, values[i]))
+            cells = {"mean_vs_master_sup_error": self.mean_errors[i],
+                     "qv_l2_deviation": self.qv_deviations[i],
+                     "qv_mean": self.qv_means[i],
+                     "qv_max_jump": self.qv_max_jumps[i],
+                     "residual_sup_mean": self.residual_sups[i]}
             for name, stat, crit in self.ks_stats[n]:
-                rows += [(n, f"ks_{name}", stat), (n, f"ks_{name}_critical", crit)]
-        write_csv(stream, "n,statistic,value", rows, timestamp)
+                cells.update({f"ks_{name}": stat, f"ks_{name}_critical": crit})
+            ns += [n] * len(cells)
+            names += cells
+            values += cells.values()
+        write_csv(stream, "n,statistic,value", [ns, names, values], timestamp)
 
 
 def ks_2samp(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,44 +1,44 @@
-"""CSV output shared by every writer in the package: numbers with 17
-significant digits, so floats read back exactly and integers below 10^17
-print as integers; None is an empty cell and a string is written as is."""
+"""The one CSV writer of the package. A table is given as columns; a column
+of strings is written as is, and every other cell with 17 significant
+digits, so floats read back exactly and integers below 10^17 print as
+integers. Every row is one %-format of its cells."""
 
 from __future__ import annotations
 
 import numpy as np
 
 STATE_HEADER = "rho_00_re,rho_01_re,rho_01_im,rho_11_re"
+# rows formatted per write: enough to amortize the per-block calls, few
+# enough that a block's Python floats and text stay small
+BLOCK_ROWS = 1024
 
 
-def _cell(x) -> str:
-    return "" if x is None else x if isinstance(x, str) else format(x, ".17g")
-
-
-def write_csv(stream, header: str, rows, timestamp: str | None = None) -> None:
+def write_csv(stream, header: str, columns, timestamp: str | None = None) -> None:
     """Write the optional ``# generated <timestamp>`` comment, the header and
-    one line per row: a sequence of cells, or a line ``table_rows`` has
-    already formatted."""
+    the table of ``columns`` (arrays or lists), which has as many rows as the
+    longest column. A column one entry shorter starts in row 1, and its cell
+    in row 0 is empty (per-step data beside the states it leads to). Rows
+    after row 0 go out in blocks of BLOCK_ROWS, each converted to Python
+    values one column slice at a time."""
     if timestamp is not None:
         stream.write(f"# generated {timestamp}\n")
     stream.write(header + "\n")
-    stream.writelines((row if isinstance(row, str) else ",".join(map(_cell, row))) + "\n"
-                      for row in rows)
-
-
-def table_rows(*columns: np.ndarray):
-    """CSV lines of a table of real columns with as many rows as the longest
-    column. A column one entry shorter starts in row 1, and its cell in row 0
-    is empty (per-step data beside the states it leads to). Row 0 is
-    formatted cell by cell; every later row is one %-format of its floats,
-    which gives the same text as ``_cell``, converted one row at a time."""
+    # numbers go out from float columns: "%.17g" formats an int through a
+    # float anyway, and Python ints left more of the heap resident after a
+    # write (peak RSS of a 20 001-row write and read-back, +0.3 MB)
+    columns = [col if col.dtype.kind == "U" else col.astype(float, copy=False)
+               for col in map(np.asarray, columns)]
     num_rows = max(map(len, columns))
-    table = np.zeros((num_rows, len(columns)))
-    for j, col in enumerate(columns):
-        table[num_rows - len(col):, j] = col
-    yield ",".join(map(_cell, [None if len(col) < num_rows else x
-                               for col, x in zip(columns, table[0])]))
-    line = ",".join(["%.17g"] * len(columns))
-    for row in table[1:]:
-        yield line % tuple(row.tolist())
+    formats = ["%s" if col.dtype.kind == "U" else "%.17g" for col in columns]
+    full = [len(col) == num_rows for col in columns]
+    first = ",".join(f if whole else "" for f, whole in zip(formats, full)) + "\n"
+    stream.write(first % tuple(col[0].item() for col, whole in zip(columns, full) if whole))
+    line = ",".join(formats) + "\n"
+    for start in range(1, num_rows, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, num_rows)
+        cells = [col[start:stop] if whole else col[start - 1:stop - 1]
+                 for col, whole in zip(columns, full)]
+        stream.write("".join(map(line.__mod__, zip(*(c.tolist() for c in cells)))))
 
 
 def state_columns(states: np.ndarray) -> list[np.ndarray]:

@@ -55,7 +55,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .csvio import STATE_HEADER, state_columns, table_rows, write_csv
+from .csvio import STATE_HEADER, state_columns, write_csv
 from .linalg import (adjoint, bloch_apply, bloch_superop, bloch_to_density,
                      density_to_bloch, sandwich_superop)
 from .model import (VALIDATE_EVERY, DensityMatrix, InteractionUnitary, ModelConfig,
@@ -231,6 +231,6 @@ def trajectory_to_csv(record: TrajectoryRecord, stream, timestamp: str | None = 
     """CSV dump: step, time, outcome, p, q, x, rho entries (row 0 has empty
     outcome fields)."""
     k = np.arange(record.steps + 1)
-    rows = table_rows(k, k / record.n, record.outcomes, *record.probabilities.T,
-                      record.x_increments, *state_columns(record.states))
-    write_csv(stream, "step,time,outcome,p,q,x," + STATE_HEADER, rows, timestamp)
+    write_csv(stream, "step,time,outcome,p,q,x," + STATE_HEADER,
+              [k, k / record.n, record.outcomes, *record.probabilities.T,
+               record.x_increments, *state_columns(record.states)], timestamp)

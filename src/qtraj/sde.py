@@ -80,7 +80,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .csvio import STATE_HEADER, state_columns, table_rows, write_csv
+from .csvio import STATE_HEADER, state_columns, write_csv
 from .linalg import (adjoint, bloch_apply, bloch_superop, bloch_to_density,
                      density_to_bloch, project_ball, sandwich_superop)
 from .model import (ID2, VALIDATE_EVERY, DensityMatrix, ModelConfig, WaveFunction,
@@ -94,7 +94,11 @@ RK4_GROWTH_TOL = 1e-12
 _INSIDE = 1.0 - 1e-12
 
 
-class UnstableStep(ValueError):
+class StepOutOfRange(ValueError):
+    """A step size outside the domain of the integrator it is given to."""
+
+
+class UnstableStep(StepOutOfRange):
     """An RK4 step size outside the method's stability region."""
 
 
@@ -150,17 +154,15 @@ def sde_coefficients(h0: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.hstack([lindblad_superop(h0, c), s_b, g_row[:, None]])
 
 
-def max_euler_step(cfg: ModelConfig) -> float:
-    """Largest Euler step: MAX_SDE_STEP, or the horizon T if shorter, so
-    that a run takes at least one step."""
-    return min(MAX_SDE_STEP, cfg.t_horizon)
+def _check_step(h: float, bound: float) -> None:
+    if not 0 < h <= bound:
+        raise StepOutOfRange(f"step size must be in (0, {bound:g}], got {h:g}")
 
 
 def _euler_steps(cfg: ModelConfig, h: float) -> int:
-    """Number of Euler steps of size h on [0, T], after checking h."""
-    bound = max_euler_step(cfg)
-    if not 0 < h <= bound:
-        raise ValueError(f"step size must be in (0, {bound:g}], got {h:g}")
+    """Number of Euler steps of size h on [0, T], after checking that h is
+    in (0, min(MAX_SDE_STEP, T)], so that a run takes at least one step."""
+    _check_step(h, min(MAX_SDE_STEP, cfg.t_horizon))
     return int(round(cfg.t_horizon / h))
 
 
@@ -363,10 +365,9 @@ def master_evolve(cfg: ModelConfig, rho0: DensityMatrix, h: float) -> MasterPath
     L is linear, so one RK4 step is exactly v -> v + v @ D with the
     degree-4 increment D = hS + (hS)^2/2 + (hS)^3/6 + (hS)^4/24, S = S_L;
     ``_rk4_states`` takes these steps in Bloch coordinates, with the trace
-    held at exactly one.
+    held at exactly one. A step outside (0, T] raises StepOutOfRange.
     """
-    if not (h > 0 and math.isfinite(h)):
-        raise ValueError("step size must be positive and finite")
+    _check_step(h, cfg.t_horizon)
     steps = int(round(cfg.t_horizon / h))
     return MasterPath(grid=np.arange(steps + 1) * h,
                       states=_rk4_states(cfg, rho0, h, steps))
@@ -440,7 +441,6 @@ def sde_ensemble_final(cfg: ModelConfig, rho0: DensityMatrix, h: float,
     if physical and with_weights:
         raise ValueError("weights are unavailable in the physical form")
     noise = _ensemble_noise(base_seed, noise, num_paths, _euler_steps(cfg, h), h)
-    r = np.broadcast_to(density_to_bloch(rho0.m), (num_paths, 3))
     log_z = np.zeros(num_paths)
     for k, r, g in _density_steps(cfg, rho0, h, noise, physical):
         if with_weights:
@@ -454,7 +454,6 @@ def wave_ensemble_final(cfg: ModelConfig, psi0: WaveFunction, h: float,
                         noise: np.ndarray | None = None) -> np.ndarray:
     """Vectorized wave-form ensemble, final vectors only."""
     noise = _ensemble_noise(base_seed, noise, num_paths, _euler_steps(cfg, h), h)
-    psi = np.broadcast_to(psi0.v, (num_paths, 2)).copy()
     for _, psi in _wave_steps(cfg, psi0, h, noise):
         pass
     return psi
@@ -466,7 +465,7 @@ _PATH_HEADER = "time,dW," + STATE_HEADER
 def sde_path_to_csv(path: SdePath, stream, timestamp: str | None = None) -> None:
     """CSV dump: time, dW, rho entries."""
     write_csv(stream, _PATH_HEADER,
-              table_rows(path.grid, path.noise, *state_columns(path.states)), timestamp)
+              [path.grid, path.noise, *state_columns(path.states)], timestamp)
 
 
 def wave_path_to_csv(wave: WavePath, stream, timestamp: str | None = None) -> None:
@@ -474,6 +473,5 @@ def wave_path_to_csv(wave: WavePath, stream, timestamp: str | None = None) -> No
     v = wave.vectors
     rho = v[:, :, None] * v.conj()[:, None, :]
     write_csv(stream, _PATH_HEADER + ",psi_0_re,psi_0_im,psi_1_re,psi_1_im",
-              table_rows(wave.grid, wave.noise, *state_columns(rho),
-                         v[:, 0].real, v[:, 0].imag, v[:, 1].real, v[:, 1].imag),
-              timestamp)
+              [wave.grid, wave.noise, *state_columns(rho),
+               v[:, 0].real, v[:, 0].imag, v[:, 1].real, v[:, 1].imag], timestamp)

@@ -266,21 +266,61 @@ class TestStepBoundsExit2:
 def test_csv_cells():
     import io
 
-    from qtraj.csvio import table_rows, write_csv
+    from qtraj.csvio import write_csv
 
     out = io.StringIO()
-    write_csv(out, "a,b,c,d", [(20000, None, "x", 0.1), (0, 1.0, "", 1e-300)], "T")
+    write_csv(out, "a,b,c,d", [np.array([20000, 0]), [1.0], ["x", ""], [0.1, 1e-300]], "T")
     assert out.getvalue() == ("# generated T\na,b,c,d\n"
                               "20000,,x,0.10000000000000001\n0,1,,1e-300\n")
-    # table_rows: a short column leaves row 0's cell empty, and every other
-    # cell is format(x, ".17g")
+    # a short column leaves row 0's cell empty, and every other cell is
+    # format(x, ".17g")
     columns = [np.array([0.1, 20000.0, -0.0, 5e-324, 1e16]),
                np.array([5e-324, 1e16, 0.1, -0.0])]
     out = io.StringIO()
-    write_csv(out, "a,b", table_rows(*columns))
+    write_csv(out, "a,b", columns)
     cells = [[format(columns[0][0], ".17g"), ""]] + [
         [format(x, ".17g") for x in row] for row in zip(columns[0][1:], columns[1])]
     assert out.getvalue() == "a,b\n" + "".join(",".join(row) + "\n" for row in cells)
+
+
+@pytest.mark.parametrize("extra_rows", [0, 1])
+def test_csv_cells_blocks_and_special_values(extra_rows):
+    # row 0 is written alone and the rest in blocks of BLOCK_ROWS, so
+    # BLOCK_ROWS + 2 rows cross the block size by one
+    import io
+
+    from qtraj import csvio
+
+    num_rows = csvio.BLOCK_ROWS + 1 + extra_rows
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 0.1, 1.0 / 3.0]
+    floats = np.resize(np.array(special), num_rows)
+    ints = np.arange(num_rows, dtype=np.int64) % 2          # like `outcomes`
+    short = np.resize(np.array(special[::-1]), num_rows - 1)
+    plain = [float(v) for v in np.resize(np.array(special[1:]), num_rows)]
+    out = io.StringIO()
+    csvio.write_csv(out, "f,i,s,l", [floats, ints, short, plain])
+    rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
+    expected = [[format(floats[j], ".17g"), format(ints[j], ".17g"),
+                 format(short[j - 1], ".17g") if j else "", format(plain[j], ".17g")]
+                for j in range(num_rows)]
+    assert rows == expected
+
+
+def test_observable_eigenvalues_change_no_output(tmp_path):
+    # the centred record x depends only on the projectors, so any two
+    # distinct eigenvalues give the same bytes
+    texts = []
+    for lam0, lam1 in ((1.0, -1.0), (5.0, 2.0)):
+        cfg = tmp_path / f"lam{lam0}.cfg"
+        cfg.write_text(f"lambda0 = {lam0}\nlambda1 = {lam1}\n")
+        for argv in (("simulate-discrete", "--n", "300"),
+                     ("converge", "--n-values", "10,20", "--trajectories", "50",
+                      "--sde-step", "1e-2")):
+            out = tmp_path / f"{argv[0]}-{lam0}.csv"
+            assert run_cli(*argv, "--config", str(cfg), "--seed", "3", "--out", str(out),
+                           "--no-timestamp") == 0
+            texts.append(out.read_bytes())
+    assert texts[:2] == texts[2:]
 
 
 class TestEnsembleInputExits2:
