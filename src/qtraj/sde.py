@@ -57,18 +57,20 @@ r / max(1, |r|).
 
 Each equation has one ensemble Euler loop, a generator over an (M, steps)
 noise array: ``_density_steps`` (density and innovation forms) and
-``_wave_steps``. The ensembles keep the last step. A recorded density path
-(``simulate_belavkin``, ``simulate_physical``) is stepped by
-``_scalar_density`` in Python floats instead, with the operations of
-``_bloch_step`` in the same order, so it has the bits of the ensemble row;
-the tests check this step by step, as it does not hold by construction.
-The wave form is the exception: ``simulate_wave`` runs ``_wave_steps`` on a
-batch of one. numpy's complex matmul (BLAS) and complex multiply round
-differently from Python's complex arithmetic, so no scalar wave step has the
-same bits; and as its matmul takes gemm for many rows and gemv for one, a
-wave ensemble's rows need not match their members run alone either. The
-2x2 matrix forms of L, B, the projection and both Euler steps are test
-oracles in ``tests/oracles.py``, not package code.
+``_wave_steps``. The ensembles keep the last step. The wave form is stepped
+in real arithmetic: psi is held as v = (Re psi_0, Im psi_0, Re psi_1,
+Im psi_1), and ``_wave_matrix`` turns the complex 2x2 matrices
+A = I + h (-i h0 - c+c/2) and c into one real (4, 8) matrix [A | C] with
+v @ A the real form of A psi. Every product of both loops is a fixed
+sequence of elementwise products and sums, so an ensemble row is
+bit-identical to the same member run alone, by construction. A recorded
+path is stepped in Python floats instead: ``_scalar_density`` for
+``simulate_belavkin`` and ``simulate_physical``, with the operations of
+``_bloch_step`` in the same order, and ``_scalar_wave`` for
+``simulate_wave``, with those of ``_wave_steps``. So a single path has the
+bits of the ensemble row; the tests check this step by step, as it does not
+hold by construction. The 2x2 matrix forms of L, B, the projection and both
+Euler steps are test oracles in ``tests/oracles.py``, not package code.
 """
 
 from __future__ import annotations
@@ -240,32 +242,66 @@ def _density_steps(cfg: ModelConfig, rho0: DensityMatrix, h: float,
         yield k, r, g
 
 
+def _real_form(m: np.ndarray) -> np.ndarray:
+    """Real 4x4 matrix R of a complex 2x2 matrix m acting on column vectors:
+    v @ R holds the real and imaginary parts of m psi, in the layout
+    v = (Re psi_0, Im psi_0, Re psi_1, Im psi_1)."""
+    t = m.T
+    out = np.empty((4, 4))
+    out[0::2, 0::2] = t.real
+    out[0::2, 1::2] = t.imag
+    out[1::2, 0::2] = -t.imag
+    out[1::2, 1::2] = t.real
+    return out
+
+
+def _wave_matrix(cfg: ModelConfig, h: float) -> np.ndarray:
+    """Real (4, 8) matrix [A | C] of one wave Euler step: the real forms of
+    A = I + h (-i h0 - c+c/2) and of c."""
+    c = cfg.coupling()
+    a = ID2 + h * (-1j * cfg.h0 - 0.5 * adjoint(c) @ c)
+    return np.hstack([_real_form(a), _real_form(c)])
+
+
+def _real_parts(psi: np.ndarray) -> np.ndarray:
+    """(4,) real layout (Re psi_0, Im psi_0, Re psi_1, Im psi_1) of a vector."""
+    return np.ascontiguousarray(psi, dtype=complex).view(float)
+
+
+def _complex_rows(v: np.ndarray) -> np.ndarray:
+    """(M, 2) complex vectors of the (4, M) real parts, as a float view."""
+    return np.ascontiguousarray(v.T).view(complex)
+
+
 def _wave_steps(cfg: ModelConfig, psi0: WaveFunction, h: float,
                 noise: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Euler steps of the wave form, one path per row of the (M, steps)
-    increment array ``noise``, renormalized each step. Yields (k, psi) after
-    step k with psi the (M, 2) vectors. The norm of psi0 is checked first,
-    and the norms every VALIDATE_EVERY steps and after the last one. With
-    A = I + h (-i h0 - c+c/2) built once and nu = Re<psi, c psi>, a step is
-    raw = A psi + (dW + h nu) c psi - (dW nu + h nu^2/2) psi over
-    sqrt(sum re^2 + im^2), the real sums taken on float views of the
-    contiguous complex rows."""
+    increment array ``noise``, renormalized each step. Yields (k, v) after
+    step k, with v the (4, M) real parts: column j is member j's
+    (Re psi_0, Im psi_0, Re psi_1, Im psi_1). The norm of psi0 is checked
+    first, and the norms every VALIDATE_EVERY steps and after the last one.
+
+    With w = v @ [A | C] from ``_wave_matrix`` and nu = Re<psi, c psi> =
+    v . (v @ C), a step is raw = v @ A + (dW + h nu) (v @ C) -
+    (dW nu + (0.5 h) nu nu) v over sqrt(raw_0^2 + raw_1^2 + raw_2^2 +
+    raw_3^2). Every product is four elementwise products summed in a fixed
+    order, as in ``linalg.bloch_apply``, and w is an (8, M) array, so a
+    column is computed by the same operations whatever M.
+    """
     validate_norms(psi0.v, None)
     num_paths, steps = noise.shape
-    c = cfg.coupling()
-    a_t = (ID2 + h * (-1j * cfg.h0 - 0.5 * adjoint(c) @ c)).T
-    c_t = c.T
-    psi = np.broadcast_to(psi0.v, (num_paths, 2)).copy()
+    col = _wave_matrix(cfg, h)[:, :, None]
+    v = np.broadcast_to(_real_parts(psi0.v)[:, None], (4, num_paths)).copy()
     for k in range(steps):
-        c_psi = psi @ c_t
-        nu = (psi.view(float) * c_psi.view(float)).sum(axis=1)[:, None]
-        dw = noise[:, k][:, None]
-        raw = psi @ a_t + (dw + h * nu) * c_psi - (dw * nu + 0.5 * h * nu * nu) * psi
-        parts = raw.view(float)
-        psi = raw / np.sqrt((parts * parts).sum(axis=1))[:, None]
+        w = v[0] * col[0] + v[1] * col[1] + v[2] * col[2] + v[3] * col[3]
+        nu = v[0] * w[4] + v[1] * w[5] + v[2] * w[6] + v[3] * w[7]
+        dw = noise[:, k]
+        raw = w[:4] + (dw + h * nu) * w[4:] - (dw * nu + 0.5 * h * nu * nu) * v
+        v = raw / np.sqrt(raw[0] * raw[0] + raw[1] * raw[1] + raw[2] * raw[2]
+                          + raw[3] * raw[3])
         if (k + 1) % VALIDATE_EVERY == 0 or k + 1 == steps:
-            validate_norms(psi, k)
-        yield k, psi
+            validate_norms(_complex_rows(v), k)
+        yield k, v
 
 
 def _scalar_density(a: np.ndarray, r0: np.ndarray, h: float, noise: np.ndarray,
@@ -345,18 +381,65 @@ def simulate_physical(cfg: ModelConfig, rho0: DensityMatrix, h: float,
     return _density_path(cfg, rho0, h, seed, True)
 
 
+def _scalar_wave(m: np.ndarray, v0: np.ndarray, h: float,
+                 noise: np.ndarray) -> np.ndarray:
+    """The steps of ``_wave_steps`` for one path, in Python floats.
+
+    Takes the (4, 8) matrix of ``_wave_matrix``, the (4,) real parts of the
+    initial vector and the (steps,) increments, and returns the real parts
+    (steps+1, 4) of every vector. Each number comes from the operations that
+    ``_wave_steps`` takes on a column, in the same order, so it has the same
+    bits; the tests check this step by step. A zero norm divides through
+    numpy, so 0/0 gives NaN as in the ensemble rather than raising. The
+    norms are checked every VALIDATE_EVERY steps and after the last one.
+    """
+    (a00, a01, a02, a03, c00, c01, c02, c03), \
+        (a10, a11, a12, a13, c10, c11, c12, c13), \
+        (a20, a21, a22, a23, c20, c21, c22, c23), \
+        (a30, a31, a32, a33, c30, c31, c32, c33) = m.tolist()
+    x0, x1, x2, x3 = v0.tolist()
+    kicks, h = memoryview(np.ascontiguousarray(noise, dtype=float)), float(h)
+    half_h = 0.5 * h
+    steps = len(kicks)
+    # row 0 holds the real parts of psi0, row k + 1 those after step k
+    rec = array("d", (x0, x1, x2, x3))
+    put = rec.extend
+    for start in range(0, steps, VALIDATE_EVERY):
+        for k in range(start, min(start + VALIDATE_EVERY, steps)):
+            dw = kicks[k]
+            w4 = x0 * c00 + x1 * c10 + x2 * c20 + x3 * c30
+            w5 = x0 * c01 + x1 * c11 + x2 * c21 + x3 * c31
+            w6 = x0 * c02 + x1 * c12 + x2 * c22 + x3 * c32
+            w7 = x0 * c03 + x1 * c13 + x2 * c23 + x3 * c33
+            nu = x0 * w4 + x1 * w5 + x2 * w6 + x3 * w7
+            kick = dw + h * nu
+            damp = dw * nu + half_h * nu * nu
+            y0 = x0 * a00 + x1 * a10 + x2 * a20 + x3 * a30 + kick * w4 - damp * x0
+            y1 = x0 * a01 + x1 * a11 + x2 * a21 + x3 * a31 + kick * w5 - damp * x1
+            y2 = x0 * a02 + x1 * a12 + x2 * a22 + x3 * a32 + kick * w6 - damp * x2
+            y3 = x0 * a03 + x1 * a13 + x2 * a23 + x3 * a33 + kick * w7 - damp * x3
+            norm = math.sqrt(y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3)
+            if norm:
+                x0, x1, x2, x3 = y0 / norm, y1 / norm, y2 / norm, y3 / norm
+            else:
+                x0, x1, x2, x3 = (np.array([y0, y1, y2, y3]) / norm).tolist()
+            put((x0, x1, x2, x3))
+        validate_norms(np.array([x0, x1, x2, x3]).view(complex), k)
+    return np.frombuffer(rec).reshape(steps + 1, 4)
+
+
 def simulate_wave(cfg: ModelConfig, psi0: WaveFunction, h: float,
                   seed: int) -> WavePath:
     """Euler path of the wave form on [0, T], renormalized each step, with
-    every norm checked."""
+    every norm checked: ``_scalar_wave`` on one path. The norm of psi0 is
+    checked first, and the recorded path once at the end."""
     steps = _euler_steps(cfg, h)
-    noise = _noise_for(seed, steps, h)
-    vectors = np.empty((steps + 1, 2), dtype=complex)
-    vectors[0] = psi0.v
-    for k, psi in _wave_steps(cfg, psi0, h, noise):
-        vectors[k + 1] = psi[0]
+    noise = _noise_for(seed, steps, h)[0]
+    validate_norms(psi0.v, None)
+    vectors = _scalar_wave(_wave_matrix(cfg, h), _real_parts(psi0.v), h,
+                           noise).view(complex)
     validate_norms(vectors, steps)
-    return WavePath(grid=np.arange(steps + 1) * h, vectors=vectors, noise=noise[0])
+    return WavePath(grid=np.arange(steps + 1) * h, vectors=vectors, noise=noise)
 
 
 def master_evolve(cfg: ModelConfig, rho0: DensityMatrix, h: float) -> MasterPath:
@@ -452,11 +535,11 @@ def sde_ensemble_final(cfg: ModelConfig, rho0: DensityMatrix, h: float,
 def wave_ensemble_final(cfg: ModelConfig, psi0: WaveFunction, h: float,
                         num_paths: int, base_seed: int | None = None,
                         noise: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized wave-form ensemble, final vectors only."""
+    """Vectorized wave-form ensemble, final (M, 2) vectors only."""
     noise = _ensemble_noise(base_seed, noise, num_paths, _euler_steps(cfg, h), h)
-    for _, psi in _wave_steps(cfg, psi0, h, noise):
+    for _, v in _wave_steps(cfg, psi0, h, noise):
         pass
-    return psi
+    return _complex_rows(v)
 
 
 _PATH_HEADER = "time,dW," + STATE_HEADER

@@ -33,9 +33,11 @@ from qtraj.model import (
     Observable,
     WaveFunction,
     validate_batch,
+    validate_norms,
 )
 from qtraj.rng import derive_seed, generator_for
-from qtraj.sde import SdePath, _density_steps, _euler_steps, _noise_for
+from qtraj.sde import (SdePath, WavePath, _density_steps, _euler_steps, _noise_for,
+                       _real_parts, _wave_steps)
 
 FIELD_GROUND = np.array([[1, 0], [0, 0]], dtype=complex)   # |f0><f0|
 
@@ -319,3 +321,18 @@ def density_path_batch_of_one(cfg: ModelConfig, rho0: DensityMatrix, h: float,
     companion = np.concatenate([[0.0], np.cumsum(noise + g * h)]) if physical else None
     return SdePath(grid=np.arange(steps + 1) * h, states=states, noise=noise,
                    companion=companion)
+
+
+def wave_path_batch_of_one(cfg: ModelConfig, psi0: WaveFunction, h: float,
+                           seed: int) -> WavePath:
+    """``sde.simulate_wave`` as a batch of one through ``_wave_steps``,
+    recording every vector and checking the path's norms once recorded."""
+    steps = _euler_steps(cfg, h)
+    noise = _noise_for(seed, steps, h)
+    parts = np.empty((steps + 1, 4))
+    parts[0] = _real_parts(psi0.v)
+    for k, v in _wave_steps(cfg, psi0, h, noise):
+        parts[k + 1] = v[:, 0]
+    vectors = parts.view(complex)
+    validate_norms(vectors, steps)
+    return WavePath(grid=np.arange(steps + 1) * h, vectors=vectors, noise=noise[0])

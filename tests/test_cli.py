@@ -4,7 +4,7 @@ import pytest
 from qtraj.cli import main
 
 from oracles import (density_path_batch_of_one, member_streams_per_generator,
-                     run_trajectory_batch_of_one)
+                     run_trajectory_batch_of_one, wave_path_batch_of_one)
 
 
 def run_cli(*argv):
@@ -168,6 +168,7 @@ def test_ensemble_bytes_match_per_member_generators(tmp_path, monkeypatch, argv)
     ("simulate-discrete", "--n", "2000"),
     ("simulate-sde", "--form", "belavkin", "--h", "1e-3"),
     ("simulate-sde", "--form", "physical", "--h", "1e-3"),
+    ("simulate-sde", "--form", "wave", "--h", "1e-3"),
 ])
 def test_single_path_bytes_match_batch_of_one(tmp_path, monkeypatch, argv):
     # the scalar single-path loops give the bytes of the ensemble cores run
@@ -179,6 +180,7 @@ def test_single_path_bytes_match_batch_of_one(tmp_path, monkeypatch, argv):
     assert run_cli(*argv, "--seed", "7", "--out", str(scalar), "--no-timestamp") == 0
     monkeypatch.setattr(qtraj.cli, "run_trajectory", run_trajectory_batch_of_one)
     monkeypatch.setattr(qtraj.sde, "_density_path", density_path_batch_of_one)
+    monkeypatch.setattr(qtraj.cli, "simulate_wave", wave_path_batch_of_one)
     assert run_cli(*argv, "--seed", "7", "--out", str(batch), "--no-timestamp") == 0
     assert scalar.read_bytes() == batch.read_bytes()
 

@@ -29,6 +29,8 @@ from qtraj.sde import (
     _bloch_step,
     _density_steps,
     _scalar_density,
+    _scalar_wave,
+    _wave_steps,
     backaction_superop,
     lindblad_superop,
     sde_coefficients,
@@ -59,10 +61,12 @@ from oracles import (
     lindblad,
     project_positive,
     purity,
+    wave_path_batch_of_one,
     wavefunction_step,
 )
 
 ANTIHERM_C = 1j * SIGMA_X  # c + c+ = 0
+EXCITED_VEC = np.array([0.0, 1.0], dtype=complex)
 
 
 def antiherm_cfg(n: int = 100) -> ModelConfig:
@@ -380,7 +384,7 @@ class TestEnsembleConsistency:
         wave = simulate_wave(cfg, WaveFunction(PLUS_VEC), 1e-3, seed=18)
         finals = wave_ensemble_final(cfg, WaveFunction(PLUS_VEC), 1e-3, 1,
                                      noise=wave.noise[None, :])
-        assert max_abs(finals[0] - wave.vectors[-1]) < 1e-12
+        assert np.array_equal(finals[0], wave.vectors[-1])
 
     def test_pure_density_coupling_shrinks_with_step(self):
         # density and wave paths share one Brownian path, refined across h
@@ -512,6 +516,18 @@ class TestEnsembleCore:
                 assert np.array_equal(finals[j], one[0])
                 if weights is not None:
                     assert weights[j] == w1[0]
+
+    def test_wave_rows_match_single_path_runs(self):
+        # the wave core's products are elementwise, so no row depends on M
+        from qtraj.cli import build_model
+        from qtraj.rng import derive_seed, generator_for
+
+        cfg, h, psi0 = build_model({}, {}), 1e-3, WaveFunction(EXCITED_VEC)
+        finals = wave_ensemble_final(cfg, psi0, h, 64, base_seed=7)
+        for j in range(64):
+            noise = generator_for(derive_seed(7, j)).standard_normal((1, 1000)) * np.sqrt(h)
+            one = wave_ensemble_final(cfg, psi0, h, 1, noise=noise)
+            assert np.array_equal(finals[j], one[0]), j
 
     def test_periodic_validation(self, monkeypatch):
         import qtraj.sde as sde_mod
@@ -681,6 +697,87 @@ class TestScalarDensity:
             bloch, _ = _assert_density_paths_equal(damping_cfg(), rho, 1e-3,
                                                    np.zeros(2), False)
             assert not np.array_equal(bloch[1], r0)
+
+
+def _wave_batch_of_one(cfg, v, h, noise):
+    """``_wave_steps`` on a batch of one, in ``_scalar_wave``'s layout."""
+    parts = [sde_mod._real_parts(v)]
+    for _, w in _wave_steps(cfg, WaveFunction(v), h, noise[None]):
+        parts.append(w[:, 0].copy())
+    return np.array(parts)
+
+
+def _assert_wave_paths_equal(cfg, v, h, noise, equal_nan=False):
+    # the module attribute, which a test may patch for both cores
+    m = sde_mod._wave_matrix(cfg, h)
+    scalar = _scalar_wave(m, sde_mod._real_parts(v), h, noise)
+    ensemble = _wave_batch_of_one(cfg, v, h, noise)
+    assert scalar.shape == ensemble.shape
+    assert np.array_equal(scalar, ensemble, equal_nan=equal_nan)
+    return scalar
+
+
+class TestScalarWave:
+    """The single-path loop ``_scalar_wave`` against ``_wave_steps`` on a
+    batch of one, bit for bit at every step."""
+
+    @pytest.mark.parametrize("v", [PLUS_VEC, EXCITED_VEC], ids=["plus", "excited"])
+    def test_matches_wave_steps_on_random_configs(self, v):
+        rng = np.random.default_rng(51)
+        for _ in range(4):
+            h = 1e-3
+            noise = rng.normal(scale=np.sqrt(h), size=400)
+            _assert_wave_paths_equal(rand_config(rng), v, h, noise)
+
+    def test_validates_at_the_steps_of_wave_steps(self, monkeypatch):
+        # None is the initial state; then every VALIDATE_EVERY steps, the
+        # last one and the recorded path as a whole
+        calls = []
+        original = sde_mod.validate_norms
+
+        def recording(vectors, step):
+            calls.append((step, vectors.shape))
+            return original(vectors, step)
+
+        monkeypatch.setattr(sde_mod, "validate_norms", recording)
+        cfg = damping_cfg(h0_scale=0.5, t_horizon=0.25)
+        simulate_wave(cfg, WaveFunction(PLUS_VEC), 1e-3, 5)
+        scalar = calls[:]
+        calls.clear()
+        wave_path_batch_of_one(cfg, WaveFunction(PLUS_VEC), 1e-3, 5)
+        # the oracle checks the whole path through qtraj.model's own name
+        assert [k for k, _ in scalar[:-1]] == [k for k, _ in calls] == [None, 99, 199, 249]
+        assert scalar[-1] == (250, (251, 2))
+
+    def test_overflowing_increments_raise(self, monkeypatch):
+        # the norm overflows: the vector becomes NaN in both loops, and the
+        # next check fails with the same message
+        cfg, h = damping_cfg(h0_scale=0.5), 1e-2
+        with np.errstate(all="ignore"):
+            noise = 1e308 * np.random.default_rng(53).standard_normal(150)
+            with pytest.raises(NotAState, match="by step 99") as scalar:
+                _scalar_wave(sde_mod._wave_matrix(cfg, h), sde_mod._real_parts(PLUS_VEC),
+                             h, noise)
+            with pytest.raises(NotAState) as ensemble:
+                _wave_batch_of_one(cfg, PLUS_VEC, h, noise)
+            assert str(scalar.value) == str(ensemble.value)
+            monkeypatch.setattr(sde_mod, "validate_norms", lambda vectors, step: None)
+            parts = _assert_wave_paths_equal(cfg, PLUS_VEC, h, noise, equal_nan=True)
+        assert np.all(np.isnan(parts[-1]))
+
+    @pytest.mark.parametrize("scale, nan", [(0.0, True), (1e-200, False)])
+    def test_zero_norm_divides_as_numpy(self, monkeypatch, scale, nan):
+        # raw = scale * psi: a zero sum of squares divides through numpy, so
+        # 0/0 is NaN and an underflowed nonzero part is inf, not an exception
+        m = np.zeros((4, 8))
+        m[:, :4] = scale * np.eye(4)
+        monkeypatch.setattr(sde_mod, "_wave_matrix", lambda cfg, h: m)
+        monkeypatch.setattr(sde_mod, "validate_norms", lambda vectors, step: None)
+        with np.errstate(all="ignore"):
+            parts = _assert_wave_paths_equal(damping_cfg(), PLUS_VEC, 1e-3, np.zeros(2),
+                                             equal_nan=True)
+        assert np.all(np.isnan(parts[1])) == nan
+        assert not np.any(np.isfinite(parts[1]))
 
 
 NOT_POSITIVE = DensityMatrix(np.diag([2.0, -1.0]).astype(complex))
