@@ -21,12 +21,23 @@ file keys. Model keys:
     field_hamiltonian ground_energy | excited_energy
 
 The initial state is the excited level |f1><f1| for every command.
+
+girsanov steps its two ensembles at once where the platform has os.fork:
+the innovation-form ensemble in a forked child, the reference ensemble with
+its weights in the process itself. There is no option for this, and the
+output bytes are those of the two calls made one after the other, which is
+what runs where os.fork does not exist. Library calls (sde_ensemble_final,
+run_full_report) never fork; only this command does.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import pickle
+import signal
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 
 import numpy as np
@@ -218,17 +229,71 @@ def _cmd_converge(args) -> int:
     return 0
 
 
+@contextmanager
+def _beside(func, *args, **kwargs):
+    """Run ``func(*args, **kwargs)`` beside the with-block: in a child made
+    by os.fork where the platform has it, else in-process when its result is
+    asked for. Yields a callable that returns the result or raises the
+    call's error. The child sends ("ok", result) or ("err", exception)
+    pickled through a pipe and leaves by os._exit; leaving the block kills
+    the child if its reply was not read, and always reaps it."""
+    if not hasattr(os, "fork"):
+        yield lambda: func(*args, **kwargs)
+        return
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                reply = pickle.dumps(("ok", func(*args, **kwargs)))
+            except Exception as exc:  # noqa: BLE001 - raised again in the parent
+                reply = pickle.dumps(("err", exc))
+            with os.fdopen(write_fd, "wb") as out:
+                out.write(reply)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    reader = os.fdopen(read_fd, "rb")
+    read = False
+
+    def result():
+        nonlocal read
+        try:
+            status, value = pickle.load(reader)
+        except (EOFError, pickle.UnpicklingError):
+            raise ChildProcessError(f"child process {pid} ended without a result") from None
+        read = True
+        if status == "err":
+            raise value
+        return value
+
+    try:
+        yield result
+    finally:
+        reader.close()
+        if not read:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def _final_sz(cfg, h, m, seed, **form):
+    """Each member's final <sigma_z> of one girsanov ensemble, and its
+    weights when ``form`` asks for them."""
+    finals, weights = sde_ensemble_final(cfg, EXCITED, h, m, seed, **form)
+    return np.einsum("jab,ba->j", finals, SIGMA_Z).real, weights
+
+
 def _cmd_girsanov(args) -> int:
     cfg = _load_model(args)
     m = args.trajectories
     ref_seed = derive_seed(args.seed, 1)
     phys_seed = derive_seed(args.seed, 2)
-    finals, weights = sde_ensemble_final(cfg, EXCITED, args.h, m, ref_seed,
-                                         with_weights=True)
-    phys_finals, _ = sde_ensemble_final(cfg, EXCITED, args.h, m, phys_seed,
-                                        physical=True)
-    f_ref = np.einsum("jab,ba->j", finals, SIGMA_Z).real
-    f_phys = np.einsum("jab,ba->j", phys_finals, SIGMA_Z).real
+    # the innovation-form ensemble steps on the other CPU; members share no
+    # state, so the bytes do not depend on where it runs
+    with _beside(_final_sz, cfg, args.h, m, phys_seed, physical=True) as innovation:
+        f_ref, weights = _final_sz(cfg, args.h, m, ref_seed, with_weights=True)
+        f_phys, _ = innovation()
     mean_z = float(np.mean(weights))
     se_z = float(np.std(weights, ddof=1) / np.sqrt(m))
     reweighted = float(np.mean(weights * f_ref))

@@ -50,3 +50,31 @@ def test_summary_needs_pairs(bench_record):
         bench_record.summarize([{"wall": 1.0}], [{"wall": 1.0}], {"wall": "lower"})
     with pytest.raises(ValueError):
         bench_record.summarize([{"wall": 1.0}] * 3, [{"wall": 1.0}] * 2, {"wall": "lower"})
+
+
+def test_run_values_keep_raw_pass_and_probe_times(bench_record):
+    summary = {"metrics": {m: {"value": float(i), "unit": "u"}
+                           for i, m in enumerate(bench_record.METRICS)}}
+    info = {"untraced_pass_s": [0.31, 0.29, 0.40, 0.30],
+            "probe": {"median_kernel_s": 1.7e-3, "reference_kernel_s": 1e-3}}
+    values = bench_record.run_values(info, summary)
+    assert {m: values[m] for m in bench_record.METRICS} == {
+        m: float(i) for i, m in enumerate(bench_record.METRICS)}
+    assert values["raw_pass_s"] == pytest.approx(0.305)
+    assert values["probe_kernel_s"] == 1.7e-3
+    assert set(values) == set(bench_record.METRICS) | {"raw_pass_s", "probe_kernel_s"}
+
+
+def test_raw_pass_time_summarized_like_the_metrics(bench_record):
+    better = {**bench_record.directions(json.loads((ROOT / "BENCHMARK.json").read_text())),
+              **bench_record.RAW_BETTER}
+    assert better["raw_pass_s"] == "lower"
+    assert "probe_kernel_s" not in better
+    base = [dict.fromkeys(bench_record.METRICS, 1.0) | {"raw_pass_s": r, "probe_kernel_s": 1e-3}
+            for r in (0.30, 0.32, 0.31, 0.33)]
+    change = [dict.fromkeys(bench_record.METRICS, 1.0) | {"raw_pass_s": r, "probe_kernel_s": 2e-3}
+              for r in (0.22, 0.34, 0.23, 0.21)]
+    raw = bench_record.summarize(base, change, better)["raw_pass_s"]
+    assert (raw["won"], raw["tied"], raw["lost"]) == (3, 0, 1)
+    # medians 0.315 -> 0.225
+    assert raw["median_gain"] == pytest.approx(0.09)

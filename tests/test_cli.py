@@ -1,10 +1,21 @@
+import hashlib
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qtraj.cli import main
+from qtraj.model import NotAState
 
 from oracles import (density_path_batch_of_one, member_streams_per_generator,
                      run_trajectory_batch_of_one, wave_path_batch_of_one)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*argv):
@@ -144,6 +155,167 @@ class TestGirsanov:
         mean_z = float(rows["mean_weight"])
         se_z = float(rows["se_weight"])
         assert abs(mean_z - 1.0) <= 3.0 * se_z
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fork_counter(monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _failing_ensembles(monkeypatch, reference=None, innovation=None):
+    """Patch the CLI's ensemble so that the reference (weights) call runs
+    ``reference`` first and the innovation (physical) call ``innovation``."""
+    import qtraj.cli
+
+    real = qtraj.cli.sde_ensemble_final
+
+    def ensemble(*args, physical=False, **kwargs):
+        replacement = innovation if physical else reference
+        if replacement is not None:
+            replacement()
+        return real(*args, physical=physical, **kwargs)
+
+    monkeypatch.setattr(qtraj.cli, "sde_ensemble_final", ensemble)
+
+
+def _raise(exc):
+    def fail():
+        raise exc
+    return fail
+
+
+# sha256 of the CSVs written when both ensembles stepped in one process, one
+# after the other
+GIRSANOV_DIGESTS = [
+    (("--seed", "7", "--trajectories", "200", "--h", "1e-3"),
+     "452833786616778637b7b6ba4b124835d206a1a3c3c9c6316aa873d4f2065c8a"),
+    (("--seed", "7", "--trajectories", "2", "--h", "1e-3"),
+     "7927ea68dfeec91c1015578104e32dbe71c54c2543896a0e9a69abb80e74cca9"),
+    (("--seed", "0", "--trajectories", "50", "--h", "1e-2"),
+     "e8f3675c6687e3e320ab3ff21231f7b1e0873fa4e6a90c6c4ddf679a0a2cb867"),
+    (("--seed", str(2 ** 64 - 1), "--trajectories", "31", "--h", "2e-3"),
+     "c54fd8bb40b3fdf065ca619f1f5e29df225b36d12472267e7fbf5073f8d0dacd"),
+    (("--seed", "3", "--trajectories", "40", "--h", "5e-3", "--config", "half"),
+     "586f4f533bbd0fa247f0b742080bc1e75b16edc187d81d0ef5b31a1b953d5736"),
+]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform has no os.fork")
+class TestGirsanovTwoProcesses:
+    """girsanov steps the innovation-form ensemble in a forked child while
+    the reference ensemble steps in the parent."""
+
+    @pytest.mark.parametrize("argv,digest", GIRSANOV_DIGESTS)
+    def test_same_bytes_forked_and_in_process(self, tmp_path, monkeypatch, capsys,
+                                              argv, digest):
+        (tmp_path / "half.cfg").write_text("t_horizon = 0.5\n")
+        argv = [str(tmp_path / "half.cfg") if a == "half" else a for a in argv]
+        forked, in_process = tmp_path / "forked.csv", tmp_path / "in_process.csv"
+        forks = _fork_counter(monkeypatch)
+        assert run_cli("girsanov", *argv, "--out", str(forked), "--no-timestamp") == 0
+        assert len(forks) == 1
+        forked_out = capsys.readouterr().out
+        monkeypatch.delattr(os, "fork")
+        assert run_cli("girsanov", *argv, "--out", str(in_process), "--no-timestamp") == 0
+        assert capsys.readouterr().out == forked_out.replace(str(forked), str(in_process))
+        assert forked.read_bytes() == in_process.read_bytes()
+        assert hashlib.sha256(forked.read_bytes()).hexdigest() == digest
+        _no_children_left()
+
+    def test_child_error_reported_as_in_process(self, tmp_path, monkeypatch, capsys):
+        _failing_ensembles(monkeypatch, innovation=_raise(NotAState("innovation broke")))
+        out = tmp_path / "g.csv"
+        argv = ("girsanov", "--trajectories", "20", "--h", "1e-2", "--seed", "1",
+                "--out", str(out))
+        forks = _fork_counter(monkeypatch)
+        assert run_cli(*argv) == 1
+        assert len(forks) == 1
+        forked = capsys.readouterr()
+        _no_children_left()
+        monkeypatch.delattr(os, "fork")
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr() == forked
+        assert forked.err == "error: innovation broke\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exc", [NotAState("reference broke"), KeyboardInterrupt()])
+    def test_parent_error_kills_and_reaps_child(self, tmp_path, monkeypatch, capsys, exc):
+        # the child would sleep for a minute; the parent must not wait for it
+        _failing_ensembles(monkeypatch, reference=_raise(exc),
+                           innovation=lambda: time.sleep(60))
+        kills = []
+        real_kill = os.kill
+
+        def kill(pid, sig):
+            kills.append(sig)
+            real_kill(pid, sig)
+
+        monkeypatch.setattr(os, "kill", kill)
+        argv = ("girsanov", "--trajectories", "20", "--h", "1e-2", "--seed", "1",
+                "--out", str(tmp_path / "g.csv"))
+        start = time.monotonic()
+        if isinstance(exc, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                run_cli(*argv)
+        else:
+            assert run_cli(*argv) == 1
+            assert capsys.readouterr().err == "error: reference broke\n"
+        assert time.monotonic() - start < 30
+        assert kills == [signal.SIGKILL]
+        _no_children_left()
+
+    def test_both_fail_reports_reference_first(self, tmp_path, monkeypatch, capsys):
+        _failing_ensembles(monkeypatch, reference=_raise(NotAState("reference broke")),
+                           innovation=_raise(NotAState("innovation broke")))
+        assert run_cli("girsanov", "--trajectories", "20", "--h", "1e-2", "--seed", "1",
+                       "--out", str(tmp_path / "g.csv")) == 1
+        assert capsys.readouterr().err == "error: reference broke\n"
+        _no_children_left()
+
+    def test_child_gone_without_reply(self, tmp_path, monkeypatch, capsys):
+        _failing_ensembles(monkeypatch, innovation=lambda: os._exit(3))
+        assert run_cli("girsanov", "--trajectories", "20", "--h", "1e-2", "--seed", "1",
+                       "--out", str(tmp_path / "g.csv")) == 1
+        assert "ended without a result" in capsys.readouterr().err
+        _no_children_left()
+
+    def test_step_beyond_bound_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        assert run_cli("girsanov", "--trajectories", "20", "--h", "0.5", "--seed", "1",
+                       "--out", str(out)) == 2
+        assert "step size must be in" in capsys.readouterr().err
+        assert not out.exists()
+        _no_children_left()
+
+    def test_summary_printed_once_by_a_fresh_interpreter(self, tmp_path):
+        # stdout is a pipe here, so block-buffered: a child that flushed the
+        # parent's buffer on exit would print the lines twice
+        out = tmp_path / "g.csv"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
+                                   if os.environ.get("PYTHONPATH") else [])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qtraj.cli", "girsanov", "--trajectories", "50",
+             "--h", "1e-2", "--seed", "7", "--out", str(out), "--no-timestamp"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert [line.split()[0] for line in lines] == ["wrote", "E[Z_T]", "reweighted",
+                                                       "physical"]
+        assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,12 +11,16 @@ For each of PAIRS pairs i = 0, 1, ... and each workload W, both trees run
 
 one after the other, the base first on even pairs and the change first on
 odd ones. The last stdout line of a run holds its end-to-end metrics and the
-line before it the machine facts. The output file holds the git shas, the
-machine, ``wc -l src/qtraj/*.py`` of both trees, every run's metrics, their
-per-workload medians and, per workload and metric, the ``summarize`` record
-of the pairs: how many the change won, tied and lost (the direction is the
-metric's ``better`` in BENCHMARK.json), the base's quartiles and the median
-gain, which a claimed gain needs to beat the base's interquartile range.
+line before it the machine facts. Each run also keeps two raw figures from
+that line, which the rescaled metrics hide: ``raw_pass_s``, the median
+wall time of its untraced passes, and ``probe_kernel_s``, the speed probe's
+median kernel time. The output file holds the git shas, the machine,
+``wc -l src/qtraj/*.py`` of both trees, every run's values, their
+per-workload medians and, per workload and metric (and for ``raw_pass_s``),
+the ``summarize`` record of the pairs: how many the change won, tied and
+lost (the direction is the metric's ``better`` in BENCHMARK.json), the
+base's quartiles and the median gain, which a claimed gain needs to beat
+the base's interquartile range.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ PAIRS = 10
 SECONDS = 35
 SEED = 1
 METRICS = ("norm_wall_s", "norm_path_steps_per_s", "setup_s", "peak_rss_mb", "ok_frac")
+RAW_BETTER = {"raw_pass_s": "lower"}   # summarized like METRICS; probe_kernel_s is not
 
 
 def _git(*args: str) -> str:
@@ -99,7 +104,16 @@ def _run(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
     if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{' '.join(argv)} in {tree} failed: {proc.stderr.strip()}")
     info, summary = json.loads(lines[-2]), json.loads(lines[-1])
-    return info, {m: summary["metrics"][m]["value"] for m in METRICS}
+    return info, run_values(info, summary)
+
+
+def run_values(info: dict, summary: dict) -> dict:
+    """The values kept of one run: the METRICS of its summary line, and the
+    raw median pass time and median probe kernel time of its info line."""
+    values = {m: summary["metrics"][m]["value"] for m in METRICS}
+    values["raw_pass_s"] = statistics.median(info["untraced_pass_s"])
+    values["probe_kernel_s"] = info["probe"]["median_kernel_s"]
+    return values
 
 
 def main() -> int:
@@ -108,7 +122,7 @@ def main() -> int:
     p.add_argument("--base", default="HEAD")
     args = p.parse_args()
     dirty = bool(_git("status", "--porcelain", "--", "src", "perfbench"))
-    better = directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    better = {**directions(json.loads((ROOT / "BENCHMARK.json").read_text())), **RAW_BETTER}
     record = {
         "harness": "python3 perfbench/run.py --workload W --seed N "
                    f"--seconds {SECONDS} --trace 0",
@@ -136,7 +150,7 @@ def main() -> int:
                     print(f"pair {i} {w} {side}: {values}", file=sys.stderr, flush=True)
     for w, sides in runs.items():
         record["workloads"][w] = {
-            side: {"median": {m: statistics.median(r[m] for r in rs) for m in METRICS},
+            side: {"median": {k: statistics.median(r[k] for r in rs) for k in rs[0]},
                    "runs": rs}
             for side, rs in sides.items()}
         record["workloads"][w]["pairs"] = summarize(sides["base"], sides["change"], better)
