@@ -22,12 +22,12 @@ file keys. Model keys:
 
 The initial state is the excited level |f1><f1| for every command.
 
-girsanov steps its two ensembles at once where the platform has os.fork:
-the innovation-form ensemble in a forked child, the reference ensemble with
-its weights in the process itself. There is no option for this, and the
-output bytes are those of the two calls made one after the other, which is
-what runs where os.fork does not exist. Library calls (sde_ensemble_final,
-run_full_report) never fork; only this command does.
+girsanov and converge use both CPUs where the platform has os.fork: their
+independent parts (girsanov's two ensembles; converge's KS diffusion ensemble
+and chain pass per n) go to two lanes by estimated cost, one lane in a forked
+child. There is no option for this, and the bytes are those of the parts run
+in turn, as where os.fork does not exist. Library calls (sde_ensemble_final,
+run_full_report) never fork; only these two commands do.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .convergence import DiagonalObservable, EnsembleSpec, run_full_report
+from .convergence import DiagonalObservable, EnsembleSpec, assemble_report, report_parts
 from .csvio import STATE_HEADER, state_columns, write_csv
 from .discrete import run_trajectory, trajectory_to_csv
 from .model import SIGMA_Z, DensityMatrix, ModelConfig, WaveFunction, make_observable
@@ -221,7 +221,7 @@ def _cmd_converge(args) -> int:
                         num_trajectories=args.trajectories,
                         base_seed=args.seed, n_values=args.n_values,
                         sde_step=sde_step)
-    report = run_full_report(spec, t=min(1.0, cfg.t_horizon))
+    report = assemble_report(spec, _in_two_lanes(report_parts(spec, t=min(1.0, cfg.t_horizon))))
     with open(args.out, "w") as fh:
         report.to_csv(fh, timestamp=_timestamp(args))
     print(f"wrote {args.out}")
@@ -229,16 +229,30 @@ def _cmd_converge(args) -> int:
     return 0
 
 
+def _in_two_lanes(parts) -> list:
+    """Results of the (cost, call) ``parts``, in order: dealt largest cost
+    first to the lighter of two lanes (the first on a tie), the second lane
+    runs ``_beside`` the first. No part's result may depend on its lane."""
+    lanes = ([], [])
+    for i in sorted(range(len(parts)), key=lambda i: -parts[i][0]):
+        min(lanes, key=lambda lane: sum(parts[j][0] for j in lane)).append(i)
+    with _beside(lambda: {i: parts[i][1]() for i in lanes[1]}) as other:
+        results = {i: parts[i][1]() for i in lanes[0]}
+        results.update(other())
+    return [results[i] for i in range(len(parts))]
+
+
 @contextmanager
-def _beside(func, *args, **kwargs):
-    """Run ``func(*args, **kwargs)`` beside the with-block: in a child made
-    by os.fork where the platform has it, else in-process when its result is
-    asked for. Yields a callable that returns the result or raises the
-    call's error. The child sends ("ok", result) or ("err", exception)
-    pickled through a pipe and leaves by os._exit; leaving the block kills
-    the child if its reply was not read, and always reaps it."""
+def _beside(func):
+    """Run ``func()`` beside the with-block: in a child made by os.fork where
+    the platform has it, else in-process when its result is asked for.
+    Yields a callable that returns the result or raises the call's error.
+    The child sends ("ok", result) or ("err", exception) pickled through a
+    pipe (if that does not unpickle, a RuntimeError of the message noting
+    the type) and leaves by os._exit; leaving the block kills the child if
+    its reply was not read, and always reaps it."""
     if not hasattr(os, "fork"):
-        yield lambda: func(*args, **kwargs)
+        yield func
         return
     read_fd, write_fd = os.pipe()
     pid = os.fork()
@@ -246,11 +260,19 @@ def _beside(func, *args, **kwargs):
         try:
             os.close(read_fd)
             try:
-                reply = pickle.dumps(("ok", func(*args, **kwargs)))
+                reply = ("ok", func())
             except Exception as exc:  # noqa: BLE001 - raised again in the parent
-                reply = pickle.dumps(("err", exc))
+                reply = ("err", exc)
+            try:
+                data = pickle.dumps(reply)
+                pickle.loads(data)
+            except Exception as exc:  # noqa: BLE001 - the reply cannot cross
+                lost = reply[1] if reply[0] == "err" else exc
+                error = RuntimeError(str(lost))
+                error.__notes__ = [f"raised as {type(lost).__name__} in the child"]
+                data = pickle.dumps(("err", error))
             with os.fdopen(write_fd, "wb") as out:
-                out.write(reply)
+                out.write(data)
         finally:
             os._exit(0)
     os.close(write_fd)
@@ -277,23 +299,18 @@ def _beside(func, *args, **kwargs):
         os.waitpid(pid, 0)
 
 
-def _final_sz(cfg, h, m, seed, **form):
-    """Each member's final <sigma_z> of one girsanov ensemble, and its
-    weights when ``form`` asks for them."""
-    finals, weights = sde_ensemble_final(cfg, EXCITED, h, m, seed, **form)
-    return np.einsum("jab,ba->j", finals, SIGMA_Z).real, weights
-
-
 def _cmd_girsanov(args) -> int:
     cfg = _load_model(args)
     m = args.trajectories
-    ref_seed = derive_seed(args.seed, 1)
-    phys_seed = derive_seed(args.seed, 2)
-    # the innovation-form ensemble steps on the other CPU; members share no
-    # state, so the bytes do not depend on where it runs
-    with _beside(_final_sz, cfg, args.h, m, phys_seed, physical=True) as innovation:
-        f_ref, weights = _final_sz(cfg, args.h, m, ref_seed, with_weights=True)
-        f_phys, _ = innovation()
+
+    def final_sz(purpose, **form):
+        """Each member's final <sigma_z>, and the weights if ``form`` asks."""
+        finals, weights = sde_ensemble_final(cfg, EXCITED, args.h, m,
+                                             derive_seed(args.seed, purpose), **form)
+        return np.einsum("jab,ba->j", finals, SIGMA_Z).real, weights
+
+    (f_ref, weights), (f_phys, _) = _in_two_lanes([(1, lambda: final_sz(1, with_weights=True)),
+                                                   (1, lambda: final_sz(2, physical=True))])
     mean_z = float(np.mean(weights))
     se_z = float(np.std(weights, ddof=1) / np.sqrt(m))
     reweighted = float(np.mean(weights * f_ref))

@@ -11,12 +11,16 @@ Four diagnostics, each swept over a list of discretizations n:
   chain at a fixed time and of an independently simulated diffusion ensemble;
 * mean sup-norm of the per-step drift-diffusion remainder.
 
-Each diagnostic is a reducer fed by ``_chain_sweep``, which drives one chain
-ensemble per n. ``run_full_report`` feeds all four reducers from one pass on
-the purpose-1 streams; the standalone functions run their own pass on
-purposes 1 (mean), 2 (QV), 3 (KS) and 5 (residual), and the QV and KS passes
-stop at the statistic's time t. Purpose 4 is the KS diffusion ensemble.
-Member j of purpose P at discretization n draws from
+Each diagnostic is a reducer fed by ``_chain_pass``, which drives one chain
+ensemble at one n. A report's parts are independent: (a) the KS diffusion
+ensemble reduced to functional values, costing round(t/h) Euler path-steps
+per member, and (b) one pass per n on the purpose-1 streams feeding all four
+reducers, costing CHAIN_STEP_COST floor(n T); (c) assembles them.
+``run_full_report`` runs (a) and (b) in turn, the CLI in two lanes balanced
+by cost. The standalone functions run their own passes on purposes 1 (mean),
+2 (QV), 3 (KS) and 5 (residual), and the QV and KS passes stop at the
+statistic's time t. Purpose 4 is the KS diffusion ensemble. Member j of
+purpose P at discretization n draws from
 derive_seed(derive_seed(derive_seed(base, P), n), j), and reductions run in
 fixed index order, so every statistic is a deterministic function of
 (spec, seeds) and re-running a report reproduces it bitwise.
@@ -34,8 +38,8 @@ from .discrete import drive_ensemble, ensemble_streams
 from .linalg import bloch_apply, bloch_to_density, density_to_bloch
 from .model import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, ModelConfig
 from .rng import derive_seed
-from .sde import (bloch_coefficients, master_on_grid, sde_coefficients,
-                  sde_ensemble_final)
+from .sde import (_euler_steps, bloch_coefficients, master_on_grid,
+                  sde_coefficients, sde_ensemble_final)
 
 # purpose tags for seed derivation (see the module docstring)
 _PURPOSE_MEAN = 1
@@ -46,6 +50,9 @@ _PURPOSE_RESIDUAL = 5
 
 DEFAULT_FUNCTIONALS = (("sigma_x", SIGMA_X), ("sigma_y", SIGMA_Y),
                        ("sigma_z", SIGMA_Z))
+
+# a chain path-step takes 0.22-0.25 us, an Euler one 0.14 us (2-vCPU Xeon VM)
+CHAIN_STEP_COST = 1.6
 
 
 class DiagonalObservable(ValueError):
@@ -133,28 +140,28 @@ def ks_critical_value(m: int, mp: int, alpha: float) -> float:
     return float(c * np.sqrt((m + mp) / (m * mp)))
 
 
-def _chain_sweep(spec: EnsembleSpec, purpose: int, reducers,
-                 t: float | None = None) -> list[list]:
-    """One chain pass per n, floor(n t) steps long (t defaults to the
-    horizon), on the ``purpose`` streams.
+def _chain_pass(spec: EnsembleSpec, purpose: int, reducers, n: int, t: float | None = None):
+    """One chain pass at discretization n, floor(n t) steps long (t defaults
+    to the horizon), on the ``purpose`` streams.
 
     ``reducers`` are factories cfg -> (update, result): update(k, r, x) sees
     every step's (M, 3) Bloch vectors and centered outcomes, result() gives
-    the statistic for that n. Returns one list of per-n results per factory.
+    the statistic for that n. Returns each factory's result.
     """
     t = spec.cfg.t_horizon if t is None else t
-    results = [[] for _ in reducers]
-    for n in spec.n_values:
-        cfg = replace(spec.cfg, n=n)
-        active = [make(cfg) for make in reducers]
-        base = derive_seed(derive_seed(spec.base_seed, purpose), n)
-        uniforms = ensemble_streams(base, spec.num_trajectories, int(np.floor(n * t)))
-        for k, r, _, x, _, _ in drive_ensemble(cfg, spec.rho0, uniforms):
-            for update, _ in active:
-                update(k, r, x)
-        for out, (_, result) in zip(results, active):
-            out.append(result())
-    return results
+    cfg = replace(spec.cfg, n=n)
+    active = [make(cfg) for make in reducers]
+    base = derive_seed(derive_seed(spec.base_seed, purpose), n)
+    uniforms = ensemble_streams(base, spec.num_trajectories, int(np.floor(n * t)))
+    for k, r, _, x, _, _ in drive_ensemble(cfg, spec.rho0, uniforms):
+        for update, _ in active:
+            update(k, r, x)
+    return [result() for _, result in active]
+
+
+def _chain_sweep(spec: EnsembleSpec, purpose: int, reducer, t: float | None = None) -> list:
+    """The per-n results of one reducer, from a ``_chain_pass`` per n."""
+    return [_chain_pass(spec, purpose, [reducer], n, t)[0] for n in spec.n_values]
 
 
 def _mean_reducer(spec: EnsembleSpec, cfg: ModelConfig):
@@ -184,31 +191,37 @@ def _qv_reducer(spec: EnsembleSpec, t: float, cfg: ModelConfig):
                             max_abs_x / np.sqrt(n))
 
 
-def _ks_reducer(spec: EnsembleSpec, t: float, alpha: float):
-    """Factory of the KS reducer, which keeps the chain states after floor(nt)
-    steps (the initial state if that is 0) and compares the
-    DEFAULT_FUNCTIONALS; integrates the diffusion ensemble once, on its own
-    purpose."""
-    sde_finals, _ = sde_ensemble_final(replace(spec.cfg, t_horizon=t), spec.rho0,
-                                       spec.sde_step, spec.num_trajectories,
-                                       derive_seed(spec.base_seed, _PURPOSE_KS_SDE))
-    sde_values = [np.einsum("jab,ba->j", sde_finals, op).real
-                  for _, op in DEFAULT_FUNCTIONALS]
-    m = spec.num_trajectories
-    critical = ks_critical_value(m, m, alpha)
+def _functional_values(states: np.ndarray) -> np.ndarray:
+    """(3, M) Re Tr[rho F] of (M, 2, 2) states; Tr[rho sigma_z] is not bit-equal to r_z."""
+    return np.array([np.einsum("jab,ba->j", states, op).real
+                     for _, op in DEFAULT_FUNCTIONALS])
 
-    def make(cfg):
-        last = int(np.floor(cfg.n * t)) - 1
-        finals = np.broadcast_to(spec.rho0.m, (m, 2, 2))
 
-        def update(k, r, x):
-            nonlocal finals
-            if k == last:
-                finals = bloch_to_density(r)
-        return update, lambda: [
-            (name, ks_2samp(np.einsum("jab,ba->j", finals, op).real, fb), critical)
-            for (name, op), fb in zip(DEFAULT_FUNCTIONALS, sde_values)]
-    return make
+def _diffusion_values(spec: EnsembleSpec, t: float) -> np.ndarray:
+    """Part (a): the functional values of the KS diffusion ensemble at t."""
+    return _functional_values(sde_ensemble_final(
+        replace(spec.cfg, t_horizon=t), spec.rho0, spec.sde_step, spec.num_trajectories,
+        derive_seed(spec.base_seed, _PURPOSE_KS_SDE))[0])
+
+
+def _ks_reducer(spec: EnsembleSpec, t: float, cfg: ModelConfig):
+    """The chain's functional values after floor(nt) steps (of rho0 if 0)."""
+    last = int(np.floor(cfg.n * t)) - 1
+    finals = np.broadcast_to(spec.rho0.m, (spec.num_trajectories, 2, 2))
+
+    def update(k, r, x):
+        nonlocal finals
+        if k == last:
+            finals = bloch_to_density(r)
+    return update, lambda: _functional_values(finals)
+
+
+def _ks_rows(spec: EnsembleSpec, chain_values, sde_values, alpha: float) -> dict:
+    """{n: [(name, KS statistic, critical value)]}, chain against diffusion."""
+    critical = ks_critical_value(spec.num_trajectories, spec.num_trajectories, alpha)
+    return {n: [(name, ks_2samp(a, b), critical)
+                for (name, _), a, b in zip(DEFAULT_FUNCTIONALS, values, sde_values)]
+            for n, values in zip(spec.n_values, chain_values)}
 
 
 def _residual_reducer(spec: EnsembleSpec, cfg: ModelConfig):
@@ -248,8 +261,7 @@ def _check_horizon(spec: EnsembleSpec, t: float) -> None:
 def mean_vs_master(spec: EnsembleSpec) -> np.ndarray:
     """Per-n sup over the grid of |ensemble mean - averaged evolution| in
     max-entry norm."""
-    (errors,) = _chain_sweep(spec, _PURPOSE_MEAN, [partial(_mean_reducer, spec)])
-    return np.array(errors)
+    return np.array(_chain_sweep(spec, _PURPOSE_MEAN, partial(_mean_reducer, spec)))
 
 
 def quadratic_variation_stats(spec: EnsembleSpec, t: float) -> dict[str, np.ndarray]:
@@ -257,7 +269,7 @@ def quadratic_variation_stats(spec: EnsembleSpec, t: float) -> dict[str, np.ndar
     largest normalized jump max |x| / sqrt(n)."""
     _check_nondiagonal(spec)
     _check_horizon(spec, t)
-    (rows,) = _chain_sweep(spec, _PURPOSE_QV, [partial(_qv_reducer, spec, t)], t)
+    rows = _chain_sweep(spec, _PURPOSE_QV, partial(_qv_reducer, spec, t), t)
     return dict(zip(("l2_deviation", "qv_mean", "max_jump"), map(np.array, zip(*rows))))
 
 
@@ -270,9 +282,9 @@ def distributional_test(spec: EnsembleSpec, t: float = 1.0,
     spec's sde_step. Returns {n: [(name, statistic, critical value)]}.
     """
     _check_horizon(spec, t)
-    ks = _ks_reducer(spec, t, alpha)
-    (rows,) = _chain_sweep(spec, _PURPOSE_KS_DISCRETE, [ks], t)
-    return dict(zip(spec.n_values, rows))
+    sde_values = _diffusion_values(spec, t)
+    chain_values = _chain_sweep(spec, _PURPOSE_KS_DISCRETE, partial(_ks_reducer, spec, t), t)
+    return _ks_rows(spec, chain_values, sde_values, alpha)
 
 
 def residual_decay(spec: EnsembleSpec) -> np.ndarray:
@@ -282,23 +294,33 @@ def residual_decay(spec: EnsembleSpec) -> np.ndarray:
     -B(rho) x/sqrt(n) realized by this package's conventions from the raw
     state increments; it collects everything the diffusive limit discards.
     """
-    (sups,) = _chain_sweep(spec, _PURPOSE_RESIDUAL, [partial(_residual_reducer, spec)])
-    return np.array(sups)
+    return np.array(_chain_sweep(spec, _PURPOSE_RESIDUAL, partial(_residual_reducer, spec)))
 
 
-def run_full_report(spec: EnsembleSpec, t: float = 1.0) -> ConvergenceReport:
-    """All four diagnostics in one report (used by the CLI): input checks,
-    then the KS diffusion ensemble, then one chain pass per n on the
-    purpose-1 streams that feeds all four reducers."""
+def report_parts(spec: EnsembleSpec, t: float = 1.0) -> list[tuple[float, partial]]:
+    """Check a report's inputs, sde step included; return (a), (b) as (cost, call)."""
     _check_nondiagonal(spec)
     _check_horizon(spec, t)
+    euler_steps = _euler_steps(replace(spec.cfg, t_horizon=t), spec.sde_step)
     reducers = [partial(_mean_reducer, spec), partial(_qv_reducer, spec, t),
-                _ks_reducer(spec, t, 0.01),
-                partial(_residual_reducer, spec)]
-    mean, qv, ks, residual = _chain_sweep(spec, _PURPOSE_MEAN, reducers)
+                partial(_ks_reducer, spec, t), partial(_residual_reducer, spec)]
+    return [(euler_steps, partial(_diffusion_values, spec, t))] + [
+        (CHAIN_STEP_COST * np.floor(n * spec.cfg.t_horizon),
+         partial(_chain_pass, spec, _PURPOSE_MEAN, reducers, n)) for n in spec.n_values]
+
+
+def assemble_report(spec: EnsembleSpec, results: list) -> ConvergenceReport:
+    """Part (c): the report from the results of report_parts' calls."""
+    sde_values, *passes = results
+    mean, qv, chain_values, residual = map(list, zip(*passes))
     deviations, qv_means, max_jumps = map(list, zip(*qv))
     return ConvergenceReport(
         n_values=spec.n_values, num_trajectories=spec.num_trajectories,
         base_seed=spec.base_seed, mean_errors=mean, qv_deviations=deviations,
         qv_means=qv_means, qv_max_jumps=max_jumps,
-        ks_stats=dict(zip(spec.n_values, ks)), residual_sups=residual)
+        ks_stats=_ks_rows(spec, chain_values, sde_values, 0.01), residual_sups=residual)
+
+
+def run_full_report(spec: EnsembleSpec, t: float = 1.0) -> ConvergenceReport:
+    """All four diagnostics in one report, all parts run in this process."""
+    return assemble_report(spec, [call() for _, call in report_parts(spec, t)])

@@ -301,21 +301,224 @@ class TestGirsanovTwoProcesses:
         _no_children_left()
 
     def test_summary_printed_once_by_a_fresh_interpreter(self, tmp_path):
-        # stdout is a pipe here, so block-buffered: a child that flushed the
-        # parent's buffer on exit would print the lines twice
-        out = tmp_path / "g.csv"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
-                                   if os.environ.get("PYTHONPATH") else [])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "qtraj.cli", "girsanov", "--trajectories", "50",
-             "--h", "1e-2", "--seed", "7", "--out", str(out), "--no-timestamp"],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.splitlines()
+        lines = _fresh_interpreter_stdout("girsanov", "--trajectories", "50", "--h", "1e-2",
+                                          "--seed", "7", "--out", str(tmp_path / "g.csv"))
         assert [line.split()[0] for line in lines] == ["wrote", "E[Z_T]", "reweighted",
                                                        "physical"]
-        assert proc.stderr == ""
+
+
+def _fresh_interpreter_stdout(*argv):
+    """stdout lines of ``python -m qtraj.cli argv`` (which must succeed
+    silently on stderr). stdout is a pipe there, so block-buffered: a child
+    that flushed the parent's buffer on exit would print the lines twice."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
+                               if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-m", "qtraj.cli", *argv, "--no-timestamp"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    return proc.stdout.splitlines()
+
+
+# sha256 of the CSVs written when the whole report ran in one process, before
+# it was split into parts
+CONVERGE_DIGESTS = [
+    (("--seed", "7", "--n-values", "50,200", "--trajectories", "200", "--sde-step", "1e-2"),
+     "44c6430aebcfd80dc71462d8cd8cbb83af5f8806587ce9c5023cfc7b342db565"),
+    (("--seed", "0", "--n-values", "10", "--trajectories", "80", "--sde-step", "1e-2"),
+     "d57859a91caa340e39c670a1147071d8bc811f8ba8db27d0da7ec48398360c99"),
+    (("--seed", str(2 ** 64 - 1), "--n-values", "10,20,40", "--trajectories", "60",
+      "--sde-step", "1e-2"),
+     "17c908fe6d1c36c9c9d407e9013d60eb37219f857a35997dc04acebfb9169644"),
+    (("--seed", "3", "--n-values", "20,80", "--trajectories", "40", "--config", "half"),
+     "15336cbab74c3d36cb41c911c584da8144296a8e7878197709b769984e3479cd"),
+    (("--seed", "5", "--n-values", "7,13,31", "--trajectories", "2", "--sde-step", "1e-2"),
+     "65d5f8e9846df4872fb1a47e87d14640689b553b1fcfe286af82ac102307518b"),
+]
+
+# lanes ([2], [0, 1]): the n = 200 pass in the parent, the diffusion ensemble
+# and the n = 50 pass in the child
+CONVERGE_ARGV = ("converge", "--n-values", "50,200", "--trajectories", "20",
+                 "--sde-step", "1e-2", "--seed", "1")
+
+
+class _Unpicklable(Exception):
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None
+
+
+class _KeywordOnly(Exception):
+    def __init__(self, *, message):
+        super().__init__(message)
+
+
+def _in_the_child(parent, action):
+    """Patch target for a part that must run in the child: do ``action``
+    there, fail loudly if the parent runs it."""
+    def run(*args, **kwargs):
+        if os.getpid() == parent:
+            raise AssertionError("the part ran in the parent")
+        action()
+    return run
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform has no os.fork")
+class TestConvergeTwoProcesses:
+    """converge runs one lane of its report's parts in a forked child and
+    the other in the parent, then assembles the report."""
+
+    @pytest.mark.parametrize("argv,digest", CONVERGE_DIGESTS)
+    def test_same_bytes_forked_and_in_process(self, tmp_path, monkeypatch, capsys,
+                                              argv, digest):
+        (tmp_path / "half.cfg").write_text("t_horizon = 0.5\n")
+        argv = [str(tmp_path / "half.cfg") if a == "half" else a for a in argv]
+        forked, in_process = tmp_path / "forked.csv", tmp_path / "in_process.csv"
+        forks = _fork_counter(monkeypatch)
+        assert run_cli("converge", *argv, "--out", str(forked), "--no-timestamp") == 0
+        assert len(forks) == 1
+        forked_out = capsys.readouterr().out
+        monkeypatch.delattr(os, "fork")
+        assert run_cli("converge", *argv, "--out", str(in_process), "--no-timestamp") == 0
+        assert capsys.readouterr().out == forked_out.replace(str(forked), str(in_process))
+        assert forked.read_bytes() == in_process.read_bytes()
+        assert hashlib.sha256(forked.read_bytes()).hexdigest() == digest
+        _no_children_left()
+
+    def test_lanes_balance_by_cost(self):
+        from qtraj.cli import EXCITED, _in_two_lanes, build_model
+        from qtraj.convergence import EnsembleSpec, report_parts
+
+        def in_parent(parts):
+            pids = _in_two_lanes([(cost, os.getpid) for cost, _ in parts])
+            _no_children_left()
+            return [pid == os.getpid() for pid in pids]
+
+        def report(n_values, sde_step):
+            return report_parts(EnsembleSpec(cfg=build_model({}, {}), rho0=EXCITED,
+                                             num_trajectories=2000, base_seed=1,
+                                             n_values=n_values, sde_step=sde_step))
+
+        # the benchmark's argv: the n = 200 pass alone against the diffusion
+        # ensemble and the n = 50 pass
+        assert in_parent(report((50, 200), 1e-2)) == [False, False, True]
+        # the default argv: the diffusion ensemble is the largest part
+        assert in_parent(report((20, 80), 5e-4)) == [True, False, False]
+        # girsanov's two equal parts: the first one in this process
+        assert in_parent([(1, None), (1, None)]) == [True, False]
+
+    def test_child_error_reported_as_in_process(self, tmp_path, monkeypatch, capsys):
+        import qtraj.convergence
+
+        pids = tmp_path / "pids"
+
+        def diffusion(*args, **kwargs):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            raise NotAState("diffusion broke")
+
+        monkeypatch.setattr(qtraj.convergence, "sde_ensemble_final", diffusion)
+        out = tmp_path / "c.csv"
+        forks = _fork_counter(monkeypatch)
+        assert run_cli(*CONVERGE_ARGV, "--out", str(out)) == 1
+        assert len(forks) == 1
+        forked = capsys.readouterr()
+        _no_children_left()
+        monkeypatch.delattr(os, "fork")
+        assert run_cli(*CONVERGE_ARGV, "--out", str(out)) == 1
+        assert capsys.readouterr() == forked
+        assert forked.err == "error: diffusion broke\n"
+        assert pids.read_text().split() == [str(forks[0]), str(os.getpid())]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exc", [NotAState("chain broke"), KeyboardInterrupt()])
+    def test_parent_error_kills_and_reaps_child(self, tmp_path, monkeypatch, capsys, exc):
+        import qtraj.convergence
+
+        # the parent's lane fails at once; the child's would sleep for a minute
+        parent, real_streams = os.getpid(), qtraj.convergence.ensemble_streams
+
+        def streams(*args):
+            if os.getpid() == parent:
+                raise exc
+            time.sleep(60)
+            return real_streams(*args)
+
+        monkeypatch.setattr(qtraj.convergence, "ensemble_streams", streams)
+        kills = []
+        real_kill = os.kill
+
+        def kill(pid, sig):
+            kills.append(sig)
+            real_kill(pid, sig)
+
+        monkeypatch.setattr(os, "kill", kill)
+        argv = (*CONVERGE_ARGV, "--out", str(tmp_path / "c.csv"))
+        start = time.monotonic()
+        if isinstance(exc, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                run_cli(*argv)
+        else:
+            assert run_cli(*argv) == 1
+            assert capsys.readouterr().err == "error: chain broke\n"
+        assert time.monotonic() - start < 30
+        assert kills == [signal.SIGKILL]
+        _no_children_left()
+
+    def test_child_gone_without_reply(self, tmp_path, monkeypatch, capsys):
+        import qtraj.convergence
+
+        monkeypatch.setattr(qtraj.convergence, "sde_ensemble_final",
+                            _in_the_child(os.getpid(), lambda: os._exit(3)))
+        assert run_cli(*CONVERGE_ARGV, "--out", str(tmp_path / "c.csv")) == 1
+        assert "ended without a result" in capsys.readouterr().err
+        _no_children_left()
+
+    @pytest.mark.parametrize("exc", [_Unpicklable("lambda broke"),
+                                     _KeywordOnly(message="keyword broke")])
+    def test_error_that_cannot_cross_the_pipe(self, tmp_path, monkeypatch, capsys, exc):
+        import qtraj.convergence
+        from qtraj.cli import _beside
+
+        with _beside(_raise(exc)) as result:
+            with pytest.raises(RuntimeError, match=str(exc)) as caught:
+                result()
+        assert caught.value.__notes__ == [f"raised as {type(exc).__name__} in the child"]
+        _no_children_left()
+        monkeypatch.setattr(qtraj.convergence, "sde_ensemble_final",
+                            lambda *args, **kwargs: _raise(exc)())
+        out = tmp_path / "c.csv"
+        assert run_cli(*CONVERGE_ARGV, "--out", str(out)) == 1
+        forked = capsys.readouterr()
+        _no_children_left()
+        monkeypatch.delattr(os, "fork")
+        assert run_cli(*CONVERGE_ARGV, "--out", str(out)) == 1
+        assert capsys.readouterr() == forked
+        assert forked.err == f"error: {exc}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config,argv", [
+        ("phi = 0\n", ()),                               # diagonal observable
+        ("t_horizon = -1\n", ()),                        # no t in (0, T]
+        ("", ("--sde-step", "0.5")),                     # beyond MAX_SDE_STEP
+        ("t_horizon = 0.004\n", ("--sde-step", "1e-2")),  # beyond t = T
+    ])
+    def test_bad_input_exits_2_before_any_lane(self, tmp_path, monkeypatch, config, argv):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "c.csv"
+        forks = _fork_counter(monkeypatch)
+        assert run_cli("converge", "--config", str(cfg), "--n-values", "10,20",
+                       "--trajectories", "20", "--seed", "1", *argv, "--out", str(out)) == 2
+        assert forks == []
+        assert not out.exists()
+        _no_children_left()
+
+    def test_summary_printed_once_by_a_fresh_interpreter(self, tmp_path):
+        lines = _fresh_interpreter_stdout(*CONVERGE_ARGV, "--out", str(tmp_path / "c.csv"))
+        assert [line.split()[0] for line in lines] == ["wrote", "ensemble:", "n=50,", "KS",
+                                                       "KS", "KS", "n=200,", "KS", "KS", "KS"]
 
 
 @pytest.mark.parametrize("argv", [

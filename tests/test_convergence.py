@@ -1,3 +1,4 @@
+import os
 from functools import partial
 
 import numpy as np
@@ -218,8 +219,60 @@ class TestReportPlumbing:
 def _reducers(spec, t):
     return [partial(convergence._mean_reducer, spec),
             partial(convergence._qv_reducer, spec, t),
-            convergence._ks_reducer(spec, t, 0.01),
+            partial(convergence._ks_reducer, spec, t),
             partial(convergence._residual_reducer, spec)]
+
+
+class TestReportParts:
+    """run_full_report is report_parts' calls made in turn, in this process,
+    and then assemble_report."""
+
+    @staticmethod
+    def spec():
+        return spec_for(damping_cfg(phi=np.pi / 3, h0_scale=0.5, t_horizon=1.5),
+                        (7, 20, 33), m=40, seed=2 ** 64 - 1, sde_step=1e-2)
+
+    def test_library_never_forks(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("the library forked")
+
+        monkeypatch.setattr(os, "fork", no_fork, raising=False)
+        run_full_report(self.spec(), t=0.7)
+        distributional_test(self.spec(), t=0.7)
+
+    def test_parts_in_reverse_order_assemble_the_same_report(self, tmp_path):
+        spec = self.spec()
+        parts = convergence.report_parts(spec, t=0.7)
+        results = {i: call() for i, (_, call) in reversed(list(enumerate(parts)))}
+        split = convergence.assemble_report(spec, [results[i] for i in range(len(parts))])
+        whole = run_full_report(spec, t=0.7)
+        assert split == whole
+        texts = []
+        for report in (split, whole):
+            with open(tmp_path / "r.csv", "w") as fh:
+                report.to_csv(fh)
+            texts.append((tmp_path / "r.csv").read_bytes() + report.summary().encode())
+        assert texts[0] == texts[1]
+
+    def test_costs_in_euler_path_steps(self):
+        costs = [cost for cost, _ in convergence.report_parts(self.spec(), t=0.7)]
+        # per member: round(0.7 / 1e-2) Euler steps, then floor(n 1.5) chain
+        # steps per n at CHAIN_STEP_COST each
+        assert costs == pytest.approx([70, 1.6 * 10, 1.6 * 30, 1.6 * 49])
+
+    def test_ks_runs_through_the_report_parts(self, monkeypatch):
+        calls = []
+        for name in ("_diffusion_values", "_ks_reducer", "_ks_rows"):
+            original = getattr(convergence, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(convergence, name, spy)
+        distributional_test(self.spec(), t=0.7)
+        run_full_report(self.spec(), t=0.7)
+        assert calls == (["_diffusion_values"] + ["_ks_reducer"] * 3 + ["_ks_rows"]) * 2
 
 
 class TestSinglePass:
@@ -234,9 +287,12 @@ class TestSinglePass:
                         (7, 20), m=40, seed=33, sde_step=1e-2)
         reducers = _reducers(spec, 0.7)
         purpose = convergence._PURPOSE_QV
-        alone = convergence._chain_sweep(spec, purpose, [reducers[index]])[0]
-        shared = convergence._chain_sweep(spec, purpose, reducers)[index]
-        assert alone == shared
+        alone = convergence._chain_sweep(spec, purpose, reducers[index])
+        shared = [convergence._chain_pass(spec, purpose, reducers, n)[index]
+                  for n in spec.n_values]
+        # the KS reducer gives each n's (3, M) functional values
+        assert len(alone) == len(shared) == 2
+        assert all(np.array_equal(a, b) for a, b in zip(alone, shared))
 
     def test_one_chain_pass_per_n(self, monkeypatch):
         calls = {"drive_ensemble": 0, "ensemble_streams": 0}

@@ -61,8 +61,10 @@ def test_only_the_matrix_form_oracles_are_unpatched(tracer):
     # the matrix-form oracles live in tests/oracles.py, so no qtraj module
     # holds lindblad, backaction or check_state; the tracer also still names
     # the deleted kernels expm4 and herm_eigen2. All their per-layer metrics
-    # read 0
-    assert sorted(unpatched) == ["qtraj.convergence.backaction",
+    # read 0. converge calls report_parts and assemble_report, so qtraj.cli
+    # holds no run_full_report; its span fed no benchmark metric
+    assert sorted(unpatched) == ["qtraj.cli.run_full_report",
+                                 "qtraj.convergence.backaction",
                                  "qtraj.convergence.lindblad",
                                  "qtraj.discrete.check_state",
                                  "qtraj.model.expm4",
