@@ -22,12 +22,14 @@ file keys. Model keys:
 
 The initial state is the excited level |f1><f1| for every command.
 
-girsanov and converge use both CPUs where the platform has os.fork: their
-independent parts (girsanov's two ensembles; converge's KS diffusion ensemble
-and chain pass per n) go to two lanes by estimated cost, one lane in a forked
-child. There is no option for this, and the bytes are those of the parts run
-in turn, as where os.fork does not exist. Library calls (sde_ensemble_final,
-run_full_report) never fork; only these two commands do.
+Every command uses both CPUs where the platform has os.fork and its work
+splits: independent parts (girsanov's two ensembles; converge's KS diffusion
+ensemble and chain pass per n; the two row ranges of a simulate-discrete,
+simulate-sde or master table of csvio.SPLIT_ROWS rows or more) go to two
+lanes by estimated cost, one lane in a forked child. There is no option for
+this, and the bytes are those of the parts run in turn, as where os.fork does
+not exist. Library calls (sde_ensemble_final, run_full_report, write_csv and
+the path writers) never fork; only the commands do.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .convergence import DiagonalObservable, EnsembleSpec, assemble_report, report_parts
-from .csvio import STATE_HEADER, state_columns, write_csv
+from .csvio import STATE_HEADER, in_turn, state_columns, write_csv
 from .discrete import run_trajectory, trajectory_to_csv
 from .model import SIGMA_Z, DensityMatrix, ModelConfig, WaveFunction, make_observable
 from .rng import derive_seed
@@ -175,7 +177,7 @@ def _cmd_simulate_discrete(args) -> int:
     cfg = _load_model(args, n=args.n)
     record = run_trajectory(cfg, EXCITED, args.seed)
     with open(args.out, "w") as fh:
-        trajectory_to_csv(record, fh, timestamp=_timestamp(args))
+        trajectory_to_csv(record, fh, timestamp=_timestamp(args), run=_in_two_lanes)
     counts = np.bincount(record.outcomes, minlength=2)
     final = record.states[-1]
     print(f"wrote {args.out}: {record.steps + 1} state rows")
@@ -195,7 +197,7 @@ def _cmd_simulate_sde(args) -> int:
         simulate = simulate_physical if args.form == "physical" else simulate_belavkin
         path, to_csv = simulate(cfg, EXCITED, args.h, args.seed), sde_path_to_csv
     with open(args.out, "w") as fh:
-        to_csv(path, fh, timestamp=_timestamp(args))
+        to_csv(path, fh, timestamp=_timestamp(args), run=_in_two_lanes)
     print(f"wrote {args.out}: {len(path.grid)} rows ({args.form} form, h = {args.h:g})")
     return 0
 
@@ -204,7 +206,7 @@ def _cmd_master(args) -> int:
     path = master_evolve(_load_model(args), EXCITED, args.h)
     with open(args.out, "w") as fh:
         write_csv(fh, "time," + STATE_HEADER, [path.grid, *state_columns(path.states)],
-                  _timestamp(args))
+                  _timestamp(args), _in_two_lanes)
     final = path.states[-1]
     print(f"wrote {args.out}: {len(path.grid)} rows")
     print(f"final populations: ground {final[0, 0].real:.8f}, "
@@ -232,10 +234,13 @@ def _cmd_converge(args) -> int:
 def _in_two_lanes(parts) -> list:
     """Results of the (cost, call) ``parts``, in order: dealt largest cost
     first to the lighter of two lanes (the first on a tie), the second lane
-    runs ``_beside`` the first. No part's result may depend on its lane."""
+    runs ``_beside`` the first, unless it is empty. No part's result may
+    depend on its lane."""
     lanes = ([], [])
     for i in sorted(range(len(parts)), key=lambda i: -parts[i][0]):
         min(lanes, key=lambda lane: sum(parts[j][0] for j in lane)).append(i)
+    if not lanes[1]:
+        return in_turn(parts)
     with _beside(lambda: {i: parts[i][1]() for i in lanes[1]}) as other:
         results = {i: parts[i][1]() for i in lanes[0]}
         results.update(other())

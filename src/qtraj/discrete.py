@@ -55,7 +55,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .csvio import STATE_HEADER, state_columns, write_csv
+from .csvio import STATE_HEADER, in_turn, state_columns, write_csv
 from .linalg import (adjoint, bloch_apply, bloch_superop, bloch_to_density,
                      density_to_bloch, sandwich_superop)
 from .model import (VALIDATE_EVERY, DensityMatrix, InteractionUnitary, ModelConfig,
@@ -227,10 +227,11 @@ def ensemble_streams(base_seed: int, num_traj: int, steps: int) -> np.ndarray:
     return member_streams(base_seed, num_traj, steps, "random")
 
 
-def trajectory_to_csv(record: TrajectoryRecord, stream, timestamp: str | None = None) -> None:
+def trajectory_to_csv(record: TrajectoryRecord, stream, timestamp: str | None = None,
+                      run=in_turn) -> None:
     """CSV dump: step, time, outcome, p, q, x, rho entries (row 0 has empty
-    outcome fields)."""
+    outcome fields); ``run`` runs the text's parts, as in ``write_csv``."""
     k = np.arange(record.steps + 1)
     write_csv(stream, "step,time,outcome,p,q,x," + STATE_HEADER,
               [k, k / record.n, record.outcomes, *record.probabilities.T,
-               record.x_increments, *state_columns(record.states)], timestamp)
+               record.x_increments, *state_columns(record.states)], timestamp, run)

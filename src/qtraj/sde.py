@@ -82,7 +82,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .csvio import STATE_HEADER, state_columns, write_csv
+from .csvio import STATE_HEADER, in_turn, state_columns, write_csv
 from .linalg import (adjoint, bloch_apply, bloch_superop, bloch_to_density,
                      density_to_bloch, project_ball, sandwich_superop)
 from .model import (ID2, VALIDATE_EVERY, DensityMatrix, ModelConfig, WaveFunction,
@@ -545,16 +545,20 @@ def wave_ensemble_final(cfg: ModelConfig, psi0: WaveFunction, h: float,
 _PATH_HEADER = "time,dW," + STATE_HEADER
 
 
-def sde_path_to_csv(path: SdePath, stream, timestamp: str | None = None) -> None:
-    """CSV dump: time, dW, rho entries."""
+def sde_path_to_csv(path: SdePath, stream, timestamp: str | None = None,
+                    run=in_turn) -> None:
+    """CSV dump: time, dW, rho entries; ``run`` runs the text's parts, as in
+    ``write_csv``."""
     write_csv(stream, _PATH_HEADER,
-              [path.grid, path.noise, *state_columns(path.states)], timestamp)
+              [path.grid, path.noise, *state_columns(path.states)], timestamp, run)
 
 
-def wave_path_to_csv(wave: WavePath, stream, timestamp: str | None = None) -> None:
-    """CSV dump of a wave path; rho columns come from the outer product."""
+def wave_path_to_csv(wave: WavePath, stream, timestamp: str | None = None,
+                     run=in_turn) -> None:
+    """CSV dump of a wave path; rho columns come from the outer product.
+    ``run`` runs the text's parts, as in ``write_csv``."""
     v = wave.vectors
     rho = v[:, :, None] * v.conj()[:, None, :]
     write_csv(stream, _PATH_HEADER + ",psi_0_re,psi_0_im,psi_1_re,psi_1_im",
               [wave.grid, wave.noise, *state_columns(rho),
-               v[:, 0].real, v[:, 0].imag, v[:, 1].real, v[:, 1].imag], timestamp)
+               v[:, 0].real, v[:, 0].imag, v[:, 1].real, v[:, 1].imag], timestamp, run)

@@ -1,7 +1,9 @@
-"""The pair summary of ``tools/bench_record.py`` on synthetic runs."""
+"""The pair summary of ``tools/bench_record.py`` on synthetic runs, and the
+cost it records of a run."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +80,21 @@ def test_raw_pass_time_summarized_like_the_metrics(bench_record):
     assert (raw["won"], raw["tied"], raw["lost"]) == (3, 0, 1)
     # medians 0.315 -> 0.225
     assert raw["median_gain"] == pytest.approx(0.09)
+
+
+def test_timed_run_counts_the_cpu_of_forked_grandchildren(bench_record):
+    # the run forks a child and each burns 0.2 s of CPU: the run's CPU
+    # seconds hold the child's share as well as its own
+    burn = ("import os, time\n"
+            "pid = os.fork()\n"
+            "start = time.process_time()\n"
+            "while time.process_time() - start < 0.2:\n"
+            "    pass\n"
+            "if pid == 0:\n"
+            "    os._exit(0)\n"
+            "os.waitpid(pid, 0)\n")
+    proc, cost = bench_record.timed_run([sys.executable, "-c", burn], timeout=60)
+    assert proc.returncode == 0
+    assert set(cost) == {"run_wall_s", "run_cpu_s"}
+    assert cost["run_cpu_s"] >= 0.4
+    assert 0.2 <= cost["run_wall_s"] < 60

@@ -521,6 +521,173 @@ class TestConvergeTwoProcesses:
                                                        "KS", "KS", "n=200,", "KS", "KS", "KS"]
 
 
+# sha256 of the CSVs written when every table was formatted in one process,
+# and the forks expected now: one from csvio.SPLIT_ROWS = 4096 rows
+SINGLE_PATH_DIGESTS = [
+    (("simulate-discrete", "--n", "5000", "--seed", "7"), 1,
+     "bfc5eb6ee7942d8a1ee22ac987d0bea40d02cddb6dd7689e059e8d4ece29c88a"),
+    (("simulate-sde", "--form", "belavkin", "--h", "2e-4", "--seed", "7"), 1,
+     "670b5a8c9133acec31106f2f058ebb12427741a301218d84ae107c9b807f47b7"),
+    (("simulate-sde", "--form", "physical", "--h", "2e-4", "--seed", "11"), 1,
+     "243ed467908b0b18081225ef9f016e92ec37373f89b9dd941fb3ea0e670efda3"),
+    (("simulate-sde", "--form", "wave", "--h", "2e-4", "--seed", "5"), 1,
+     "5dcae739f8065d1ff35455344327f38934a23afcfb68b413f40f7a58c03d4d7e"),
+    (("master", "--h", "1e-4", "--seed", "1"), 1,
+     "f2e15ab56f33dd5b01d05cd04476fe5ef0747dfb63235054f43d4cf5f5518d4b"),
+    # 4096 rows: the threshold itself
+    (("simulate-discrete", "--n", "4095", "--seed", "3"), 1,
+     "9e4b241cc489cf1fc09f62de7c15378908041682c6f21b35fbdcf4e38a1a9e39"),
+    # 4095 and 1001 rows: below it
+    (("simulate-discrete", "--n", "4094", "--seed", "3"), 0,
+     "7463883e45531080518726a3cd6954095fa4cc8d94bccf70f722ae801d137878"),
+    (("master", "--h", "1e-3", "--seed", "1"), 0,
+     "0ba3646abeb4efc3549d3377a0c0b14a21872a1f8d0620a8be07d4f8074a8a05"),
+]
+
+CHAIN_ARGV = ("simulate-discrete", "--n", "5000", "--seed", "7")
+
+
+def _replaced_parts(monkeypatch, first=None, second=None):
+    """Patch csvio so that a table's first part runs ``first`` and its
+    second part ``second`` before formatting its rows."""
+    import qtraj.csvio
+
+    real = qtraj.csvio.csv_parts
+
+    def run_first(action, call):
+        def run():
+            if action is not None:
+                action()
+            return call()
+        return run
+
+    def parts(*args, **kwargs):
+        return [(cost, run_first(action, call))
+                for (cost, call), action in zip(real(*args, **kwargs), (first, second))]
+
+    monkeypatch.setattr(qtraj.csvio, "csv_parts", parts)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform has no os.fork")
+class TestSinglePathTwoProcesses:
+    """simulate-discrete, simulate-sde and master format the second half of
+    a table of csvio.SPLIT_ROWS rows or more in a forked child while the
+    command's own process formats the first half."""
+
+    @pytest.mark.parametrize("argv,num_forks,digest", SINGLE_PATH_DIGESTS)
+    def test_same_bytes_forked_and_in_process(self, tmp_path, monkeypatch, capsys,
+                                              argv, num_forks, digest):
+        forked, in_process = tmp_path / "forked.csv", tmp_path / "in_process.csv"
+        forks = _fork_counter(monkeypatch)
+        assert run_cli(*argv, "--out", str(forked), "--no-timestamp") == 0
+        assert len(forks) == num_forks
+        forked_out = capsys.readouterr().out
+        monkeypatch.delattr(os, "fork")
+        assert run_cli(*argv, "--out", str(in_process), "--no-timestamp") == 0
+        assert capsys.readouterr().out == forked_out.replace(str(forked), str(in_process))
+        assert forked.read_bytes() == in_process.read_bytes()
+        assert hashlib.sha256(forked.read_bytes()).hexdigest() == digest
+        _no_children_left()
+
+    def test_one_part_runs_in_process(self, monkeypatch):
+        from qtraj.cli import _in_two_lanes
+
+        forks = _fork_counter(monkeypatch)
+        assert _in_two_lanes([(5, os.getpid)]) == [os.getpid()]
+        assert _in_two_lanes([]) == []
+        assert forks == []
+        _no_children_left()
+
+    def test_child_error_reported_as_in_process(self, tmp_path, monkeypatch, capsys):
+        pids = tmp_path / "pids"
+
+        def fail():
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            raise ValueError("formatting broke")
+
+        _replaced_parts(monkeypatch, second=fail)
+        out = tmp_path / "d.csv"
+        forks = _fork_counter(monkeypatch)
+        assert run_cli(*CHAIN_ARGV, "--out", str(out)) == 1
+        assert len(forks) == 1
+        forked = capsys.readouterr()
+        _no_children_left()
+        monkeypatch.delattr(os, "fork")
+        assert run_cli(*CHAIN_ARGV, "--out", str(out)) == 1
+        assert capsys.readouterr() == forked
+        assert forked.err == "error: formatting broke\n"
+        assert pids.read_text().split() == [str(forks[0]), str(os.getpid())]
+        # no part of the table is written unless every part succeeded
+        assert out.read_bytes() == b""
+
+    @pytest.mark.parametrize("exc", [ValueError("head broke"), KeyboardInterrupt()])
+    def test_parent_error_kills_and_reaps_child(self, tmp_path, monkeypatch, capsys, exc):
+        # the parent's part fails at once; the child's would sleep for a minute
+        _replaced_parts(monkeypatch, first=_raise(exc), second=lambda: time.sleep(60))
+        kills = []
+        real_kill = os.kill
+
+        def kill(pid, sig):
+            kills.append(sig)
+            real_kill(pid, sig)
+
+        monkeypatch.setattr(os, "kill", kill)
+        argv = (*CHAIN_ARGV, "--out", str(tmp_path / "d.csv"))
+        start = time.monotonic()
+        if isinstance(exc, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                run_cli(*argv)
+        else:
+            assert run_cli(*argv) == 1
+            assert capsys.readouterr().err == "error: head broke\n"
+        assert time.monotonic() - start < 30
+        assert kills == [signal.SIGKILL]
+        _no_children_left()
+
+    @pytest.mark.parametrize("argv,first_words", [
+        (CHAIN_ARGV, ["wrote", "outcome", "final"]),
+        (("simulate-sde", "--form", "wave", "--h", "2e-4", "--seed", "5"), ["wrote"]),
+        (("master", "--h", "1e-4", "--seed", "1"), ["wrote", "final"]),
+    ])
+    def test_summary_printed_once_by_a_fresh_interpreter(self, tmp_path, argv, first_words):
+        lines = _fresh_interpreter_stdout(*argv, "--out", str(tmp_path / "p.csv"))
+        assert [line.split()[0] for line in lines] == first_words
+
+    def test_library_writers_never_fork(self, monkeypatch):
+        import io
+
+        from qtraj.cli import EXCITED, build_model
+        from qtraj.csvio import STATE_HEADER, state_columns, write_csv
+        from qtraj.discrete import run_trajectory, trajectory_to_csv
+        from qtraj.model import WaveFunction
+        from qtraj.sde import (master_evolve, sde_path_to_csv, simulate_belavkin,
+                               simulate_wave, wave_path_to_csv)
+
+        def no_fork():
+            raise AssertionError("a library writer forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        cfg = build_model({}, {})
+        master = master_evolve(cfg, EXCITED, 1e-4)
+        psi0 = WaveFunction(np.array([0.0, 1.0], dtype=complex))
+        writes = [
+            lambda out: trajectory_to_csv(
+                run_trajectory(build_model({}, {"n": 5000}), EXCITED, 7), out),
+            lambda out: sde_path_to_csv(simulate_belavkin(cfg, EXCITED, 2e-4, 7), out),
+            lambda out: wave_path_to_csv(simulate_wave(cfg, psi0, 2e-4, 5), out),
+            lambda out: write_csv(out, "time," + STATE_HEADER,
+                                  [master.grid, *state_columns(master.states)]),
+        ]
+        # the bytes of the forked CLI runs of the same paths
+        digests = [SINGLE_PATH_DIGESTS[i][2] for i in (0, 1, 3, 4)]
+        for write, digest in zip(writes, digests):
+            out = io.StringIO()
+            write(out)
+            assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+        _no_children_left()
+
+
 @pytest.mark.parametrize("argv", [
     ("converge", "--n-values", "10,40", "--trajectories", "80", "--sde-step", "1e-2"),
     ("girsanov", "--trajectories", "100", "--h", "5e-3"),
@@ -660,27 +827,45 @@ def test_csv_cells():
     assert out.getvalue() == "a,b\n" + "".join(",".join(row) + "\n" for row in cells)
 
 
-@pytest.mark.parametrize("extra_rows", [0, 1])
-def test_csv_cells_blocks_and_special_values(extra_rows):
+@pytest.mark.parametrize("rows_past", [("BLOCK_ROWS", 1), ("BLOCK_ROWS", 2),
+                                       ("SPLIT_ROWS", -1), ("SPLIT_ROWS", 0),
+                                       ("SPLIT_ROWS", 1)],
+                         ids=["0", "1", "split-1", "split", "split+1"])
+def test_csv_cells_blocks_and_special_values(rows_past):
     # row 0 is written alone and the rest in blocks of BLOCK_ROWS, so
-    # BLOCK_ROWS + 2 rows cross the block size by one
+    # BLOCK_ROWS + 2 rows cross the block size by one. From SPLIT_ROWS rows
+    # the text comes in two parts, split at row (rows + 1) // 2: 4096 rows
+    # (even) split off a block boundary, 4097 (odd) on one
     import io
 
     from qtraj import csvio
 
-    num_rows = csvio.BLOCK_ROWS + 1 + extra_rows
+    name, past = rows_past
+    num_rows = getattr(csvio, name) + past
     special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 0.1, 1.0 / 3.0]
     floats = np.resize(np.array(special), num_rows)
     ints = np.arange(num_rows, dtype=np.int64) % 2          # like `outcomes`
     short = np.resize(np.array(special[::-1]), num_rows - 1)
     plain = [float(v) for v in np.resize(np.array(special[1:]), num_rows)]
+    words = np.resize(np.array(["x", "", "ks_stat"]), num_rows)
+    columns = [floats, ints, short, plain, words]
+    expected = "# generated T\nf,i,s,l,w\n" + "".join(
+        ",".join([format(floats[j], ".17g"), format(ints[j], ".17g"),
+                  format(short[j - 1], ".17g") if j else "", format(plain[j], ".17g"),
+                  words[j]]) + "\n"
+        for j in range(num_rows))
     out = io.StringIO()
-    csvio.write_csv(out, "f,i,s,l", [floats, ints, short, plain])
-    rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
-    expected = [[format(floats[j], ".17g"), format(ints[j], ".17g"),
-                 format(short[j - 1], ".17g") if j else "", format(plain[j], ".17g")]
-                for j in range(num_rows)]
-    assert rows == expected
+    csvio.write_csv(out, "f,i,s,l,w", columns, "T")
+    assert out.getvalue() == expected
+    parts = csvio.csv_parts("f,i,s,l,w", columns, "T")
+    texts = ["".join(call()) for _, call in parts]
+    assert "".join(texts) == expected
+    if num_rows < csvio.SPLIT_ROWS:
+        assert [cost for cost, _ in parts] == [num_rows]
+    else:
+        mid = (num_rows + 1) // 2
+        assert [cost for cost, _ in parts] == [mid, num_rows - mid]
+        assert texts[1].count("\n") == num_rows - mid
 
 
 def test_observable_eigenvalues_change_no_output(tmp_path):

@@ -14,7 +14,11 @@ odd ones. The last stdout line of a run holds its end-to-end metrics and the
 line before it the machine facts. Each run also keeps two raw figures from
 that line, which the rescaled metrics hide: ``raw_pass_s``, the median
 wall time of its untraced passes, and ``probe_kernel_s``, the speed probe's
-median kernel time. The output file holds the git shas, the machine,
+median kernel time. Two more raw figures say what the run cost the machine:
+``run_wall_s``, the run's wall seconds, and ``run_cpu_s``, the CPU seconds
+of the run and every process it started and reaped, forked children of
+qtraj included (a ``RUSAGE_CHILDREN`` delta); their ratio is the CPUs the
+run kept busy. The output file holds the git shas, the machine,
 ``wc -l src/qtraj/*.py`` of both trees, every run's values, their
 per-workload medians and, per workload and metric (and for ``raw_pass_s``),
 the ``summarize`` record of the pairs: how many the change won, tied and
@@ -27,11 +31,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,7 +46,8 @@ PAIRS = 10
 SECONDS = 35
 SEED = 1
 METRICS = ("norm_wall_s", "norm_path_steps_per_s", "setup_s", "peak_rss_mb", "ok_frac")
-RAW_BETTER = {"raw_pass_s": "lower"}   # summarized like METRICS; probe_kernel_s is not
+# summarized like METRICS; probe_kernel_s, run_wall_s and run_cpu_s are not
+RAW_BETTER = {"raw_pass_s": "lower"}
 
 
 def _git(*args: str) -> str:
@@ -96,15 +103,27 @@ def summarize(base: list[dict], change: list[dict], better: dict[str, str]) -> d
     return out
 
 
+def timed_run(argv: list[str], **kwargs) -> tuple[subprocess.CompletedProcess, dict]:
+    """``subprocess.run(argv, **kwargs)`` and its cost: ``run_wall_s`` and
+    ``run_cpu_s``, the user and system CPU seconds of the process and of
+    every descendant reaped before it ended."""
+    before, start = resource.getrusage(resource.RUSAGE_CHILDREN), time.monotonic()
+    proc = subprocess.run(argv, **kwargs)
+    wall = time.monotonic() - start
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+    return proc, {"run_wall_s": wall, "run_cpu_s": cpu}
+
+
 def _run(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    proc, cost = timed_run(argv, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{' '.join(argv)} in {tree} failed: {proc.stderr.strip()}")
     info, summary = json.loads(lines[-2]), json.loads(lines[-1])
-    return info, run_values(info, summary)
+    return info, run_values(info, summary) | cost
 
 
 def run_values(info: dict, summary: dict) -> dict:
