@@ -51,6 +51,7 @@ from .model import SIGMA_Z, DensityMatrix, ModelConfig, WaveFunction, make_obser
 from .rng import derive_seed
 from .sde import (
     StepOutOfRange,
+    dividing_step,
     master_evolve,
     sde_ensemble_final,
     sde_path_to_csv,
@@ -217,13 +218,14 @@ def _cmd_master(args) -> int:
 def _cmd_converge(args) -> int:
     cfg = _load_model(args)
     sde_step = args.sde_step
+    t = min(1.0, cfg.t_horizon)
     if sde_step is None:
-        sde_step = min(5e-4, 1.0 / (10.0 * args.n_values[-1]))
+        sde_step = dividing_step(t, min(5e-4, 1.0 / (10.0 * args.n_values[-1])))
     spec = EnsembleSpec(cfg=cfg, rho0=EXCITED,
                         num_trajectories=args.trajectories,
                         base_seed=args.seed, n_values=args.n_values,
                         sde_step=sde_step)
-    report = assemble_report(spec, _in_two_lanes(report_parts(spec, t=min(1.0, cfg.t_horizon))))
+    report = assemble_report(spec, _in_two_lanes(report_parts(spec, t=t)))
     with open(args.out, "w") as fh:
         report.to_csv(fh, timestamp=_timestamp(args))
     print(f"wrote {args.out}")

@@ -27,11 +27,12 @@ row-major Liouville layout of :mod:`qtraj.linalg` it is one 4x4 matrix
 Both maps keep Hermiticity, so in the Bloch coordinates of
 :mod:`qtraj.linalg`, rho = (I + r.sigma)/2, they are the real 4x4 matrices
 ``bloch_superop(S_i)``, and B = [bloch_superop(S_0) | bloch_superop(S_1)] is
-built once per configuration. An ensemble is held as an (M, 3) array r and
-each step is one product w = (1, r) @ B, taken by ``linalg.bloch_apply`` as
-an (8, M) array. Column 0 of each half is the branch trace, so p = w[0] and
-q = w[4], and the next state is the chosen half's rows 1-3 divided by its
-weight; Hermiticity and unit trace hold by construction.
+built once per configuration. An ensemble is held as a (3, M) array of
+Bloch rows r and each step is one product w = (1, r) @ B, taken row by row
+by ``linalg.bloch_apply`` into an (8, M) buffer allocated once per pass.
+Column 0 of each half is the branch trace, so p = w[0] and q = w[4], and the
+next state is the chosen half's rows 1-3 divided in place by its weight;
+Hermiticity and unit trace hold by construction.
 
 A single recorded trajectory (``run_trajectory``) is not a batch of one:
 with M = 1 the numpy calls of a step are all overhead. ``_scalar_chain``
@@ -110,7 +111,8 @@ def drive_ensemble(cfg: ModelConfig, rho0: DensityMatrix, uniforms: np.ndarray,
 
     ``uniforms`` is (num_traj, steps), one stream row per trajectory. Yields
     (k, r, outcomes, x, p, q) after each step, with r the (num_traj, 3) Bloch
-    vectors of the states; consumers must copy what they keep. The initial
+    vectors of the states, the transposed view of the (3, num_traj) rows the
+    loop steps. Every yielded array is new at each step. The initial
     state is checked against the invariants first, and the states every
     VALIDATE_EVERY steps and after the last one.
 
@@ -122,12 +124,14 @@ def drive_ensemble(cfg: ModelConfig, rho0: DensityMatrix, uniforms: np.ndarray,
     NULL_BRANCH raises DegenerateProbability.
     """
     validate_batch(rho0.m, None)
-    b = _chain_matrix(cfg)
+    cols = _chain_matrix(cfg).T.tolist()
     num_traj, steps = uniforms.shape
-    r = np.broadcast_to(density_to_bloch(rho0.m), (num_traj, 3))
+    r = np.repeat(density_to_bloch(rho0.m)[:, None], num_traj, axis=1)
+    w = np.empty((8, num_traj))
     for k in range(steps):
-        w = bloch_apply(r, b)
-        p, q = w[0], w[4]
+        bloch_apply(r, cols, w)
+        # w is overwritten next step; every yielded array is fresh
+        p, q = w[0].copy(), w[4].copy()
         one = uniforms[:, k] < q
         degenerate = np.minimum(p, q) < DEGENERATE_PROB
         rare = degenerate.any()
@@ -146,11 +150,12 @@ def drive_ensemble(cfg: ModelConfig, rho0: DensityMatrix, uniforms: np.ndarray,
         x = np.where(one, x, -x)
         if rare:
             x[degenerate] = 0.0         # +0.0, not the -0.0 of -x
-        r = (np.where(one, w[5:], w[1:4]) / weight).T
+        r = np.where(one, w[5:], w[1:4])
+        r /= weight
         outcome = one.astype(np.int64)
         if (k + 1) % VALIDATE_EVERY == 0 or k + 1 == steps:
-            validate_batch(bloch_to_density(r), k)
-        yield k, r, outcome, x, p, q
+            validate_batch(bloch_to_density(r.T), k)
+        yield k, r.T, outcome, x, p, q
 
 
 def _scalar_chain(b: np.ndarray, r0: np.ndarray, uniforms: np.ndarray,
@@ -160,7 +165,7 @@ def _scalar_chain(b: np.ndarray, r0: np.ndarray, uniforms: np.ndarray,
     Takes the (4, 8) matrix of ``_chain_matrix``, the initial Bloch vector
     and the (steps,) uniforms, and returns (Bloch vectors (steps+1, 3),
     outcomes, x, (p, q) columns). Each number comes from the operations that
-    ``bloch_apply`` and ``drive_ensemble`` take on a row, in the same order,
+    ``bloch_apply`` and ``drive_ensemble`` take on a member, in the same order,
     so it has the same bits; the tests check this step by step. Only the
     chosen branch's state is computed. The degenerate-branch rule, its +0.0
     x, the DegenerateProbability raise and the invariant checks every

@@ -48,12 +48,16 @@ Tr[rho (c + c+)] = v @ g. Density paths are stepped in Bloch coordinates,
 rho = (I + r.sigma)/2 (Jacobs & Steck, "A straightforward introduction to
 continuous quantum measurement", Contemp. Phys. 47, 279 (2006)): every map
 above keeps Hermiticity, so ``bloch_coefficients`` turns [I + h S_L | S_B | g]
-into one real (4, 7) matrix A, and a step of the (M, 3) array r is
-w = (1, r) @ A, r' = w[:, :3] + dW (w[:, 3:6] - w[:, 6] r), with w taken by
-``linalg.bloch_apply`` as a (7, M) array. Hermiticity and
-unit trace hold by construction, and the positivity projection (eigen-clip
-at zero, trace renormalization) is exactly ``linalg.project_ball``,
-r / max(1, |r|).
+into one real (4, 7) matrix A. An ensemble is a (3, M) array r of Bloch
+rows, and a step is w = (1, r) @ A, r' = w[:3] + dW (w[3:6] - w[6] r), with
+w taken row by row by ``linalg.bloch_apply`` into a (7, M) buffer allocated
+once per pass. Hermiticity and unit trace hold by construction, and the
+positivity projection (eigen-clip at zero, trace renormalization) is
+exactly ``linalg.project_ball``, r / max(1, |r|). Both density loops share
+one projection rule: a member is projected only when x^2 + y^2 + z^2 <=
+_INSIDE is false (NaN included), as inside that bound the scale is exactly
+1. ``_bloch_step`` sends those members through ``project_ball``;
+``_scalar_density`` takes the same |r| and division in Python floats.
 
 Each equation has one ensemble Euler loop, a generator over an (M, steps)
 noise array: ``_density_steps`` (density and innovation forms) and
@@ -90,6 +94,8 @@ from .model import (ID2, VALIDATE_EVERY, DensityMatrix, ModelConfig, WaveFunctio
 from .rng import generator_for, member_streams
 
 MAX_SDE_STEP = 1e-2
+# a step divides the horizon T when T / h is this close (relative) to an integer
+STEP_DIVIDES_TOL = 1e-9
 RK4_GROWTH_TOL = 1e-12
 # |r|^2 at or below this leaves the projection's scale exactly 1: the
 # rounding of the sum and of hypot is far below the margin
@@ -161,11 +167,37 @@ def _check_step(h: float, bound: float) -> None:
         raise StepOutOfRange(f"step size must be in (0, {bound:g}], got {h:g}")
 
 
+def _whole_steps(t: float, h: float) -> int | None:
+    """round(t / h) if t / h is within STEP_DIVIDES_TOL (relative) of that
+    integer, so that steps of size h end at t, else None."""
+    ratio = t / h
+    if not math.isfinite(ratio):
+        return None
+    steps = round(ratio)
+    return steps if abs(ratio - steps) <= STEP_DIVIDES_TOL * abs(ratio) else None
+
+
+def _steps_to(t: float, h: float) -> int:
+    """Number of steps of size h on [0, t]; StepOutOfRange unless h divides t."""
+    steps = _whole_steps(t, h)
+    if steps is None:
+        raise StepOutOfRange(f"step size {h:g} does not divide the horizon {t:g} "
+                             f"(t / h = {t / h:.12g})")
+    return steps
+
+
+def dividing_step(t: float, h: float) -> float:
+    """The largest step not above h that divides t: h itself when it does,
+    else t / ceil(t / h)."""
+    return h if _whole_steps(t, h) is not None else t / math.ceil(t / h)
+
+
 def _euler_steps(cfg: ModelConfig, h: float) -> int:
     """Number of Euler steps of size h on [0, T], after checking that h is
-    in (0, min(MAX_SDE_STEP, T)], so that a run takes at least one step."""
+    in (0, min(MAX_SDE_STEP, T)], so that a run takes at least one step, and
+    that it divides T, so that the last step ends at T."""
     _check_step(h, min(MAX_SDE_STEP, cfg.t_horizon))
-    return int(round(cfg.t_horizon / h))
+    return _steps_to(cfg.t_horizon, h)
 
 
 def _ensemble_noise(base_seed: int | None, noise: np.ndarray | None,
@@ -209,16 +241,30 @@ def _bloch_sde_matrix(cfg: ModelConfig, h: float) -> np.ndarray:
     return bloch_coefficients(np.eye(4) + h * coeffs[:, :4], coeffs)
 
 
-def _bloch_step(a: np.ndarray, r: np.ndarray, dw: np.ndarray, h: float,
-                physical: bool) -> tuple[np.ndarray, np.ndarray]:
-    """One projected Euler step of (M, 3) Bloch vectors with the matrix of
-    ``_bloch_sde_matrix``; returns (r after the step, g before it). With
-    ``physical`` the kick is dW + h g (innovation form)."""
-    w = bloch_apply(r, a)
-    g = w[6]
+def _bloch_step(cols: list, r: np.ndarray, dw: np.ndarray, h: float, physical: bool,
+                w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One projected Euler step of the (3, M) Bloch rows r, with the columns
+    of ``_bloch_sde_matrix`` as Python floats and a (7, M) buffer w; returns
+    (r after the step, g before it), both new arrays. With ``physical`` the
+    kick is dW + h g (innovation form). Only the members with x^2 + y^2 +
+    z^2 <= _INSIDE false (NaN included) go through ``project_ball``: the
+    scale of the others is exactly 1. This is ``_scalar_density``'s rule."""
+    bloch_apply(r, cols, w)
+    g = w[6].copy()
     kick = dw + h * g if physical else dw
-    r = w[:3] + kick * (w[3:6] - g * r.T)
-    return project_ball(r.T), g
+    r = g * r
+    np.subtract(w[3:6], r, out=r)
+    r *= kick
+    r += w[:3]
+    x, y, z = r
+    sq = np.multiply(x, x, out=w[0])
+    sq += np.multiply(y, y, out=w[1])
+    sq += np.multiply(z, z, out=w[1])
+    inside = sq <= _INSIDE
+    if not inside.all():
+        j = np.flatnonzero(~inside)
+        r[:, j] = project_ball(r[:, j].T).T
+    return r, g
 
 
 def _density_steps(cfg: ModelConfig, rho0: DensityMatrix, h: float,
@@ -226,20 +272,22 @@ def _density_steps(cfg: ModelConfig, rho0: DensityMatrix, h: float,
                    ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Euler steps of the density equation, one path per row of the
     (M, steps) increments ``noise``. Yields (k, r, g) after step k: r the
-    (M, 3) Bloch vectors after it, g = Tr[rho (c + c+)] of the states before
-    it. Every step is projected onto the positive states. The initial state
-    is checked against the invariants first, and the states every
-    VALIDATE_EVERY steps and after the last one.
+    (M, 3) Bloch vectors after it, the transposed view of the (3, M) rows
+    the loop steps, and g = Tr[rho (c + c+)] of the states before it; both
+    are new at each step. Every step is projected onto the positive states.
+    The initial state is checked against the invariants first, and the
+    states every VALIDATE_EVERY steps and after the last one.
     """
     validate_batch(rho0.m, None)
     num_paths, steps = noise.shape
-    a = _bloch_sde_matrix(cfg, h)
-    r = np.broadcast_to(density_to_bloch(rho0.m), (num_paths, 3)).copy()
+    cols = _bloch_sde_matrix(cfg, h).T.tolist()
+    r = np.repeat(density_to_bloch(rho0.m)[:, None], num_paths, axis=1)
+    w = np.empty((7, num_paths))
     for k in range(steps):
-        r, g = _bloch_step(a, r, noise[:, k], h, physical)
+        r, g = _bloch_step(cols, r, noise[:, k], h, physical, w)
         if (k + 1) % VALIDATE_EVERY == 0 or k + 1 == steps:
-            validate_batch(bloch_to_density(r), k)
-        yield k, r, g
+            validate_batch(bloch_to_density(r.T), k)
+        yield k, r.T, g
 
 
 def _real_form(m: np.ndarray) -> np.ndarray:
@@ -311,11 +359,12 @@ def _scalar_density(a: np.ndarray, r0: np.ndarray, h: float, noise: np.ndarray,
     Takes the (4, 7) matrix of ``_bloch_sde_matrix``, the initial Bloch
     vector and the (steps,) increments, and returns (Bloch vectors
     (steps+1, 3), g (steps,)). Each number comes from the operations that
-    ``_bloch_step`` takes on a row, in the same order, so it has the same
+    ``_bloch_step`` takes on a member, in the same order, so it has the same
     bits; the tests check this step by step. The projection takes |r| from
     nested ``np.hypot``, as ``project_ball`` does (``math.hypot`` rounds
     differently), and skips it when x^2 + y^2 + z^2 <= _INSIDE, where the
-    scale is exactly 1. A non-finite |r| makes the state NaN. The states are
+    scale is exactly 1: the rule of ``_bloch_step``. A non-finite |r| makes
+    the state NaN. The states are
     checked every VALIDATE_EVERY steps and after the last one.
     """
     (e0, e1, e2, e3, e4, e5, e6), (x0, x1, x2, x3, x4, x5, x6), \
@@ -448,10 +497,11 @@ def master_evolve(cfg: ModelConfig, rho0: DensityMatrix, h: float) -> MasterPath
     L is linear, so one RK4 step is exactly v -> v + v @ D with the
     degree-4 increment D = hS + (hS)^2/2 + (hS)^3/6 + (hS)^4/24, S = S_L;
     ``_rk4_states`` takes these steps in Bloch coordinates, with the trace
-    held at exactly one. A step outside (0, T] raises StepOutOfRange.
+    held at exactly one. A step outside (0, T], or one that does not divide
+    T, raises StepOutOfRange.
     """
     _check_step(h, cfg.t_horizon)
-    steps = int(round(cfg.t_horizon / h))
+    steps = _steps_to(cfg.t_horizon, h)
     return MasterPath(grid=np.arange(steps + 1) * h,
                       states=_rk4_states(cfg, rho0, h, steps))
 

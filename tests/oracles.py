@@ -56,6 +56,15 @@ def apply_superop(v: np.ndarray, s: np.ndarray) -> np.ndarray:
             + v[..., 2:3] * s[2] + v[..., 3:4] * s[3])
 
 
+def bloch_apply_broadcast(r: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """(k, M) array whose column j is (1, r_j) @ a, for an (M, 3) stack of
+    Bloch vectors and a real (4, k) matrix: the broadcast form of
+    ``linalg.bloch_apply``, with the same products and sums in the same
+    order."""
+    col = a[:, :, None]
+    return col[0] + r[:, 0] * col[1] + r[:, 1] * col[2] + r[:, 2] * col[3]
+
+
 def partial_trace_system(m: np.ndarray) -> np.ndarray:
     """Trace the field qubit out of a 4x4 operator, keeping the system.
 

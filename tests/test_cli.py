@@ -210,6 +210,9 @@ GIRSANOV_DIGESTS = [
      "c54fd8bb40b3fdf065ca619f1f5e29df225b36d12472267e7fbf5073f8d0dacd"),
     (("--seed", "3", "--trajectories", "40", "--h", "5e-3", "--config", "half"),
      "586f4f533bbd0fa247f0b742080bc1e75b16edc187d81d0ef5b31a1b953d5736"),
+    # the girsanov-ensemble benchmark's size
+    (("--seed", "7", "--trajectories", "1000", "--h", "1e-3"),
+     "4b489a9665fb981782fb961b7950a8d10e0c1c8ad2c66d0867099090ebfea10d"),
 ]
 
 
@@ -335,6 +338,9 @@ CONVERGE_DIGESTS = [
      "15336cbab74c3d36cb41c911c584da8144296a8e7878197709b769984e3479cd"),
     (("--seed", "5", "--n-values", "7,13,31", "--trajectories", "2", "--sde-step", "1e-2"),
      "65d5f8e9846df4872fb1a47e87d14640689b553b1fcfe286af82ac102307518b"),
+    # the converge-chain benchmark's size
+    (("--seed", "7", "--n-values", "50,200", "--trajectories", "2000", "--sde-step", "1e-2"),
+     "22d4d0e02e63469ee7172d8981fa9ca69bc81b1b056152ba00068d45e9f9c267"),
 ]
 
 # lanes ([2], [0, 1]): the n = 200 pass in the parent, the diffusion ensemble
@@ -780,15 +786,44 @@ class TestNonFiniteInputExits2:
 class TestStepBoundsExit2:
     def test_unstable_rk4_step(self, tmp_path):
         # damping rate 9: h = 0.5 grows the decaying modes by |R(-4.5)| = 8.5,
-        # h = 0.3 keeps every |R(h lam)| <= 1
+        # h = 0.25 keeps every |R(h lam)| <= 1 (|R(-2.25)| = 0.45)
         cfg = tmp_path / "strong.cfg"
         cfg.write_text("c = 0 0 3 0 0 0 0 0\n")
         out = tmp_path / "m.csv"
         assert run_cli("master", "--config", str(cfg), "--h", "0.5", "--seed", "1",
                        "--out", str(out)) == 2
         assert not out.exists()
-        assert run_cli("master", "--config", str(cfg), "--h", "0.3", "--seed", "1",
+        assert run_cli("master", "--config", str(cfg), "--h", "0.25", "--seed", "1",
                        "--out", str(out)) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("master", "--h", "0.6"),
+        ("simulate-sde", "--h", "0.006"),
+        ("girsanov", "--trajectories", "10", "--h", "0.003"),
+        ("converge", "--n-values", "10", "--trajectories", "10", "--sde-step", "0.003"),
+    ])
+    def test_step_that_does_not_divide_the_horizon(self, tmp_path, capsys, argv):
+        # T / h = 1.67, 166.7 and 333.3: the last step would end past T
+        out = tmp_path / "x.csv"
+        assert run_cli(*argv, "--seed", "1", "--out", str(out)) == 2
+        assert not out.exists()
+        assert "does not divide the horizon 1" in capsys.readouterr().err
+
+    def test_default_sde_step_shrinks_to_divide_the_horizon(self, tmp_path, monkeypatch):
+        # T = 1/3: the default 5e-4 does not divide it, (1/3) / 667 does
+        import qtraj.cli as cli_mod
+
+        steps = []
+        real = cli_mod.report_parts
+        monkeypatch.setattr(cli_mod, "report_parts",
+                            lambda spec, t: steps.append(t / spec.sde_step) or real(spec, t))
+        cfg = tmp_path / "third.cfg"
+        cfg.write_text(f"t_horizon = {1 / 3!r}\n")
+        out = tmp_path / "x.csv"
+        assert run_cli("converge", "--config", str(cfg), "--n-values", "10,20",
+                       "--trajectories", "10", "--seed", "1", "--out", str(out)) == 0
+        assert out.exists()
+        assert steps == [pytest.approx(667, rel=1e-12)]
 
     @pytest.mark.parametrize("argv", [
         ("simulate-sde", "--h", "1e-2"),

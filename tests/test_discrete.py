@@ -373,6 +373,19 @@ class TestBlochChain:
                 for whole, one in zip(batch[k], single):
                     assert np.array_equal(whole[j], one[0]), (j, k)
 
+    def test_yields_new_arrays(self):
+        # the loop reuses its product buffer; every yielded array must be new
+        cfg = damping_cfg(n=40, h0_scale=0.5, t_horizon=0.1)
+        uniforms = ensemble_streams(45, 6, cfg.steps)
+        kept = list(drive_ensemble(cfg, EXCITED, uniforms))
+        copied = [[k] + [a.copy() for a in rest]
+                  for k, *rest in drive_ensemble(cfg, EXCITED, uniforms)]
+        assert len(kept) == 4
+        for item, copy in zip(kept, copied):
+            assert item[0] == copy[0]
+            for a, b in zip(item[1:], copy[1:]):
+                assert np.array_equal(a, b)
+
 
 
 def _chain_batch_of_one(cfg, rho, uniforms):

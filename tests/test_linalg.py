@@ -4,6 +4,7 @@ import scipy.linalg
 
 from qtraj.linalg import (
     adjoint,
+    bloch_apply,
     bloch_superop,
     bloch_to_density,
     density_to_bloch,
@@ -15,7 +16,7 @@ from qtraj.linalg import (
 from qtraj.model import FIELD_HAMILTONIANS, build_unitary
 
 from helpers import rand_cmat, rand_config, rand_herm, rand_state_matrix
-from oracles import apply_superop, partial_trace_system
+from oracles import apply_superop, bloch_apply_broadcast, partial_trace_system
 
 
 class TestAdjoint:
@@ -168,6 +169,26 @@ class TestBloch:
         for _ in range(50):
             a = 1e3 * rand_cmat(rng)
             bloch_superop(np.eye(4) + 1e-2 * sandwich_superop(a, adjoint(a)))
+
+
+class TestBlochApply:
+    @pytest.mark.parametrize("k", [7, 8])
+    @pytest.mark.parametrize("m", [1, 2, 3, 1000, 2048])
+    def test_rows_match_the_broadcast_form(self, k, m):
+        # the row form takes the broadcast form's products and sums in the
+        # same order, so the bits agree on any input, non-finite ones included
+        rng = np.random.default_rng(14 + 10 * k + m)
+        special = np.array([0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan])
+        r = rng.normal(size=(m, 3)) * 10.0 ** rng.integers(-300, 300, size=(m, 3))
+        mask = rng.random((m, 3)) < 0.3
+        r[mask] = rng.choice(special, size=mask.sum())
+        a = rng.normal(size=(4, k))
+        out = np.empty((k, m))
+        with np.errstate(all="ignore"):
+            got = bloch_apply(np.ascontiguousarray(r.T), a.T.tolist(), out)
+            want = bloch_apply_broadcast(r, a)
+        assert got is out
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestExpm4:

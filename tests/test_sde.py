@@ -22,6 +22,7 @@ from qtraj.linalg import (
 )
 from qtraj.model import ID2, SIGMA_X, SIGMA_Z, NotAState
 import qtraj.sde as sde_mod
+from qtraj.sde import STEP_DIVIDES_TOL, StepOutOfRange, dividing_step
 from qtraj.sde import (
     VALIDATE_EVERY,
     UnstableStep,
@@ -54,6 +55,7 @@ from helpers import (
 )
 from oracles import (
     backaction,
+    bloch_apply_broadcast,
     density_path_batch_of_one,
     euler_step_density,
     girsanov_weights,
@@ -452,8 +454,10 @@ class TestBlochCore:
             c = cfg.coupling()
             rho = rand_density(rng).m
             dw = rng.normal(scale=0.5, size=1)
-            r, g = _bloch_step(_bloch_sde_matrix(cfg, h), density_to_bloch(rho)[None],
-                               dw, h, physical)
+            r, g = _bloch_step(_bloch_sde_matrix(cfg, h).T.tolist(),
+                               density_to_bloch(rho)[:, None], dw, h, physical,
+                               np.empty((7, 1)))
+            r = r.T
             g_oracle = np.trace(rho @ (c + adjoint(c))).real
             assert abs(g[0] - g_oracle) < 1e-13
             kick = dw[0] + h * g_oracle if physical else dw[0]
@@ -699,6 +703,105 @@ class TestScalarDensity:
             assert not np.array_equal(bloch[1], r0)
 
 
+def _identity_step_batch(rows, dw):
+    """``_bloch_step`` with an identity Euler matrix on the (M, 3) ``rows``
+    and kicks ``dw`` along (1, 1, 1); returns (stepped rows, the unprojected
+    rows from the broadcast form, the rows project_ball was called on)."""
+    a = np.zeros((4, 7))
+    a[1:, :3] = np.eye(3)
+    a[0, 3:6] = 1.0
+    w = bloch_apply_broadcast(rows, a)
+    raw = (w[:3] + dw * (w[3:6] - w[6] * rows.T)).T
+    seen = []
+
+    def recording(r):
+        seen.append(r.copy())
+        return project_ball(r)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sde_mod, "project_ball", recording)
+        r, _ = _bloch_step(a.T.tolist(), np.ascontiguousarray(rows.T), dw, 1e-3, False,
+                           np.empty((7, len(rows))))
+    return r.T, raw, seen
+
+
+def _rows_summing_near(target, count):
+    """Rows (x, y, 0) with x^2 + y^2 rounding to each float within ``count``
+    ulps of ``target``."""
+    near = {target}
+    for _ in range(count):
+        near |= {np.nextafter(v, d) for v in near for d in (0.0, 2.0)}
+    found = {}
+    for y in np.linspace(0.0, 0.5, 200):
+        x = np.sqrt(target - y * y)
+        for x in (x, *(np.nextafter(x, d) for d in (0.0, 2.0))):
+            sq = x * x + y * y
+            if sq in near and sq not in found:
+                found[sq] = (x, y, 0.0)
+    assert set(found) == near
+    return np.array([found[v] for v in sorted(found)])
+
+
+class TestProjectionRule:
+    """``_bloch_step`` sends only the members with x^2 + y^2 + z^2 <=
+    _INSIDE false through project_ball; the batch must keep project_ball's
+    bits on every member."""
+
+    def test_mixed_batch_keeps_project_ball_bits(self):
+        v = np.random.default_rng(50).normal(size=(20000, 3))
+        v = density_to_bloch(bloch_to_density(v / np.linalg.norm(v, axis=1)[:, None]))
+        sums = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2]
+        norms = np.hypot(np.hypot(v[:, 0], v[:, 1]), v[:, 2])
+        sphere = v[(sums <= 1.0) & (norms > 1.0)][:10]
+        rows = np.vstack([
+            [[0.1, 0.2, -0.3], [0.0, -0.0, 0.0], [5e-324, 0.5, -0.5]],    # well inside
+            _rows_summing_near(sde_mod._INSIDE, 2),     # at _INSIDE and its neighbours
+            sphere,                                     # hypot rounds to 1 + ulp
+            [[1.5, 0.0, 0.0], [0.6, 0.7, 0.8], [-2.0, 3.0, -4.0]],        # outside
+            [[1e200, -1e200, 3e199], [1e308, 1e308, 1e308]],             # near 1e200, inf
+            [[np.inf, 0.0, 0.0], [np.nan, 0.0, 0.0]],                    # inf and NaN
+        ])
+        dw = np.zeros(len(rows))
+        dw[-3] = 1e308          # (1e308, 1e308, 1e308) + 1e308 overflows to inf
+        with np.errstate(all="ignore"):
+            got, raw, seen = _identity_step_batch(rows, dw)
+            want = project_ball(raw)
+        assert np.isinf(raw).any() and np.isnan(raw).any()
+        assert np.array_equal(got, want, equal_nan=True)
+        with np.errstate(all="ignore"):
+            inside = raw[:, 0] * raw[:, 0] + raw[:, 1] * raw[:, 1] \
+                + raw[:, 2] * raw[:, 2] <= sde_mod._INSIDE
+        assert 0 < inside.sum() < len(rows)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], raw[~inside], equal_nan=True)
+
+    def test_all_inside_batch_makes_no_call(self):
+        rows = np.random.default_rng(51).uniform(-0.5, 0.5, size=(64, 3))
+        got, raw, seen = _identity_step_batch(rows, np.zeros(64))
+        assert seen == []
+        assert np.array_equal(got, project_ball(raw))
+
+    def test_all_outside_batch(self):
+        rows = np.random.default_rng(52).uniform(0.6, 3.0, size=(64, 3))
+        got, raw, seen = _identity_step_batch(rows, np.zeros(64))
+        assert len(seen) == 1 and len(seen[0]) == 64
+        assert np.array_equal(got, project_ball(raw))
+
+
+@pytest.mark.parametrize("physical", [False, True])
+def test_density_steps_yield_new_arrays(physical):
+    # the loop reuses its product buffer; every yielded array must be new
+    cfg, h = damping_cfg(h0_scale=0.5, t_horizon=0.05), 1e-2
+    noise = np.random.default_rng(53).normal(scale=0.3, size=(6, 5))
+    kept = list(_density_steps(cfg, PLUS, h, noise, physical))
+    copied = [(k, r.copy(), g.copy())
+              for k, r, g in _density_steps(cfg, PLUS, h, noise, physical)]
+    assert len(kept) == 5
+    for (k, r, g), (k2, r2, g2) in zip(kept, copied):
+        assert k == k2
+        assert np.array_equal(r, r2) and np.array_equal(g, g2)
+
+
 def _wave_batch_of_one(cfg, v, h, noise):
     """``_wave_steps`` on a batch of one, in ``_scalar_wave``'s layout."""
     parts = [sde_mod._real_parts(v)]
@@ -939,11 +1042,11 @@ class TestInputGuards:
             master_evolve(damping_cfg(), EXCITED, h)
 
     def test_master_evolve_unstable_step(self, monkeypatch):
-        # damping rate 9: |R(-9 h)| is 8.5 at h = 0.5; at h = 0.3 the largest
+        # damping rate 9: |R(-9 h)| is 8.5 at h = 0.5; at h = 0.25 the largest
         # |R(h lam)| is the stationary mode's 1. The bound is checked before
         # any step
         cfg = damping_cfg(c_scale=3.0)
-        assert master_evolve(cfg, EXCITED, 0.3).states.shape == (4, 2, 2)
+        assert master_evolve(cfg, EXCITED, 0.25).states.shape == (5, 2, 2)
         monkeypatch.setattr(sde_mod, "bloch_superop", None)
         with pytest.raises(UnstableStep, match="stability region"):
             master_evolve(cfg, EXCITED, 0.5)
@@ -958,6 +1061,31 @@ class TestInputGuards:
             simulate_belavkin(cfg, EXCITED, h, seed=1)
         with pytest.raises(ValueError, match="step size"):
             wave_ensemble_final(cfg, WaveFunction(PLUS_VEC), h, 2, base_seed=1)
+
+    @pytest.mark.parametrize("h", [0.006, 0.003, 7e-4])
+    def test_step_must_divide_the_horizon(self, h):
+        cfg = damping_cfg()
+        with pytest.raises(StepOutOfRange, match="does not divide the horizon"):
+            sde_ensemble_final(cfg, EXCITED, h, 2, base_seed=1)
+        with pytest.raises(StepOutOfRange, match="does not divide the horizon"):
+            simulate_belavkin(cfg, EXCITED, h, seed=1)
+        with pytest.raises(StepOutOfRange, match="does not divide the horizon"):
+            master_evolve(cfg, EXCITED, 2 * h)
+
+    def test_step_within_tolerance_divides(self):
+        # T / h a few ulps off an integer, as 1 / 1e-3 is, divides
+        cfg = damping_cfg(t_horizon=0.3)
+        assert len(master_evolve(cfg, EXCITED, 0.1).grid) == 4
+        assert sde_mod._whole_steps(1.0, 1.0 / (1000 * (1 + 0.5 * STEP_DIVIDES_TOL))) == 1000
+        assert sde_mod._whole_steps(1.0, 1.0 / (1000 * (1 + 2 * STEP_DIVIDES_TOL))) is None
+
+    def test_dividing_step(self):
+        for t, h in [(1.0, 5e-4), (0.5, 5e-4), (1.0, 1e-3), (0.3, 1e-3)]:
+            assert dividing_step(t, h) == h
+        third = 1.0 / 3.0
+        assert dividing_step(third, 5e-4) == third / 667
+        assert dividing_step(third, 5e-4) <= 5e-4
+        assert dividing_step(1e-4, 5e-4) == 1e-4
 
     @pytest.mark.parametrize("h", [np.nan, np.inf])
     def test_euler_step_density_step(self, h):
