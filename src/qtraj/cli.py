@@ -23,29 +23,37 @@ file keys. Model keys:
 The initial state is the excited level |f1><f1| for every command.
 
 Every command uses both CPUs where the platform has os.fork and its work
-splits: independent parts (girsanov's two ensembles; converge's KS diffusion
-ensemble and chain pass per n; the two row ranges of a simulate-discrete,
-simulate-sde or master table of csvio.SPLIT_ROWS rows or more) go to two
-lanes by estimated cost, one lane in a forked child. There is no option for
-this, and the bytes are those of the parts run in turn, as where os.fork does
-not exist. Library calls (sde_ensemble_final, run_full_report, write_csv and
-the path writers) never fork; only the commands do.
+splits. girsanov's two ensembles and converge's independent parts (its KS
+diffusion ensemble and one chain pass per n) go to two lanes by estimated
+cost, one lane in a forked child. simulate-discrete, simulate-sde and master
+write one path: for a table of csvio.SPLIT_ROWS rows or more, a child forked
+before the path is stepped formats the CSV rows [0, a) of the loop's record
+table as the loop publishes its checked blocks, while the command's own
+process steps the path and then formats the rows from a on (master publishes
+its whole table at once). There is no option for this, and the bytes are
+those of one process, as where os.fork does not exist. Library calls
+(sde_ensemble_final, run_full_report, run_trajectory, the simulate functions,
+master_evolve, write_csv and the path writers) never fork; only the commands
+do.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import mmap
 import os
 import pickle
 import signal
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .convergence import DiagonalObservable, EnsembleSpec, assemble_report, report_parts
-from .csvio import STATE_HEADER, in_turn, state_columns, write_csv
+from .csvio import (BLOCK_ROWS, SPLIT_ROWS, STATE_HEADER, RowFeed, csv_rows, state_columns,
+                    write_csv)
 from .discrete import run_trajectory, trajectory_to_csv
 from .model import SIGMA_Z, DensityMatrix, ModelConfig, WaveFunction, make_observable
 from .rng import derive_seed
@@ -176,9 +184,10 @@ def _load_model(args, **overrides) -> ModelConfig:
 
 def _cmd_simulate_discrete(args) -> int:
     cfg = _load_model(args, n=args.n)
-    record = run_trajectory(cfg, EXCITED, args.seed)
-    with open(args.out, "w") as fh:
-        trajectory_to_csv(record, fh, timestamp=_timestamp(args), run=_in_two_lanes)
+    with _FormattedAhead() as feed:
+        record = run_trajectory(cfg, EXCITED, args.seed, feed=feed)
+        with open(args.out, "w") as fh:
+            trajectory_to_csv(record, fh, timestamp=_timestamp(args), feed=feed)
     counts = np.bincount(record.outcomes, minlength=2)
     final = record.states[-1]
     print(f"wrote {args.out}: {record.steps + 1} state rows")
@@ -191,23 +200,30 @@ def _cmd_simulate_discrete(args) -> int:
 
 def _cmd_simulate_sde(args) -> int:
     cfg = _load_model(args)
-    if args.form == "wave":
-        psi0 = WaveFunction(np.array([0.0, 1.0], dtype=complex))
-        path, to_csv = simulate_wave(cfg, psi0, args.h, args.seed), wave_path_to_csv
-    else:
-        simulate = simulate_physical if args.form == "physical" else simulate_belavkin
-        path, to_csv = simulate(cfg, EXCITED, args.h, args.seed), sde_path_to_csv
-    with open(args.out, "w") as fh:
-        to_csv(path, fh, timestamp=_timestamp(args), run=_in_two_lanes)
+    with _FormattedAhead() as feed:
+        if args.form == "wave":
+            psi0 = WaveFunction(np.array([0.0, 1.0], dtype=complex))
+            path = simulate_wave(cfg, psi0, args.h, args.seed, feed=feed)
+            to_csv = wave_path_to_csv
+        else:
+            simulate = simulate_physical if args.form == "physical" else simulate_belavkin
+            path, to_csv = simulate(cfg, EXCITED, args.h, args.seed, feed=feed), sde_path_to_csv
+        with open(args.out, "w") as fh:
+            to_csv(path, fh, timestamp=_timestamp(args), feed=feed)
     print(f"wrote {args.out}: {len(path.grid)} rows ({args.form} form, h = {args.h:g})")
     return 0
 
 
 def _cmd_master(args) -> int:
     path = master_evolve(_load_model(args), EXCITED, args.h)
-    with open(args.out, "w") as fh:
-        write_csv(fh, "time," + STATE_HEADER, [path.grid, *state_columns(path.states)],
-                  _timestamp(args), _in_two_lanes)
+    columns = [path.grid, *state_columns(path.states)]
+    with _FormattedAhead() as feed:
+        # the whole table at once: the path is stepped before it is written
+        table = feed.table((len(path.grid), len(columns)), lambda rows, lo: list(rows.T), 0.0)
+        table.T[:] = columns
+        feed.publish(len(table))
+        with open(args.out, "w") as fh:
+            write_csv(fh, "time," + STATE_HEADER, columns, _timestamp(args), feed)
     final = path.states[-1]
     print(f"wrote {args.out}: {len(path.grid)} rows")
     print(f"final populations: ground {final[0, 0].real:.8f}, "
@@ -242,7 +258,7 @@ def _in_two_lanes(parts) -> list:
     for i in sorted(range(len(parts)), key=lambda i: -parts[i][0]):
         min(lanes, key=lambda lane: sum(parts[j][0] for j in lane)).append(i)
     if not lanes[1]:
-        return in_turn(parts)
+        return [call() for _, call in parts]
     with _beside(lambda: {i: parts[i][1]() for i in lanes[1]}) as other:
         results = {i: parts[i][1]() for i in lanes[0]}
         results.update(other())
@@ -306,6 +322,90 @@ def _beside(func):
         os.waitpid(pid, 0)
 
 
+class _FormattedAhead(RowFeed):
+    """The commands' ``RowFeed``: where the platform has os.fork, the record
+    table of a path of SPLIT_ROWS rows or more lives in an anonymous shared
+    mapping, and a child forked when the loop asks for the table formats the
+    CSV rows [0, a) as they are published, while this process steps the
+    path and then formats the rest. a balances the two lanes: the child
+    formats a rows, this process steps all K and formats K - a, so
+    a = K (1 + s / c) / 2 for a loop that costs s formatted cells a step and
+    a table of c cells a row. Each published row count goes through a
+    notify pipe, closed before the child's text is read; the child's reply
+    comes through ``_beside``. Used as a context manager: leaving it kills
+    the child if its reply was not read, and always reaps it. Elsewhere, and
+    for smaller tables, the table is in process and nothing is formatted
+    ahead, as with ``csvio.IN_PROCESS``."""
+
+    def __init__(self):
+        self._stack = ExitStack()
+        self._split, self._reply, self._notify = 0, None, None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return self._stack.__exit__(*exc_info)
+
+    def table(self, shape, columns, step_cells):
+        rows, width = shape
+        if rows < SPLIT_ROWS or not hasattr(os, "fork"):
+            return super().table(shape, columns, step_cells)
+        table = np.frombuffer(mmap.mmap(-1, 8 * rows * width)).reshape(shape)
+        cells = len(columns(table[:0], 0))      # c, from the columns of no rows
+        split = min(rows, round(rows * (1 + step_cells / cells) / 2))
+        read_fd, write_fd = os.pipe()
+        self._notify = self._stack.enter_context(open(write_fd, "wb", buffering=0))
+
+        def ahead():
+            self._notify.close()
+            with open(read_fd, "rb", buffering=0) as notices:
+                return _format_published(notices, table, columns, split)
+
+        try:
+            self._reply = self._stack.enter_context(_beside(ahead))
+        finally:
+            os.close(read_fd)
+        self._split = split
+        return table
+
+    def publish(self, rows):
+        if self._notify is None or self._notify.closed:
+            return
+        try:
+            self._notify.write(rows.to_bytes(8, "little"))
+        except BrokenPipeError:     # the child has gone; its reply says why
+            self._notify.close()
+        if rows >= self._split:
+            self._notify.close()
+
+    def formatted(self):
+        if self._reply is None:
+            return super().formatted()
+        self._notify.close()
+        return self._split, self._reply
+
+
+def _format_published(notices, table, columns, split: int) -> list[str]:
+    """Text pieces of the CSV rows [0, split) of a record table, formatted in
+    blocks of at least BLOCK_ROWS rows (or the rest) as their row counts
+    arrive through the unbuffered pipe ``notices``; ``columns(rows, lo)``
+    gives the columns of table rows [lo, hi). The end of the pipe before
+    ``split`` rows arrived raises ChildProcessError."""
+    pieces, done, ready = [], 0, 0
+    while done < split:
+        while ready < min(done + BLOCK_ROWS, split):
+            counts = notices.read(4096)
+            if not counts:
+                raise ChildProcessError(f"the path stopped after {ready} of the "
+                                        f"{split} rows to format")
+            ready = int.from_bytes(counts[-8:], "little")
+        stop = min(ready, split)
+        pieces += csv_rows(columns(table[done:stop], done))
+        done = stop
+    return pieces
+
+
 def _cmd_girsanov(args) -> int:
     cfg = _load_model(args)
     m = args.trajectories
@@ -337,6 +437,7 @@ def _cmd_girsanov(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qtraj",

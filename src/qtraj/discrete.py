@@ -40,7 +40,11 @@ steps it in Python floats, reading B through ``tolist()`` and taking the
 operations of ``bloch_apply`` and ``drive_ensemble`` in the same order, so
 every recorded number has the bits of the ensemble row. The tests check this
 step by step against ``drive_ensemble``; it does not hold by construction.
-The caller fixes which loop runs: a recorded path or an ensemble.
+The caller fixes which loop runs: a recorded path or an ensemble. The loop
+fills a record table that a ``csvio.RowFeed`` provides and publishes each
+checked block of rows to it, so the CLI can format the CSV beside the loop;
+the CSV columns of any row range come from ``_record`` and ``_csv_columns``,
+the functions ``run_trajectory`` and ``trajectory_to_csv`` use.
 
 Sampling convention: outcome 1 is taken iff the step's uniform draw is < q.
 Each trajectory owns one PCG64 stream seeded with its 64-bit seed and
@@ -56,15 +60,22 @@ from typing import Iterator
 
 import numpy as np
 
-from .csvio import STATE_HEADER, in_turn, state_columns, write_csv
+from .csvio import IN_PROCESS, STATE_HEADER, RowFeed, state_columns, write_csv
 from .linalg import (adjoint, bloch_apply, bloch_superop, bloch_to_density,
                      density_to_bloch, sandwich_superop)
-from .model import (VALIDATE_EVERY, DensityMatrix, InteractionUnitary, ModelConfig,
-                    Observable, build_unitary, validate_batch)
+from .model import (STATE_TOL, VALIDATE_EVERY, DensityMatrix, InteractionUnitary,
+                    ModelConfig, Observable, build_unitary, validate_batch)
 from .rng import generator_for, member_streams
 
 DEGENERATE_PROB = 1e-12
 NULL_BRANCH = 1e-14
+# cost of one _scalar_chain step in %.17g cells formatted, which places the
+# split of a table formatted beside the loop (cli._FormattedAhead). On the
+# 2-vCPU Xeon VM at n = 20000 a step costs 2.7 cells in one process (27.9 ms
+# of stepping, 0.52 us a cell); with a child formatting beside the loop both
+# lanes run slower, and they end together at 2.5 (the median lane ends of
+# 21 runs at 1.5, 2.5 and 3 cells differ by -17, 0 and +9 ms)
+CHAIN_STEP_CELLS = 2.5
 
 
 class DegenerateProbability(ValueError):
@@ -159,19 +170,32 @@ def drive_ensemble(cfg: ModelConfig, rho0: DensityMatrix, uniforms: np.ndarray,
 
 
 def _scalar_chain(b: np.ndarray, r0: np.ndarray, uniforms: np.ndarray,
+                  table: np.ndarray | None = None, publish=IN_PROCESS.publish,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The steps of ``drive_ensemble`` for one trajectory, in Python floats.
 
     Takes the (4, 8) matrix of ``_chain_matrix``, the initial Bloch vector
-    and the (steps,) uniforms, and returns (Bloch vectors (steps+1, 3),
-    outcomes, x, (p, q) columns). Each number comes from the operations that
-    ``bloch_apply`` and ``drive_ensemble`` take on a member, in the same order,
-    so it has the same bits; the tests check this step by step. Only the
-    chosen branch's state is computed. The degenerate-branch rule, its +0.0
-    x, the DegenerateProbability raise and the invariant checks every
-    VALIDATE_EVERY steps and after the last one are those of
-    ``drive_ensemble``. A NaN p or q makes no step degenerate, as
-    ``np.minimum`` propagates it.
+    and the (steps,) uniforms, and returns ``_fields`` of its record table:
+    (Bloch vectors (steps+1, 3), outcomes, x, (p, q) columns). Each number
+    comes from the operations that ``bloch_apply`` and ``drive_ensemble``
+    take on a member, in the same order, so it has the same bits; the tests
+    check this step by step. Only the chosen branch's state is computed. The
+    degenerate-branch rule, its +0.0 x, the DegenerateProbability raise and
+    the invariant checks every VALIDATE_EVERY steps and after the last one
+    are those of ``drive_ensemble``. A NaN p or q makes no step degenerate,
+    as ``np.minimum`` propagates it.
+
+    A check tests x^2 + y^2 + z^2 <= 1 + STATE_TOL in Python floats first
+    and calls ``validate_batch`` only where that fails, NaN and inf
+    included. A state that passes the cheap test passes the full one: its
+    smallest eigenvalue (1 - |r|)/2 is at least -STATE_TOL/4 up to
+    rounding, and ``bloch_to_density`` makes it exactly Hermitian with trace
+    1 to an ulp. So the same states fail, with the same message.
+
+    The record table is ``table`` ((steps+1, 7), a new one by default): row
+    0 holds r0 and NaN, row k + 1 the state after step k and that step's
+    (p, q, x, outcome). A block's rows go into it once its last state is
+    checked, and then ``publish`` gets the number of rows filled.
     """
     (e0, e1, e2, e3, e4, e5, e6, e7), (x0, x1, x2, x3, x4, x5, x6, x7), \
         (y0, y1, y2, y3, y4, y5, y6, y7), (z0, z1, z2, z3, z4, z5, z6, z7) = b.tolist()
@@ -179,11 +203,12 @@ def _scalar_chain(b: np.ndarray, r0: np.ndarray, uniforms: np.ndarray,
     # a memoryview yields Python floats without holding a list of them
     draws = memoryview(np.ascontiguousarray(uniforms, dtype=float))
     steps = len(draws)
-    # row 0 holds r0 (and no step data), row k + 1 the state after step k
-    # and that step's (p, q, x, outcome)
-    rec = array("d", (x, y, z, nan, nan, nan, nan))
-    put = rec.extend
+    if table is None:
+        table = np.empty((steps + 1, 7))
+    table[0] = x, y, z, nan, nan, nan, nan
     for start in range(0, steps, VALIDATE_EVERY):
+        block = array("d")
+        put = block.extend
         for k in range(start, min(start + VALIDATE_EVERY, steps)):
             p = e0 + x * x0 + y * y0 + z * z0
             q = e4 + x * x4 + y * y4 + z * z4
@@ -210,21 +235,45 @@ def _scalar_chain(b: np.ndarray, r0: np.ndarray, uniforms: np.ndarray,
                            (e2 + x * x2 + y * y2 + z * z2) / weight,
                            (e3 + x * x3 + y * y3 + z * z3) / weight)
             put((x, y, z, p, q, xs, one))
-        validate_batch(bloch_to_density(np.array([x, y, z])), k)
-    table = np.frombuffer(rec).reshape(steps + 1, 7)
-    return (table[:, :3], table[1:, 6].astype(np.int64), table[1:, 5],
-            table[1:, 3:5])
+        # a cheap test first: a state inside it passes the full check
+        if not x * x + y * y + z * z <= 1.0 + STATE_TOL:
+            validate_batch(bloch_to_density(np.array([x, y, z])), k)
+        table[start + 1:k + 2] = np.frombuffer(block).reshape(-1, 7)
+        publish(k + 2)
+    return _fields(table)
 
 
-def run_trajectory(cfg: ModelConfig, rho0: DensityMatrix, seed: int) -> TrajectoryRecord:
+def _fields(table: np.ndarray, lo: int = 0,
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(Bloch vectors, outcomes, x, (p, q) columns) of the rows [lo, lo +
+    len(table)) of a ``_scalar_chain`` record table; row 0 holds no step."""
+    steps = table[1:] if lo == 0 else table
+    return table[:, :3], steps[:, 6].astype(np.int64), steps[:, 5], steps[:, 3:5]
+
+
+def _record(table: np.ndarray, n: int, seed: int, lo: int = 0) -> TrajectoryRecord:
+    """The record of the rows [lo, lo + len(table)) of a ``_scalar_chain``
+    record table; with lo = 0 and the whole table, the trajectory's."""
+    bloch, outcomes, x, probs = _fields(table, lo)
+    return TrajectoryRecord(states=bloch_to_density(bloch), outcomes=outcomes,
+                            x_increments=x, probabilities=probs, n=n, seed=seed)
+
+
+def run_trajectory(cfg: ModelConfig, rho0: DensityMatrix, seed: int,
+                   feed: RowFeed = IN_PROCESS) -> TrajectoryRecord:
     """Simulate floor(n * t_horizon) measurement steps; deterministic in seed.
-    The initial state is checked first; the steps are ``_scalar_chain``'s."""
+    The initial state is checked first; the steps are ``_scalar_chain``'s,
+    in the record table of ``feed``, which gets each checked block."""
     uniforms = generator_for(seed).random(cfg.steps)
     validate_batch(rho0.m, None)
-    bloch, outcomes, x, probs = _scalar_chain(_chain_matrix(cfg),
-                                              density_to_bloch(rho0.m), uniforms)
-    return TrajectoryRecord(states=bloch_to_density(bloch), outcomes=outcomes,
-                            x_increments=x, probabilities=probs, n=cfg.n, seed=seed)
+
+    def columns(rows, lo):
+        return _csv_columns(_record(rows, cfg.n, seed, lo), lo)
+
+    table = feed.table((cfg.steps + 1, 7), columns, CHAIN_STEP_CELLS)
+    _scalar_chain(_chain_matrix(cfg), density_to_bloch(rho0.m), uniforms, table,
+                  feed.publish)
+    return _record(table, cfg.n, seed)
 
 
 def ensemble_streams(base_seed: int, num_traj: int, steps: int) -> np.ndarray:
@@ -232,11 +281,19 @@ def ensemble_streams(base_seed: int, num_traj: int, steps: int) -> np.ndarray:
     return member_streams(base_seed, num_traj, steps, "random")
 
 
+def _csv_columns(record: TrajectoryRecord, lo: int = 0) -> list:
+    """The CSV columns of a record whose first state is row ``lo``: step,
+    time, outcome, p, q, x and the rho entries, the per-step columns one
+    shorter when lo = 0."""
+    k = np.arange(lo, lo + len(record.states))
+    return [k, k / record.n, record.outcomes, *record.probabilities.T,
+            record.x_increments, *state_columns(record.states)]
+
+
 def trajectory_to_csv(record: TrajectoryRecord, stream, timestamp: str | None = None,
-                      run=in_turn) -> None:
+                      feed: RowFeed = IN_PROCESS) -> None:
     """CSV dump: step, time, outcome, p, q, x, rho entries (row 0 has empty
-    outcome fields); ``run`` runs the text's parts, as in ``write_csv``."""
-    k = np.arange(record.steps + 1)
-    write_csv(stream, "step,time,outcome,p,q,x," + STATE_HEADER,
-              [k, k / record.n, record.outcomes, *record.probabilities.T,
-               record.x_increments, *state_columns(record.states)], timestamp, run)
+    outcome fields); the rows ``feed`` formatted ahead come from it, as in
+    ``write_csv``."""
+    write_csv(stream, "step,time,outcome,p,q,x," + STATE_HEADER, _csv_columns(record),
+              timestamp, feed)

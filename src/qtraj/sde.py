@@ -73,24 +73,28 @@ path is stepped in Python floats instead: ``_scalar_density`` for
 ``_bloch_step`` in the same order, and ``_scalar_wave`` for
 ``simulate_wave``, with those of ``_wave_steps``. So a single path has the
 bits of the ensemble row; the tests check this step by step, as it does not
-hold by construction. The 2x2 matrix forms of L, B, the projection and both
-Euler steps are test oracles in ``tests/oracles.py``, not package code.
+hold by construction. Each fills a record table that a ``csvio.RowFeed``
+provides and publishes each checked block of rows to it, so the CLI can
+format the CSV beside the loop; the CSV columns of any row range come from
+``_density_range`` or ``_wave_range`` and the writers' column functions.
+The 2x2 matrix forms of L, B, the projection and both Euler steps are test
+oracles in ``tests/oracles.py``, not package code.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
 
-from .csvio import STATE_HEADER, in_turn, state_columns, write_csv
+from .csvio import IN_PROCESS, STATE_HEADER, RowFeed, state_columns, write_csv
 from .linalg import (adjoint, bloch_apply, bloch_superop, bloch_to_density,
                      density_to_bloch, project_ball, sandwich_superop)
-from .model import (ID2, VALIDATE_EVERY, DensityMatrix, ModelConfig, WaveFunction,
-                    validate_batch, validate_norms)
+from .model import (ID2, STATE_TOL, VALIDATE_EVERY, DensityMatrix, ModelConfig,
+                    WaveFunction, validate_batch, validate_norms)
 from .rng import generator_for, member_streams
 
 MAX_SDE_STEP = 1e-2
@@ -100,6 +104,14 @@ RK4_GROWTH_TOL = 1e-12
 # |r|^2 at or below this leaves the projection's scale exactly 1: the
 # rounding of the sum and of hypot is far below the margin
 _INSIDE = 1.0 - 1e-12
+# cost of one _scalar_density or _scalar_wave step in %.17g cells formatted,
+# which places the split of a table formatted beside the loop
+# (cli._FormattedAhead). On the 2-vCPU Xeon VM at h = 1e-4 a step costs 2.6
+# (density) and 3.2 (wave) cells in one process; with a child formatting
+# beside the loop both lanes run slower, and they end together at 2.1 and
+# 2.3 (measured like discrete.CHAIN_STEP_CELLS)
+DENSITY_STEP_CELLS = 2.1
+WAVE_STEP_CELLS = 2.3
 
 
 class StepOutOfRange(ValueError):
@@ -353,7 +365,8 @@ def _wave_steps(cfg: ModelConfig, psi0: WaveFunction, h: float,
 
 
 def _scalar_density(a: np.ndarray, r0: np.ndarray, h: float, noise: np.ndarray,
-                    physical: bool) -> tuple[np.ndarray, np.ndarray]:
+                    physical: bool, table: np.ndarray | None = None,
+                    publish=IN_PROCESS.publish) -> tuple[np.ndarray, np.ndarray]:
     """The steps of ``_density_steps`` for one path, in Python floats.
 
     Takes the (4, 7) matrix of ``_bloch_sde_matrix``, the initial Bloch
@@ -364,18 +377,27 @@ def _scalar_density(a: np.ndarray, r0: np.ndarray, h: float, noise: np.ndarray,
     nested ``np.hypot``, as ``project_ball`` does (``math.hypot`` rounds
     differently), and skips it when x^2 + y^2 + z^2 <= _INSIDE, where the
     scale is exactly 1: the rule of ``_bloch_step``. A non-finite |r| makes
-    the state NaN. The states are
-    checked every VALIDATE_EVERY steps and after the last one.
+    the state NaN. The states are checked every VALIDATE_EVERY steps and
+    after the last one, by the cheap test of ``discrete._scalar_chain``
+    first, x^2 + y^2 + z^2 <= 1 + STATE_TOL, and by ``validate_batch`` only
+    where that fails.
+
+    The record table is ``table`` ((steps+1, 4), a new one by default): row
+    0 holds r0 and NaN, row k + 1 the state after step k and g before it. A
+    block's rows go into it once its last state is checked, and then
+    ``publish`` gets the number of rows filled.
     """
     (e0, e1, e2, e3, e4, e5, e6), (x0, x1, x2, x3, x4, x5, x6), \
         (y0, y1, y2, y3, y4, y5, y6), (z0, z1, z2, z3, z4, z5, z6) = a.tolist()
     x, y, z = r0.tolist()
     kicks, h = memoryview(np.ascontiguousarray(noise, dtype=float)), float(h)
     steps = len(kicks)
-    # row 0 holds r0, row k + 1 the state after step k and g before it
-    rec = array("d", (x, y, z, math.nan))
-    put = rec.extend
+    if table is None:
+        table = np.empty((steps + 1, 4))
+    table[0] = x, y, z, math.nan
     for start in range(0, steps, VALIDATE_EVERY):
+        block = array("d")
+        put = block.extend
         for k in range(start, min(start + VALIDATE_EVERY, steps)):
             g = e6 + x * x6 + y * y6 + z * z6
             kick = kicks[k] + h * g if physical else kicks[k]
@@ -392,55 +414,87 @@ def _scalar_density(a: np.ndarray, r0: np.ndarray, h: float, noise: np.ndarray,
                         norm = math.nan
                     x, y, z = x / norm, y / norm, z / norm
             put((x, y, z, g))
-        validate_batch(bloch_to_density(np.array([x, y, z])), k)
-    table = np.frombuffer(rec).reshape(steps + 1, 4)
+        # a cheap test first: a state inside it passes the full check
+        if not x * x + y * y + z * z <= 1.0 + STATE_TOL:
+            validate_batch(bloch_to_density(np.array([x, y, z])), k)
+        table[start + 1:k + 2] = np.frombuffer(block).reshape(-1, 4)
+        publish(k + 2)
     return table[:, :3], table[1:, 3]
 
 
+def _rows(noise: np.ndarray, h: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The times of the rows [lo, hi) of a path of step h driven by the
+    increments ``noise``, and the increments that lead to them (none to
+    row 0)."""
+    return np.arange(lo, hi) * h, noise[max(lo - 1, 0):hi - 1]
+
+
+def _density_range(table: np.ndarray, noise: np.ndarray, h: float, lo: int = 0) -> SdePath:
+    """The path, without companion, of the rows [lo, lo + len(table)) of a
+    ``_scalar_density`` record table driven by ``noise``."""
+    grid, kicks = _rows(noise, h, lo, lo + len(table))
+    return SdePath(grid=grid, states=bloch_to_density(table[:, :3]), noise=kicks)
+
+
 def _density_path(cfg: ModelConfig, rho0: DensityMatrix, h: float,
-                  seed: int, physical: bool) -> SdePath:
+                  seed: int, physical: bool, feed: RowFeed = IN_PROCESS) -> SdePath:
     """``_scalar_density`` on one path, recording every state (and, in the
-    physical form, the companion W path). The initial state is checked
-    first, and the path state by state once recorded."""
+    physical form, the companion W path) in the record table of ``feed``,
+    which gets each checked block. The initial state is checked first, and
+    the path state by state once recorded."""
     steps = _euler_steps(cfg, h)
     noise = _noise_for(seed, steps, h)[0]
     validate_batch(rho0.m, None)
-    bloch, g = _scalar_density(_bloch_sde_matrix(cfg, h), density_to_bloch(rho0.m),
-                               h, noise, physical)
-    states = bloch_to_density(bloch)
-    validate_batch(states, steps)
-    companion = np.concatenate([[0.0], np.cumsum(noise + g * h)]) if physical else None
-    return SdePath(grid=np.arange(steps + 1) * h, states=states, noise=noise,
-                   companion=companion)
+
+    def columns(rows, lo):
+        return _path_columns(_density_range(rows, noise, h, lo))
+
+    table = feed.table((steps + 1, 4), columns, DENSITY_STEP_CELLS)
+    _, g = _scalar_density(_bloch_sde_matrix(cfg, h), density_to_bloch(rho0.m),
+                           h, noise, physical, table, feed.publish)
+    path = _density_range(table, noise, h)
+    validate_batch(path.states, steps)
+    if not physical:
+        return path
+    return replace(path, companion=np.concatenate([[0.0], np.cumsum(noise + g * h)]))
 
 
 def simulate_belavkin(cfg: ModelConfig, rho0: DensityMatrix, h: float,
-                      seed: int) -> SdePath:
-    """Euler path of the reference-measure density equation on [0, T]."""
-    return _density_path(cfg, rho0, h, seed, False)
+                      seed: int, feed: RowFeed = IN_PROCESS) -> SdePath:
+    """Euler path of the reference-measure density equation on [0, T]; its
+    record table is ``feed``'s (see ``_density_path``)."""
+    return _density_path(cfg, rho0, h, seed, False, feed)
 
 
 def simulate_physical(cfg: ModelConfig, rho0: DensityMatrix, h: float,
-                      seed: int) -> SdePath:
+                      seed: int, feed: RowFeed = IN_PROCESS) -> SdePath:
     """Euler path of the innovation form, driven by the physical noise.
 
     The drift carries the correction g(rho) B(rho); the companion W path
-    W_{k+1} = W_k + dW~_k + g_k h is reconstructed and stored.
+    W_{k+1} = W_k + dW~_k + g_k h is reconstructed and stored. The record
+    table is ``feed``'s (see ``_density_path``).
     """
-    return _density_path(cfg, rho0, h, seed, True)
+    return _density_path(cfg, rho0, h, seed, True, feed)
 
 
-def _scalar_wave(m: np.ndarray, v0: np.ndarray, h: float,
-                 noise: np.ndarray) -> np.ndarray:
+def _scalar_wave(m: np.ndarray, v0: np.ndarray, h: float, noise: np.ndarray,
+                 table: np.ndarray | None = None,
+                 publish=IN_PROCESS.publish) -> np.ndarray:
     """The steps of ``_wave_steps`` for one path, in Python floats.
 
     Takes the (4, 8) matrix of ``_wave_matrix``, the (4,) real parts of the
-    initial vector and the (steps,) increments, and returns the real parts
-    (steps+1, 4) of every vector. Each number comes from the operations that
-    ``_wave_steps`` takes on a column, in the same order, so it has the same
-    bits; the tests check this step by step. A zero norm divides through
-    numpy, so 0/0 gives NaN as in the ensemble rather than raising. The
-    norms are checked every VALIDATE_EVERY steps and after the last one.
+    initial vector and the (steps,) increments, and returns the record
+    table: the real parts (steps+1, 4) of every vector, row 0 those of the
+    initial one. Each number comes from the operations that ``_wave_steps``
+    takes on a column, in the same order, so it has the same bits; the
+    tests check this step by step. A zero norm divides through numpy, so 0/0
+    gives NaN as in the ensemble rather than raising. The norms are checked
+    every VALIDATE_EVERY steps and after the last one, by a cheap test first:
+    |psi|^2 within STATE_TOL of 1 in Python floats, which leaves |psi|
+    within STATE_TOL/2 of 1 up to rounding, and by ``validate_norms`` only
+    where that fails (NaN and inf included). The table is ``table`` (a new
+    one by default); a block's rows go into it once its last norm is
+    checked, and then ``publish`` gets the number of rows filled.
     """
     (a00, a01, a02, a03, c00, c01, c02, c03), \
         (a10, a11, a12, a13, c10, c11, c12, c13), \
@@ -450,10 +504,12 @@ def _scalar_wave(m: np.ndarray, v0: np.ndarray, h: float,
     kicks, h = memoryview(np.ascontiguousarray(noise, dtype=float)), float(h)
     half_h = 0.5 * h
     steps = len(kicks)
-    # row 0 holds the real parts of psi0, row k + 1 those after step k
-    rec = array("d", (x0, x1, x2, x3))
-    put = rec.extend
+    if table is None:
+        table = np.empty((steps + 1, 4))
+    table[0] = x0, x1, x2, x3
     for start in range(0, steps, VALIDATE_EVERY):
+        block = array("d")
+        put = block.extend
         for k in range(start, min(start + VALIDATE_EVERY, steps)):
             dw = kicks[k]
             w4 = x0 * c00 + x1 * c10 + x2 * c20 + x3 * c30
@@ -473,22 +529,39 @@ def _scalar_wave(m: np.ndarray, v0: np.ndarray, h: float,
             else:
                 x0, x1, x2, x3 = (np.array([y0, y1, y2, y3]) / norm).tolist()
             put((x0, x1, x2, x3))
-        validate_norms(np.array([x0, x1, x2, x3]).view(complex), k)
-    return np.frombuffer(rec).reshape(steps + 1, 4)
+        # a cheap test first: a vector inside it passes the full check
+        if not abs(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3 - 1.0) <= STATE_TOL:
+            validate_norms(np.array([x0, x1, x2, x3]).view(complex), k)
+        table[start + 1:k + 2] = np.frombuffer(block).reshape(-1, 4)
+        publish(k + 2)
+    return table
+
+
+def _wave_range(table: np.ndarray, noise: np.ndarray, h: float, lo: int = 0) -> WavePath:
+    """The path of the rows [lo, lo + len(table)) of a ``_scalar_wave``
+    record table driven by ``noise``."""
+    grid, kicks = _rows(noise, h, lo, lo + len(table))
+    return WavePath(grid=grid, vectors=table.view(complex), noise=kicks)
 
 
 def simulate_wave(cfg: ModelConfig, psi0: WaveFunction, h: float,
-                  seed: int) -> WavePath:
+                  seed: int, feed: RowFeed = IN_PROCESS) -> WavePath:
     """Euler path of the wave form on [0, T], renormalized each step, with
-    every norm checked: ``_scalar_wave`` on one path. The norm of psi0 is
-    checked first, and the recorded path once at the end."""
+    every norm checked: ``_scalar_wave`` on one path, in the record table of
+    ``feed``, which gets each checked block. The norm of psi0 is checked
+    first, and the recorded path once at the end."""
     steps = _euler_steps(cfg, h)
     noise = _noise_for(seed, steps, h)[0]
     validate_norms(psi0.v, None)
-    vectors = _scalar_wave(_wave_matrix(cfg, h), _real_parts(psi0.v), h,
-                           noise).view(complex)
-    validate_norms(vectors, steps)
-    return WavePath(grid=np.arange(steps + 1) * h, vectors=vectors, noise=noise)
+
+    def columns(rows, lo):
+        return _wave_columns(_wave_range(rows, noise, h, lo))
+
+    table = feed.table((steps + 1, 4), columns, WAVE_STEP_CELLS)
+    _scalar_wave(_wave_matrix(cfg, h), _real_parts(psi0.v), h, noise, table, feed.publish)
+    wave = _wave_range(table, noise, h)
+    validate_norms(wave.vectors, steps)
+    return wave
 
 
 def master_evolve(cfg: ModelConfig, rho0: DensityMatrix, h: float) -> MasterPath:
@@ -595,20 +668,31 @@ def wave_ensemble_final(cfg: ModelConfig, psi0: WaveFunction, h: float,
 _PATH_HEADER = "time,dW," + STATE_HEADER
 
 
+def _path_columns(path: SdePath) -> list:
+    """The CSV columns of a density path: time, dW (one shorter when the
+    path starts at t = 0) and the rho entries."""
+    return [path.grid, path.noise, *state_columns(path.states)]
+
+
+def _wave_columns(wave: WavePath) -> list:
+    """The CSV columns of a wave path: time, dW, the rho entries of its
+    projectors (the outer product) and the real parts of psi."""
+    v = wave.vectors
+    rho = v[:, :, None] * v.conj()[:, None, :]
+    return [wave.grid, wave.noise, *state_columns(rho),
+            v[:, 0].real, v[:, 0].imag, v[:, 1].real, v[:, 1].imag]
+
+
 def sde_path_to_csv(path: SdePath, stream, timestamp: str | None = None,
-                    run=in_turn) -> None:
-    """CSV dump: time, dW, rho entries; ``run`` runs the text's parts, as in
-    ``write_csv``."""
-    write_csv(stream, _PATH_HEADER,
-              [path.grid, path.noise, *state_columns(path.states)], timestamp, run)
+                    feed: RowFeed = IN_PROCESS) -> None:
+    """CSV dump: time, dW, rho entries; the rows ``feed`` formatted ahead
+    come from it, as in ``write_csv``."""
+    write_csv(stream, _PATH_HEADER, _path_columns(path), timestamp, feed)
 
 
 def wave_path_to_csv(wave: WavePath, stream, timestamp: str | None = None,
-                     run=in_turn) -> None:
+                     feed: RowFeed = IN_PROCESS) -> None:
     """CSV dump of a wave path; rho columns come from the outer product.
-    ``run`` runs the text's parts, as in ``write_csv``."""
-    v = wave.vectors
-    rho = v[:, :, None] * v.conj()[:, None, :]
+    The rows ``feed`` formatted ahead come from it, as in ``write_csv``."""
     write_csv(stream, _PATH_HEADER + ",psi_0_re,psi_0_im,psi_1_re,psi_1_im",
-              [wave.grid, wave.noise, *state_columns(rho),
-               v[:, 0].real, v[:, 0].imag, v[:, 1].real, v[:, 1].imag], timestamp, run)
+              _wave_columns(wave), timestamp, feed)

@@ -293,9 +293,10 @@ def member_streams_per_generator(base_seed: int, count: int, steps: int,
 
 
 def run_trajectory_batch_of_one(cfg: ModelConfig, rho0: DensityMatrix,
-                                seed: int) -> TrajectoryRecord:
+                                seed: int, feed=None) -> TrajectoryRecord:
     """``discrete.run_trajectory`` as a batch of one through
-    ``drive_ensemble``, recording every step."""
+    ``drive_ensemble``, recording every step. It asks ``feed`` for no table,
+    so a command's CSV is formatted in one process."""
     steps = cfg.steps
     uniforms = generator_for(seed).random(steps)[None, :]
     bloch = np.empty((steps + 1, 3))
@@ -313,9 +314,10 @@ def run_trajectory_batch_of_one(cfg: ModelConfig, rho0: DensityMatrix,
 
 
 def density_path_batch_of_one(cfg: ModelConfig, rho0: DensityMatrix, h: float,
-                              seed: int, physical: bool) -> SdePath:
+                              seed: int, physical: bool, feed=None) -> SdePath:
     """``sde._density_path`` as a batch of one through ``_density_steps``,
-    recording every state and checking the path once recorded."""
+    recording every state and checking the path once recorded. It asks
+    ``feed`` for no table, so a command's CSV is formatted in one process."""
     steps = _euler_steps(cfg, h)
     noise = _noise_for(seed, steps, h)
     bloch = np.empty((steps + 1, 3))
@@ -333,9 +335,11 @@ def density_path_batch_of_one(cfg: ModelConfig, rho0: DensityMatrix, h: float,
 
 
 def wave_path_batch_of_one(cfg: ModelConfig, psi0: WaveFunction, h: float,
-                           seed: int) -> WavePath:
+                           seed: int, feed=None) -> WavePath:
     """``sde.simulate_wave`` as a batch of one through ``_wave_steps``,
-    recording every vector and checking the path's norms once recorded."""
+    recording every vector and checking the path's norms once recorded. It
+    asks ``feed`` for no table, so a command's CSV is formatted in one
+    process."""
     steps = _euler_steps(cfg, h)
     noise = _noise_for(seed, steps, h)
     parts = np.empty((steps + 1, 4))

@@ -71,15 +71,25 @@ def test_raw_pass_time_summarized_like_the_metrics(bench_record):
     better = {**bench_record.directions(json.loads((ROOT / "BENCHMARK.json").read_text())),
               **bench_record.RAW_BETTER}
     assert better["raw_pass_s"] == "lower"
+    assert better["run_cpu_s"] == "lower"
     assert "probe_kernel_s" not in better
-    base = [dict.fromkeys(bench_record.METRICS, 1.0) | {"raw_pass_s": r, "probe_kernel_s": 1e-3}
-            for r in (0.30, 0.32, 0.31, 0.33)]
-    change = [dict.fromkeys(bench_record.METRICS, 1.0) | {"raw_pass_s": r, "probe_kernel_s": 2e-3}
-              for r in (0.22, 0.34, 0.23, 0.21)]
-    raw = bench_record.summarize(base, change, better)["raw_pass_s"]
+    assert "run_wall_s" not in better
+    base = [dict.fromkeys(bench_record.METRICS, 1.0)
+            | {"raw_pass_s": r, "probe_kernel_s": 1e-3, "run_wall_s": 36.0, "run_cpu_s": c}
+            for r, c in zip((0.30, 0.32, 0.31, 0.33), (45.0, 46.0, 44.0, 45.0))]
+    change = [dict.fromkeys(bench_record.METRICS, 1.0)
+              | {"raw_pass_s": r, "probe_kernel_s": 2e-3, "run_wall_s": 36.0, "run_cpu_s": c}
+              for r, c in zip((0.22, 0.34, 0.23, 0.21), (50.0, 46.0, 43.0, 52.0))]
+    summary = bench_record.summarize(base, change, better)
+    raw, cpu = summary["raw_pass_s"], summary["run_cpu_s"]
     assert (raw["won"], raw["tied"], raw["lost"]) == (3, 0, 1)
     # medians 0.315 -> 0.225
     assert raw["median_gain"] == pytest.approx(0.09)
+    # the overlap costs CPU: won pair 2, tied pair 1, lost pairs 0 and 3;
+    # medians 45 -> 48 CPU s, a gain of -3 in the lower direction
+    assert (cpu["won"], cpu["tied"], cpu["lost"]) == (1, 1, 2)
+    assert cpu["median_gain"] == pytest.approx(-3.0)
+    assert "run_wall_s" not in summary
 
 
 def test_timed_run_counts_the_cpu_of_forked_grandchildren(bench_record):

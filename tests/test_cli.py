@@ -554,31 +554,31 @@ CHAIN_ARGV = ("simulate-discrete", "--n", "5000", "--seed", "7")
 
 
 def _replaced_parts(monkeypatch, first=None, second=None):
-    """Patch csvio so that a table's first part runs ``first`` and its
-    second part ``second`` before formatting its rows."""
+    """Patch the CSV row formatting so that rows formatted from a table's
+    row 0 on (each block of the child's rows [0, a), or the whole table in
+    one process) run ``first``, and rows from a later row on (the command's
+    own rows [a, K)) run ``second``, before they are formatted."""
+    import qtraj.cli
     import qtraj.csvio
 
-    real = qtraj.csvio.csv_parts
+    real = qtraj.csvio.csv_rows
 
-    def run_first(action, call):
-        def run():
-            if action is not None:
-                action()
-            return call()
-        return run
+    def rows(columns, start=0):
+        action = first if start == 0 else second
+        if action is not None:
+            action()
+        return real(columns, start)
 
-    def parts(*args, **kwargs):
-        return [(cost, run_first(action, call))
-                for (cost, call), action in zip(real(*args, **kwargs), (first, second))]
-
-    monkeypatch.setattr(qtraj.csvio, "csv_parts", parts)
+    monkeypatch.setattr(qtraj.csvio, "csv_rows", rows)
+    monkeypatch.setattr(qtraj.cli, "csv_rows", rows)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform has no os.fork")
 class TestSinglePathTwoProcesses:
-    """simulate-discrete, simulate-sde and master format the second half of
-    a table of csvio.SPLIT_ROWS rows or more in a forked child while the
-    command's own process formats the first half."""
+    """simulate-discrete, simulate-sde and master fork a child for a table
+    of csvio.SPLIT_ROWS rows or more, which formats the rows [0, a) as the
+    path's loop publishes them, while the command's own process steps the
+    path and then formats the rows from a on."""
 
     @pytest.mark.parametrize("argv,num_forks,digest", SINGLE_PATH_DIGESTS)
     def test_same_bytes_forked_and_in_process(self, tmp_path, monkeypatch, capsys,
@@ -612,7 +612,7 @@ class TestSinglePathTwoProcesses:
                 fh.write(f"{os.getpid()}\n")
             raise ValueError("formatting broke")
 
-        _replaced_parts(monkeypatch, second=fail)
+        _replaced_parts(monkeypatch, first=fail)
         out = tmp_path / "d.csv"
         forks = _fork_counter(monkeypatch)
         assert run_cli(*CHAIN_ARGV, "--out", str(out)) == 1
@@ -630,7 +630,7 @@ class TestSinglePathTwoProcesses:
     @pytest.mark.parametrize("exc", [ValueError("head broke"), KeyboardInterrupt()])
     def test_parent_error_kills_and_reaps_child(self, tmp_path, monkeypatch, capsys, exc):
         # the parent's part fails at once; the child's would sleep for a minute
-        _replaced_parts(monkeypatch, first=_raise(exc), second=lambda: time.sleep(60))
+        _replaced_parts(monkeypatch, first=lambda: time.sleep(60), second=_raise(exc))
         kills = []
         real_kill = os.kill
 
@@ -649,6 +649,87 @@ class TestSinglePathTwoProcesses:
             assert capsys.readouterr().err == "error: head broke\n"
         assert time.monotonic() - start < 30
         assert kills == [signal.SIGKILL]
+        _no_children_left()
+
+    @pytest.mark.parametrize("exc", [NotAState("state broke"), KeyboardInterrupt()])
+    def test_loop_error_kills_and_reaps_child(self, tmp_path, monkeypatch, capsys, exc):
+        # every block goes through the full check, which fails at step 1999,
+        # when the child has started and 2000 rows were published to it
+        import qtraj.discrete
+
+        real = qtraj.discrete.validate_batch
+
+        def check(states, step):
+            if step == 1999:
+                raise exc
+            return real(states, step)
+
+        monkeypatch.setattr(qtraj.discrete, "STATE_TOL", -np.inf)
+        monkeypatch.setattr(qtraj.discrete, "validate_batch", check)
+        kills = []
+        real_kill = os.kill
+
+        def kill(pid, sig):
+            kills.append(sig)
+            real_kill(pid, sig)
+
+        monkeypatch.setattr(os, "kill", kill)
+        out = tmp_path / "d.csv"
+        forks = _fork_counter(monkeypatch)
+        start = time.monotonic()
+        if isinstance(exc, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                run_cli(*CHAIN_ARGV, "--out", str(out))
+        else:
+            assert run_cli(*CHAIN_ARGV, "--out", str(out)) == 1
+        forked = capsys.readouterr()
+        assert time.monotonic() - start < 30
+        assert len(forks) == 1
+        assert kills == [signal.SIGKILL]
+        _no_children_left()
+        # no file, as in one process: the file is opened after the loop
+        assert not out.exists()
+        monkeypatch.delattr(os, "fork")
+        if isinstance(exc, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                run_cli(*CHAIN_ARGV, "--out", str(out))
+        else:
+            assert run_cli(*CHAIN_ARGV, "--out", str(out)) == 1
+        assert capsys.readouterr() == forked
+        assert not out.exists()
+        if not isinstance(exc, KeyboardInterrupt):
+            assert forked.err == "error: state broke\n"
+
+    def test_child_errs_at_the_end_of_the_notify_pipe(self):
+        # a parent that closes the notify pipe before the child's rows were
+        # published gets an error reply, not a hang
+        from qtraj.cli import _FormattedAhead
+        from qtraj.csvio import SPLIT_ROWS
+
+        start = time.monotonic()
+        with _FormattedAhead() as feed:
+            table = feed.table((SPLIT_ROWS, 2), lambda rows, lo: list(rows.T), 0.0)
+            table[:] = 0.0
+            feed.publish(100)
+            split, text = feed.formatted()
+            assert split == SPLIT_ROWS // 2
+            with pytest.raises(ChildProcessError,
+                               match=f"stopped after 100 of the {split} rows"):
+                text()
+        assert time.monotonic() - start < 30
+        _no_children_left()
+
+    @pytest.mark.parametrize("step_cells", [-10.0, 0.0, 1e9], ids=["0", "half", "K"])
+    def test_bytes_do_not_depend_on_the_split(self, tmp_path, monkeypatch, step_cells):
+        # the 10-cell chain table split at a = 0, K/2 and K rows
+        import qtraj.discrete
+
+        monkeypatch.setattr(qtraj.discrete, "CHAIN_STEP_CELLS", step_cells)
+        out = tmp_path / "d.csv"
+        forks = _fork_counter(monkeypatch)
+        assert run_cli(*CHAIN_ARGV, "--out", str(out), "--no-timestamp") == 0
+        assert len(forks) == 1
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SINGLE_PATH_DIGESTS[0][2]
         _no_children_left()
 
     @pytest.mark.parametrize("argv,first_words", [
@@ -868,9 +949,10 @@ def test_csv_cells():
                          ids=["0", "1", "split-1", "split", "split+1"])
 def test_csv_cells_blocks_and_special_values(rows_past):
     # row 0 is written alone and the rest in blocks of BLOCK_ROWS, so
-    # BLOCK_ROWS + 2 rows cross the block size by one. From SPLIT_ROWS rows
-    # the text comes in two parts, split at row (rows + 1) // 2: 4096 rows
-    # (even) split off a block boundary, 4097 (odd) on one
+    # BLOCK_ROWS + 2 rows cross the block size by one. From SPLIT_ROWS rows a
+    # command formats rows [0, a) as tables of their own, in blocks of the
+    # rows published (column slices, the short column one row behind), and
+    # then the rows from a on: any a gives the same text
     import io
 
     from qtraj import csvio
@@ -892,15 +974,20 @@ def test_csv_cells_blocks_and_special_values(rows_past):
     out = io.StringIO()
     csvio.write_csv(out, "f,i,s,l,w", columns, "T")
     assert out.getvalue() == expected
-    parts = csvio.csv_parts("f,i,s,l,w", columns, "T")
-    texts = ["".join(call()) for _, call in parts]
-    assert "".join(texts) == expected
-    if num_rows < csvio.SPLIT_ROWS:
-        assert [cost for cost, _ in parts] == [num_rows]
-    else:
-        mid = (num_rows + 1) // 2
-        assert [cost for cost, _ in parts] == [mid, num_rows - mid]
-        assert texts[1].count("\n") == num_rows - mid
+
+    def rows(lo, hi):
+        return [col[lo:hi] if len(col) == num_rows else col[max(lo - 1, 0):hi - 1]
+                for col in (floats, ints, short, np.array(plain), words)]
+
+    head = len("# generated T\nf,i,s,l,w\n")
+    for split in sorted({0, 1, csvio.BLOCK_ROWS, (num_rows + 1) // 2, num_rows - 1,
+                         num_rows}):
+        bounds = [*range(0, split, 100), split]
+        ahead = [piece for lo, hi in zip(bounds, bounds[1:])
+                 for piece in csvio.csv_rows(rows(lo, hi))]
+        rest = csvio.csv_rows(columns, split)
+        assert "".join(ahead + rest) == expected[head:]
+        assert "".join(rest).count("\n") == num_rows - split
 
 
 def test_observable_eigenvalues_change_no_output(tmp_path):
@@ -954,3 +1041,30 @@ class TestEnsembleInputExits2:
             run_cli(*argv, "--seed", "1", "--out", str(tmp_path / "x.csv"))
         assert exc.value.code == 2
         assert "--trajectories" in capsys.readouterr().err
+
+
+def test_parser_built_once_leaks_no_default(tmp_path, capsys):
+    # main builds the parser once per process; a flag given in one call
+    # must not become another call's default
+    from qtraj.cli import _build_parser
+
+    argvs = [("converge", "--n-values", "10,20", "--trajectories", "20", "--sde-step", "1e-2"),
+             ("converge", "--n-values", "10,20", "--trajectories", "20"),
+             ("simulate-sde", "--form", "wave", "--h", "1e-2"),
+             ("simulate-sde", "--h", "1e-2")]
+
+    def outputs(fresh):
+        texts = []
+        for i, argv in enumerate(argvs):
+            if fresh:
+                _build_parser.cache_clear()
+            out = tmp_path / f"{fresh}-{i}.csv"
+            assert run_cli(*argv, "--seed", "3", "--out", str(out), "--no-timestamp") == 0
+            texts.append((out.read_bytes(), capsys.readouterr().out.replace(str(out), "")))
+        return texts
+
+    _build_parser.cache_clear()
+    once = outputs(fresh=False)
+    assert _build_parser.cache_info().misses == 1
+    assert once == outputs(fresh=True)
+    assert once[0] != once[1] and once[2] != once[3]

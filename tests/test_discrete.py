@@ -424,7 +424,9 @@ class TestScalarChain:
 
     def test_validates_at_the_steps_of_drive_ensemble(self, monkeypatch):
         # None is the initial state; then every VALIDATE_EVERY steps and the
-        # last one, each a (2, 2) state whatever the core
+        # last one, each a (2, 2) state whatever the core. No state passes the
+        # scalar loop's cheap test here, so each of its checks is the full one
+        monkeypatch.setattr(discrete_mod, "STATE_TOL", -np.inf)
         calls = []
         original = discrete_mod.validate_batch
 
@@ -587,3 +589,84 @@ class TestExactChainMean:
                                 - master_on_grid(cfg, EXCITED, n)))
         slope = np.polyfit(np.log(ns), np.log(gaps), 1)[0]
         assert -1.1 <= slope <= -0.9
+
+
+def _one_state_chain(s):
+    """(4, 8) chain matrix whose every step takes the dominant branch
+    (p = 1, q = 0 degenerate) to the Bloch vector (s, 0, 0)."""
+    b = np.zeros((4, 8))
+    b[0, 0] = 1.0
+    b[0, 1] = s
+    return b
+
+
+class TestScalarChainCheck:
+    """The scalar loop checks a state by a cheap test first, x^2 + y^2 + z^2
+    <= 1 + STATE_TOL, and by ``validate_batch`` only where that fails: the
+    same states pass and fail as in ``drive_ensemble``, which takes the full
+    check every time, with the same message at the same step."""
+
+    @pytest.mark.parametrize("s", [np.nan, np.inf, 1 + 3e-10],
+                             ids=["nan", "inf", "past-tolerance"])
+    def test_rejects_like_the_full_check(self, monkeypatch, s):
+        b = _one_state_chain(s)
+        monkeypatch.setattr(discrete_mod, "_chain_matrix", lambda cfg: b)
+        uniforms = np.full(250, 0.5)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NotAState, match="by step 99") as scalar:
+                _scalar_chain(b, density_to_bloch(EXCITED.m), uniforms)
+            with pytest.raises(NotAState) as ensemble:
+                for _ in drive_ensemble(damping_cfg(), EXCITED, uniforms[None]):
+                    pass
+        assert str(scalar.value) == str(ensemble.value)
+
+    @pytest.mark.parametrize("s, full_checks", [(1 + 1e-10, [99, 199, 249]),
+                                                (1 + 1e-11, []), (0.5, [])])
+    def test_passes_like_the_full_check(self, monkeypatch, s, full_checks):
+        # |r|^2 = 1 + 2e-10 fails the cheap test, and the smallest eigenvalue
+        # -5e-11 passes the full one; 1 + 2e-11 and 0.25 pass the cheap test
+        b = _one_state_chain(s)
+        monkeypatch.setattr(discrete_mod, "_chain_matrix", lambda cfg: b)
+        calls = []
+        original = discrete_mod.validate_batch
+
+        def recording(states, step):
+            calls.append(step)
+            return original(states, step)
+
+        monkeypatch.setattr(discrete_mod, "validate_batch", recording)
+        uniforms = np.full(250, 0.5)
+        bloch, *_ = _scalar_chain(b, density_to_bloch(EXCITED.m), uniforms)
+        assert calls == full_checks
+        assert np.all(bloch[1:] == [s, 0.0, 0.0])
+        _assert_chains_equal(damping_cfg(), EXCITED, uniforms)
+
+
+def test_scalar_chain_publishes_checked_rows(monkeypatch):
+    # a block's rows reach the table, and the feed hears of them, only after
+    # its last state is checked; every block goes through the full check here
+    monkeypatch.setattr(discrete_mod, "STATE_TOL", -np.inf)
+    events = []
+    original = discrete_mod.validate_batch
+
+    def check(states, step):
+        events.append(("check", step))
+        return original(states, step)
+
+    monkeypatch.setattr(discrete_mod, "validate_batch", check)
+    cfg = damping_cfg(n=250, h0_scale=0.5)
+    table = np.full((cfg.steps + 1, 7), -7.0)
+    done = []
+
+    def publish(rows):
+        assert np.all(table[done[-1] if done else 0:rows] != -7.0)
+        assert np.all(table[rows:] == -7.0)
+        done.append(rows)
+        events.append(("publish", rows))
+
+    scalar = _scalar_chain(_chain_matrix(cfg), density_to_bloch(EXCITED.m),
+                           np.random.default_rng(48).random(cfg.steps), table, publish)
+    assert events == [e for k in (99, 199, 249) for e in (("check", k), ("publish", k + 2))]
+    for got, want in zip(scalar, _scalar_chain(_chain_matrix(cfg), density_to_bloch(EXCITED.m),
+                                               np.random.default_rng(48).random(cfg.steps))):
+        assert np.array_equal(got, want, equal_nan=True)

@@ -624,7 +624,9 @@ class TestScalarDensity:
     @pytest.mark.parametrize("physical", [False, True])
     def test_validates_at_the_steps_of_density_steps(self, monkeypatch, physical):
         # None is the initial state; then every VALIDATE_EVERY steps, the
-        # last one and the recorded path as a whole
+        # last one and the recorded path as a whole. No state passes the
+        # scalar loop's cheap test here, so each of its checks is the full one
+        monkeypatch.setattr(sde_mod, "STATE_TOL", -np.inf)
         calls = []
         original = sde_mod.validate_batch
 
@@ -834,7 +836,9 @@ class TestScalarWave:
 
     def test_validates_at_the_steps_of_wave_steps(self, monkeypatch):
         # None is the initial state; then every VALIDATE_EVERY steps, the
-        # last one and the recorded path as a whole
+        # last one and the recorded path as a whole. No vector passes the
+        # scalar loop's cheap test here, so each of its checks is the full one
+        monkeypatch.setattr(sde_mod, "STATE_TOL", -np.inf)
         calls = []
         original = sde_mod.validate_norms
 
@@ -1096,3 +1100,122 @@ class TestInputGuards:
     def test_wavefunction_step_step(self, h):
         with pytest.raises(ValueError, match="step size"):
             wavefunction_step(WaveFunction(PLUS_VEC), h, 0.0, np.zeros((2, 2)), LOWERING)
+
+
+class TestScalarLoopChecks:
+    """The scalar density and wave loops check a state by a cheap test
+    first and by ``validate_batch`` or ``validate_norms`` only where that
+    fails: the same states pass and fail as in the ensemble loops, which
+    take the full check every time, with the same message at the same step.
+    The density matrix here steps every state to (s, 0, 0), with the
+    projection switched off so that the state reaches the check."""
+
+    @staticmethod
+    def _to_one_state(monkeypatch, s):
+        a = np.zeros((4, 7))
+        a[0, 0] = s
+        monkeypatch.setattr(sde_mod, "_bloch_sde_matrix", lambda cfg, h: a)
+        monkeypatch.setattr(sde_mod, "_INSIDE", np.inf)
+        return a
+
+    @pytest.mark.parametrize("physical", [False, True])
+    @pytest.mark.parametrize("s", [np.nan, np.inf, 1 + 3e-10],
+                             ids=["nan", "inf", "past-tolerance"])
+    def test_density_rejects_like_the_full_check(self, monkeypatch, s, physical):
+        a = self._to_one_state(monkeypatch, s)
+        noise = np.zeros(250)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NotAState, match="by step 99") as scalar:
+                _scalar_density(a, density_to_bloch(EXCITED.m), 1e-3, noise, physical)
+            with pytest.raises(NotAState) as ensemble:
+                _density_batch_of_one(damping_cfg(), EXCITED, 1e-3, noise, physical)
+        assert str(scalar.value) == str(ensemble.value)
+
+    @pytest.mark.parametrize("physical", [False, True])
+    @pytest.mark.parametrize("s, full_checks", [(1 + 1e-10, [99, 199, 249]),
+                                                (1 + 1e-11, []), (0.5, [])])
+    def test_density_passes_like_the_full_check(self, monkeypatch, s, full_checks,
+                                                physical):
+        # |r|^2 = 1 + 2e-10 fails the cheap test, and the smallest eigenvalue
+        # -5e-11 passes the full one; 1 + 2e-11 and 0.25 pass the cheap test
+        self._to_one_state(monkeypatch, s)
+        calls = []
+        original = sde_mod.validate_batch
+
+        def recording(states, step):
+            calls.append(step)
+            return original(states, step)
+
+        monkeypatch.setattr(sde_mod, "validate_batch", recording)
+        r0 = density_to_bloch(EXCITED.m)
+        bloch, _ = _scalar_density(sde_mod._bloch_sde_matrix(None, 1e-3), r0, 1e-3,
+                                   np.zeros(250), physical)
+        assert calls == full_checks
+        assert np.all(bloch[1:] == [s, 0.0, 0.0])
+        _assert_density_paths_equal(damping_cfg(), EXCITED, 1e-3, np.zeros(250), physical)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e300], ids=["zero", "overflow"])
+    def test_wave_rejects_like_the_full_check(self, monkeypatch, scale):
+        # raw = scale * psi: a zero norm divides to NaN, an overflowing one
+        # to zero and then NaN
+        m = np.zeros((4, 8))
+        m[:, :4] = scale * np.eye(4)
+        monkeypatch.setattr(sde_mod, "_wave_matrix", lambda cfg, h: m)
+        noise = np.zeros(250)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NotAState, match="by step 99") as scalar:
+                _scalar_wave(m, sde_mod._real_parts(PLUS_VEC), 1e-3, noise)
+            with pytest.raises(NotAState) as ensemble:
+                _wave_batch_of_one(damping_cfg(), PLUS_VEC, 1e-3, noise)
+        assert str(scalar.value) == str(ensemble.value)
+
+    def test_wave_path_passes_the_cheap_test(self, monkeypatch):
+        # the renormalized vectors of a finite path have |psi|^2 = 1 to a
+        # few ulps: no block needs the full check
+        cfg, h = damping_cfg(h0_scale=0.5), 1e-3
+        noise = np.random.default_rng(54).normal(scale=np.sqrt(h), size=250)
+        calls = []
+        monkeypatch.setattr(sde_mod, "validate_norms",
+                            lambda vectors, step: calls.append(step))
+        _scalar_wave(sde_mod._wave_matrix(cfg, h), sde_mod._real_parts(PLUS_VEC), h, noise)
+        assert calls == []
+
+
+@pytest.mark.parametrize("form", ["density", "physical", "wave"])
+def test_scalar_loops_publish_checked_rows(monkeypatch, form):
+    # a block's rows reach the table, and the feed hears of them, only after
+    # its last state is checked; every block goes through the full check here
+    monkeypatch.setattr(sde_mod, "STATE_TOL", -np.inf)
+    events = []
+    name = "validate_norms" if form == "wave" else "validate_batch"
+    original = getattr(sde_mod, name)
+
+    def check(states, step):
+        events.append(("check", step))
+        return original(states, step)
+
+    monkeypatch.setattr(sde_mod, name, check)
+    cfg, h = damping_cfg(h0_scale=0.5), 1e-3
+    noise = np.random.default_rng(55).normal(scale=np.sqrt(h), size=250)
+    table = np.full((251, 4), -7.0)
+    done = []
+
+    def publish(rows):
+        assert np.all(table[done[-1] if done else 0:rows] != -7.0)
+        assert np.all(table[rows:] == -7.0)
+        done.append(rows)
+        events.append(("publish", rows))
+
+    if form == "wave":
+        args = (sde_mod._wave_matrix(cfg, h), sde_mod._real_parts(PLUS_VEC), h, noise)
+        loop = _scalar_wave
+    else:
+        args = (_bloch_sde_matrix(cfg, h), density_to_bloch(PLUS.m), h, noise,
+                form == "physical")
+        loop = _scalar_density
+    loop(*args, table, publish)
+    assert events == [e for k in (99, 199, 249) for e in (("check", k), ("publish", k + 2))]
+    events.clear()
+    own = np.full_like(table, -7.0)
+    loop(*args, own)
+    assert np.array_equal(table, own, equal_nan=True)
