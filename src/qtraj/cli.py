@@ -467,7 +467,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("master", help="deterministic averaged evolution")
     common(p, "master.csv")
-    p.add_argument("--h", type=float, default=1e-3, help="RK4 step size")
+    p.add_argument("--h", type=float, default=1e-3,
+                   help="step of the exact propagator exp(hL), in (0, T], dividing T")
     p.set_defaults(func=_cmd_master)
 
     p = sub.add_parser("converge", help="full convergence diagnostic sweep")

@@ -128,9 +128,10 @@ class ModelConfig:
         c = np.asarray(self.c, dtype=complex)
         object.__setattr__(self, "h0", h0)
         object.__setattr__(self, "c", c)
-        if not (np.all(np.isfinite(h0)) and np.all(np.isfinite(c))
-                and np.isfinite(self.theta)):
-            raise ValueError("h0, c and theta must be finite")
+        with np.errstate(all="ignore"):
+            finite = all(np.all(np.isfinite(m)) for m in (h0, c, adjoint(c) @ c))
+        if not (finite and np.isfinite(self.theta)):
+            raise ValueError("h0, c, c+c and theta must be finite")
         if not self.n >= 1:
             raise ValueError("n must be a positive integer")
         if not 0 < self.t_horizon < np.inf:

@@ -100,7 +100,6 @@ from .rng import generator_for, member_streams
 MAX_SDE_STEP = 1e-2
 # a step divides the horizon T when T / h is this close (relative) to an integer
 STEP_DIVIDES_TOL = 1e-9
-RK4_GROWTH_TOL = 1e-12
 # |r|^2 at or below this leaves the projection's scale exactly 1: the
 # rounding of the sum and of hypot is far below the margin
 _INSIDE = 1.0 - 1e-12
@@ -116,10 +115,6 @@ WAVE_STEP_CELLS = 2.3
 
 class StepOutOfRange(ValueError):
     """A step size outside the domain of the integrator it is given to."""
-
-
-class UnstableStep(StepOutOfRange):
-    """An RK4 step size outside the method's stability region."""
 
 
 @dataclass(frozen=True)
@@ -565,46 +560,48 @@ def simulate_wave(cfg: ModelConfig, psi0: WaveFunction, h: float,
 
 
 def master_evolve(cfg: ModelConfig, rho0: DensityMatrix, h: float) -> MasterPath:
-    """Classical RK4 on the averaged equation d nu/dt = L(nu).
-
-    L is linear, so one RK4 step is exactly v -> v + v @ D with the
-    degree-4 increment D = hS + (hS)^2/2 + (hS)^3/6 + (hS)^4/24, S = S_L;
-    ``_rk4_states`` takes these steps in Bloch coordinates, with the trace
-    held at exactly one. A step outside (0, T], or one that does not divide
-    T, raises StepOutOfRange.
-    """
+    """The averaged equation d nu/dt = L(nu) on the grid of step h, stepped
+    exactly: L is linear, so a step is v -> v @ exp(h S_L), and none in
+    (0, T] is unstable. A step outside (0, T], or one that does not divide
+    T, raises StepOutOfRange."""
     _check_step(h, cfg.t_horizon)
     steps = _steps_to(cfg.t_horizon, h)
     return MasterPath(grid=np.arange(steps + 1) * h,
-                      states=_rk4_states(cfg, rho0, h, steps))
+                      states=_master_states(cfg, rho0, h, steps))
 
 
-def _rk4_states(cfg: ModelConfig, rho0: DensityMatrix, h: float,
-                steps: int) -> np.ndarray:
-    """(steps + 1, 2, 2) RK4 states of the averaged equation at step h.
+@np.errstate(over="ignore")
+def _expm1(s_l: np.ndarray, h: float) -> np.ndarray:
+    """exp(h S_L) - I by scaling and squaring (Higham, SIAM J. Matrix Anal.
+    Appl. 26 (2005)): the degree-16 Taylor series of x = h S_L / 2^s, |x| <=
+    1/2 in the max row sum, then s squarings d -> 2d + d d, which keep d's
+    low bits. StepOutOfRange first if h S_L or its norm is not finite."""
+    a = h * s_l
+    norm = float(np.max(np.sum(np.abs(a), axis=1)))
+    if not math.isfinite(norm):
+        raise StepOutOfRange(f"step size {h:g} is too large: h S_L is not finite")
+    s = max(0, math.frexp(norm)[1] + 1)
+    x = a * 2.0 ** -s
+    d = np.zeros_like(x)
+    for k in range(16, 0, -1):
+        d = (x + x @ d) / k
+    for _ in range(s):
+        d = 2.0 * d + d @ d
+    return d
 
-    A step is u -> u (I + d) on u = (1, r), with d = bloch_superop(D). L is
-    traceless, so column 0 of d vanishes in exact arithmetic; it is pinned
-    to 0, and u_0, the trace, stays exactly 1. The steps go in blocks of
-    B = isqrt(steps): with the increments E_j = (I + d)^j - I, taken as
-    E_j = E_{j-1} + d + E_{j-1} d, the states after a block start s are
-    u_{s+j} = u_s + u_s E_j, one stacked product per block. The increment
-    form keeps d's low bits, which the plain powers (I + d)^j round away.
-    The initial state is checked against the invariants, and the step
-    against RK4's stability region: UnstableStep is raised before any step
-    if max |R(h lam)| over the eigenvalues lam of S_L exceeds
-    1 + RK4_GROWTH_TOL, with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 the
-    growth factor of one step. The whole path is checked once at the end.
-    """
+
+def _master_states(cfg: ModelConfig, rho0: DensityMatrix, h: float,
+                   steps: int) -> np.ndarray:
+    """(steps + 1, 2, 2) states of the averaged equation at step h.
+
+    A step is u -> u (I + d) on u = (1, r), d the Bloch form of ``_expm1``,
+    with column 0 pinned to 0 (L is traceless), so u_0 = 1 exactly. With
+    E_j = (I + d)^j - I, taken as E_j = E_{j-1} + d + E_{j-1} d to keep d's
+    low bits, a block of B = isqrt(steps) steps from s is one stacked
+    product u_{s+j} = u_s + u_s E_j. The initial state and the whole path
+    are checked against the invariants."""
     validate_batch(rho0.m, None)
-    a = h * lindblad_superop(cfg.h0, cfg.coupling())
-    z = np.linalg.eigvals(a)
-    growth = float(np.max(np.abs(1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0)))
-    if not growth <= 1.0 + RK4_GROWTH_TOL:
-        raise UnstableStep(f"step size {h:g} is outside RK4's stability region: "
-                           f"one step grows a mode by {growth:.6g}")
-    a2 = a @ a
-    d = bloch_superop(a + a2 / 2.0 + (a2 @ a) / 6.0 + (a2 @ a2) / 24.0)
+    d = bloch_superop(_expm1(lindblad_superop(cfg.h0, cfg.coupling()), h))
     d[:, 0] = 0.0
     block = max(1, math.isqrt(steps))
     incr = np.empty((block, 4, 4))
@@ -627,7 +624,7 @@ def master_on_grid(cfg: ModelConfig, rho0: DensityMatrix, n: int,
     ``refine``-th state of ``master_evolve`` at the step 1/(refine*n), run
     for exactly floor(n T) * refine steps."""
     m = int(np.floor(n * cfg.t_horizon))
-    states = _rk4_states(cfg, rho0, 1.0 / (refine * n), m * refine)
+    states = _master_states(cfg, rho0, 1.0 / (refine * n), m * refine)
     return states[::refine]
 
 

@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -314,14 +315,28 @@ def _fresh_interpreter_stdout(*argv):
     """stdout lines of ``python -m qtraj.cli argv`` (which must succeed
     silently on stderr). stdout is a pipe there, so block-buffered: a child
     that flushed the parent's buffer on exit would print the lines twice."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
-                               if os.environ.get("PYTHONPATH") else [])))
     proc = subprocess.run([sys.executable, "-m", "qtraj.cli", *argv, "--no-timestamp"],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_source_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     return proc.stdout.splitlines()
+
+
+def _source_env():
+    """The environment with the package's source first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
+                               if os.environ.get("PYTHONPATH") else [])))
+
+
+def test_cli_imports_no_scipy():
+    # scipy is a test dependency only: importing it would add its load time
+    # to every command's start-up
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, qtraj.cli; print('scipy' in sys.modules)"],
+                          capture_output=True, text=True, env=_source_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 # sha256 of the CSVs written when the whole report ran in one process, before
@@ -337,7 +352,7 @@ CONVERGE_DIGESTS = [
     (("--seed", "3", "--n-values", "20,80", "--trajectories", "40", "--config", "half"),
      "15336cbab74c3d36cb41c911c584da8144296a8e7878197709b769984e3479cd"),
     (("--seed", "5", "--n-values", "7,13,31", "--trajectories", "2", "--sde-step", "1e-2"),
-     "65d5f8e9846df4872fb1a47e87d14640689b553b1fcfe286af82ac102307518b"),
+     "feb67d1ab10adb7327b44c76dd3f7498e88f5b3d11b79e28d10143aade6fbb2e"),
     # the converge-chain benchmark's size
     (("--seed", "7", "--n-values", "50,200", "--trajectories", "2000", "--sde-step", "1e-2"),
      "22d4d0e02e63469ee7172d8981fa9ca69bc81b1b056152ba00068d45e9f9c267"),
@@ -547,7 +562,7 @@ SINGLE_PATH_DIGESTS = [
     (("simulate-discrete", "--n", "4094", "--seed", "3"), 0,
      "7463883e45531080518726a3cd6954095fa4cc8d94bccf70f722ae801d137878"),
     (("master", "--h", "1e-3", "--seed", "1"), 0,
-     "0ba3646abeb4efc3549d3377a0c0b14a21872a1f8d0620a8be07d4f8074a8a05"),
+     "3f56046585025de7615f83f25cc97ce8a5bc05a73180bd47015983d318762246"),
 ]
 
 CHAIN_ARGV = ("simulate-discrete", "--n", "5000", "--seed", "7")
@@ -864,18 +879,46 @@ class TestNonFiniteInputExits2:
         assert not out.exists()
 
 
+class TestCouplingRateNotFinite:
+    @pytest.mark.parametrize("command", ["master", "simulate-sde", "simulate-discrete",
+                                         "converge", "girsanov"])
+    def test_exits_2_before_any_numerics(self, tmp_path, capsys, command):
+        # every entry of c is finite, but c+c = 1e400 is not
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("c = 1e200 0 0 0 0 0 0 0\n")
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(command, "--config", str(cfg), "--seed", "1",
+                           "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "bad model configuration: h0, c, c+c and theta must be finite" in err
+        assert not out.exists()
+
+
 class TestStepBoundsExit2:
     def test_unstable_rk4_step(self, tmp_path):
-        # damping rate 9: h = 0.5 grows the decaying modes by |R(-4.5)| = 8.5,
-        # h = 0.25 keeps every |R(h lam)| <= 1 (|R(-2.25)| = 0.45)
+        # damping rate 9 at h = 0.5 is outside RK4's stability region
+        # (|R(-4.5)| = 8.5); the exact propagator takes it in two steps, and
+        # the excited population ends at e^-9
         cfg = tmp_path / "strong.cfg"
         cfg.write_text("c = 0 0 3 0 0 0 0 0\n")
         out = tmp_path / "m.csv"
         assert run_cli("master", "--config", str(cfg), "--h", "0.5", "--seed", "1",
-                       "--out", str(out)) == 2
-        assert not out.exists()
-        assert run_cli("master", "--config", str(cfg), "--h", "0.25", "--seed", "1",
                        "--out", str(out)) == 0
+        header, rows = read_rows(out)
+        assert len(rows) == 3
+        assert abs(float(rows[-1][header.index("rho_11_re")]) - np.exp(-9.0)) < 1e-13
+
+    def test_step_too_large_for_the_generator(self, tmp_path, capsys):
+        # c+c = 1e300 is finite, but h S_L at h = T = 1e10 is not
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("c = 1e150 0 0 0 0 0 0 0\nt_horizon = 1e10\n")
+        out = tmp_path / "m.csv"
+        assert run_cli("master", "--config", str(cfg), "--h", "1e10", "--seed", "1",
+                       "--out", str(out)) == 2
+        assert "h S_L is not finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ("master", "--h", "0.6"),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,17 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(h0=np.zeros((2, 2)), c=LOWERING, observable=obs,
                         n=10, t_horizon=1.0, field_hamiltonian="nope")
+
+    def test_coupling_rate_must_be_finite(self):
+        # every entry of c is finite, but c+c = 1e400 I is not
+        obs = make_observable(np.pi / 2, 1.0, -1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"c\+c and theta must be finite"):
+                ModelConfig(h0=np.zeros((2, 2)), c=1e200 * (LOWERING + LOWERING.T),
+                            observable=obs, n=10, t_horizon=1.0)
+        ModelConfig(h0=np.zeros((2, 2)), c=1e150 * LOWERING, observable=obs,
+                    n=10, t_horizon=1.0)
 
     def test_theta_rotates_coupling(self):
         cfg = damping_cfg(n=50)

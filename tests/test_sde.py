@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qtraj import (
     DensityMatrix,
@@ -15,6 +18,7 @@ from qtraj import (
 from qtraj.linalg import (
     BLOCH_BASIS,
     adjoint,
+    bloch_superop,
     bloch_to_density,
     density_to_bloch,
     max_abs,
@@ -25,7 +29,6 @@ import qtraj.sde as sde_mod
 from qtraj.sde import STEP_DIVIDES_TOL, StepOutOfRange, dividing_step
 from qtraj.sde import (
     VALIDATE_EVERY,
-    UnstableStep,
     _bloch_sde_matrix,
     _bloch_step,
     _density_steps,
@@ -295,6 +298,14 @@ class TestGirsanovWeights:
                                            rel=1e-12)
 
 
+def _expm_bloch(cfg, rho0, h, steps):
+    """(steps + 1, 3) Bloch vectors of the exact averaged evolution,
+    u0 expm(k h A) for k = 0..steps, with A the Bloch form of S_L."""
+    a = bloch_superop(lindblad_superop(cfg.h0, cfg.coupling()))
+    u0 = np.array([1.0, *density_to_bloch(rho0.m)])
+    return np.array([u0 @ scipy.linalg.expm(k * h * a) for k in range(steps + 1)])[:, 1:]
+
+
 class TestMasterEvolve:
     def test_stationary_ground_state(self):
         # every drift term vanishes at the ground state of pure damping
@@ -340,22 +351,33 @@ class TestMasterEvolve:
         full = master_evolve(cfg, EXCITED, 1.0 / 200.0)
         assert max_abs(grid_states - full.states[::10]) < 1e-12
 
-    def test_propagator_matches_classical_rk4(self):
-        # v + v @ D against RK4 stages written with the matrix-form oracle
+    def test_propagator_matches_matrix_exponential(self):
+        # u_k = u0 exp(k h A), A the Bloch form of S_L, on random models
         rng = np.random.default_rng(33)
-        h = 0.05
         for _ in range(20):
             cfg = rand_config(rng)
-            rho = rand_density(rng).m
-            path = master_evolve(cfg, DensityMatrix(rho), h)
-            c = cfg.coupling()
-            for k in range(3):
-                k1 = lindblad(rho, cfg.h0, c)
-                k2 = lindblad(rho + 0.5 * h * k1, cfg.h0, c)
-                k3 = lindblad(rho + 0.5 * h * k2, cfg.h0, c)
-                k4 = lindblad(rho + h * k3, cfg.h0, c)
-                rho = rho + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                assert max_abs(path.states[k + 1] - rho) < 1e-13
+            rho0 = rand_density(rng)
+            path = master_evolve(cfg, rho0, 0.05)
+            exact = _expm_bloch(cfg, rho0, 0.05, 20)
+            assert max_abs(density_to_bloch(path.states) - exact) < 1e-13
+
+    @pytest.mark.parametrize("h", [0.5, 0.25, 0.1])
+    def test_coarse_steps_are_exact(self, h):
+        # damping rate 9: steps far outside any explicit integrator's
+        # stability region still give exp(k h A)
+        cfg = damping_cfg(c_scale=3.0)
+        path = master_evolve(cfg, EXCITED, h)
+        exact = _expm_bloch(cfg, EXCITED, h, len(path.grid) - 1)
+        assert max_abs(density_to_bloch(path.states) - exact) < 1e-13
+
+    @pytest.mark.parametrize("rate", [1e-8, 1e-5])
+    def test_squarings_keep_slow_rates(self, rate):
+        # h S_L has norm 6 (s = 4 squarings), but its z-row decays at
+        # rate: exp(h S_L) - I keeps e^-rate - 1 to full precision, where
+        # squaring I + d rounds it to ~1e-16 absolute
+        cfg = damping_cfg(c_scale=np.sqrt(rate), h0_scale=3.0)
+        d = bloch_superop(sde_mod._expm1(lindblad_superop(cfg.h0, cfg.coupling()), 1.0))
+        assert abs(d[3, 3] / np.expm1(-rate) - 1.0) < 1e-14
 
     def test_grid_sampling_stops_at_last_grid_point(self):
         # n T = 20.5 is not an integer: 20 grid intervals, 200 fine steps
@@ -1045,16 +1067,24 @@ class TestInputGuards:
         with pytest.raises(ValueError, match="step size"):
             master_evolve(damping_cfg(), EXCITED, h)
 
-    def test_master_evolve_unstable_step(self, monkeypatch):
-        # damping rate 9: |R(-9 h)| is 8.5 at h = 0.5; at h = 0.25 the largest
-        # |R(h lam)| is the stationary mode's 1. The bound is checked before
-        # any step
-        cfg = damping_cfg(c_scale=3.0)
-        assert master_evolve(cfg, EXCITED, 0.25).states.shape == (5, 2, 2)
-        monkeypatch.setattr(sde_mod, "bloch_superop", None)
-        with pytest.raises(UnstableStep, match="stability region"):
-            master_evolve(cfg, EXCITED, 0.5)
-        assert issubclass(UnstableStep, ValueError)
+    def test_master_evolve_unstable_step(self):
+        # damping rate 9 at h = 0.5 is outside RK4's stability region
+        # (|R(-4.5)| = 8.5); the exact propagator takes it: the excited
+        # population after two steps is e^-9
+        path = master_evolve(damping_cfg(c_scale=3.0), EXCITED, 0.5)
+        assert path.states.shape == (3, 2, 2)
+        assert abs(path.states[-1][1, 1].real - np.exp(-9.0)) < 1e-13
+
+    def test_master_evolve_step_too_large_for_the_generator(self):
+        # c+c = 1e300 is finite, but h S_L at h = T = 1e10 is not
+        cfg = damping_cfg(c_scale=1e150, t_horizon=1e10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepOutOfRange, match="h S_L is not finite"):
+                master_evolve(cfg, EXCITED, 1e10)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(StepOutOfRange, match="h S_L is not finite"):
+                sde_mod._expm1(np.full((4, 4), bad), 1.0)
 
     @pytest.mark.parametrize("h", [1e-2, 5e-3])
     def test_euler_step_beyond_horizon(self, h):
