@@ -19,11 +19,12 @@ reducers, costing CHAIN_STEP_COST floor(n T); (c) assembles them.
 ``run_full_report`` runs (a) and (b) in turn, the CLI in two lanes balanced
 by cost. The standalone functions run their own passes on purposes 1 (mean),
 2 (QV), 3 (KS) and 5 (residual), and the QV and KS passes stop at the
-statistic's time t. Purpose 4 is the KS diffusion ensemble. Member j of
-purpose P at discretization n draws from
-derive_seed(derive_seed(derive_seed(base, P), n), j), and reductions run in
-fixed index order, so every statistic is a deterministic function of
-(spec, seeds) and re-running a report reproduces it bitwise.
+statistic's time t. Purpose 4 is the KS diffusion ensemble. The pass of
+purpose P at discretization n reads one step-major block of the stream of
+derive_seed(derive_seed(base, P), n) (``ensemble_streams``), so a pass that
+stops at t reads the first floor(n t) steps of its full-horizon block.
+Reductions run in fixed index order, so every statistic is a deterministic
+function of (spec, seeds) and re-running a report reproduces it bitwise.
 """
 
 from __future__ import annotations

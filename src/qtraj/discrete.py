@@ -46,9 +46,11 @@ checked block of rows to it, so the CLI can format the CSV beside the loop;
 the CSV columns of any row range come from ``_record`` and ``_csv_columns``,
 the functions ``run_trajectory`` and ``trajectory_to_csv`` use.
 
-Sampling convention: outcome 1 is taken iff the step's uniform draw is < q.
-Each trajectory owns one PCG64 stream seeded with its 64-bit seed and
-consumes exactly one uniform per step.
+Sampling convention: outcome 1 is taken iff the step's uniform draw is < q,
+and each trajectory consumes exactly one uniform per step. An ensemble's
+uniforms are one step-major block of its seed's PCG64 stream
+(``ensemble_streams``, ``rng.member_streams``), and a single trajectory is
+the ensemble of one, so it reads the stream of its own seed.
 """
 
 from __future__ import annotations
@@ -264,7 +266,7 @@ def run_trajectory(cfg: ModelConfig, rho0: DensityMatrix, seed: int,
     """Simulate floor(n * t_horizon) measurement steps; deterministic in seed.
     The initial state is checked first; the steps are ``_scalar_chain``'s,
     in the record table of ``feed``, which gets each checked block."""
-    uniforms = generator_for(seed).random(cfg.steps)
+    uniforms = ensemble_streams(seed, 1, cfg.steps)[0]
     validate_batch(rho0.m, None)
 
     def columns(rows, lo):
@@ -277,8 +279,9 @@ def run_trajectory(cfg: ModelConfig, rho0: DensityMatrix, seed: int,
 
 
 def ensemble_streams(base_seed: int, num_traj: int, steps: int) -> np.ndarray:
-    """Uniform streams for an ensemble: row j comes from derive_seed(base, j)."""
-    return member_streams(base_seed, num_traj, steps, "random")
+    """(num_traj, steps) uniforms of an ensemble: row j is column j of one
+    (steps, num_traj) block drawn from generator_for(base_seed)."""
+    return member_streams(generator_for(base_seed), num_traj, steps, "random")
 
 
 def _csv_columns(record: TrajectoryRecord, lo: int = 0) -> list:

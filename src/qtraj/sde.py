@@ -199,36 +199,42 @@ def dividing_step(t: float, h: float) -> float:
     return h if _whole_steps(t, h) is not None else t / math.ceil(t / h)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _euler_steps(cfg: ModelConfig, h: float) -> int:
     """Number of Euler steps of size h on [0, T], after checking that h is
-    in (0, min(MAX_SDE_STEP, T)], so that a run takes at least one step, and
-    that it divides T, so that the last step ends at T."""
+    in (0, min(MAX_SDE_STEP, T)], so that a run takes at least one step;
+    that h ||S_L|| <= 2 in the max row sum, past which Euler's damping
+    factor 1 - h gamma of a rate-gamma decay goes negative (NaN and overflow
+    fail too); and that h divides T, so that the last step ends at T."""
     _check_step(h, min(MAX_SDE_STEP, cfg.t_horizon))
+    s_l = lindblad_superop(cfg.h0, cfg.coupling())
+    norm = h * float(np.max(np.sum(np.abs(s_l), axis=1)))
+    if not norm <= 2.0:
+        raise StepOutOfRange(f"step size {h:g} is too large for the coupling's "
+                             f"rate: h ||S_L|| = {norm:.6g} > 2")
     return _steps_to(cfg.t_horizon, h)
 
 
 def _ensemble_noise(base_seed: int | None, noise: np.ndarray | None,
                     num_paths: int, steps: int, h: float) -> np.ndarray:
-    """(num_paths, steps) increments: row j from derive_seed(base_seed, j),
-    or the supplied array after a shape and finiteness check."""
+    """(num_paths, steps) increments: row j is column j of one (steps,
+    num_paths) block of normals drawn from generator_for(base_seed), times
+    sqrt(h); or the supplied array after a shape and finiteness check. Both
+    are stored column-major, so the loops read each step's column in one run."""
     if noise is None:
         if base_seed is None:
             raise ValueError("either base_seed or noise is required")
-        noise = member_streams(base_seed, num_paths, steps, "standard_normal")
+        noise = member_streams(generator_for(base_seed), num_paths, steps,
+                               "standard_normal")
         noise *= np.sqrt(h)
         return noise
-    noise = np.asarray(noise, dtype=float)
+    noise = np.asfortranarray(noise, dtype=float)
     if noise.shape != (num_paths, steps):
         raise ValueError(f"noise must have shape {(num_paths, steps)}, "
                          f"got {noise.shape}")
     if not np.all(np.isfinite(noise)):
         raise ValueError("noise must be finite")
     return noise
-
-
-def _noise_for(seed: int, steps: int, h: float) -> np.ndarray:
-    """(1, steps) increments of a single path, drawn from generator_for(seed)."""
-    return generator_for(seed).standard_normal((1, steps)) * np.sqrt(h)
 
 
 def bloch_coefficients(drift: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -438,7 +444,7 @@ def _density_path(cfg: ModelConfig, rho0: DensityMatrix, h: float,
     which gets each checked block. The initial state is checked first, and
     the path state by state once recorded."""
     steps = _euler_steps(cfg, h)
-    noise = _noise_for(seed, steps, h)[0]
+    noise = _ensemble_noise(seed, None, 1, steps, h)[0]
     validate_batch(rho0.m, None)
 
     def columns(rows, lo):
@@ -546,7 +552,7 @@ def simulate_wave(cfg: ModelConfig, psi0: WaveFunction, h: float,
     ``feed``, which gets each checked block. The norm of psi0 is checked
     first, and the recorded path once at the end."""
     steps = _euler_steps(cfg, h)
-    noise = _noise_for(seed, steps, h)[0]
+    noise = _ensemble_noise(seed, None, 1, steps, h)[0]
     validate_norms(psi0.v, None)
 
     def columns(rows, lo):
@@ -635,11 +641,12 @@ def sde_ensemble_final(cfg: ModelConfig, rho0: DensityMatrix, h: float,
                        ) -> tuple[np.ndarray, np.ndarray | None]:
     """Vectorized ensemble integration keeping only final states.
 
-    Path j draws its noise from derive_seed(base_seed, j) unless an explicit
-    (num_paths, steps) increment array is supplied. Returns (final states,
-    final weights or None); with ``physical`` the innovation-form drift is
-    used and asking for weights raises ValueError. The states are checked
-    against the invariants every VALIDATE_EVERY steps and after the last one.
+    Path j draws its noise from column j of base_seed's block (see
+    ``_ensemble_noise``) unless an explicit (num_paths, steps) increment
+    array is supplied. Returns (final states, final weights or None); with
+    ``physical`` the innovation-form drift is used and asking for weights
+    raises ValueError. The states are checked against the invariants every
+    VALIDATE_EVERY steps and after the last one.
     """
     if physical and with_weights:
         raise ValueError("weights are unavailable in the physical form")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qtraj.discrete import (DEGENERATE_PROB, NULL_BRANCH, DegenerateProbability,
-                            TrajectoryRecord, drive_ensemble)
+                            TrajectoryRecord, drive_ensemble, ensemble_streams)
 from qtraj.linalg import adjoint, bloch_to_density, density_to_bloch, project_ball, tensor
 from qtraj.model import (
     _FIELD_LOWER,
@@ -35,8 +35,7 @@ from qtraj.model import (
     validate_batch,
     validate_norms,
 )
-from qtraj.rng import derive_seed, generator_for
-from qtraj.sde import (SdePath, WavePath, _density_steps, _euler_steps, _noise_for,
+from qtraj.sde import (SdePath, WavePath, _density_steps, _ensemble_noise, _euler_steps,
                        _real_parts, _wave_steps)
 
 FIELD_GROUND = np.array([[1, 0], [0, 0]], dtype=complex)   # |f0><f0|
@@ -281,14 +280,14 @@ def girsanov_weights(path: SdePath, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def member_streams_per_generator(base_seed: int, count: int, steps: int,
-                                 draw: str) -> np.ndarray:
-    """``rng.member_streams`` built literally, one Generator per member: row
-    j holds ``steps`` draws of ``draw`` from
-    generator_for(derive_seed(base_seed, j))."""
+def member_streams_step_by_step(gen: np.random.Generator, count: int, steps: int,
+                                draw: str) -> np.ndarray:
+    """``rng.member_streams`` built literally, one call of ``draw`` on
+    ``gen`` per step: column k holds the next ``count`` draws, step k of
+    members 0..count-1."""
     out = np.empty((count, steps))
-    for j in range(count):
-        out[j] = getattr(generator_for(derive_seed(base_seed, j)), draw)(steps)
+    for k in range(steps):
+        out[:, k] = getattr(gen, draw)(count)
     return out
 
 
@@ -298,7 +297,7 @@ def run_trajectory_batch_of_one(cfg: ModelConfig, rho0: DensityMatrix,
     ``drive_ensemble``, recording every step. It asks ``feed`` for no table,
     so a command's CSV is formatted in one process."""
     steps = cfg.steps
-    uniforms = generator_for(seed).random(steps)[None, :]
+    uniforms = ensemble_streams(seed, 1, steps)
     bloch = np.empty((steps + 1, 3))
     bloch[0] = density_to_bloch(rho0.m)
     outcomes = np.empty(steps, dtype=np.int64)
@@ -319,7 +318,7 @@ def density_path_batch_of_one(cfg: ModelConfig, rho0: DensityMatrix, h: float,
     recording every state and checking the path once recorded. It asks
     ``feed`` for no table, so a command's CSV is formatted in one process."""
     steps = _euler_steps(cfg, h)
-    noise = _noise_for(seed, steps, h)
+    noise = _ensemble_noise(seed, None, 1, steps, h)
     bloch = np.empty((steps + 1, 3))
     bloch[0] = density_to_bloch(rho0.m)
     g = np.empty(steps)
@@ -341,7 +340,7 @@ def wave_path_batch_of_one(cfg: ModelConfig, psi0: WaveFunction, h: float,
     asks ``feed`` for no table, so a command's CSV is formatted in one
     process."""
     steps = _euler_steps(cfg, h)
-    noise = _noise_for(seed, steps, h)
+    noise = _ensemble_noise(seed, None, 1, steps, h)
     parts = np.empty((steps + 1, 4))
     parts[0] = _real_parts(psi0.v)
     for k, v in _wave_steps(cfg, psi0, h, noise):

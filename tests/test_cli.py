@@ -13,7 +13,7 @@ import pytest
 from qtraj.cli import main
 from qtraj.model import NotAState
 
-from oracles import (density_path_batch_of_one, member_streams_per_generator,
+from oracles import (density_path_batch_of_one, member_streams_step_by_step,
                      run_trajectory_batch_of_one, wave_path_batch_of_one)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -198,22 +198,22 @@ def _raise(exc):
     return fail
 
 
-# sha256 of the CSVs written when both ensembles stepped in one process, one
-# after the other
+# sha256 of the CSVs, each ensemble one step-major stream block of its seed
+# (rng.member_streams); forked and in-process runs both give them
 GIRSANOV_DIGESTS = [
     (("--seed", "7", "--trajectories", "200", "--h", "1e-3"),
-     "452833786616778637b7b6ba4b124835d206a1a3c3c9c6316aa873d4f2065c8a"),
+     "452d8b473a43368db1762c8bb406e03f2ba4162a2eb1eb4ee64892f0a2d3a381"),
     (("--seed", "7", "--trajectories", "2", "--h", "1e-3"),
-     "7927ea68dfeec91c1015578104e32dbe71c54c2543896a0e9a69abb80e74cca9"),
+     "504df4221be1311dc5ac32885fa84cdbc11acbfc2ac825aa1da317fbc62283be"),
     (("--seed", "0", "--trajectories", "50", "--h", "1e-2"),
-     "e8f3675c6687e3e320ab3ff21231f7b1e0873fa4e6a90c6c4ddf679a0a2cb867"),
+     "b1707ec2a5c3847d98de6ebc1df052ee169e4f2d3079309d967263cbcbcc720d"),
     (("--seed", str(2 ** 64 - 1), "--trajectories", "31", "--h", "2e-3"),
-     "c54fd8bb40b3fdf065ca619f1f5e29df225b36d12472267e7fbf5073f8d0dacd"),
+     "2ff5b6f0a61ade2d68161204998124b058b384422aad82686f71aba86dc7a1e9"),
     (("--seed", "3", "--trajectories", "40", "--h", "5e-3", "--config", "half"),
-     "586f4f533bbd0fa247f0b742080bc1e75b16edc187d81d0ef5b31a1b953d5736"),
+     "1a0d46cd482d8bea5dced3048ee19ddb2dbe388e0c40f540712d226529cdaf45"),
     # the girsanov-ensemble benchmark's size
     (("--seed", "7", "--trajectories", "1000", "--h", "1e-3"),
-     "4b489a9665fb981782fb961b7950a8d10e0c1c8ad2c66d0867099090ebfea10d"),
+     "ad6b10b197c60b64274de58d2103fba2fc52727653a4cd195c7ddaf3e976a6ee"),
 ]
 
 
@@ -339,23 +339,23 @@ def test_cli_imports_no_scipy():
     assert proc.stdout.split() == ["False"]
 
 
-# sha256 of the CSVs written when the whole report ran in one process, before
-# it was split into parts
+# sha256 of the CSVs, each pass one step-major stream block of its seed
+# (rng.member_streams); forked and in-process runs both give them
 CONVERGE_DIGESTS = [
     (("--seed", "7", "--n-values", "50,200", "--trajectories", "200", "--sde-step", "1e-2"),
-     "44c6430aebcfd80dc71462d8cd8cbb83af5f8806587ce9c5023cfc7b342db565"),
+     "31340d71aab74320a1ac9ef6edf6daf2aab474190a573a28aab66e061b04595d"),
     (("--seed", "0", "--n-values", "10", "--trajectories", "80", "--sde-step", "1e-2"),
-     "d57859a91caa340e39c670a1147071d8bc811f8ba8db27d0da7ec48398360c99"),
+     "56832aab6624482f0cf5636571643009d126083e668a943d7cdb9983cec1b004"),
     (("--seed", str(2 ** 64 - 1), "--n-values", "10,20,40", "--trajectories", "60",
       "--sde-step", "1e-2"),
-     "17c908fe6d1c36c9c9d407e9013d60eb37219f857a35997dc04acebfb9169644"),
+     "1e0b120e1cb2c97c10c9cba2062f0c91c862c3fe5fa1be5ec42228275e26dfd5"),
     (("--seed", "3", "--n-values", "20,80", "--trajectories", "40", "--config", "half"),
-     "15336cbab74c3d36cb41c911c584da8144296a8e7878197709b769984e3479cd"),
+     "976dc34656dc3a68de76f6489c047636b4e52575625fa1903238978ba60ce094"),
     (("--seed", "5", "--n-values", "7,13,31", "--trajectories", "2", "--sde-step", "1e-2"),
-     "feb67d1ab10adb7327b44c76dd3f7498e88f5b3d11b79e28d10143aade6fbb2e"),
+     "67e1d7fbf941416edbd356b6e183514c484087c136054694a6b6cfffbab1d73b"),
     # the converge-chain benchmark's size
     (("--seed", "7", "--n-values", "50,200", "--trajectories", "2000", "--sde-step", "1e-2"),
-     "22d4d0e02e63469ee7172d8981fa9ca69bc81b1b056152ba00068d45e9f9c267"),
+     "5d9aefcc2ece84428b10c239b5baeef3baa314c1fdc54452f68abfe252606cd3"),
 ]
 
 # lanes ([2], [0, 1]): the n = 200 pass in the parent, the diffusion ensemble
@@ -794,17 +794,18 @@ class TestSinglePathTwoProcesses:
     ("converge", "--n-values", "10,40", "--trajectories", "80", "--sde-step", "1e-2"),
     ("girsanov", "--trajectories", "100", "--h", "5e-3"),
 ])
-def test_ensemble_bytes_match_per_member_generators(tmp_path, monkeypatch, argv):
-    # the bulk-seeded streams give the bytes of one Generator per member
+def test_ensemble_bytes_follow_the_block_layout(tmp_path, monkeypatch, argv):
+    # an ensemble's streams are one step-major block of its seed's Generator:
+    # drawn one step at a time, they give the same bytes
     import qtraj.discrete
     import qtraj.sde
 
-    bulk, literal = tmp_path / "bulk.csv", tmp_path / "literal.csv"
-    assert run_cli(*argv, "--seed", "7", "--out", str(bulk), "--no-timestamp") == 0
+    block, literal = tmp_path / "block.csv", tmp_path / "literal.csv"
+    assert run_cli(*argv, "--seed", "7", "--out", str(block), "--no-timestamp") == 0
     for module in (qtraj.discrete, qtraj.sde):
-        monkeypatch.setattr(module, "member_streams", member_streams_per_generator)
+        monkeypatch.setattr(module, "member_streams", member_streams_step_by_step)
     assert run_cli(*argv, "--seed", "7", "--out", str(literal), "--no-timestamp") == 0
-    assert bulk.read_bytes() == literal.read_bytes()
+    assert block.read_bytes() == literal.read_bytes()
 
 
 
@@ -918,6 +919,44 @@ class TestStepBoundsExit2:
         assert run_cli("master", "--config", str(cfg), "--h", "1e10", "--seed", "1",
                        "--out", str(out)) == 2
         assert "h S_L is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("girsanov", "--trajectories", "200", "--h", "1e-2"),
+        ("simulate-sde", "--h", "1e-2"),
+        ("simulate-sde", "--form", "wave", "--h", "1e-2"),
+        ("converge", "--sde-step", "1e-2"),
+    ])
+    def test_euler_step_too_large_for_the_rate(self, tmp_path, capsys, argv):
+        # damping rate 900 at h = 1e-2: Euler's population factor 1 - 9 < 0
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text("c = 0 0 30 0 0 0 0 0\n")
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*argv, "--config", str(cfg), "--seed", "1",
+                           "--out", str(out)) == 2
+        assert "too large for the coupling's rate" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_euler_step_within_the_rate(self, tmp_path, capsys):
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text("c = 0 0 30 0 0 0 0 0\n")
+        assert run_cli("girsanov", "--trajectories", "200", "--h", "1e-3", "--config",
+                       str(cfg), "--seed", "1", "--out", str(tmp_path / "g.csv")) == 0
+        assert "physical  <sigma_z> = 1.00000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("c", ["9e153 0 0 0 0 0 0 0", "0 0 1.3e154 0 0 0 0 0"])
+    def test_euler_step_bound_on_huge_rates(self, tmp_path, capsys, c):
+        # c+c is finite (8.1e307, 1.7e308); h ||S_L|| is 4e305, then inf
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"c = {c}\n")
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("girsanov", "--trajectories", "10", "--h", "1e-2", "--config",
+                           str(cfg), "--seed", "1", "--out", str(out)) == 2
+        assert "too large for the coupling's rate" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

@@ -1,31 +1,48 @@
 import numpy as np
+import pytest
 
-from qtraj.discrete import ensemble_streams
-from qtraj.rng import _pcg64_states, member_streams
+from qtraj import WaveFunction
+from qtraj.discrete import drive_ensemble, ensemble_streams, run_trajectory
+from qtraj.linalg import bloch_to_density
+from qtraj.rng import generator_for, member_streams
+from qtraj.sde import (_ensemble_noise, sde_ensemble_final, simulate_belavkin,
+                       simulate_physical, simulate_wave, wave_ensemble_final)
 
-from oracles import member_streams_per_generator
+from helpers import EXCITED, PLUS_VEC, damping_cfg
+from oracles import member_streams_step_by_step
 
-# the words of a seed change at 2^32; 2^64 - 1 sets every bit
-EDGE_SEEDS = [0, 1, 5, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1]
-
-
-def test_bulk_states_are_numpy_pcg64_states():
-    # member_streams relies on numpy keeping SeedSequence and PCG64 seeding
-    # stable (NEP 19): a change there fails here first
-    states, incs = _pcg64_states(np.array(EDGE_SEEDS, dtype=np.uint64))
-    for seed, state, inc in zip(EDGE_SEEDS, states, incs):
-        ref = np.random.PCG64(seed).state["state"]
-        assert (state, inc) == (ref["state"], ref["inc"])
+DRAWS = ("random", "standard_normal")
+SHAPES = ((4, 25), (0, 5), (1, 5), (3, 0), (3, 1), (50, 200))
 
 
-def test_member_rows_are_member_generators():
-    for draw in ("random", "standard_normal"):
-        for base in (77, 0, 2**64 - 1):
-            for count, steps in ((4, 25), (0, 5), (1, 5), (3, 0), (3, 1), (50, 200)):
-                out = member_streams(base, count, steps, draw)
-                assert out.shape == (count, steps)
-                expected = member_streams_per_generator(base, count, steps, draw)
-                assert np.array_equal(out, expected)
+@pytest.mark.parametrize("draw", DRAWS)
+def test_members_are_the_columns_of_one_block(draw):
+    for seed in (77, 0, 2**64 - 1):
+        for count, steps in SHAPES:
+            out = member_streams(generator_for(seed), count, steps, draw)
+            assert out.shape == (count, steps)
+            expected = member_streams_step_by_step(generator_for(seed), count, steps, draw)
+            assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("draw", DRAWS)
+def test_shorter_run_is_a_prefix(draw):
+    # a pass that stops at floor(n t) sees the first steps of the full run
+    for seed in (77, 0, 2**64 - 1):
+        for count, steps in SHAPES:
+            whole = member_streams(generator_for(seed), count, steps, draw)
+            for k in {0, min(1, steps), steps // 2}:
+                part = member_streams(generator_for(seed), count, k, draw)
+                assert np.array_equal(part, whole[:, :k])
+
+
+def test_step_columns_are_contiguous():
+    # every ensemble loop reads streams[:, k] once per step
+    supplied = np.arange(60.0).reshape(3, 20)
+    for streams in (ensemble_streams(3, 50, 20), _ensemble_noise(3, None, 50, 20, 1e-2),
+                    _ensemble_noise(None, supplied, 3, 20, 1e-2)):
+        assert all(streams[:, k].flags.c_contiguous for k in range(20))
+    assert np.array_equal(_ensemble_noise(None, supplied, 3, 20, 1e-2), supplied)
 
 
 def test_one_bit_generator_per_call(monkeypatch):
@@ -37,11 +54,47 @@ def test_one_bit_generator_per_call(monkeypatch):
         return pcg64(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "PCG64", counting)
-    out = member_streams(3, 500, 10, "standard_normal")
-    assert len(built) <= 1
-    monkeypatch.undo()
-    assert np.array_equal(out, member_streams_per_generator(3, 500, 10, "standard_normal"))
+    ensemble_streams(3, 500, 10)
+    _ensemble_noise(4, None, 500, 10, 1e-2)
+    assert built == [(3,), (4,)]
 
 
 def test_ensemble_streams_are_uniform_member_streams():
-    assert np.array_equal(ensemble_streams(5, 3, 40), member_streams(5, 3, 40, "random"))
+    assert np.array_equal(ensemble_streams(5, 3, 40),
+                          member_streams(generator_for(5), 3, 40, "random"))
+
+
+def _chain_finals(seed):
+    cfg = damping_cfg(n=200, h0_scale=0.5)
+    record = run_trajectory(cfg, EXCITED, seed)
+    outcomes = []
+    for _, r, out, *_ in drive_ensemble(cfg, EXCITED, ensemble_streams(seed, 1, cfg.steps)):
+        outcomes.append(out[0])
+    assert np.array_equal(outcomes, record.outcomes)
+    return bloch_to_density(r)[0], record.states[-1]
+
+
+def _density_finals(physical):
+    def finals(seed):
+        cfg = damping_cfg(h0_scale=0.5)
+        simulate = simulate_physical if physical else simulate_belavkin
+        ensemble, _ = sde_ensemble_final(cfg, EXCITED, 1e-3, 1, seed, physical=physical)
+        return ensemble[0], simulate(cfg, EXCITED, 1e-3, seed).states[-1]
+    return finals
+
+
+def _wave_finals(seed):
+    cfg, psi0 = damping_cfg(h0_scale=0.5), WaveFunction(PLUS_VEC)
+    return (wave_ensemble_final(cfg, psi0, 1e-3, 1, seed)[0],
+            simulate_wave(cfg, psi0, 1e-3, seed).vectors[-1])
+
+
+FINALS = {"chain": _chain_finals, "belavkin": _density_finals(False),
+          "physical": _density_finals(True), "wave": _wave_finals}
+
+
+@pytest.mark.parametrize("form", FINALS)
+@pytest.mark.parametrize("seed", [7, 2**64 - 1])
+def test_ensemble_of_one_is_the_single_path(form, seed):
+    ensemble, single = FINALS[form](seed)
+    assert np.array_equal(ensemble, single)

@@ -64,6 +64,7 @@ from oracles import (
     girsanov_weights,
     innovation_path,
     lindblad,
+    member_streams_step_by_step,
     project_positive,
     purity,
     wave_path_batch_of_one,
@@ -544,16 +545,16 @@ class TestEnsembleCore:
                     assert weights[j] == w1[0]
 
     def test_wave_rows_match_single_path_runs(self):
-        # the wave core's products are elementwise, so no row depends on M
+        # row j of the ensemble is the single-path loop run on column j
         from qtraj.cli import build_model
-        from qtraj.rng import derive_seed, generator_for
 
         cfg, h, psi0 = build_model({}, {}), 1e-3, WaveFunction(EXCITED_VEC)
         finals = wave_ensemble_final(cfg, psi0, h, 64, base_seed=7)
+        noise = sde_mod._ensemble_noise(7, None, 64, 1000, h)
         for j in range(64):
-            noise = generator_for(derive_seed(7, j)).standard_normal((1, 1000)) * np.sqrt(h)
-            one = wave_ensemble_final(cfg, psi0, h, 1, noise=noise)
-            assert np.array_equal(finals[j], one[0]), j
+            table = _scalar_wave(sde_mod._wave_matrix(cfg, h), sde_mod._real_parts(psi0.v),
+                                 h, noise[j])
+            assert np.array_equal(finals[j], table[-1].view(complex)), j
 
     def test_periodic_validation(self, monkeypatch):
         import qtraj.sde as sde_mod
@@ -581,14 +582,14 @@ class TestEnsembleCore:
                                noise=noise)
 
     def test_seeded_noise_streams(self):
-        # path j of a seeded run is the same path driven by its own stream
-        from qtraj.rng import derive_seed, generator_for
+        # path j of a seeded run is driven by column j of its seed's block
+        from qtraj.rng import generator_for
 
         cfg = damping_cfg(h0_scale=0.5)
         h = 1e-2
         finals, _ = sde_ensemble_final(cfg, EXCITED, h, 3, base_seed=9)
-        noise = np.stack([generator_for(derive_seed(9, j)).standard_normal(100)
-                          for j in range(3)]) * np.sqrt(h)
+        noise = member_streams_step_by_step(generator_for(9), 3, 100,
+                                            "standard_normal") * np.sqrt(h)
         explicit, _ = sde_ensemble_final(cfg, EXCITED, h, 3, noise=noise)
         assert np.array_equal(finals, explicit)
 
@@ -1085,6 +1086,25 @@ class TestInputGuards:
         for bad in (np.nan, np.inf):
             with pytest.raises(StepOutOfRange, match="h S_L is not finite"):
                 sde_mod._expm1(np.full((4, 4), bad), 1.0)
+
+    def test_euler_step_too_large_for_the_rate(self, monkeypatch):
+        # h ||S_L|| <= 2, i.e. h gamma <= 1 for damping at rate gamma
+        for cfg, h in ((damping_cfg(c_scale=30.0), 1e-2), (damping_cfg(c_scale=11.0), 1e-2),
+                       (damping_cfg(c_scale=1.3e154), 1e-3)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(StepOutOfRange, match="too large for the coupling's rate"):
+                    sde_ensemble_final(cfg, EXCITED, h, 2, base_seed=1)
+                with pytest.raises(StepOutOfRange, match="too large for the coupling's rate"):
+                    simulate_belavkin(cfg, EXCITED, h, seed=1)
+                with pytest.raises(StepOutOfRange, match="too large for the coupling's rate"):
+                    wave_ensemble_final(cfg, WaveFunction(PLUS_VEC), h, 2, base_seed=1)
+        # h gamma = 1 is inside
+        finals, _ = sde_ensemble_final(damping_cfg(c_scale=10.0), EXCITED, 1e-2, 2, base_seed=1)
+        assert_valid_states(finals)
+        monkeypatch.setattr(sde_mod, "lindblad_superop", lambda h0, c: np.full((4, 4), np.nan))
+        with pytest.raises(StepOutOfRange, match="too large for the coupling's rate"):
+            sde_ensemble_final(damping_cfg(), EXCITED, 1e-3, 2, base_seed=1)
 
     @pytest.mark.parametrize("h", [1e-2, 5e-3])
     def test_euler_step_beyond_horizon(self, h):
