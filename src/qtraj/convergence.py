@@ -36,7 +36,7 @@ import numpy as np
 
 from .csvio import write_csv
 from .discrete import drive_ensemble, ensemble_streams
-from .linalg import bloch_apply, bloch_to_density, density_to_bloch
+from .linalg import bloch_apply, bloch_terms, bloch_to_density, density_to_bloch
 from .model import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, ModelConfig
 from .rng import derive_seed
 from .sde import (_euler_steps, bloch_coefficients, master_on_grid,
@@ -52,10 +52,11 @@ _PURPOSE_RESIDUAL = 5
 DEFAULT_FUNCTIONALS = (("sigma_x", SIGMA_X), ("sigma_y", SIGMA_Y),
                        ("sigma_z", SIGMA_Z))
 
-# per path-step at M = 2000 (2-vCPU Xeon VM), a chain pass with its four
-# reducers takes 0.19 us at n = 200 and 0.27 us at n = 50 (its fixed costs
-# included), 0.20 us over both, and the KS Euler ensemble 0.14 us
-CHAIN_STEP_COST = 1.6
+# per path-step at M = 2000 (2-vCPU Xeon VM, best of 15), a chain pass with
+# its four reducers takes 0.14 us at n = 200 and 0.16 us at n = 50 (its fixed
+# costs included), and the KS Euler ensemble at h = 1e-2 0.066 us; over both
+# passes, the median ratio of 15 interleaved rounds is 2.2
+CHAIN_STEP_COST = 2.2
 
 
 class DiagonalObservable(ValueError):
@@ -233,7 +234,7 @@ def _residual_reducer(spec: EnsembleSpec, cfg: ModelConfig):
     [S_L | S_B | g]. The remainder e.sigma/2 is Hermitian and traceless, so
     its max-entry norm is max(|e_z|, hypot(e_x, e_y)) / 2."""
     coeffs = sde_coefficients(cfg.h0, cfg.coupling())
-    cols = bloch_coefficients(coeffs[:, :4], coeffs).T.tolist()
+    terms = bloch_terms(bloch_coefficients(coeffs[:, :4], coeffs))
     num, r0 = spec.num_trajectories, density_to_bloch(spec.rho0.m)[:, None]
     prev = np.repeat(r0, num, axis=1)
     w = np.empty((7, num))
@@ -249,7 +250,7 @@ def _residual_reducer(spec: EnsembleSpec, cfg: ModelConfig):
         # e = (r - r0) - partial_sum, each operation in place in w or prev,
         # which holds the step's state again at the end
         nonlocal partial_sum
-        bloch_apply(prev, cols, w)
+        bloch_apply(prev, terms, w)
         drift, kick = w[:3], prev
         kick *= w[6]
         np.subtract(w[3:6], kick, out=kick)

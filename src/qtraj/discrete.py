@@ -38,8 +38,10 @@ A single recorded trajectory (``run_trajectory``) is not a batch of one:
 with M = 1 the numpy calls of a step are all overhead. ``_scalar_chain``
 steps it in Python floats, reading B through ``tolist()`` and taking the
 operations of ``bloch_apply`` and ``drive_ensemble`` in the same order, so
-every recorded number has the bits of the ensemble row. The tests check this
-step by step against ``drive_ensemble``; it does not hold by construction.
+every recorded number has the bits of the ensemble row (the products of
+B's exact zeros, which ``bloch_apply`` may skip, change no bit; the default
+model's B has none). The tests check this step by step against
+``drive_ensemble``; it does not hold by construction.
 The caller fixes which loop runs: a recorded path or an ensemble. The loop
 fills a record table that a ``csvio.RowFeed`` provides and publishes each
 checked block of rows to it, so the CLI can format the CSV beside the loop;
@@ -63,8 +65,8 @@ from typing import Iterator
 import numpy as np
 
 from .csvio import IN_PROCESS, STATE_HEADER, RowFeed, state_columns, write_csv
-from .linalg import (adjoint, bloch_apply, bloch_superop, bloch_to_density,
-                     density_to_bloch, sandwich_superop)
+from .linalg import (adjoint, bloch_apply, bloch_superop, bloch_terms,
+                     bloch_to_density, density_to_bloch, sandwich_superop)
 from .model import (STATE_TOL, VALIDATE_EVERY, DensityMatrix, InteractionUnitary,
                     ModelConfig, Observable, build_unitary, validate_batch)
 from .rng import generator_for, member_streams
@@ -137,12 +139,12 @@ def drive_ensemble(cfg: ModelConfig, rho0: DensityMatrix, uniforms: np.ndarray,
     NULL_BRANCH raises DegenerateProbability.
     """
     validate_batch(rho0.m, None)
-    cols = _chain_matrix(cfg).T.tolist()
+    terms = bloch_terms(_chain_matrix(cfg))
     num_traj, steps = uniforms.shape
     r = np.repeat(density_to_bloch(rho0.m)[:, None], num_traj, axis=1)
     w = np.empty((8, num_traj))
     for k in range(steps):
-        bloch_apply(r, cols, w)
+        bloch_apply(r, terms, w)
         # w is overwritten next step; every yielded array is fresh
         p, q = w[0].copy(), w[4].copy()
         one = uniforms[:, k] < q

@@ -18,13 +18,18 @@ sigma_y, sigma_z)/2; see ``bloch_superop``. x is a state exactly when
 |r| <= 1, so the Bloch ball carries positivity: ``project_ball`` is the
 eigen-clip onto it. The stepping cores hold an ensemble as a C-contiguous
 (3, M) array of Bloch rows (x, y, z), and ``bloch_apply`` takes their real
-products (1, r) @ A row by row into a (k, M) buffer they reuse every step.
+products (1, r) @ A row by row into a (k, M) buffer they reuse every step,
+following a plan ``bloch_terms(A)`` built once per pass. While the states
+are finite it skips the products of A's exact-zero coefficients, with the
+same bits; its docstring says why.
 
 All functions are pure but ``bloch_apply``, which writes into the buffer it
 is given; matrices are plain complex ndarrays.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -60,30 +65,69 @@ def sandwich_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.T[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
-def bloch_apply(r: np.ndarray, cols: list, out: np.ndarray) -> np.ndarray:
+def bloch_terms(a: np.ndarray) -> tuple[list, list | None]:
+    """The plan of ``bloch_apply`` for a real (4, k) matrix A, built once per
+    pass: (every, kept). ``every`` holds each column (a0, a1, a2, a3) of A as
+    Python floats, ``A.T.tolist()``. ``kept`` holds each column as (a0,
+    first, rest): its constant, then its terms (i, c) whose coefficient c of
+    state component i is not +-0, in order, the first one apart (None if
+    there is none). A column whose constant is -0.0 keeps all three terms.
+    ``kept`` is None when it drops no term, as for a dense matrix.
+    """
+    every = a.T.tolist()
+    kept, dropped = [], False
+    for a0, *coef in every:
+        terms = tuple(enumerate(coef))
+        if a0 != 0.0 or math.copysign(1.0, a0) > 0.0:
+            terms = tuple((i, c) for i, c in terms if c != 0.0)
+        dropped |= len(terms) < 3
+        kept.append((a0, terms[0], terms[1:]) if terms else (a0, None, ()))
+    return every, kept if dropped else None
+
+
+def bloch_apply(r: np.ndarray, terms: tuple, out: np.ndarray) -> np.ndarray:
     """Write (1, r_j) @ A into column j of the (k, M) array ``out`` and
-    return it, for a (3, M) array of Bloch rows (x, y, z) and the k columns
-    of a real (4, k) matrix A as Python floats, ``A.T.tolist()``.
+    return it, for a (3, M) array of Bloch rows (x, y, z) and the plan
+    ``bloch_terms(A)`` of a real (4, k) matrix A.
 
     Row i of ``out`` is ((a0 + x a1) + y a2) + z a3 for column (a0, a1, a2,
     a3) of A, a fixed sequence of elementwise products and sums, so every
     entry of a column is computed by the same operations whatever M: an
     ensemble member is bit-identical to the same member run as a batch of
-    one by construction. A BLAS product promises no such thing (gemv for one
-    row and gemm for many may round differently). The rows are taken one at
-    a time into ``out``, which the caller allocates once per pass, through
-    one scratch row. The broadcast form, with four (k, M) temporaries per
-    call, falls out of cache at M = 2000: for 8 rows, best of 7 on a 2-vCPU
-    Xeon VM, it takes 108 us against 59 us here, at M = 1000 46 against
-    43 us, and at M = 10, where the 48 calls here are all overhead, 13
-    against 29 us. The single-path loops
-    ``discrete._scalar_chain`` and ``sde._scalar_density`` take the same
-    products and sums, in the same order, on Python floats; that they give
-    the same bits is checked by the tests, not given by construction.
+    one. A BLAS product promises no such thing (gemv for one row and gemm
+    for many may round differently). The rows are taken one at a time into
+    ``out``, which the caller allocates once per pass, through one scratch
+    row.
+
+    While every component of r is finite, a column takes only its nonzero
+    terms, or is filled with a0 if it has none, with the same bits. A
+    product of a finite component and a +-0 coefficient is +-0. A sum of
+    two floats is -0 only when both are -0, so if a0 is not -0 no partial
+    sum of the column is -0, and adding +-0 to a sum that is not -0 leaves
+    it unchanged, inf and NaN included. With an inf or NaN component, inf
+    times 0 is NaN, so every column takes all of its terms, as it does when
+    the matrix is dense. The single-path loops ``discrete._scalar_chain``
+    and ``sde._scalar_density`` take all of the products and sums, in the
+    same order, on Python floats; that they give the same bits is checked
+    by the tests.
     """
-    x, y, z = r
+    every, kept = terms
+    comps = tuple(r)
+    x, y, z = comps
     tmp = np.empty_like(x)
-    for row, (a0, a1, a2, a3) in zip(out, cols):
+    if kept is not None and np.isfinite(r).all():
+        for row, (a0, first, rest) in zip(out, kept):
+            if first is None:
+                row.fill(a0)
+                continue
+            i, c = first
+            np.multiply(comps[i], c, out=row)
+            row += a0
+            for i, c in rest:
+                np.multiply(comps[i], c, out=tmp)
+                row += tmp
+        return out
+    for row, (a0, a1, a2, a3) in zip(out, every):
         np.multiply(x, a1, out=row)
         row += a0
         np.multiply(y, a2, out=tmp)

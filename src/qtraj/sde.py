@@ -51,12 +51,16 @@ above keeps Hermiticity, so ``bloch_coefficients`` turns [I + h S_L | S_B | g]
 into one real (4, 7) matrix A. An ensemble is a (3, M) array r of Bloch
 rows, and a step is w = (1, r) @ A, r' = w[:3] + dW (w[3:6] - w[6] r), with
 w taken row by row by ``linalg.bloch_apply`` into a (7, M) buffer allocated
-once per pass. Hermiticity and unit trace hold by construction, and the
-positivity projection (eigen-clip at zero, trace renormalization) is
-exactly ``linalg.project_ball``, r / max(1, |r|). Both density loops share
-one projection rule: a member is projected only when x^2 + y^2 + z^2 <=
-_INSIDE is false (NaN included), as inside that bound the scale is exactly
-1. ``_bloch_step`` sends those members through ``project_ball``;
+once per pass. The drift rotates (x, y) and relaxes z, and the backaction
+and g read few components, so A is sparse: the default model's has 13
+exact zeros among its 21 state coefficients, whose products ``bloch_apply``
+skips while the states are finite, without changing a bit. Hermiticity and
+unit trace hold by construction, and the positivity projection (eigen-clip
+at zero, trace renormalization) is exactly ``linalg.project_ball``,
+r / max(1, |r|). Both density loops share one projection rule: a member is
+projected only when x^2 + y^2 + z^2 <= _INSIDE is false (NaN included), as
+inside that bound the scale is exactly 1. ``_bloch_step`` sends those
+members through ``project_ball``;
 ``_scalar_density`` takes the same |r| and division in Python floats.
 
 Each equation has one ensemble Euler loop, a generator over an (M, steps)
@@ -66,17 +70,19 @@ in real arithmetic: psi is held as v = (Re psi_0, Im psi_0, Re psi_1,
 Im psi_1), and ``_wave_matrix`` turns the complex 2x2 matrices
 A = I + h (-i h0 - c+c/2) and c into one real (4, 8) matrix [A | C] with
 v @ A the real form of A psi. Every product of both loops is a fixed
-sequence of elementwise products and sums, so an ensemble row is
-bit-identical to the same member run alone, by construction. A recorded
-path is stepped in Python floats instead: ``_scalar_density`` for
+sequence of elementwise products and sums, less the +-0 products that
+``bloch_apply`` skips as they change no bit, so an ensemble row is
+bit-identical to the same member run alone, whatever M. A recorded path is
+stepped in Python floats instead: ``_scalar_density`` for
 ``simulate_belavkin`` and ``simulate_physical``, with the operations of
-``_bloch_step`` in the same order, and ``_scalar_wave`` for
-``simulate_wave``, with those of ``_wave_steps``. So a single path has the
-bits of the ensemble row; the tests check this step by step, as it does not
-hold by construction. Each fills a record table that a ``csvio.RowFeed``
-provides and publishes each checked block of rows to it, so the CLI can
-format the CSV beside the loop; the CSV columns of any row range come from
-``_density_range`` or ``_wave_range`` and the writers' column functions.
+``_bloch_step`` in the same order, skipped products included, and
+``_scalar_wave`` for ``simulate_wave``, with those of ``_wave_steps``. So a
+single path has the bits of the ensemble row; the tests check this step by
+step, as it does not hold by construction. Each fills a record table that
+a ``csvio.RowFeed`` provides and publishes each checked block of rows to
+it, so the CLI can format the CSV beside the loop; the CSV columns of any
+row range come from ``_density_range`` or ``_wave_range`` and the writers'
+column functions.
 The 2x2 matrix forms of L, B, the projection and both Euler steps are test
 oracles in ``tests/oracles.py``, not package code.
 """
@@ -91,7 +97,7 @@ from typing import Iterator
 import numpy as np
 
 from .csvio import IN_PROCESS, STATE_HEADER, RowFeed, state_columns, write_csv
-from .linalg import (adjoint, bloch_apply, bloch_superop, bloch_to_density,
+from .linalg import (adjoint, bloch_apply, bloch_superop, bloch_terms, bloch_to_density,
                      density_to_bloch, project_ball, sandwich_superop)
 from .model import (ID2, STATE_TOL, VALIDATE_EVERY, DensityMatrix, ModelConfig,
                     WaveFunction, validate_batch, validate_norms)
@@ -254,15 +260,15 @@ def _bloch_sde_matrix(cfg: ModelConfig, h: float) -> np.ndarray:
     return bloch_coefficients(np.eye(4) + h * coeffs[:, :4], coeffs)
 
 
-def _bloch_step(cols: list, r: np.ndarray, dw: np.ndarray, h: float, physical: bool,
+def _bloch_step(terms: tuple, r: np.ndarray, dw: np.ndarray, h: float, physical: bool,
                 w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One projected Euler step of the (3, M) Bloch rows r, with the columns
-    of ``_bloch_sde_matrix`` as Python floats and a (7, M) buffer w; returns
+    """One projected Euler step of the (3, M) Bloch rows r, with the plan
+    ``bloch_terms`` of ``_bloch_sde_matrix`` and a (7, M) buffer w; returns
     (r after the step, g before it), both new arrays. With ``physical`` the
     kick is dW + h g (innovation form). Only the members with x^2 + y^2 +
     z^2 <= _INSIDE false (NaN included) go through ``project_ball``: the
     scale of the others is exactly 1. This is ``_scalar_density``'s rule."""
-    bloch_apply(r, cols, w)
+    bloch_apply(r, terms, w)
     g = w[6].copy()
     kick = dw + h * g if physical else dw
     r = g * r
@@ -293,11 +299,11 @@ def _density_steps(cfg: ModelConfig, rho0: DensityMatrix, h: float,
     """
     validate_batch(rho0.m, None)
     num_paths, steps = noise.shape
-    cols = _bloch_sde_matrix(cfg, h).T.tolist()
+    terms = bloch_terms(_bloch_sde_matrix(cfg, h))
     r = np.repeat(density_to_bloch(rho0.m)[:, None], num_paths, axis=1)
     w = np.empty((7, num_paths))
     for k in range(steps):
-        r, g = _bloch_step(cols, r, noise[:, k], h, physical, w)
+        r, g = _bloch_step(terms, r, noise[:, k], h, physical, w)
         if (k + 1) % VALIDATE_EVERY == 0 or k + 1 == steps:
             validate_batch(bloch_to_density(r.T), k)
         yield k, r.T, g
@@ -373,7 +379,8 @@ def _scalar_density(a: np.ndarray, r0: np.ndarray, h: float, noise: np.ndarray,
     Takes the (4, 7) matrix of ``_bloch_sde_matrix``, the initial Bloch
     vector and the (steps,) increments, and returns (Bloch vectors
     (steps+1, 3), g (steps,)). Each number comes from the operations that
-    ``_bloch_step`` takes on a member, in the same order, so it has the same
+    ``_bloch_step`` takes on a member, in the same order, and the +-0
+    products ``bloch_apply`` skips, which change no bit, so it has the same
     bits; the tests check this step by step. The projection takes |r| from
     nested ``np.hypot``, as ``project_ball`` does (``math.hypot`` rounds
     differently), and skips it when x^2 + y^2 + z^2 <= _INSIDE, where the

@@ -58,8 +58,8 @@ def apply_superop(v: np.ndarray, s: np.ndarray) -> np.ndarray:
 def bloch_apply_broadcast(r: np.ndarray, a: np.ndarray) -> np.ndarray:
     """(k, M) array whose column j is (1, r_j) @ a, for an (M, 3) stack of
     Bloch vectors and a real (4, k) matrix: the broadcast form of
-    ``linalg.bloch_apply``, with the same products and sums in the same
-    order."""
+    ``linalg.bloch_apply``, with all of its products and sums in the same
+    order, the +-0 products it skips on finite states included."""
     col = a[:, :, None]
     return col[0] + r[:, 0] * col[1] + r[:, 1] * col[2] + r[:, 2] * col[3]
 

@@ -258,7 +258,7 @@ class TestReportParts:
         costs = [cost for cost, _ in convergence.report_parts(self.spec(), t=0.7)]
         # per member: round(0.7 / 1e-2) Euler steps, then floor(n 1.5) chain
         # steps per n at CHAIN_STEP_COST each
-        assert costs == pytest.approx([70, 1.6 * 10, 1.6 * 30, 1.6 * 49])
+        assert costs == pytest.approx([70, 2.2 * 10, 2.2 * 30, 2.2 * 49])
 
     def test_ks_runs_through_the_report_parts(self, monkeypatch):
         calls = []

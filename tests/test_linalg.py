@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,6 +8,7 @@ from qtraj.linalg import (
     adjoint,
     bloch_apply,
     bloch_superop,
+    bloch_terms,
     bloch_to_density,
     density_to_bloch,
     max_abs,
@@ -176,19 +179,32 @@ class TestBlochApply:
     @pytest.mark.parametrize("m", [1, 2, 3, 1000, 2048])
     def test_rows_match_the_broadcast_form(self, k, m):
         # the row form takes the broadcast form's products and sums in the
-        # same order, so the bits agree on any input, non-finite ones included
+        # same order, or on finite states drops its +-0 products, so the
+        # bits agree on any input, non-finite ones and zero signs included
         rng = np.random.default_rng(14 + 10 * k + m)
-        special = np.array([0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan])
-        r = rng.normal(size=(m, 3)) * 10.0 ** rng.integers(-300, 300, size=(m, 3))
-        mask = rng.random((m, 3)) < 0.3
-        r[mask] = rng.choice(special, size=mask.sum())
-        a = rng.normal(size=(4, k))
-        out = np.empty((k, m))
-        with np.errstate(all="ignore"):
-            got = bloch_apply(np.ascontiguousarray(r.T), a.T.tolist(), out)
-            want = bloch_apply_broadcast(r, a)
-        assert got is out
-        assert np.array_equal(got, want, equal_nan=True)
+        for states, zeros in itertools.product(("special", "finite"), ("dense", "sparse")):
+            special = [0.0, -0.0, 5e-324, -2.5e-310]
+            if states == "special":
+                special += [np.inf, -np.inf, np.nan]
+            r = rng.normal(size=(m, 3)) * 10.0 ** rng.integers(-300, 300, size=(m, 3))
+            mask = rng.random((m, 3)) < 0.3
+            r[mask] = rng.choice(special, size=mask.sum())
+            a = rng.normal(size=(4, k))
+            if zeros == "sparse":
+                # about half the coefficients +-0, column 0's three terms
+                # among them, and the constants of columns 1 and 2 -0 and +0
+                mask = rng.random((4, k)) < 0.5
+                mask[1:, 0] = True
+                a[mask] = rng.choice([0.0, -0.0], size=mask.sum())
+                a[0, 1:3] = -0.0, 0.0
+            out = np.empty((k, m))
+            with np.errstate(all="ignore"):
+                got = bloch_apply(np.ascontiguousarray(r.T), bloch_terms(a), out)
+                want = bloch_apply_broadcast(r, a)
+            assert got is out
+            assert np.array_equal(got, want, equal_nan=True)
+            signed = ~np.isnan(want)
+            assert np.array_equal(np.signbit(got[signed]), np.signbit(want[signed]))
 
 
 class TestExpm4:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qtraj import WaveFunction
+from qtraj import DensityMatrix, WaveFunction
 from qtraj.discrete import drive_ensemble, ensemble_streams, run_trajectory
 from qtraj.linalg import bloch_to_density
 from qtraj.rng import generator_for, member_streams
@@ -64,27 +64,42 @@ def test_ensemble_streams_are_uniform_member_streams():
                           member_streams(generator_for(5), 3, 40, "random"))
 
 
-def _chain_finals(seed):
-    cfg = damping_cfg(n=200, h0_scale=0.5)
-    record = run_trajectory(cfg, EXCITED, seed)
+# (h0 scale, density start, wave start). With h0 = 0 the density paths'
+# y and the wave's imaginary parts stay exact zeros, here signed -0 at the
+# start: Bloch vector (-0, -0, 0.6), psi = (sqrt(0.2) - 0i, sqrt(0.8) - 0i)
+STARTS = {
+    "excited": (0.5, EXCITED, WaveFunction(PLUS_VEC)),
+    "negative zeros": (0.0, DensityMatrix(np.array([[0.8, complex(-0.0, 0.0)],
+                                                    [complex(-0.0, -0.0), 0.2]])),
+                       WaveFunction(np.array([complex(0.2 ** 0.5, -0.0),
+                                              complex(0.8 ** 0.5, -0.0)]))),
+}
+
+
+def _chain_finals(seed, start):
+    h0_scale, rho0, _ = STARTS[start]
+    cfg = damping_cfg(n=200, h0_scale=h0_scale)
+    record = run_trajectory(cfg, rho0, seed)
     outcomes = []
-    for _, r, out, *_ in drive_ensemble(cfg, EXCITED, ensemble_streams(seed, 1, cfg.steps)):
+    for _, r, out, *_ in drive_ensemble(cfg, rho0, ensemble_streams(seed, 1, cfg.steps)):
         outcomes.append(out[0])
     assert np.array_equal(outcomes, record.outcomes)
     return bloch_to_density(r)[0], record.states[-1]
 
 
 def _density_finals(physical):
-    def finals(seed):
-        cfg = damping_cfg(h0_scale=0.5)
+    def finals(seed, start):
+        h0_scale, rho0, _ = STARTS[start]
+        cfg = damping_cfg(h0_scale=h0_scale)
         simulate = simulate_physical if physical else simulate_belavkin
-        ensemble, _ = sde_ensemble_final(cfg, EXCITED, 1e-3, 1, seed, physical=physical)
-        return ensemble[0], simulate(cfg, EXCITED, 1e-3, seed).states[-1]
+        ensemble, _ = sde_ensemble_final(cfg, rho0, 1e-3, 1, seed, physical=physical)
+        return ensemble[0], simulate(cfg, rho0, 1e-3, seed).states[-1]
     return finals
 
 
-def _wave_finals(seed):
-    cfg, psi0 = damping_cfg(h0_scale=0.5), WaveFunction(PLUS_VEC)
+def _wave_finals(seed, start):
+    h0_scale, _, psi0 = STARTS[start]
+    cfg = damping_cfg(h0_scale=h0_scale)
     return (wave_ensemble_final(cfg, psi0, 1e-3, 1, seed)[0],
             simulate_wave(cfg, psi0, 1e-3, seed).vectors[-1])
 
@@ -96,5 +111,9 @@ FINALS = {"chain": _chain_finals, "belavkin": _density_finals(False),
 @pytest.mark.parametrize("form", FINALS)
 @pytest.mark.parametrize("seed", [7, 2**64 - 1])
 def test_ensemble_of_one_is_the_single_path(form, seed):
-    ensemble, single = FINALS[form](seed)
-    assert np.array_equal(ensemble, single)
+    for start in STARTS:
+        ensemble, single = FINALS[form](seed, start)
+        assert np.array_equal(ensemble, single)
+        # the same zero signs too: a float equal to zero is +0 or -0
+        assert np.array_equal(np.signbit(np.ascontiguousarray(ensemble).view(float)),
+                              np.signbit(np.ascontiguousarray(single).view(float)))

@@ -19,6 +19,7 @@ from qtraj.linalg import (
     BLOCH_BASIS,
     adjoint,
     bloch_superop,
+    bloch_terms,
     bloch_to_density,
     density_to_bloch,
     max_abs,
@@ -477,7 +478,7 @@ class TestBlochCore:
             c = cfg.coupling()
             rho = rand_density(rng).m
             dw = rng.normal(scale=0.5, size=1)
-            r, g = _bloch_step(_bloch_sde_matrix(cfg, h).T.tolist(),
+            r, g = _bloch_step(bloch_terms(_bloch_sde_matrix(cfg, h)),
                                density_to_bloch(rho)[:, None], dw, h, physical,
                                np.empty((7, 1)))
             r = r.T
@@ -745,7 +746,7 @@ def _identity_step_batch(rows, dw):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sde_mod, "project_ball", recording)
-        r, _ = _bloch_step(a.T.tolist(), np.ascontiguousarray(rows.T), dw, 1e-3, False,
+        r, _ = _bloch_step(bloch_terms(a), np.ascontiguousarray(rows.T), dw, 1e-3, False,
                            np.empty((7, len(rows))))
     return r.T, raw, seen
 
