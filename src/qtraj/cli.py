@@ -59,7 +59,6 @@ from .model import SIGMA_Z, DensityMatrix, ModelConfig, WaveFunction, make_obser
 from .rng import derive_seed
 from .sde import (
     StepOutOfRange,
-    dividing_step,
     master_evolve,
     sde_ensemble_final,
     sde_path_to_csv,
@@ -232,16 +231,11 @@ def _cmd_master(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    cfg = _load_model(args)
-    sde_step = args.sde_step
-    t = min(1.0, cfg.t_horizon)
-    if sde_step is None:
-        sde_step = dividing_step(t, min(5e-4, 1.0 / (10.0 * args.n_values[-1])))
-    spec = EnsembleSpec(cfg=cfg, rho0=EXCITED,
+    spec = EnsembleSpec(cfg=_load_model(args), rho0=EXCITED,
                         num_trajectories=args.trajectories,
                         base_seed=args.seed, n_values=args.n_values,
-                        sde_step=sde_step)
-    report = assemble_report(spec, _in_two_lanes(report_parts(spec, t=t)))
+                        sde_step=args.sde_step)
+    report = assemble_report(spec, _in_two_lanes(report_parts(spec)))
     with open(args.out, "w") as fh:
         report.to_csv(fh, timestamp=_timestamp(args))
     print(f"wrote {args.out}")
@@ -476,7 +470,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-values", type=_n_values, default="20,80",
                    help="comma-separated increasing discretizations to sweep")
     p.add_argument("--trajectories", type=_trajectories, default=1000)
-    p.add_argument("--sde-step", type=float, default=None)
+    p.add_argument("--sde-step", type=float, default=None,
+                   help="Euler step of the KS diffusion ensemble (default: the largest "
+                        "step not above min(5e-4, 1/(10 max n)) that divides min(1, T))")
     p.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("girsanov", help="reweighting cross-validation")

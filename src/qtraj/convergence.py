@@ -1,34 +1,29 @@
 """Statistical verification that the measurement chain converges to the
-diffusive limit at desk scale.
+diffusive limit at desk scale. Four diagnostics, each swept over a list of
+discretizations n: the ensemble mean against the averaged (master)
+evolution, sup over the grid in max-entry norm; the L2 deviation of the
+quadratic variation of the scaled record sum from its compensator, and the
+largest jump (both must shrink with n); two-sample Kolmogorov-Smirnov
+distances between functionals of the chain at time t and of an independent
+diffusion ensemble; and the mean sup-norm of the chain's summed one-step
+defect against ``sde``'s Euler step at h = 1/n, the drift-diffusion remainder.
 
-Four diagnostics, each swept over a list of discretizations n:
-
-* ensemble mean against the averaged (master) evolution, sup over the grid
-  in max-entry norm;
-* L2 deviation of the quadratic variation of the scaled record sum from its
-  compensator, plus the largest jump size (both must shrink with n);
-* two-sample Kolmogorov-Smirnov distance between scalar functionals of the
-  chain at a fixed time and of an independently simulated diffusion ensemble;
-* mean sup-norm of the per-step drift-diffusion remainder.
-
-Each diagnostic is a reducer fed by ``_chain_pass``, which drives one chain
-ensemble at one n. A report's parts are independent: (a) the KS diffusion
-ensemble reduced to functional values, costing round(t/h) Euler path-steps
-per member, and (b) one pass per n on the purpose-1 streams feeding all four
-reducers, costing CHAIN_STEP_COST floor(n T); (c) assembles them.
-``run_full_report`` runs (a) and (b) in turn, the CLI in two lanes balanced
-by cost. The standalone functions run their own passes on purposes 1 (mean),
-2 (QV), 3 (KS) and 5 (residual), and the QV and KS passes stop at the
-statistic's time t. Purpose 4 is the KS diffusion ensemble. The pass of
-purpose P at discretization n reads one step-major block of the stream of
-derive_seed(derive_seed(base, P), n) (``ensemble_streams``), so a pass that
-stops at t reads the first floor(n t) steps of its full-horizon block.
-Reductions run in fixed index order, so every statistic is a deterministic
-function of (spec, seeds) and re-running a report reproduces it bitwise.
+Each is a reducer fed by ``_chain_pass``: one chain ensemble at one n, on
+one step-major block of the stream of derive_seed(derive_seed(base, 1), n),
+of which a pass that stops at t reads the first floor(n t) steps, so each
+standalone diagnostic gives its report row bit for bit. A report's parts:
+(a) the KS diffusion ensemble on derive_seed(base, 4), costing round(t/h)
+Euler path-steps per member; (b) one pass per n feeding all four reducers,
+costing CHAIN_STEP_COST floor(n T); (c) their assembly. ``run_full_report``
+runs them in turn, the CLI in two lanes. t defaults to min(1, T), and h to
+the spec's sde_step or, if None, the largest step not above
+min(5e-4, 1/(10 max n)) that divides t. Reductions run in fixed index
+order, so re-running a report reproduces it bitwise.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -36,18 +31,15 @@ import numpy as np
 
 from .csvio import write_csv
 from .discrete import drive_ensemble, ensemble_streams
-from .linalg import bloch_apply, bloch_terms, bloch_to_density, density_to_bloch
+from .linalg import bloch_terms, bloch_to_density, density_to_bloch
 from .model import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, ModelConfig
 from .rng import derive_seed
-from .sde import (_euler_steps, bloch_coefficients, master_on_grid,
-                  sde_coefficients, sde_ensemble_final)
+from .sde import (_bloch_euler, _bloch_sde_matrix, _euler_steps, dividing_step,
+                  master_on_grid, sde_ensemble_final)
 
 # purpose tags for seed derivation (see the module docstring)
-_PURPOSE_MEAN = 1
-_PURPOSE_QV = 2
-_PURPOSE_KS_DISCRETE = 3
+_PURPOSE_CHAIN = 1
 _PURPOSE_KS_SDE = 4
-_PURPOSE_RESIDUAL = 5
 
 DEFAULT_FUNCTIONALS = (("sigma_x", SIGMA_X), ("sigma_y", SIGMA_Y),
                        ("sigma_z", SIGMA_Z))
@@ -72,10 +64,17 @@ class EnsembleSpec:
     num_trajectories: int
     base_seed: int
     n_values: tuple[int, ...]
-    sde_step: float = 5e-4
+    sde_step: float | None = None   # None: see the module docstring
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
+        try:    # integers, as the CLI's parsers require
+            for name in ("num_trajectories", "base_seed"):
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            object.__setattr__(self, "n_values", tuple(map(operator.index, self.n_values)))
+        except TypeError as exc:
+            raise ValueError(f"spec counts and seed must be integers: {exc}") from None
+        if not 0 <= self.base_seed < 2 ** 64:
+            raise ValueError(f"base_seed must be in [0, 2**64), got {self.base_seed}")
         if self.num_trajectories < 2:
             raise ValueError("need at least 2 trajectories")
         if len(self.n_values) == 0:
@@ -144,18 +143,16 @@ def ks_critical_value(m: int, mp: int, alpha: float) -> float:
     return float(c * np.sqrt((m + mp) / (m * mp)))
 
 
-def _chain_pass(spec: EnsembleSpec, purpose: int, reducers, n: int, t: float | None = None):
-    """One chain pass at discretization n, floor(n t) steps long (t defaults
-    to the horizon), on the ``purpose`` streams.
-
-    ``reducers`` are factories cfg -> (update, result): update(k, r, x) sees
-    every step's (M, 3) Bloch vectors and centered outcomes, result() gives
-    the statistic for that n. Returns each factory's result.
-    """
+def _chain_pass(spec: EnsembleSpec, reducers, n: int, t: float | None = None):
+    """One chain pass at discretization n on the chain stream of n, floor(n t)
+    steps long (t defaults to the horizon). ``reducers`` are factories cfg ->
+    (update, result): update(k, r, x) sees every step's (M, 3) Bloch vectors
+    and centered outcomes, result() gives the statistic for that n. Returns
+    each factory's result."""
     t = spec.cfg.t_horizon if t is None else t
     cfg = replace(spec.cfg, n=n)
     active = [make(cfg) for make in reducers]
-    base = derive_seed(derive_seed(spec.base_seed, purpose), n)
+    base = derive_seed(derive_seed(spec.base_seed, _PURPOSE_CHAIN), n)
     uniforms = ensemble_streams(base, spec.num_trajectories, int(np.floor(n * t)))
     for k, r, _, x, _, _ in drive_ensemble(cfg, spec.rho0, uniforms):
         for update, _ in active:
@@ -163,9 +160,9 @@ def _chain_pass(spec: EnsembleSpec, purpose: int, reducers, n: int, t: float | N
     return [result() for _, result in active]
 
 
-def _chain_sweep(spec: EnsembleSpec, purpose: int, reducer, t: float | None = None) -> list:
+def _chain_sweep(spec: EnsembleSpec, reducer, t: float | None = None) -> list:
     """The per-n results of one reducer, from a ``_chain_pass`` per n."""
-    return [_chain_pass(spec, purpose, [reducer], n, t)[0] for n in spec.n_values]
+    return [_chain_pass(spec, [reducer], n, t)[0] for n in spec.n_values]
 
 
 def _mean_reducer(spec: EnsembleSpec, cfg: ModelConfig):
@@ -201,10 +198,16 @@ def _functional_values(states: np.ndarray) -> np.ndarray:
                      for _, op in DEFAULT_FUNCTIONALS])
 
 
+def _sde_step(spec: EnsembleSpec, t: float) -> float:
+    """The KS diffusion ensemble's Euler step (see the module docstring)."""
+    return spec.sde_step if spec.sde_step is not None else dividing_step(
+        t, min(5e-4, 1.0 / (10.0 * spec.n_values[-1])))
+
+
 def _diffusion_values(spec: EnsembleSpec, t: float) -> np.ndarray:
     """Part (a): the functional values of the KS diffusion ensemble at t."""
     return _functional_values(sde_ensemble_final(
-        replace(spec.cfg, t_horizon=t), spec.rho0, spec.sde_step, spec.num_trajectories,
+        replace(spec.cfg, t_horizon=t), spec.rho0, _sde_step(spec, t), spec.num_trajectories,
         derive_seed(spec.base_seed, _PURPOSE_KS_SDE))[0])
 
 
@@ -229,41 +232,29 @@ def _ks_rows(spec: EnsembleSpec, chain_values, sde_values, alpha: float) -> dict
 
 
 def _residual_reducer(spec: EnsembleSpec, cfg: ModelConfig):
-    """Ensemble mean of the per-member sup of the drift-diffusion remainder;
-    drift and backaction come from one product with the real Bloch form of
-    [S_L | S_B | g]. The remainder e.sigma/2 is Hermitian and traceless, so
-    its max-entry norm is max(|e_z|, hypot(e_x, e_y)) / 2."""
-    coeffs = sde_coefficients(cfg.h0, cfg.coupling())
-    terms = bloch_terms(bloch_coefficients(coeffs[:, :4], coeffs))
-    num, r0 = spec.num_trajectories, density_to_bloch(spec.rho0.m)[:, None]
-    prev = np.repeat(r0, num, axis=1)
-    w = np.empty((7, num))
-    root_n = np.sqrt(cfg.n)
-    partial_sum = np.zeros((3, num))
+    """Ensemble mean of the per-member sup of e_k, the chain's summed defect
+    e_{k+1} = e_k + r_{k+1} - E(r_k) against ``sde``'s unprojected Euler
+    step E at h = 1/n driven by dW = -x/sqrt(n) (``discrete``'s sign). It
+    telescopes to the remainder (r_k - r_0) - sum_j (L/n - B x/sqrt(n))(r_j).
+    e.sigma/2 is Hermitian and traceless, so its max-entry norm is
+    max(|e_z|, hypot(e_x, e_y)) / 2."""
+    h, num = 1.0 / cfg.n, spec.num_trajectories
+    terms, root_n = bloch_terms(_bloch_sde_matrix(cfg, h)), np.sqrt(cfg.n)
+    prev = np.repeat(density_to_bloch(spec.rho0.m)[:, None], num, axis=1)
+    w, e = np.empty((7, num)), np.zeros((3, num))
     # the sup of max(|e_z|, hypot(e_x, e_y)), halved once in result():
     # x -> fl(0.5 x) is monotone, so max_k fl(0.5 m_k) = fl(0.5 max_k m_k),
     # and np.maximum propagates a NaN in either form
     sup = np.zeros(num)
 
     def update(k, r, x):
-        # partial_sum += w[:3] / n - (w[3:6] - w[6] prev) (x / sqrt(n)) and
-        # e = (r - r0) - partial_sum, each operation in place in w or prev,
-        # which holds the step's state again at the end
-        nonlocal partial_sum
-        bloch_apply(prev, terms, w)
-        drift, kick = w[:3], prev
-        kick *= w[6]
-        np.subtract(w[3:6], kick, out=kick)
-        kick *= x / root_n
-        drift /= cfg.n
-        drift -= kick
-        partial_sum += drift
-        e = np.subtract(r.T, r0, out=prev)
-        e -= partial_sum
+        nonlocal prev, e    # r.T: the chain's new (3, M) rows, written by no one
+        step, _ = _bloch_euler(terms, prev, x / -root_n, h, False, w)
+        prev = r.T
+        e += np.subtract(prev, step, out=step)
         m = np.abs(e[2], out=w[0])
         np.maximum(m, np.hypot(e[0], e[1], out=w[1]), out=m)
         np.maximum(sup, m, out=sup)
-        np.copyto(prev, r.T)
     return update, lambda: np.mean(0.5 * sup)
 
 
@@ -274,60 +265,61 @@ def _check_nondiagonal(spec: EnsembleSpec) -> None:
                                  "nondiagonal observable (mixing angle in (0, pi))")
 
 
-def _check_horizon(spec: EnsembleSpec, t: float) -> None:
+def _report_time(spec: EnsembleSpec, t: float | None) -> float:
+    """t, by default min(1, horizon), after checking that it is in (0, horizon]."""
+    t = min(1.0, spec.cfg.t_horizon) if t is None else t
     if not 0 < t <= spec.cfg.t_horizon:
         raise ValueError(f"t must be in (0, horizon {spec.cfg.t_horizon:g}], got {t}")
+    return t
 
 
 def mean_vs_master(spec: EnsembleSpec) -> np.ndarray:
     """Per-n sup over the grid of |ensemble mean - averaged evolution| in
     max-entry norm."""
-    return np.array(_chain_sweep(spec, _PURPOSE_MEAN, partial(_mean_reducer, spec)))
+    return np.array(_chain_sweep(spec, partial(_mean_reducer, spec)))
 
 
-def quadratic_variation_stats(spec: EnsembleSpec, t: float) -> dict[str, np.ndarray]:
+def quadratic_variation_stats(spec: EnsembleSpec, t: float | None = None,
+                              ) -> dict[str, np.ndarray]:
     """Per-n sample E[([w,w]_t - floor(nt)/n)^2], the QV sample mean, and the
-    largest normalized jump max |x| / sqrt(n)."""
+    largest normalized jump max |x| / sqrt(n); t defaults to min(1, horizon)."""
     _check_nondiagonal(spec)
-    _check_horizon(spec, t)
-    rows = _chain_sweep(spec, _PURPOSE_QV, partial(_qv_reducer, spec, t), t)
+    t = _report_time(spec, t)
+    rows = _chain_sweep(spec, partial(_qv_reducer, spec, t), t)
     return dict(zip(("l2_deviation", "qv_mean", "max_jump"), map(np.array, zip(*rows))))
 
 
-def distributional_test(spec: EnsembleSpec, t: float = 1.0,
+def distributional_test(spec: EnsembleSpec, t: float | None = None,
                         alpha: float = 0.01) -> dict[int, list[tuple[str, float, float]]]:
-    """Per-n KS statistics between chain and diffusion ensembles at time t.
-
+    """Per-n KS statistics between chain and diffusion ensembles at time t
+    (by default min(1, horizon)), {n: [(name, statistic, critical value)]}.
     The DEFAULT_FUNCTIONALS are (name, hermitian matrix) pairs evaluated as
-    Re Tr[rho F]; the diffusion ensemble is integrated independently at the
-    spec's sde_step. Returns {n: [(name, statistic, critical value)]}.
+    Re Tr[rho F]; the diffusion ensemble's step is the module docstring's.
     """
-    _check_horizon(spec, t)
+    t = _report_time(spec, t)
     sde_values = _diffusion_values(spec, t)
-    chain_values = _chain_sweep(spec, _PURPOSE_KS_DISCRETE, partial(_ks_reducer, spec, t), t)
+    chain_values = _chain_sweep(spec, partial(_ks_reducer, spec, t), t)
     return _ks_rows(spec, chain_values, sde_values, alpha)
 
 
 def residual_decay(spec: EnsembleSpec) -> np.ndarray:
-    """Per-n ensemble mean of sup_t |remainder| in max-entry norm.
-
-    The remainder subtracts the Lindblad drift and the noise term
-    -B(rho) x/sqrt(n) realized by this package's conventions from the raw
-    state increments; it collects everything the diffusive limit discards.
-    """
-    return np.array(_chain_sweep(spec, _PURPOSE_RESIDUAL, partial(_residual_reducer, spec)))
+    """Per-n ensemble mean of sup_t |remainder| in max-entry norm: the
+    chain's one-step defects against ``sde``'s Euler step driven by the
+    record, summed (``_residual_reducer``), which the diffusive limit discards."""
+    return np.array(_chain_sweep(spec, partial(_residual_reducer, spec)))
 
 
-def report_parts(spec: EnsembleSpec, t: float = 1.0) -> list[tuple[float, partial]]:
-    """Check a report's inputs, sde step included; return (a), (b) as (cost, call)."""
+def report_parts(spec: EnsembleSpec, t: float | None = None) -> list[tuple[float, partial]]:
+    """Check a report's inputs, the diffusion ensemble's step included, and
+    return (a), (b) as (cost, call); t defaults to min(1, horizon)."""
     _check_nondiagonal(spec)
-    _check_horizon(spec, t)
-    euler_steps = _euler_steps(replace(spec.cfg, t_horizon=t), spec.sde_step)
+    t = _report_time(spec, t)
+    euler_steps = _euler_steps(replace(spec.cfg, t_horizon=t), _sde_step(spec, t))
     reducers = [partial(_mean_reducer, spec), partial(_qv_reducer, spec, t),
                 partial(_ks_reducer, spec, t), partial(_residual_reducer, spec)]
     return [(euler_steps, partial(_diffusion_values, spec, t))] + [
         (CHAIN_STEP_COST * np.floor(n * spec.cfg.t_horizon),
-         partial(_chain_pass, spec, _PURPOSE_MEAN, reducers, n)) for n in spec.n_values]
+         partial(_chain_pass, spec, reducers, n)) for n in spec.n_values]
 
 
 def assemble_report(spec: EnsembleSpec, results: list) -> ConvergenceReport:
@@ -342,6 +334,8 @@ def assemble_report(spec: EnsembleSpec, results: list) -> ConvergenceReport:
         ks_stats=_ks_rows(spec, chain_values, sde_values, 0.01), residual_sups=residual)
 
 
-def run_full_report(spec: EnsembleSpec, t: float = 1.0) -> ConvergenceReport:
-    """All four diagnostics in one report, all parts run in this process."""
+def run_full_report(spec: EnsembleSpec, t: float | None = None) -> ConvergenceReport:
+    """All four diagnostics in one report, all parts run in this process;
+    with the library defaults (t = min(1, horizon), sde_step None) it is the
+    report of ``qtraj converge`` on the same config, seed and flags."""
     return assemble_report(spec, [call() for _, call in report_parts(spec, t)])

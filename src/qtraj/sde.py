@@ -1,6 +1,6 @@
 """Diffusive stochastic master equation for the monitored two-level system.
 
-Density form (reference measure):
+Density form:
 
     d rho = L(rho) dt + B(rho) dW,
     L(rho) = -i[h0, rho] - 1/2 {c+c, rho} + c rho c+,
@@ -23,18 +23,22 @@ drift without biasing the direction. The projector onto psi then solves the
 density equation, which is how pure states propagate without leaving the
 pure manifold.
 
-Physical (innovation) form: substituting W = W~ + int Tr[rho (c+c+)] dt turns
-the density equation into
+Which law each form samples. Driven by a Brownian W, the density form is
+the Belavkin filter: W is the innovation, Brownian under the physical
+measure P, and the ensemble mean solves the master equation (the names here
+call it the reference form). The form they call physical (innovation),
 
     d rho = [L(rho) + g(rho) B(rho)] dt + B(rho) dW~,   g(rho) = Tr[rho (c+c+)],
 
-where W~ is the innovation process, a Brownian motion under the physical
-measure. The exponential weights
-
-    Z_t: Z_0 = 1,  Z_{k+1} = Z_k exp(g_k dW_k - 1/2 g_k^2 h)
-
-(left-point, Ito) convert reference-measure averages into physical ones:
-E[Z_T f(rho_T)] over reference paths estimates the physical-form mean of f.
+with W~ Brownian, samples the law Q~ with dQ~/dP = Z_T, Z_0 = 1, Z_{k+1} =
+Z_k exp(g_k dW_k - 1/2 g_k^2 h) (left-point, Ito): E[Z_T f(rho_T)] over dW
+paths estimates the Q~ mean of f (criterion 08). Q~ is not physical: with h0
+halved, from the excited state, M = 4000 and h = 1e-3, the final <sigma_z>
+was 0.2818 (+2.2 SE from ``master_evolve``'s 0.2642) for the dW form,
+0.5585 reweighted and 0.5775 (+53 SE) for the physical form. The reference
+measure of filtering, under which the record Y = W + int g dt is Brownian,
+gives d rho = [L - g B] dt + B dY (Bouten, van Handel & James, SIAM J.
+Control Optim. 46 (2007)).
 
 Stepping core: ``sde_coefficients`` builds the density equation's
 coefficients [S_L | S_B | g] once per configuration, in the row-major
@@ -47,12 +51,13 @@ with A = c+c, so vec L(rho) = v @ S_L, vec B(rho) = v @ S_B - (v @ g) v and
 Tr[rho (c + c+)] = v @ g. Density paths are stepped in Bloch coordinates,
 rho = (I + r.sigma)/2 (Jacobs & Steck, "A straightforward introduction to
 continuous quantum measurement", Contemp. Phys. 47, 279 (2006)): every map
-above keeps Hermiticity, so ``bloch_coefficients`` turns [I + h S_L | S_B | g]
+above keeps Hermiticity, so ``_bloch_sde_matrix`` turns [I + h S_L | S_B | g]
 into one real (4, 7) matrix A. An ensemble is a (3, M) array r of Bloch
-rows, and a step is w = (1, r) @ A, r' = w[:3] + dW (w[3:6] - w[6] r), with
-w taken row by row by ``linalg.bloch_apply`` into a (7, M) buffer allocated
-once per pass. The drift rotates (x, y) and relaxes z, and the backaction
-and g read few components, so A is sparse: the default model's has 13
+rows, and a step (``_bloch_euler``, which the convergence residual reads
+too) is w = (1, r) @ A, r' = w[:3] + dW (w[3:6] - w[6] r), with w taken row
+by row by ``linalg.bloch_apply`` into a (7, M) buffer allocated once per
+pass. The drift rotates (x, y) and relaxes z, and the backaction and g read
+few components, so A is sparse: the default model's has 13
 exact zeros among its 21 state coefficients, whose products ``bloch_apply``
 skips while the states are finite, without changing a bit. Hermiticity and
 unit trace hold by construction, and the positivity projection (eigen-clip
@@ -243,31 +248,25 @@ def _ensemble_noise(base_seed: int | None, noise: np.ndarray | None,
     return noise
 
 
-def bloch_coefficients(drift: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Real (4, 7) Bloch form [D | S_B | g] of a 4x4 drift block D (S_L, or
-    I + h S_L for an Euler step) and the (4, 9) ``sde_coefficients``: for
+def _bloch_sde_matrix(cfg: ModelConfig, h: float) -> np.ndarray:
+    """Real (4, 7) matrix A of one Euler step in Bloch coordinates, the Bloch
+    form [D | S_B | g] of D = I + h S_L and the ``sde_coefficients``: for
     u = (1, r), u @ A = [r-part of vec(rho) @ D | r-part of c rho + rho c+ |
     Tr[rho (c + c+)]]. The u_0 columns are dropped: D's is the trace of the
-    image (0 or 1, as L keeps the trace), and S_B's is g."""
+    image, 1 as L keeps the trace, and S_B's is g."""
+    coeffs = sde_coefficients(cfg.h0, cfg.coupling())
+    drift = np.eye(4) + h * coeffs[:, :4]
     back = bloch_superop(coeffs[:, 4:8])
     return np.hstack([bloch_superop(drift)[:, 1:], back[:, 1:],
                       bloch_superop(coeffs[:, 8])[:, None]])
 
 
-def _bloch_sde_matrix(cfg: ModelConfig, h: float) -> np.ndarray:
-    """Real (4, 7) matrix A of one Euler step in Bloch coordinates."""
-    coeffs = sde_coefficients(cfg.h0, cfg.coupling())
-    return bloch_coefficients(np.eye(4) + h * coeffs[:, :4], coeffs)
-
-
-def _bloch_step(terms: tuple, r: np.ndarray, dw: np.ndarray, h: float, physical: bool,
-                w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One projected Euler step of the (3, M) Bloch rows r, with the plan
-    ``bloch_terms`` of ``_bloch_sde_matrix`` and a (7, M) buffer w; returns
-    (r after the step, g before it), both new arrays. With ``physical`` the
-    kick is dW + h g (innovation form). Only the members with x^2 + y^2 +
-    z^2 <= _INSIDE false (NaN included) go through ``project_ball``: the
-    scale of the others is exactly 1. This is ``_scalar_density``'s rule."""
+def _bloch_euler(terms: tuple, r: np.ndarray, dw: np.ndarray, h: float, physical: bool,
+                 w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Euler step, not projected, of the (3, M) Bloch rows r, with the
+    plan ``bloch_terms`` of ``_bloch_sde_matrix`` and a (7, M) buffer w.
+    Returns (r', g), both new arrays; r is not written. With ``physical``
+    the kick is dW + h g (innovation form)."""
     bloch_apply(r, terms, w)
     g = w[6].copy()
     kick = dw + h * g if physical else dw
@@ -275,6 +274,15 @@ def _bloch_step(terms: tuple, r: np.ndarray, dw: np.ndarray, h: float, physical:
     np.subtract(w[3:6], r, out=r)
     r *= kick
     r += w[:3]
+    return r, g
+
+
+def _bloch_step(terms: tuple, r: np.ndarray, dw: np.ndarray, h: float, physical: bool,
+                w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_bloch_euler``, then the projection: only the members with x^2 +
+    y^2 + z^2 <= _INSIDE false (NaN included) go through ``project_ball``,
+    as the scale of the others is exactly 1 (``_scalar_density``'s rule)."""
+    r, g = _bloch_euler(terms, r, dw, h, physical, w)
     x, y, z = r
     sq = np.multiply(x, x, out=w[0])
     sq += np.multiply(y, y, out=w[1])
@@ -469,19 +477,18 @@ def _density_path(cfg: ModelConfig, rho0: DensityMatrix, h: float,
 
 def simulate_belavkin(cfg: ModelConfig, rho0: DensityMatrix, h: float,
                       seed: int, feed: RowFeed = IN_PROCESS) -> SdePath:
-    """Euler path of the reference-measure density equation on [0, T]; its
-    record table is ``feed``'s (see ``_density_path``)."""
+    """Euler path of the density equation on [0, T], which samples the
+    physical law (see the module docstring); its record table is
+    ``feed``'s (see ``_density_path``)."""
     return _density_path(cfg, rho0, h, seed, False, feed)
 
 
 def simulate_physical(cfg: ModelConfig, rho0: DensityMatrix, h: float,
                       seed: int, feed: RowFeed = IN_PROCESS) -> SdePath:
-    """Euler path of the innovation form, driven by the physical noise.
-
-    The drift carries the correction g(rho) B(rho); the companion W path
+    """Euler path of the form named physical in the module docstring, which
+    samples the tilted law Q~, not the physical one. The companion W path
     W_{k+1} = W_k + dW~_k + g_k h is reconstructed and stored. The record
-    table is ``feed``'s (see ``_density_path``).
-    """
+    table is ``feed``'s (see ``_density_path``)."""
     return _density_path(cfg, rho0, h, seed, True, feed)
 
 

@@ -14,6 +14,19 @@ EXCITED = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
 _plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 PLUS = DensityMatrix(np.outer(_plus, _plus.conj()))
 PLUS_VEC = _plus
+# Bloch vector (-0, -0, 0.6): exact zeros with the sign bit set
+SIGNED_ZEROS = DensityMatrix(np.array([[0.8, complex(-0.0, 0.0)],
+                                       [complex(-0.0, -0.0), 0.2]]))
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray, equal_nan: bool = False,
+                     name: str | None = None) -> None:
+    """Equal arrays, with the same sign bits outside NaN: +0 == -0 alone
+    would let a sign slip through."""
+    assert got.shape == want.shape, name
+    assert np.array_equal(got, want, equal_nan=equal_nan), name
+    signed = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[signed]), np.signbit(want[signed])), name
 
 
 def rand_herm(rng: np.random.Generator) -> np.ndarray:

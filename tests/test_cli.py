@@ -340,22 +340,23 @@ def test_cli_imports_no_scipy():
 
 
 # sha256 of the CSVs, each pass one step-major stream block of its seed
-# (rng.member_streams); forked and in-process runs both give them
+# (rng.member_streams), the residual rows measured against sde's Euler step;
+# forked and in-process runs both give them
 CONVERGE_DIGESTS = [
     (("--seed", "7", "--n-values", "50,200", "--trajectories", "200", "--sde-step", "1e-2"),
-     "31340d71aab74320a1ac9ef6edf6daf2aab474190a573a28aab66e061b04595d"),
+     "bc33591a9492c0b7b104bb1fcf5803c008f0bc9138f230fe2dcfe6e25df23711"),
     (("--seed", "0", "--n-values", "10", "--trajectories", "80", "--sde-step", "1e-2"),
-     "56832aab6624482f0cf5636571643009d126083e668a943d7cdb9983cec1b004"),
+     "60f67de99a5bfc257aa4163ccf52006708af07f8d7c07f21ec2f7e1269e58105"),
     (("--seed", str(2 ** 64 - 1), "--n-values", "10,20,40", "--trajectories", "60",
       "--sde-step", "1e-2"),
-     "1e0b120e1cb2c97c10c9cba2062f0c91c862c3fe5fa1be5ec42228275e26dfd5"),
+     "b1d1d6459b2402d74b86b83e68278c3ac66dd8d123348d4b829deb48eb95124a"),
     (("--seed", "3", "--n-values", "20,80", "--trajectories", "40", "--config", "half"),
-     "976dc34656dc3a68de76f6489c047636b4e52575625fa1903238978ba60ce094"),
+     "a1e300d536d0e1d79ffc5948068b7c0010eec58be563e2898f32f1596e4998c9"),
     (("--seed", "5", "--n-values", "7,13,31", "--trajectories", "2", "--sde-step", "1e-2"),
-     "67e1d7fbf941416edbd356b6e183514c484087c136054694a6b6cfffbab1d73b"),
+     "e597d4b360ff86882460a6c46dff0046581fbecf40359880773924ea430d3cd7"),
     # the converge-chain benchmark's size
     (("--seed", "7", "--n-values", "50,200", "--trajectories", "2000", "--sde-step", "1e-2"),
-     "5d9aefcc2ece84428b10c239b5baeef3baa314c1fdc54452f68abfe252606cd3"),
+     "abcc68a2089bbc26384d598aa42c7e8388d17238c7e7f34452c919bd095eb77b"),
 ]
 
 # lanes ([2], [0, 1]): the n = 200 pass in the parent, the diffusion ensemble
@@ -974,12 +975,12 @@ class TestStepBoundsExit2:
 
     def test_default_sde_step_shrinks_to_divide_the_horizon(self, tmp_path, monkeypatch):
         # T = 1/3: the default 5e-4 does not divide it, (1/3) / 667 does
-        import qtraj.cli as cli_mod
+        import qtraj.convergence as convergence_mod
 
         steps = []
-        real = cli_mod.report_parts
-        monkeypatch.setattr(cli_mod, "report_parts",
-                            lambda spec, t: steps.append(t / spec.sde_step) or real(spec, t))
+        real = convergence_mod._euler_steps
+        monkeypatch.setattr(convergence_mod, "_euler_steps",
+                            lambda cfg, h: steps.append(cfg.t_horizon / h) or real(cfg, h))
         cfg = tmp_path / "third.cfg"
         cfg.write_text(f"t_horizon = {1 / 3!r}\n")
         out = tmp_path / "x.csv"
@@ -987,6 +988,26 @@ class TestStepBoundsExit2:
                        "--trajectories", "10", "--seed", "1", "--out", str(out)) == 0
         assert out.exists()
         assert steps == [pytest.approx(667, rel=1e-12)]
+
+    def test_library_defaults_are_the_commands(self, tmp_path):
+        # T = 1/3, no --sde-step: run_full_report with the spec's defaults
+        # writes converge's bytes
+        from qtraj.convergence import EnsembleSpec, run_full_report
+        from qtraj.cli import EXCITED, build_model
+
+        cfg = tmp_path / "third.cfg"
+        cfg.write_text(f"t_horizon = {1 / 3!r}\nphi = 1.0\n")
+        out = tmp_path / "x.csv"
+        assert run_cli("converge", "--config", str(cfg), "--n-values", "10,20",
+                       "--trajectories", "10", "--seed", "4", "--out", str(out),
+                       "--no-timestamp") == 0
+        spec = EnsembleSpec(cfg=build_model({"t_horizon": 1 / 3, "phi": 1.0}, {}),
+                            rho0=EXCITED, num_trajectories=10, base_seed=4,
+                            n_values=(10, 20))
+        library = tmp_path / "library.csv"
+        with open(library, "w") as fh:
+            run_full_report(spec).to_csv(fh)
+        assert library.read_bytes() == out.read_bytes()
 
     @pytest.mark.parametrize("argv", [
         ("simulate-sde", "--h", "1e-2"),

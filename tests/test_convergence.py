@@ -37,6 +37,17 @@ class TestSpecValidation:
             spec_for(damping_cfg(), ())
         with pytest.raises(ValueError):
             spec_for(damping_cfg(), (20,), m=1)
+        # what the CLI's parsers reject: derive_seed masks to 64 bits and
+        # int() truncates, so each of these would alias an accepted spec
+        for field, value in [("base_seed", -1), ("base_seed", 2 ** 64),
+                             ("base_seed", 2 ** 64 + 3), ("base_seed", 3.0),
+                             ("n_values", (2.5, 9.9)), ("n_values", (5, 9.0)),
+                             ("num_trajectories", 4.7), ("num_trajectories", 4.0)]:
+            args = {"base_seed": 0, "n_values": (5, 9), "num_trajectories": 4, field: value}
+            with pytest.raises(ValueError):
+                EnsembleSpec(cfg=damping_cfg(n=10), rho0=EXCITED, **args)
+        for seed in (0, 2 ** 64 - 1, np.uint64(2 ** 64 - 1)):
+            assert spec_for(damping_cfg(n=10), (5, 9), m=4, seed=seed).base_seed == seed
 
 
 class TestKs2Samp:
@@ -128,7 +139,7 @@ class TestQuadraticVariation:
         qv_means = quadratic_variation_stats(spec, t)["qv_mean"]
         for i, n in enumerate(spec.n_values):
             cfg = damping_cfg(n=n, phi=np.pi / 3, h0_scale=0.5)
-            base = derive_seed(derive_seed(seed, convergence._PURPOSE_QV), n)
+            base = derive_seed(derive_seed(seed, convergence._PURPOSE_CHAIN), n)
             x = np.array([xs.copy() for _, _, _, xs, _, _ in drive_ensemble(
                 cfg, EXCITED, ensemble_streams(base, m, cfg.steps))])
             expected = np.mean(np.sum(x[:int(np.floor(n * t))] ** 2, axis=0) / n)
@@ -277,8 +288,19 @@ class TestReportParts:
 
 class TestSinglePass:
     def test_report_mean_errors_match_standalone(self):
-        spec = spec_for(damping_cfg(n=30, h0_scale=0.5), (10, 30), m=60, seed=21)
-        assert run_full_report(spec, t=1.0).mean_errors == list(mean_vs_master(spec))
+        # every row, bit for bit: the standalone passes read the report's
+        # chain streams, and those that stop at t a prefix of them
+        spec = spec_for(damping_cfg(n=30, phi=np.pi / 3, h0_scale=0.5, t_horizon=1.5),
+                        (10, 30), m=60, seed=21, sde_step=1e-2)
+        for t in (1.5, 0.7):
+            report = run_full_report(spec, t=t)
+            assert report.mean_errors == list(mean_vs_master(spec))
+            qv = quadratic_variation_stats(spec, t)
+            assert report.qv_deviations == list(qv["l2_deviation"])
+            assert report.qv_means == list(qv["qv_mean"])
+            assert report.qv_max_jumps == list(qv["max_jump"])
+            assert report.ks_stats == distributional_test(spec, t)
+            assert report.residual_sups == list(residual_decay(spec))
 
     @pytest.mark.parametrize("index", range(4))
     def test_reducer_alone_matches_shared_pass(self, index):
@@ -286,10 +308,8 @@ class TestSinglePass:
         spec = spec_for(damping_cfg(phi=np.pi / 3, h0_scale=0.5, t_horizon=1.5),
                         (7, 20), m=40, seed=33, sde_step=1e-2)
         reducers = _reducers(spec, 0.7)
-        purpose = convergence._PURPOSE_QV
-        alone = convergence._chain_sweep(spec, purpose, reducers[index])
-        shared = [convergence._chain_pass(spec, purpose, reducers, n)[index]
-                  for n in spec.n_values]
+        alone = convergence._chain_sweep(spec, reducers[index])
+        shared = [convergence._chain_pass(spec, reducers, n)[index] for n in spec.n_values]
         # the KS reducer gives each n's (3, M) functional values
         assert len(alone) == len(shared) == 2
         assert all(np.array_equal(a, b) for a, b in zip(alone, shared))
@@ -354,7 +374,7 @@ class TestSinglePass:
 
         monkeypatch.setattr(convergence, "ks_2samp", recording)
         distributional_test(spec, t=t)
-        base = derive_seed(derive_seed(seed, convergence._PURPOSE_KS_DISCRETE), n)
+        base = derive_seed(derive_seed(seed, convergence._PURPOSE_CHAIN), n)
         steps = int(np.floor(n * t))
         for k, states, *_ in drive_ensemble(spec.cfg, EXCITED,
                                             ensemble_streams(base, m, steps)):

@@ -28,6 +28,8 @@ from qtraj.sde import master_on_grid
 
 from helpers import (
     EXCITED,
+    SIGNED_ZEROS,
+    assert_same_bits,
     assert_valid_states,
     damping_cfg,
     rand_config,
@@ -405,8 +407,7 @@ def _assert_chains_equal(cfg, rho, uniforms, equal_nan=False):
     scalar = _scalar_chain(b, density_to_bloch(rho.m), uniforms)
     ensemble = _chain_batch_of_one(cfg, rho, uniforms)
     for name, got, want in zip(("states", "outcomes", "x", "p, q"), scalar, ensemble):
-        assert got.shape == want.shape, name
-        assert np.array_equal(got, want, equal_nan=equal_nan), name
+        assert_same_bits(got, want, equal_nan, name)
     return scalar
 
 
@@ -420,6 +421,13 @@ class TestScalarChain:
                                                      for _ in range(6)]
         for cfg in cfgs:
             _assert_chains_equal(cfg, rand_density(rng), rng.random(cfg.steps))
+
+    @pytest.mark.parametrize("h0_scale, rho", [pytest.param(0.0, SIGNED_ZEROS, id="signed-zeros"),
+                                               pytest.param(0.5, EXCITED, id="excited")])
+    def test_matches_drive_ensemble_from_zero_components(self, h0_scale, rho):
+        # starts (-0, -0, 0.6) and (0, 0, -1): the zeros' signs must agree too
+        cfg = damping_cfg(n=300, h0_scale=h0_scale)
+        _assert_chains_equal(cfg, rho, np.random.default_rng(45).random(cfg.steps))
 
     def test_validates_at_the_steps_of_drive_ensemble(self, monkeypatch):
         # None is the initial state; then every VALIDATE_EVERY steps and the
@@ -541,7 +549,7 @@ class TestResidual:
         c = spec.cfg.coupling()
         for i, n in enumerate(spec.n_values):
             cfg = damping_cfg(n=n, h0_scale=0.5)
-            base = derive_seed(derive_seed(seed, convergence._PURPOSE_RESIDUAL), n)
+            base = derive_seed(derive_seed(seed, convergence._PURPOSE_CHAIN), n)
             prev = np.broadcast_to(EXCITED.m, (m, 2, 2)).copy()
             total = np.zeros((m, 2, 2), dtype=complex)
             sup = np.zeros(m)

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from qtraj import DensityMatrix, WaveFunction
+from qtraj import WaveFunction
 from qtraj.discrete import drive_ensemble, ensemble_streams, run_trajectory
 from qtraj.linalg import bloch_to_density
 from qtraj.rng import generator_for, member_streams
 from qtraj.sde import (_ensemble_noise, sde_ensemble_final, simulate_belavkin,
                        simulate_physical, simulate_wave, wave_ensemble_final)
 
-from helpers import EXCITED, PLUS_VEC, damping_cfg
+from helpers import EXCITED, PLUS_VEC, SIGNED_ZEROS, damping_cfg
 from oracles import member_streams_step_by_step
 
 DRAWS = ("random", "standard_normal")
@@ -69,10 +69,8 @@ def test_ensemble_streams_are_uniform_member_streams():
 # start: Bloch vector (-0, -0, 0.6), psi = (sqrt(0.2) - 0i, sqrt(0.8) - 0i)
 STARTS = {
     "excited": (0.5, EXCITED, WaveFunction(PLUS_VEC)),
-    "negative zeros": (0.0, DensityMatrix(np.array([[0.8, complex(-0.0, 0.0)],
-                                                    [complex(-0.0, -0.0), 0.2]])),
-                       WaveFunction(np.array([complex(0.2 ** 0.5, -0.0),
-                                              complex(0.8 ** 0.5, -0.0)]))),
+    "negative zeros": (0.0, SIGNED_ZEROS, WaveFunction(np.array([complex(0.2 ** 0.5, -0.0),
+                                                                 complex(0.8 ** 0.5, -0.0)]))),
 }
 
 

@@ -49,6 +49,8 @@ from helpers import (
     LOWERING,
     PLUS,
     PLUS_VEC,
+    SIGNED_ZEROS,
+    assert_same_bits,
     assert_valid_states,
     damping_cfg,
     rand_cmat,
@@ -617,8 +619,7 @@ def _assert_density_paths_equal(cfg, rho, h, noise, physical, equal_nan=False):
     scalar = _scalar_density(a, density_to_bloch(rho.m), h, noise, physical)
     ensemble = _density_batch_of_one(cfg, rho, h, noise, physical)
     for name, got, want in zip(("states", "g"), scalar, ensemble):
-        assert got.shape == want.shape, name
-        assert np.array_equal(got, want, equal_nan=equal_nan), name
+        assert_same_bits(got, want, equal_nan, name)
     return scalar
 
 
@@ -635,6 +636,25 @@ class TestScalarDensity:
                                                noise, physical)
         on_sphere = np.abs(np.linalg.norm(bloch, axis=1) - 1.0) < 1e-14
         assert on_sphere.sum() > 150
+
+    @pytest.mark.parametrize("physical", [False, True])
+    @pytest.mark.parametrize("h0_scale, rho, signed", [
+        pytest.param(0.0, SIGNED_ZEROS, False, id="signed-zeros"),
+        pytest.param(0.0, SIGNED_ZEROS, True, id="signed-zeros-negative-constants"),
+        pytest.param(0.5, EXCITED, False, id="excited")])
+    def test_matches_density_steps_from_zero_components(self, monkeypatch, physical,
+                                                         h0_scale, rho, signed):
+        # starts (-0, -0, 0.6) and (0, 0, -1): the zeros' signs must agree
+        # too, where the sparse product skips +-0 terms. ``signed`` makes the
+        # zero constants of the model's matrix -0.0, whose columns skip none
+        h = 1e-3
+        cfg = damping_cfg(h0_scale=h0_scale)
+        if signed:
+            a = sde_mod._bloch_sde_matrix(cfg, h)
+            a[0, a[0] == 0.0] = -0.0
+            monkeypatch.setattr(sde_mod, "_bloch_sde_matrix", lambda cfg, h: a)
+        noise = np.random.default_rng(36).normal(scale=np.sqrt(h), size=300)
+        _assert_density_paths_equal(cfg, rho, h, noise, physical)
 
     @pytest.mark.parametrize("physical", [False, True])
     def test_matches_density_steps_on_random_configs(self, physical):
