@@ -68,9 +68,13 @@ inside that bound the scale is exactly 1. ``_bloch_step`` sends those
 members through ``project_ball``;
 ``_scalar_density`` takes the same |r| and division in Python floats.
 
-Each equation has one ensemble Euler loop, a generator over an (M, steps)
-noise array: ``_density_steps`` (density and innovation forms) and
-``_wave_steps``. The ensembles keep the last step. The wave form is stepped
+Each equation has one ensemble Euler loop, a generator that reads the
+(M,) increments of each step as it takes it: ``_density_steps`` (density
+and innovation forms) and ``_wave_steps``. A seeded ensemble draws them
+from its seed's stream in blocks of at most ``rng.BLOCK_DRAWS`` draws
+(``_ensemble_noise``), so its memory grows with M but not with the steps;
+a single path draws all of its own at once, as its record keeps them. The
+ensembles keep the last step. The wave form is stepped
 in real arithmetic: psi is held as v = (Re psi_0, Im psi_0, Re psi_1,
 Im psi_1), and ``_wave_matrix`` turns the complex 2x2 matrices
 A = I + h (-i h0 - c+c/2) and c into one real (4, 8) matrix [A | C] with
@@ -95,9 +99,10 @@ oracles in ``tests/oracles.py``, not package code.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -106,7 +111,7 @@ from .linalg import (adjoint, bloch_apply, bloch_superop, bloch_terms, bloch_to_
                      density_to_bloch, project_ball, sandwich_superop)
 from .model import (ID2, STATE_TOL, VALIDATE_EVERY, DensityMatrix, ModelConfig,
                     WaveFunction, validate_batch, validate_norms)
-from .rng import generator_for, member_streams
+from .rng import generator_for, member_streams, step_blocks
 
 MAX_SDE_STEP = 1e-2
 # a step divides the horizon T when T / h is this close (relative) to an integer
@@ -226,26 +231,52 @@ def _euler_steps(cfg: ModelConfig, h: float) -> int:
     return _steps_to(cfg.t_horizon, h)
 
 
+def _path_noise(seed: int, steps: int, h: float) -> np.ndarray:
+    """(steps,) increments of the single path of ``seed``, all drawn at once
+    as its record keeps them: the ensemble of one's, bit for bit."""
+    noise = member_streams(generator_for(seed), 1, steps, "standard_normal")[0]
+    noise *= np.sqrt(h)
+    return noise
+
+
+def _scaled_rows(blocks: Iterator[np.ndarray], scale: float) -> Iterator[np.ndarray]:
+    """The rows of each block in turn, the block scaled in place when reached."""
+    for block in blocks:
+        block *= scale
+        yield from block
+
+
 def _ensemble_noise(base_seed: int | None, noise: np.ndarray | None,
-                    num_paths: int, steps: int, h: float) -> np.ndarray:
-    """(num_paths, steps) increments: row j is column j of one (steps,
-    num_paths) block of normals drawn from generator_for(base_seed), times
-    sqrt(h); or the supplied array after a shape and finiteness check. Both
-    are stored column-major, so the loops read each step's column in one run."""
+                    num_paths: int, steps: int, h: float) -> Iterator[np.ndarray]:
+    """The (num_paths,) increments of each step of an ensemble in turn,
+    after checking that num_paths is an integer >= 1 and that exactly one
+    of base_seed and noise is given.
+
+    Seeded, step k of member j is element j of row k of the step-major
+    normals of generator_for(base_seed), times sqrt(h), read in the
+    ``rng.step_blocks`` of at most ``rng.BLOCK_DRAWS`` draws, each drawn
+    when the loop reaches it: the increments held at once, two blocks, stay
+    below 1 MiB whatever the steps. Supplied, the (num_paths, steps) array
+    is checked for its shape and finiteness and read column by column,
+    stored column-major so that a column is one run."""
+    try:
+        operator.index(num_paths)
+    except TypeError:
+        raise ValueError(f"num_paths must be an integer, got {num_paths!r}") from None
+    if num_paths < 1:
+        raise ValueError(f"num_paths must be at least 1, got {num_paths}")
+    if (base_seed is None) == (noise is None):
+        raise ValueError("exactly one of base_seed and noise is required")
     if noise is None:
-        if base_seed is None:
-            raise ValueError("either base_seed or noise is required")
-        noise = member_streams(generator_for(base_seed), num_paths, steps,
-                               "standard_normal")
-        noise *= np.sqrt(h)
-        return noise
+        blocks = step_blocks(generator_for(base_seed), num_paths, steps, "standard_normal")
+        return _scaled_rows(blocks, np.sqrt(h))
     noise = np.asfortranarray(noise, dtype=float)
     if noise.shape != (num_paths, steps):
         raise ValueError(f"noise must have shape {(num_paths, steps)}, "
                          f"got {noise.shape}")
     if not np.all(np.isfinite(noise)):
         raise ValueError("noise must be finite")
-    return noise
+    return iter(noise.T)
 
 
 def _bloch_sde_matrix(cfg: ModelConfig, h: float) -> np.ndarray:
@@ -295,26 +326,28 @@ def _bloch_step(terms: tuple, r: np.ndarray, dw: np.ndarray, h: float, physical:
 
 
 def _density_steps(cfg: ModelConfig, rho0: DensityMatrix, h: float,
-                   noise: np.ndarray, physical: bool,
-                   ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Euler steps of the density equation, one path per row of the
-    (M, steps) increments ``noise``. Yields (k, r, g) after step k: r the
+                   num_paths: int, steps: int, noise: Iterable[np.ndarray],
+                   physical: bool,
+                   ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Euler steps of num_paths density paths, driven by ``noise``: the
+    (num_paths,) increments of each of the ``steps`` steps in turn, read
+    when the step is taken. Yields (k, r, g, dw) after step k: r the
     (M, 3) Bloch vectors after it, the transposed view of the (3, M) rows
-    the loop steps, and g = Tr[rho (c + c+)] of the states before it; both
-    are new at each step. Every step is projected onto the positive states.
-    The initial state is checked against the invariants first, and the
-    states every VALIDATE_EVERY steps and after the last one.
+    the loop steps, g = Tr[rho (c + c+)] of the states before it, both new
+    at each step, and dw the increments it read. Every step is projected
+    onto the positive states. The initial state is checked against the
+    invariants first, and the states every VALIDATE_EVERY steps and after
+    the last one.
     """
     validate_batch(rho0.m, None)
-    num_paths, steps = noise.shape
     terms = bloch_terms(_bloch_sde_matrix(cfg, h))
     r = np.repeat(density_to_bloch(rho0.m)[:, None], num_paths, axis=1)
     w = np.empty((7, num_paths))
-    for k in range(steps):
-        r, g = _bloch_step(terms, r, noise[:, k], h, physical, w)
+    for k, dw in zip(range(steps), noise):
+        r, g = _bloch_step(terms, r, dw, h, physical, w)
         if (k + 1) % VALIDATE_EVERY == 0 or k + 1 == steps:
             validate_batch(bloch_to_density(r.T), k)
-        yield k, r.T, g
+        yield k, r.T, g, dw
 
 
 def _real_form(m: np.ndarray) -> np.ndarray:
@@ -348,10 +381,10 @@ def _complex_rows(v: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(v.T).view(complex)
 
 
-def _wave_steps(cfg: ModelConfig, psi0: WaveFunction, h: float,
-                noise: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Euler steps of the wave form, one path per row of the (M, steps)
-    increment array ``noise``, renormalized each step. Yields (k, v) after
+def _wave_steps(cfg: ModelConfig, psi0: WaveFunction, h: float, num_paths: int,
+                steps: int, noise: Iterable[np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
+    """Euler steps of num_paths wave paths, driven by ``noise`` as in
+    ``_density_steps``, renormalized each step. Yields (k, v) after
     step k, with v the (4, M) real parts: column j is member j's
     (Re psi_0, Im psi_0, Re psi_1, Im psi_1). The norm of psi0 is checked
     first, and the norms every VALIDATE_EVERY steps and after the last one.
@@ -364,13 +397,11 @@ def _wave_steps(cfg: ModelConfig, psi0: WaveFunction, h: float,
     column is computed by the same operations whatever M.
     """
     validate_norms(psi0.v, None)
-    num_paths, steps = noise.shape
     col = _wave_matrix(cfg, h)[:, :, None]
     v = np.broadcast_to(_real_parts(psi0.v)[:, None], (4, num_paths)).copy()
-    for k in range(steps):
+    for k, dw in zip(range(steps), noise):
         w = v[0] * col[0] + v[1] * col[1] + v[2] * col[2] + v[3] * col[3]
         nu = v[0] * w[4] + v[1] * w[5] + v[2] * w[6] + v[3] * w[7]
-        dw = noise[:, k]
         raw = w[:4] + (dw + h * nu) * w[4:] - (dw * nu + 0.5 * h * nu * nu) * v
         v = raw / np.sqrt(raw[0] * raw[0] + raw[1] * raw[1] + raw[2] * raw[2]
                           + raw[3] * raw[3])
@@ -459,7 +490,7 @@ def _density_path(cfg: ModelConfig, rho0: DensityMatrix, h: float,
     which gets each checked block. The initial state is checked first, and
     the path state by state once recorded."""
     steps = _euler_steps(cfg, h)
-    noise = _ensemble_noise(seed, None, 1, steps, h)[0]
+    noise = _path_noise(seed, steps, h)
     validate_batch(rho0.m, None)
 
     def columns(rows, lo):
@@ -566,7 +597,7 @@ def simulate_wave(cfg: ModelConfig, psi0: WaveFunction, h: float,
     ``feed``, which gets each checked block. The norm of psi0 is checked
     first, and the recorded path once at the end."""
     steps = _euler_steps(cfg, h)
-    noise = _ensemble_noise(seed, None, 1, steps, h)[0]
+    noise = _path_noise(seed, steps, h)
     validate_norms(psi0.v, None)
 
     def columns(rows, lo):
@@ -655,20 +686,26 @@ def sde_ensemble_final(cfg: ModelConfig, rho0: DensityMatrix, h: float,
                        ) -> tuple[np.ndarray, np.ndarray | None]:
     """Vectorized ensemble integration keeping only final states.
 
-    Path j draws its noise from column j of base_seed's block (see
-    ``_ensemble_noise``) unless an explicit (num_paths, steps) increment
-    array is supplied. Returns (final states, final weights or None); with
-    ``physical`` the innovation-form drift is used and asking for weights
-    raises ValueError. The states are checked against the invariants every
-    VALIDATE_EVERY steps and after the last one.
+    Path j draws its noise from member j of base_seed's stream, read in
+    blocks of at most 512 KiB as the loop reaches them, so the memory of a
+    run grows with num_paths but not with its steps: at 1000 paths it
+    peaks near 1.2 MiB (see ``_ensemble_noise``); or from row
+    j of an explicit (num_paths, steps) increment array, exactly one of the
+    two. Returns (final states, final weights or None), the weights read
+    from the increments each step used; with ``physical`` the
+    innovation-form drift is used and asking for weights raises ValueError,
+    as does a num_paths that is not an integer >= 1. The states are checked
+    against the invariants every VALIDATE_EVERY steps and after the last
+    one.
     """
     if physical and with_weights:
         raise ValueError("weights are unavailable in the physical form")
-    noise = _ensemble_noise(base_seed, noise, num_paths, _euler_steps(cfg, h), h)
+    steps = _euler_steps(cfg, h)
+    noise = _ensemble_noise(base_seed, noise, num_paths, steps, h)
     log_z = np.zeros(num_paths)
-    for k, r, g in _density_steps(cfg, rho0, h, noise, physical):
+    for _, r, g, dw in _density_steps(cfg, rho0, h, num_paths, steps, noise, physical):
         if with_weights:
-            log_z += g * noise[:, k] - 0.5 * g * g * h
+            log_z += g * dw - 0.5 * g * g * h
     weights = np.exp(log_z) if with_weights else None
     return bloch_to_density(r), weights
 
@@ -676,9 +713,12 @@ def sde_ensemble_final(cfg: ModelConfig, rho0: DensityMatrix, h: float,
 def wave_ensemble_final(cfg: ModelConfig, psi0: WaveFunction, h: float,
                         num_paths: int, base_seed: int | None = None,
                         noise: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized wave-form ensemble, final (M, 2) vectors only."""
-    noise = _ensemble_noise(base_seed, noise, num_paths, _euler_steps(cfg, h), h)
-    for _, v in _wave_steps(cfg, psi0, h, noise):
+    """Vectorized wave-form ensemble, final (M, 2) vectors only. The noise
+    and its checks are those of ``sde_ensemble_final``: base_seed's stream
+    in blocks of at most 512 KiB, or an explicit array, exactly one."""
+    steps = _euler_steps(cfg, h)
+    noise = _ensemble_noise(base_seed, noise, num_paths, steps, h)
+    for _, v in _wave_steps(cfg, psi0, h, num_paths, steps, noise):
         pass
     return _complex_rows(v)
 

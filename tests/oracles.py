@@ -318,16 +318,15 @@ def density_path_batch_of_one(cfg: ModelConfig, rho0: DensityMatrix, h: float,
     recording every state and checking the path once recorded. It asks
     ``feed`` for no table, so a command's CSV is formatted in one process."""
     steps = _euler_steps(cfg, h)
-    noise = _ensemble_noise(seed, None, 1, steps, h)
+    noise = np.concatenate(list(_ensemble_noise(seed, None, 1, steps, h)))
     bloch = np.empty((steps + 1, 3))
     bloch[0] = density_to_bloch(rho0.m)
     g = np.empty(steps)
-    for k, r, g_k in _density_steps(cfg, rho0, h, noise, physical):
+    for k, r, g_k, _ in _density_steps(cfg, rho0, h, 1, steps, noise[:, None], physical):
         bloch[k + 1] = r[0]
         g[k] = g_k[0]
     states = bloch_to_density(bloch)
     validate_batch(states, steps)
-    noise = noise[0]
     companion = np.concatenate([[0.0], np.cumsum(noise + g * h)]) if physical else None
     return SdePath(grid=np.arange(steps + 1) * h, states=states, noise=noise,
                    companion=companion)
@@ -340,11 +339,11 @@ def wave_path_batch_of_one(cfg: ModelConfig, psi0: WaveFunction, h: float,
     asks ``feed`` for no table, so a command's CSV is formatted in one
     process."""
     steps = _euler_steps(cfg, h)
-    noise = _ensemble_noise(seed, None, 1, steps, h)
+    noise = np.concatenate(list(_ensemble_noise(seed, None, 1, steps, h)))
     parts = np.empty((steps + 1, 4))
     parts[0] = _real_parts(psi0.v)
-    for k, v in _wave_steps(cfg, psi0, h, noise):
+    for k, v in _wave_steps(cfg, psi0, h, 1, steps, noise[:, None]):
         parts[k + 1] = v[:, 0]
     vectors = parts.view(complex)
     validate_norms(vectors, steps)
-    return WavePath(grid=np.arange(steps + 1) * h, vectors=vectors, noise=noise[0])
+    return WavePath(grid=np.arange(steps + 1) * h, vectors=vectors, noise=noise)

@@ -4,11 +4,12 @@ import pytest
 from qtraj import WaveFunction
 from qtraj.discrete import drive_ensemble, ensemble_streams, run_trajectory
 from qtraj.linalg import bloch_to_density
-from qtraj.rng import generator_for, member_streams
+import qtraj.rng as rng_mod
+from qtraj.rng import generator_for, member_streams, step_blocks
 from qtraj.sde import (_ensemble_noise, sde_ensemble_final, simulate_belavkin,
                        simulate_physical, simulate_wave, wave_ensemble_final)
 
-from helpers import EXCITED, PLUS_VEC, SIGNED_ZEROS, damping_cfg
+from helpers import EXCITED, PLUS, PLUS_VEC, SIGNED_ZEROS, damping_cfg
 from oracles import member_streams_step_by_step
 
 DRAWS = ("random", "standard_normal")
@@ -36,13 +37,48 @@ def test_shorter_run_is_a_prefix(draw):
                 assert np.array_equal(part, whole[:, :k])
 
 
+@pytest.mark.parametrize("draw", DRAWS)
+@pytest.mark.parametrize("block_draws", [1, 7, 64, 1500, rng_mod.BLOCK_DRAWS])
+def test_step_blocks_stack_to_one_block(monkeypatch, draw, block_draws):
+    # consecutive blocks are the rows of the one block, bit for bit; with
+    # these sizes most step counts are no multiple of the block's steps
+    monkeypatch.setattr(rng_mod, "BLOCK_DRAWS", block_draws)
+    for seed in (77, 0, 2**64 - 1):
+        for count, steps in (*SHAPES, (1000, 1000)):
+            size = max(1, block_draws // max(count, 1))
+            blocks = list(step_blocks(generator_for(seed), count, steps, draw))
+            assert [len(b) for b in blocks] == [min(size, steps - s)
+                                                for s in range(0, steps, size)]
+            assert all(b.shape[1:] == (count,) and b.flags.c_contiguous for b in blocks)
+            stacked = np.concatenate([np.empty((0, count)), *blocks])
+            whole = member_streams(generator_for(seed), count, steps, draw)
+            assert np.array_equal(stacked, whole.T)
+            assert np.array_equal(np.signbit(stacked), np.signbit(whole.T))
+
+
+def test_step_blocks_draw_when_reached():
+    # a block is drawn when the reader asks for it, not before
+    gen = generator_for(8)
+    blocks = step_blocks(gen, 1000, 1000, "standard_normal")
+    assert gen.bit_generator.state == generator_for(8).bit_generator.state
+    size = rng_mod.BLOCK_DRAWS // 1000
+    assert next(blocks).shape == (size, 1000)
+    ref = generator_for(8)
+    ref.standard_normal((size, 1000))
+    assert gen.bit_generator.state == ref.bit_generator.state
+
+
 def test_step_columns_are_contiguous():
-    # every ensemble loop reads streams[:, k] once per step
+    # every ensemble loop reads one step of all members at a time
     supplied = np.arange(60.0).reshape(3, 20)
-    for streams in (ensemble_streams(3, 50, 20), _ensemble_noise(3, None, 50, 20, 1e-2),
-                    _ensemble_noise(None, supplied, 3, 20, 1e-2)):
-        assert all(streams[:, k].flags.c_contiguous for k in range(20))
-    assert np.array_equal(_ensemble_noise(None, supplied, 3, 20, 1e-2), supplied)
+    uniforms = ensemble_streams(3, 50, 20)
+    assert all(uniforms[:, k].flags.c_contiguous for k in range(20))
+    for num_paths, rows in ((50, _ensemble_noise(3, None, 50, 20, 1e-2)),
+                            (3, _ensemble_noise(None, supplied, 3, 20, 1e-2))):
+        rows = list(rows)
+        assert len(rows) == 20
+        assert all(row.shape == (num_paths,) and row.flags.c_contiguous for row in rows)
+    assert np.array_equal(list(_ensemble_noise(None, supplied, 3, 20, 1e-2)), supplied.T)
 
 
 def test_one_bit_generator_per_call(monkeypatch):
@@ -55,8 +91,14 @@ def test_one_bit_generator_per_call(monkeypatch):
 
     monkeypatch.setattr(np.random, "PCG64", counting)
     ensemble_streams(3, 500, 10)
-    _ensemble_noise(4, None, 500, 10, 1e-2)
+    rows = _ensemble_noise(4, None, 500, 10, 1e-2)
     assert built == [(3,), (4,)]
+    # a streamed ensemble reads all its blocks from that one generator
+    assert len(list(rows)) == 10
+    cfg = damping_cfg()
+    sde_ensemble_final(cfg, PLUS, 1e-2, 1000, base_seed=5, with_weights=True)
+    wave_ensemble_final(cfg, WaveFunction(PLUS_VEC), 1e-2, 1000, base_seed=6)
+    assert built == [(3,), (4,), (5,), (6,)]
 
 
 def test_ensemble_streams_are_uniform_member_streams():

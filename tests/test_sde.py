@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -553,7 +554,7 @@ class TestEnsembleCore:
 
         cfg, h, psi0 = build_model({}, {}), 1e-3, WaveFunction(EXCITED_VEC)
         finals = wave_ensemble_final(cfg, psi0, h, 64, base_seed=7)
-        noise = sde_mod._ensemble_noise(7, None, 64, 1000, h)
+        noise = np.array(list(sde_mod._ensemble_noise(7, None, 64, 1000, h))).T
         for j in range(64):
             table = _scalar_wave(sde_mod._wave_matrix(cfg, h), sde_mod._real_parts(psi0.v),
                                  h, noise[j])
@@ -585,16 +586,25 @@ class TestEnsembleCore:
                                noise=noise)
 
     def test_seeded_noise_streams(self):
-        # path j of a seeded run is driven by column j of its seed's block
+        # path j of a seeded run is driven by member j of its seed's stream,
+        # drawn one step at a time here; at 1000 paths the run reads it in
+        # 16 blocks of rng.step_blocks, the last one shorter
         from qtraj.rng import generator_for
 
-        cfg = damping_cfg(h0_scale=0.5)
-        h = 1e-2
-        finals, _ = sde_ensemble_final(cfg, EXCITED, h, 3, base_seed=9)
-        noise = member_streams_step_by_step(generator_for(9), 3, 100,
-                                            "standard_normal") * np.sqrt(h)
-        explicit, _ = sde_ensemble_final(cfg, EXCITED, h, 3, noise=noise)
-        assert np.array_equal(finals, explicit)
+        cfg, psi0 = damping_cfg(h0_scale=0.5), WaveFunction(PLUS_VEC)
+        for num_paths, h in ((3, 1e-2), (1000, 1e-3)):
+            noise = member_streams_step_by_step(generator_for(9), num_paths, round(1 / h),
+                                                "standard_normal") * np.sqrt(h)
+            for kwargs in ({"with_weights": True}, {"physical": True}):
+                finals, weights = sde_ensemble_final(cfg, EXCITED, h, num_paths, base_seed=9,
+                                                     **kwargs)
+                explicit, explicit_weights = sde_ensemble_final(cfg, EXCITED, h, num_paths,
+                                                                noise=noise, **kwargs)
+                assert_same_bits(finals.view(float), explicit.view(float))
+                if weights is not None:
+                    assert_same_bits(weights, explicit_weights)
+            assert_same_bits(wave_ensemble_final(cfg, psi0, h, num_paths, base_seed=9).view(float),
+                             wave_ensemble_final(cfg, psi0, h, num_paths, noise=noise).view(float))
 
     @pytest.mark.parametrize("shape", [(3, 250), (5, 100), (3,)])
     def test_wave_noise_shape_checked(self, shape):
@@ -607,7 +617,7 @@ class TestEnsembleCore:
 def _density_batch_of_one(cfg, rho, h, noise, physical):
     """``_density_steps`` on a batch of one, in ``_scalar_density``'s layout."""
     bloch, g = [density_to_bloch(rho.m)], []
-    for _, r, g_k in _density_steps(cfg, rho, h, noise[None], physical):
+    for _, r, g_k, _ in _density_steps(cfg, rho, h, 1, len(noise), noise[:, None], physical):
         bloch.append(r[0].copy())
         g.append(g_k[0])
     return np.array(bloch), np.array(g)
@@ -839,9 +849,9 @@ def test_density_steps_yield_new_arrays(physical):
     # the loop reuses its product buffer; every yielded array must be new
     cfg, h = damping_cfg(h0_scale=0.5, t_horizon=0.05), 1e-2
     noise = np.random.default_rng(53).normal(scale=0.3, size=(6, 5))
-    kept = list(_density_steps(cfg, PLUS, h, noise, physical))
+    kept = [(k, r, g) for k, r, g, _ in _density_steps(cfg, PLUS, h, 6, 5, noise.T, physical)]
     copied = [(k, r.copy(), g.copy())
-              for k, r, g in _density_steps(cfg, PLUS, h, noise, physical)]
+              for k, r, g, _ in _density_steps(cfg, PLUS, h, 6, 5, noise.T, physical)]
     assert len(kept) == 5
     for (k, r, g), (k2, r2, g2) in zip(kept, copied):
         assert k == k2
@@ -851,7 +861,7 @@ def test_density_steps_yield_new_arrays(physical):
 def _wave_batch_of_one(cfg, v, h, noise):
     """``_wave_steps`` on a batch of one, in ``_scalar_wave``'s layout."""
     parts = [sde_mod._real_parts(v)]
-    for _, w in _wave_steps(cfg, WaveFunction(v), h, noise[None]):
+    for _, w in _wave_steps(cfg, WaveFunction(v), h, 1, len(noise), noise[:, None]):
         parts.append(w[:, 0].copy())
     return np.array(parts)
 
@@ -1079,6 +1089,26 @@ class TestWaveValidation:
 
 
 class TestInputGuards:
+    @pytest.mark.parametrize("num_paths", [0, -3, 2.5, "4", None])
+    def test_ensemble_size_is_a_positive_integer(self, num_paths):
+        psi0 = WaveFunction(PLUS_VEC)
+        for kwargs in ({"base_seed": 1}, {"noise": np.zeros((1, 100))}):
+            with pytest.raises(ValueError, match="num_paths must be"):
+                sde_ensemble_final(damping_cfg(), EXCITED, 1e-2, num_paths, **kwargs)
+            with pytest.raises(ValueError, match="num_paths must be"):
+                wave_ensemble_final(damping_cfg(), psi0, 1e-2, num_paths, **kwargs)
+        # numpy integers are integers
+        finals, _ = sde_ensemble_final(damping_cfg(), EXCITED, 1e-2, np.int64(2), base_seed=1)
+        assert finals.shape == (2, 2, 2)
+
+    @pytest.mark.parametrize("given", [{"base_seed": 1, "noise": np.zeros((2, 100))}, {}],
+                             ids=["both", "neither"])
+    def test_exactly_one_noise_source(self, given):
+        with pytest.raises(ValueError, match="exactly one of base_seed and noise"):
+            sde_ensemble_final(damping_cfg(), EXCITED, 1e-2, 2, **given)
+        with pytest.raises(ValueError, match="exactly one of base_seed and noise"):
+            wave_ensemble_final(damping_cfg(), WaveFunction(PLUS_VEC), 1e-2, 2, **given)
+
     def test_physical_form_has_no_weights(self):
         with pytest.raises(ValueError, match="physical form"):
             sde_ensemble_final(damping_cfg(), EXCITED, 1e-2, 3, base_seed=1,
@@ -1171,6 +1201,48 @@ class TestInputGuards:
     def test_wavefunction_step_step(self, h):
         with pytest.raises(ValueError, match="step size"):
             wavefunction_step(WaveFunction(PLUS_VEC), h, 0.0, np.zeros((2, 2)), LOWERING)
+
+
+def _traced_peak(run) -> int:
+    """Bytes ``run()`` allocates at its peak above what was live before it,
+    under tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestEnsembleMemory:
+    """A seeded ensemble reads its increments in bounded blocks, so its
+    memory does not grow with the steps: 1000 paths over 1000 steps would
+    hold 8 MB of increments as one block."""
+
+    CALLS = {
+        "weights": lambda cfg, h: sde_ensemble_final(cfg, EXCITED, h, 1000, base_seed=3,
+                                                     with_weights=True),
+        "physical": lambda cfg, h: sde_ensemble_final(cfg, EXCITED, h, 1000, base_seed=3,
+                                                      physical=True),
+        "wave": lambda cfg, h: wave_ensemble_final(cfg, WaveFunction(EXCITED_VEC), h, 1000,
+                                                   base_seed=3),
+    }
+
+    @pytest.mark.parametrize("form", CALLS)
+    def test_peak_is_bounded_and_flat_in_the_steps(self, form):
+        from qtraj.cli import build_model
+
+        cfg, call = build_model({}, {}), self.CALLS[form]
+        call(cfg, 1e-2)     # first-call allocations (caches, lazy imports)
+        peak = _traced_peak(lambda: call(cfg, 1e-3))
+        assert peak < 2 * 2**20
+        # ten times the steps: another 72 MB as one block
+        assert _traced_peak(lambda: call(cfg, 1e-4)) <= peak + 2**16
 
 
 class TestScalarLoopChecks:
