@@ -45,9 +45,11 @@ DEFAULT_FUNCTIONALS = (("sigma_x", SIGMA_X), ("sigma_y", SIGMA_Y),
                        ("sigma_z", SIGMA_Z))
 
 # per path-step at M = 2000 (2-vCPU Xeon VM, best of 15), a chain pass with
-# its four reducers takes 0.14 us at n = 200 and 0.16 us at n = 50 (its fixed
-# costs included), and the KS Euler ensemble at h = 1e-2 0.066 us; over both
-# passes, the median ratio of 15 interleaved rounds is 2.2
+# its four reducers takes 0.11 us at n = 200 and 0.12 us at n = 50 (its fixed
+# costs included), and the KS Euler ensemble at h = 1e-2 0.050 us; over both
+# passes, the median ratio of 15 interleaved rounds is 2.2 (2.10-2.28 in ten
+# processes; 1.97-2.34, median 2.0, with Python-float operands, which cost
+# the Euler step more than the chain's)
 CHAIN_STEP_COST = 2.2
 
 
@@ -239,21 +241,23 @@ def _residual_reducer(spec: EnsembleSpec, cfg: ModelConfig):
     e.sigma/2 is Hermitian and traceless, so its max-entry norm is
     max(|e_z|, hypot(e_x, e_y)) / 2."""
     h, num = 1.0 / cfg.n, spec.num_trajectories
-    terms, root_n = bloch_terms(_bloch_sde_matrix(cfg, h)), np.sqrt(cfg.n)
+    terms = bloch_terms(_bloch_sde_matrix(cfg, h))
+    # 0-d operands and reused buffers (see linalg.bloch_terms); dW = x / -sqrt(n)
+    h, neg_root_n = np.array(h), np.array(-np.sqrt(cfg.n))
     prev = np.repeat(density_to_bloch(spec.rho0.m)[:, None], num, axis=1)
-    w, e = np.empty((7, num)), np.zeros((3, num))
+    w, e, dw = np.empty((7, num)), np.zeros((3, num)), np.empty(num)
     # the sup of max(|e_z|, hypot(e_x, e_y)), halved once in result():
     # x -> fl(0.5 x) is monotone, so max_k fl(0.5 m_k) = fl(0.5 max_k m_k),
     # and np.maximum propagates a NaN in either form
     sup = np.zeros(num)
 
     def update(k, r, x):
-        nonlocal prev, e    # r.T: the chain's new (3, M) rows, written by no one
-        step, _ = _bloch_euler(terms, prev, x / -root_n, h, False, w)
+        nonlocal prev       # r.T: the chain's new (3, M) rows, written by no one
+        step, _ = _bloch_euler(terms, prev, np.divide(x, neg_root_n, dw), h, False, w)
         prev = r.T
-        e += np.subtract(prev, step, out=step)
-        m = np.abs(e[2], out=w[0])
-        np.maximum(m, np.hypot(e[0], e[1], out=w[1]), out=m)
+        np.add(e, np.subtract(prev, step, step), e)
+        m = np.abs(e[2], w[0])
+        np.maximum(m, np.hypot(e[0], e[1], w[1]), out=m)
         np.maximum(sup, m, out=sup)
     return update, lambda: np.mean(0.5 * sup)
 

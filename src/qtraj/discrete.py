@@ -65,7 +65,7 @@ from typing import Iterator
 import numpy as np
 
 from .csvio import IN_PROCESS, STATE_HEADER, RowFeed, state_columns, write_csv
-from .linalg import (adjoint, bloch_apply, bloch_superop, bloch_terms,
+from .linalg import (adjoint, bloch_apply, bloch_norm_sq, bloch_superop, bloch_terms,
                      bloch_to_density, density_to_bloch, sandwich_superop)
 from .model import (STATE_TOL, VALIDATE_EVERY, DensityMatrix, InteractionUnitary,
                     ModelConfig, Observable, build_unitary, validate_batch)
@@ -129,7 +129,11 @@ def drive_ensemble(cfg: ModelConfig, rho0: DensityMatrix, uniforms: np.ndarray,
     vectors of the states, the transposed view of the (3, num_traj) rows the
     loop steps. Every yielded array is new at each step. The initial
     state is checked against the invariants first, and the states every
-    VALIDATE_EVERY steps and after the last one.
+    VALIDATE_EVERY steps and after the last one: by the cheap test of
+    ``_scalar_chain`` first, max x^2 + y^2 + z^2 <= 1 + STATE_TOL, and by
+    ``validate_batch`` on the whole batch only where that fails, so the same
+    batches fail with the same message. The numpy calls take array operands
+    and reused buffers, as in ``linalg.bloch_apply``.
 
     Outcome 1 is taken iff the step's uniform is < q, and x is
     sqrt(other trace / chosen trace), negated for outcome 0. A trajectory
@@ -143,12 +147,15 @@ def drive_ensemble(cfg: ModelConfig, rho0: DensityMatrix, uniforms: np.ndarray,
     num_traj, steps = uniforms.shape
     r = np.repeat(density_to_bloch(rho0.m)[:, None], num_traj, axis=1)
     w = np.empty((8, num_traj))
+    # reused buffers and a 0-d constant (see linalg.bloch_terms)
+    low, least, one = np.empty(num_traj, bool), np.empty(num_traj), np.empty(num_traj, bool)
+    degenerate_prob = np.array(DEGENERATE_PROB)
     for k in range(steps):
         bloch_apply(r, terms, w)
         # w is overwritten next step; every yielded array is fresh
         p, q = w[0].copy(), w[4].copy()
-        one = uniforms[:, k] < q
-        degenerate = np.minimum(p, q) < DEGENERATE_PROB
+        np.less(uniforms[:, k], q, one)
+        degenerate = np.less(np.minimum(p, q, out=least), degenerate_prob, low)
         rare = degenerate.any()
         if rare:
             one = np.where(degenerate, q > p, one)
@@ -161,15 +168,17 @@ def drive_ensemble(cfg: ModelConfig, rho0: DensityMatrix, uniforms: np.ndarray,
                 raise DegenerateProbability(
                     f"step {k}, trajectory {j}: branch trace {weight[j]:.3e}")
             other[degenerate] = 0.0     # the minor trace may round below 0
-        x = np.sqrt(other / weight)
-        x = np.where(one, x, -x)
+        x = np.sqrt(np.divide(other, weight, other), other)
+        x = np.where(one, x, np.negative(x))
         if rare:
             x[degenerate] = 0.0         # +0.0, not the -0.0 of -x
         r = np.where(one, w[5:], w[1:4])
-        r /= weight
+        np.divide(r, weight, r)
         outcome = one.astype(np.int64)
         if (k + 1) % VALIDATE_EVERY == 0 or k + 1 == steps:
-            validate_batch(bloch_to_density(r.T), k)
+            # a cheap test first: a batch inside it passes the full check
+            if not bloch_norm_sq(r, w[1:4], w[0]).max() <= 1.0 + STATE_TOL:
+                validate_batch(bloch_to_density(r.T), k)
         yield k, r.T, outcome, x, p, q
 
 

@@ -21,7 +21,11 @@ eigen-clip onto it. The stepping cores hold an ensemble as a C-contiguous
 products (1, r) @ A row by row into a (k, M) buffer they reuse every step,
 following a plan ``bloch_terms(A)`` built once per pass. While the states
 are finite it skips the products of A's exact-zero coefficients, with the
-same bits; its docstring says why.
+same bits; its docstring says why. The plan holds A's entries as 0-d
+float64 arrays, not Python floats: numpy 2 converts a Python-float operand
+anew on every call (NEP 50's weak scalars), about 250 ns of an 850 ns
+``np.multiply`` at M = 1000, and a 0-d array of the float64 it converts to
+gives the same IEEE operation, so the same bits.
 
 All functions are pure but ``bloch_apply``, which writes into the buffer it
 is given; matrices are plain complex ndarrays.
@@ -67,14 +71,15 @@ def sandwich_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def bloch_terms(a: np.ndarray) -> tuple[list, list | None]:
     """The plan of ``bloch_apply`` for a real (4, k) matrix A, built once per
-    pass: (every, kept). ``every`` holds each column (a0, a1, a2, a3) of A as
-    Python floats, ``A.T.tolist()``. ``kept`` holds each column as (a0,
-    first, rest): its constant, then its terms (i, c) whose coefficient c of
-    state component i is not +-0, in order, the first one apart (None if
-    there is none). A column whose constant is -0.0 keeps all three terms.
-    ``kept`` is None when it drops no term, as for a dense matrix.
+    pass: (every, kept), each entry of A as a 0-d float64 array (see the
+    module docstring). ``every`` holds each column (a0, a1, a2, a3) of A.
+    ``kept`` holds each column as (a0, first, rest): its constant, then its
+    terms (i, c) whose coefficient c of state component i is not +-0, in
+    order, the first one apart (None if there is none). A column whose
+    constant is -0.0 keeps all three terms. ``kept`` is None when it drops no
+    term, as for a dense matrix.
     """
-    every = a.T.tolist()
+    every = [tuple(map(np.array, col)) for col in a.T.tolist()]
     kept, dropped = [], False
     for a0, *coef in every:
         terms = tuple(enumerate(coef))
@@ -85,7 +90,8 @@ def bloch_terms(a: np.ndarray) -> tuple[list, list | None]:
     return every, kept if dropped else None
 
 
-def bloch_apply(r: np.ndarray, terms: tuple, out: np.ndarray) -> np.ndarray:
+def bloch_apply(r: np.ndarray, terms: tuple, out: np.ndarray,
+                finite: bool | None = None) -> np.ndarray:
     """Write (1, r_j) @ A into column j of the (k, M) array ``out`` and
     return it, for a (3, M) array of Bloch rows (x, y, z) and the plan
     ``bloch_terms(A)`` of a real (4, k) matrix A.
@@ -97,7 +103,7 @@ def bloch_apply(r: np.ndarray, terms: tuple, out: np.ndarray) -> np.ndarray:
     one. A BLAS product promises no such thing (gemv for one row and gemm
     for many may round differently). The rows are taken one at a time into
     ``out``, which the caller allocates once per pass, through one scratch
-    row.
+    row, each numpy call with array operands and its output positional.
 
     While every component of r is finite, a column takes only its nonzero
     terms, or is filled with a0 if it has none, with the same bits. A
@@ -106,35 +112,40 @@ def bloch_apply(r: np.ndarray, terms: tuple, out: np.ndarray) -> np.ndarray:
     sum of the column is -0, and adding +-0 to a sum that is not -0 leaves
     it unchanged, inf and NaN included. With an inf or NaN component, inf
     times 0 is NaN, so every column takes all of its terms, as it does when
-    the matrix is dense. The single-path loops ``discrete._scalar_chain``
-    and ``sde._scalar_density`` take all of the products and sums, in the
-    same order, on Python floats; that they give the same bits is checked
-    by the tests.
+    the matrix is dense. ``finite`` says whether every component is finite
+    when the caller knows it (``sde._project`` does); None tests it here.
+    The single-path loops ``discrete._scalar_chain`` and
+    ``sde._scalar_density`` take all of the products and sums, in the same
+    order, on Python floats; that they give the same bits is checked by the
+    tests.
     """
     every, kept = terms
     comps = tuple(r)
     x, y, z = comps
     tmp = np.empty_like(x)
-    if kept is not None and np.isfinite(r).all():
+    if kept is not None and (np.isfinite(r).all() if finite is None else finite):
         for row, (a0, first, rest) in zip(out, kept):
             if first is None:
                 row.fill(a0)
                 continue
             i, c = first
-            np.multiply(comps[i], c, out=row)
-            row += a0
+            np.add(np.multiply(comps[i], c, row), a0, row)
             for i, c in rest:
-                np.multiply(comps[i], c, out=tmp)
-                row += tmp
+                np.add(row, np.multiply(comps[i], c, tmp), row)
         return out
     for row, (a0, a1, a2, a3) in zip(out, every):
-        np.multiply(x, a1, out=row)
-        row += a0
-        np.multiply(y, a2, out=tmp)
-        row += tmp
-        np.multiply(z, a3, out=tmp)
-        row += tmp
+        np.add(np.multiply(x, a1, row), a0, row)
+        np.add(row, np.multiply(y, a2, tmp), row)
+        np.add(row, np.multiply(z, a3, tmp), row)
     return out
+
+
+def bloch_norm_sq(r: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x x + y y + z z of each member of the (3, M) Bloch rows r, written
+    into the (M,) array ``out`` through the (3, M) array ``scratch`` and
+    returned. The reduction over the outer axis adds the three squares in
+    that order, so it has the bits of the scalar loops' sum."""
+    return np.add.reduce(np.square(r, scratch), axis=0, out=out)
 
 
 def bloch_superop(s: np.ndarray) -> np.ndarray:

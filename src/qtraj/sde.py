@@ -64,9 +64,18 @@ unit trace hold by construction, and the positivity projection (eigen-clip
 at zero, trace renormalization) is exactly ``linalg.project_ball``,
 r / max(1, |r|). Both density loops share one projection rule: a member is
 projected only when x^2 + y^2 + z^2 <= _INSIDE is false (NaN included), as
-inside that bound the scale is exactly 1. ``_bloch_step`` sends those
-members through ``project_ball``;
+inside that bound the scale is exactly 1. ``_project`` sends those
+members through ``project_ball``, after one max of the sums has said
+whether any goes; a finite max also tells the next product that every
+component is finite, so it takes its sparse plan untested.
 ``_scalar_density`` takes the same |r| and division in Python floats.
+Every numpy call of a density ensemble step (not yet of ``_wave_steps``)
+takes array operands and writes into an array given positionally: the plan
+holds A's entries, and the loops h, 0.5 and _INSIDE, as 0-d float64 arrays,
+because numpy 2 converts a Python-float operand anew on every call (NEP
+50), about 30 % of a call's cost at M = 1000. A 0-d array of the float64
+the Python float converts to gives the same IEEE operations on the same
+operands in the same order, so the bits do not change.
 
 Each equation has one ensemble Euler loop, a generator that reads the
 (M,) increments of each step as it takes it: ``_density_steps`` (density
@@ -107,8 +116,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .csvio import IN_PROCESS, STATE_HEADER, RowFeed, state_columns, write_csv
-from .linalg import (adjoint, bloch_apply, bloch_superop, bloch_terms, bloch_to_density,
-                     density_to_bloch, project_ball, sandwich_superop)
+from .linalg import (adjoint, bloch_apply, bloch_norm_sq, bloch_superop, bloch_terms,
+                     bloch_to_density, density_to_bloch, project_ball, sandwich_superop)
 from .model import (ID2, STATE_TOL, VALIDATE_EVERY, DensityMatrix, ModelConfig,
                     WaveFunction, validate_batch, validate_norms)
 from .rng import generator_for, member_streams, step_blocks
@@ -292,36 +301,47 @@ def _bloch_sde_matrix(cfg: ModelConfig, h: float) -> np.ndarray:
                       bloch_superop(coeffs[:, 8])[:, None]])
 
 
-def _bloch_euler(terms: tuple, r: np.ndarray, dw: np.ndarray, h: float, physical: bool,
-                 w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _bloch_euler(terms: tuple, r: np.ndarray, dw: np.ndarray, h: np.ndarray | float,
+                 physical: bool, w: np.ndarray, finite: bool | None = None,
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """One Euler step, not projected, of the (3, M) Bloch rows r, with the
     plan ``bloch_terms`` of ``_bloch_sde_matrix`` and a (7, M) buffer w.
     Returns (r', g), both new arrays; r is not written. With ``physical``
-    the kick is dW + h g (innovation form)."""
-    bloch_apply(r, terms, w)
+    the kick is dW + h g (innovation form). The loops pass h as a 0-d array,
+    and ``finite`` on to ``bloch_apply``."""
+    bloch_apply(r, terms, w, finite)
     g = w[6].copy()
-    kick = dw + h * g if physical else dw
-    r = g * r
-    np.subtract(w[3:6], r, out=r)
-    r *= kick
-    r += w[:3]
+    kick = np.add(dw, np.multiply(h, g, w[6]), w[6]) if physical else dw
+    r = np.multiply(g, r)
+    np.subtract(w[3:6], r, r)
+    np.multiply(r, kick, r)
+    np.add(r, w[:3], r)
     return r, g
 
 
-def _bloch_step(terms: tuple, r: np.ndarray, dw: np.ndarray, h: float, physical: bool,
-                w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_bloch_euler``, then the projection: only the members with x^2 +
-    y^2 + z^2 <= _INSIDE false (NaN included) go through ``project_ball``,
-    as the scale of the others is exactly 1 (``_scalar_density``'s rule)."""
-    r, g = _bloch_euler(terms, r, dw, h, physical, w)
-    x, y, z = r
-    sq = np.multiply(x, x, out=w[0])
-    sq += np.multiply(y, y, out=w[1])
-    sq += np.multiply(z, z, out=w[1])
-    inside = sq <= _INSIDE
-    if not inside.all():
-        j = np.flatnonzero(~inside)
+def _project(r: np.ndarray, w: np.ndarray, inside: np.ndarray) -> bool:
+    """Send the members of the (3, M) Bloch rows r with x^2 + y^2 + z^2 <=
+    inside false (NaN included) through ``project_ball``, in place, as the
+    scale of the others is exactly 1 (``_scalar_density``'s rule); inside is
+    _INSIDE as a 0-d array, and w[:4] is scratch. One max of the sums
+    decides whether any member goes. Returns whether that max is finite:
+    then every component was finite, and ``project_ball`` keeps a row of
+    finite components and finite |r| finite, so every component of r is."""
+    sq = bloch_norm_sq(r, w[:3], w[3])
+    top = sq.max()
+    if not top <= inside:
+        out = np.less_equal(sq, inside)
+        j = np.logical_not(out, out).nonzero()[0]
         r[:, j] = project_ball(r[:, j].T).T
+    return top < math.inf
+
+
+def _bloch_step(terms: tuple, r: np.ndarray, dw: np.ndarray, h: np.ndarray | float,
+                physical: bool, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_bloch_euler``, then ``_project``: one step of ``_density_steps``,
+    which takes the two itself to carry the finite flag to the next step."""
+    r, g = _bloch_euler(terms, r, dw, h, physical, w)
+    _project(r, w, np.array(_INSIDE))
     return r, g
 
 
@@ -337,16 +357,22 @@ def _density_steps(cfg: ModelConfig, rho0: DensityMatrix, h: float,
     at each step, and dw the increments it read. Every step is projected
     onto the positive states. The initial state is checked against the
     invariants first, and the states every VALIDATE_EVERY steps and after
-    the last one.
+    the last one: by the cheap test of ``_scalar_density`` first, max
+    x^2 + y^2 + z^2 <= 1 + STATE_TOL, and by ``validate_batch`` on the whole
+    batch only where that fails, so the same batches fail with the same
+    message.
     """
     validate_batch(rho0.m, None)
     terms = bloch_terms(_bloch_sde_matrix(cfg, h))
     r = np.repeat(density_to_bloch(rho0.m)[:, None], num_paths, axis=1)
     w = np.empty((7, num_paths))
+    h, inside, finite = np.array(h), np.array(_INSIDE), None
     for k, dw in zip(range(steps), noise):
-        r, g = _bloch_step(terms, r, dw, h, physical, w)
+        r, g = _bloch_euler(terms, r, dw, h, physical, w, finite)
+        finite = _project(r, w, inside)
         if (k + 1) % VALIDATE_EVERY == 0 or k + 1 == steps:
-            validate_batch(bloch_to_density(r.T), k)
+            if not bloch_norm_sq(r, w[:3], w[3]).max() <= 1.0 + STATE_TOL:
+                validate_batch(bloch_to_density(r.T), k)
         yield k, r.T, g, dw
 
 
@@ -702,10 +728,13 @@ def sde_ensemble_final(cfg: ModelConfig, rho0: DensityMatrix, h: float,
         raise ValueError("weights are unavailable in the physical form")
     steps = _euler_steps(cfg, h)
     noise = _ensemble_noise(base_seed, noise, num_paths, steps, h)
-    log_z = np.zeros(num_paths)
+    # log Z += g dW - ((0.5 g) g) h, in reused buffers with 0-d constants
+    log_z, gdw, tail = np.zeros(num_paths), np.empty(num_paths), np.empty(num_paths)
+    half, h_arr = np.array(0.5), np.array(h)
     for _, r, g, dw in _density_steps(cfg, rho0, h, num_paths, steps, noise, physical):
         if with_weights:
-            log_z += g * dw - 0.5 * g * g * h
+            np.multiply(np.multiply(np.multiply(half, g, tail), g, tail), h_arr, tail)
+            np.add(log_z, np.subtract(np.multiply(g, dw, gdw), tail, gdw), log_z)
     weights = np.exp(log_z) if with_weights else None
     return bloch_to_density(r), weights
 

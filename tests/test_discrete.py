@@ -20,7 +20,7 @@ from qtraj.discrete import (
     drive_ensemble,
     ensemble_streams,
 )
-from qtraj.linalg import (adjoint, bloch_superop, bloch_to_density,
+from qtraj.linalg import (adjoint, bloch_superop, bloch_terms, bloch_to_density,
                           density_to_bloch, max_abs, tensor)
 from qtraj.model import NotAState
 from qtraj.rng import derive_seed, generator_for
@@ -610,8 +610,9 @@ def _one_state_chain(s):
 class TestScalarChainCheck:
     """The scalar loop checks a state by a cheap test first, x^2 + y^2 + z^2
     <= 1 + STATE_TOL, and by ``validate_batch`` only where that fails: the
-    same states pass and fail as in ``drive_ensemble``, which takes the full
-    check every time, with the same message at the same step."""
+    same states pass and fail as in ``drive_ensemble``, which takes the
+    cheap test on the largest sum of its batch, with the same message at the
+    same step."""
 
     @pytest.mark.parametrize("s", [np.nan, np.inf, 1 + 3e-10],
                              ids=["nan", "inf", "past-tolerance"])
@@ -647,6 +648,71 @@ class TestScalarChainCheck:
         assert calls == full_checks
         assert np.all(bloch[1:] == [s, 0.0, 0.0])
         _assert_chains_equal(damping_cfg(), EXCITED, uniforms)
+
+
+def _nan_branch_chain(monkeypatch, num_traj, bad, step=120):
+    """(cfg, B, uniforms): the damped chain with a level splitting, whose
+    matrix B has an exact zero, so that its product has a sparse plan,
+    patched so that branch 1 sends z to NaN, and draws that take branch 0
+    (q < 0.54 < 0.6) at every step but member ``bad``'s at ``step``. That
+    member's z is NaN after it, where p's zero coefficient would drop it,
+    and its whole state from the next step on; the rest stay finite."""
+    cfg = damping_cfg(n=250, h0_scale=0.5)
+    b = _chain_matrix(cfg)
+    assert b[3, 0] == 0.0
+    b[0, 7] = np.nan
+    monkeypatch.setattr(discrete_mod, "_chain_matrix", lambda cfg: b)
+    uniforms = np.random.default_rng(62).uniform(0.6, 1.0, size=(num_traj, cfg.steps))
+    uniforms[bad, step] = 0.0
+    return cfg, b, uniforms
+
+
+class TestFinitePlanSwitch:
+    """A member turns NaN mid-pass, so the chain product leaves its sparse
+    plan for the dense one: every row keeps the bits of ``_scalar_chain``,
+    which takes every product."""
+
+    @pytest.mark.parametrize("num_traj", [1, 2, 1000])
+    def test_rows_match_scalar_chain(self, monkeypatch, num_traj):
+        bad = num_traj // 2
+        cfg, b, uniforms = _nan_branch_chain(monkeypatch, num_traj, bad)
+        assert bloch_terms(b)[1] is not None
+        monkeypatch.setattr(discrete_mod, "validate_batch", lambda states, step: states)
+        finite, real = [], discrete_mod.bloch_apply
+
+        def recording(r, terms, out, *args):
+            finite.append(bool(np.isfinite(r).all()))
+            return real(r, terms, out, *args)
+
+        monkeypatch.setattr(discrete_mod, "bloch_apply", recording)
+        r0 = density_to_bloch(EXCITED.m)
+        with np.errstate(all="ignore"):
+            steps = [[a.copy() for a in item[1:]]
+                     for item in drive_ensemble(cfg, EXCITED, uniforms)]
+            assert finite == [True] * 121 + [False] * 129
+            rows = [np.stack(field, axis=1) for field in zip(*steps)]
+            assert np.all(np.isnan(rows[0][bad, 121:]))
+            for j in range(num_traj):
+                bloch, outcomes, x, probs = _scalar_chain(b, r0, uniforms[j])
+                for name, got, want in zip(("states", "outcomes", "x", "p", "q"),
+                                           (bloch[1:], outcomes, x, *probs.T),
+                                           (row[j] for row in rows)):
+                    assert_same_bits(got, want, True, (name, j))
+
+
+def test_nan_member_fails_the_check_like_the_full_check(monkeypatch):
+    # the cheap test first, max |r|^2 <= 1 + STATE_TOL, fails on the NaN
+    # member, and the whole batch takes the full check at the same step,
+    # with the text of a loop that takes the full check every time
+    cfg, _, uniforms = _nan_branch_chain(monkeypatch, 5, 2)
+    texts = []
+    for state_tol in (discrete_mod.STATE_TOL, -np.inf):
+        monkeypatch.setattr(discrete_mod, "STATE_TOL", state_tol)
+        with np.errstate(all="ignore"), pytest.raises(NotAState, match="by step 199") as err:
+            for _ in drive_ensemble(cfg, EXCITED, uniforms):
+                pass
+        texts.append(str(err.value))
+    assert texts[0] == texts[1]
 
 
 def test_scalar_chain_publishes_checked_rows(monkeypatch):

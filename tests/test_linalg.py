@@ -7,6 +7,7 @@ import scipy.linalg
 from qtraj.linalg import (
     adjoint,
     bloch_apply,
+    bloch_norm_sq,
     bloch_superop,
     bloch_terms,
     bloch_to_density,
@@ -18,7 +19,7 @@ from qtraj.linalg import (
 
 from qtraj.model import FIELD_HAMILTONIANS, build_unitary
 
-from helpers import rand_cmat, rand_config, rand_herm, rand_state_matrix
+from helpers import assert_same_bits, rand_cmat, rand_config, rand_herm, rand_state_matrix
 from oracles import apply_superop, bloch_apply_broadcast, partial_trace_system
 
 
@@ -205,6 +206,25 @@ class TestBlochApply:
             assert np.array_equal(got, want, equal_nan=True)
             signed = ~np.isnan(want)
             assert np.array_equal(np.signbit(got[signed]), np.signbit(want[signed]))
+
+
+@pytest.mark.parametrize("m", [1, 2, 1000])
+def test_norm_sq_has_the_bits_of_the_scalar_sum(m):
+    # the reduction over the outer axis adds the squares in the scalar
+    # loops' order, x x + y y then + z z, on any input: a pairwise or
+    # reordered sum would round some of these differently
+    rng = np.random.default_rng(15 + m)
+    # one scale a member, so that its squares are of one size and the order
+    # of their sum shows, over and under the float range too
+    r = rng.normal(size=(3, m)) * 10.0 ** rng.integers(-170, 170, size=m)
+    mask = rng.random((3, m)) < 0.1
+    r[mask] = rng.choice([0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan], size=mask.sum())
+    out = np.empty(m)
+    with np.errstate(all="ignore"):
+        got = bloch_norm_sq(r, np.empty((3, m)), out)
+        want = r[0] * r[0] + r[1] * r[1] + r[2] * r[2]
+    assert got is out
+    assert_same_bits(got, want, True)
 
 
 class TestExpm4:

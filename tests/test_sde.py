@@ -572,6 +572,12 @@ class TestEnsembleCore:
 
         monkeypatch.setattr(sde_mod, "validate_batch", counting)
         cfg = damping_cfg(h0_scale=0.5)
+        # every batch passes the cheap test, so only the initial state
+        # takes the full check; with none passing it, every check does
+        finals, _ = sde_ensemble_final(cfg, EXCITED, 1e-3, 20, base_seed=3)
+        assert calls == [None]
+        calls.clear()
+        monkeypatch.setattr(sde_mod, "STATE_TOL", -np.inf)
         finals, _ = sde_ensemble_final(cfg, EXCITED, 1e-3, 20, base_seed=3)
         # None is the initial state, checked once before the first step
         assert calls == [None, *range(VALIDATE_EVERY - 1, 1000, VALIDATE_EVERY)]
@@ -856,6 +862,86 @@ def test_density_steps_yield_new_arrays(physical):
     for (k, r, g), (k2, r2, g2) in zip(kept, copied):
         assert k == k2
         assert np.array_equal(r, r2) and np.array_equal(g, g2)
+
+
+def _one_member_kicked(num_paths, bad, kick=1.7e308, step=150, steps=300):
+    """(cfg, h, noise) of a damped model from EXCITED whose member ``bad``
+    takes the increment ``kick`` at ``step``. With 1.7e308 and 1, 2 or 1000
+    members, that member's state overflows there and is NaN from then on,
+    in both density forms; the rest stay finite."""
+    h = 1e-3
+    noise = np.random.default_rng(60).normal(scale=np.sqrt(h), size=(num_paths, steps))
+    noise[bad, step] = kick
+    return damping_cfg(h0_scale=0.5, t_horizon=steps * h), h, noise
+
+
+class TestFinitePlanSwitch:
+    """A member turns NaN mid-path, so the Euler product leaves its sparse
+    plan, which ``_project`` vouches for, for the dense one: every member
+    keeps the bits of its batch-of-one run, and a path those of
+    ``_scalar_density``, which takes every product."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        # the finite flag each step passes to bloch_apply; no check raises
+        flags, real = [], sde_mod.bloch_apply
+
+        def recording(r, terms, out, finite=None):
+            flags.append(finite)
+            return real(r, terms, out, finite)
+
+        monkeypatch.setattr(sde_mod, "bloch_apply", recording)
+        monkeypatch.setattr(sde_mod, "validate_batch", lambda states, step: states)
+        return flags
+
+    @pytest.mark.parametrize("physical", [False, True])
+    @pytest.mark.parametrize("num_paths", [2, 1000])
+    def test_members_match_batch_of_one(self, monkeypatch, num_paths, physical):
+        flags = self._spy(monkeypatch)
+        bad = num_paths // 2
+        cfg, h, noise = _one_member_kicked(num_paths, bad)
+        assert bloch_terms(_bloch_sde_matrix(cfg, h))[1] is not None
+        kwargs = {"physical": True} if physical else {"with_weights": True}
+        with np.errstate(all="ignore"):
+            finals, weights = sde_ensemble_final(cfg, EXCITED, h, num_paths, noise=noise,
+                                                 **kwargs)
+            assert flags == [None] + [True] * 150 + [False] * 149
+            assert np.all(np.isnan(finals[bad]))
+            assert np.all(np.isfinite(np.delete(finals, bad, axis=0)))
+            members = sorted({0, bad - 1, bad, num_paths - 1} | set(range(0, num_paths, 97))
+                             | ({bad + 1} if bad + 1 < num_paths else set()))
+            for j in members:
+                one, w1 = sde_ensemble_final(cfg, EXCITED, h, 1, noise=noise[j:j + 1],
+                                             **kwargs)
+                assert_same_bits(finals[j].view(float), one[0].view(float), True, j)
+                if not physical:
+                    assert_same_bits(weights[j:j + 1], w1, True, j)
+
+    @pytest.mark.parametrize("physical", [False, True])
+    def test_path_matches_scalar_density(self, monkeypatch, physical):
+        flags = self._spy(monkeypatch)
+        cfg, h, noise = _one_member_kicked(1, 0)
+        with np.errstate(all="ignore"):
+            bloch, _ = _assert_density_paths_equal(cfg, EXCITED, h, noise[0], physical,
+                                                   equal_nan=True)
+        assert flags == [None] + [True] * 150 + [False] * 149
+        assert np.all(np.isfinite(bloch[:151])) and np.all(np.isnan(bloch[151:]))
+
+
+@pytest.mark.parametrize("physical", [False, True])
+def test_nan_member_fails_the_check_like_the_full_check(monkeypatch, physical):
+    # the cheap test first, max |r|^2 <= 1 + STATE_TOL, fails on the NaN
+    # member, and the whole batch takes the full check at the same step,
+    # with the text of a loop that takes the full check every time
+    cfg, h, noise = _one_member_kicked(5, 2, np.nan)
+    texts = []
+    for state_tol in (sde_mod.STATE_TOL, -np.inf):
+        monkeypatch.setattr(sde_mod, "STATE_TOL", state_tol)
+        with np.errstate(all="ignore"), pytest.raises(NotAState, match="by step 199") as err:
+            for _ in _density_steps(cfg, EXCITED, h, 5, 300, noise.T, physical):
+                pass
+        texts.append(str(err.value))
+    assert texts[0] == texts[1]
 
 
 def _wave_batch_of_one(cfg, v, h, noise):
@@ -1248,8 +1334,8 @@ class TestEnsembleMemory:
 class TestScalarLoopChecks:
     """The scalar density and wave loops check a state by a cheap test
     first and by ``validate_batch`` or ``validate_norms`` only where that
-    fails: the same states pass and fail as in the ensemble loops, which
-    take the full check every time, with the same message at the same step.
+    fails: the same states pass and fail as in the ensemble loops, with the
+    same message at the same step.
     The density matrix here steps every state to (s, 0, 0), with the
     projection switched off so that the state reaches the check."""
 
