@@ -44,13 +44,13 @@ _PURPOSE_KS_SDE = 4
 DEFAULT_FUNCTIONALS = (("sigma_x", SIGMA_X), ("sigma_y", SIGMA_Y),
                        ("sigma_z", SIGMA_Z))
 
-# per path-step at M = 2000 (2-vCPU Xeon VM, best of 15), a chain pass with
-# its four reducers takes 0.11 us at n = 200 and 0.12 us at n = 50 (its fixed
-# costs included), and the KS Euler ensemble at h = 1e-2 0.050 us; over both
-# passes, the median ratio of 15 interleaved rounds is 2.2 (2.10-2.28 in ten
-# processes; 1.97-2.34, median 2.0, with Python-float operands, which cost
-# the Euler step more than the chain's)
-CHAIN_STEP_COST = 2.2
+# per path-step at M = 2000 (2-vCPU Xeon VM, best of 15, six processes), a
+# chain pass with its four reducers takes 0.090-0.096 us at n = 200 and
+# 0.103-0.109 us at n = 50 (its fixed costs included), and the KS Euler
+# ensemble at h = 1e-2 0.049-0.052 us; over both passes, the median ratio
+# of 15 interleaved rounds is 1.9 (1.87-1.93 in six processes; 2.09-2.21
+# when the branch was picked by np.where)
+CHAIN_STEP_COST = 1.9
 
 
 class DiagonalObservable(ValueError):
@@ -172,9 +172,12 @@ def _mean_reducer(spec: EnsembleSpec, cfg: ModelConfig):
     is taken of the Bloch vectors and converted once."""
     means = np.empty((cfg.steps + 1, 3))
     means[0] = density_to_bloch(spec.rho0.m)
+    # np.mean's sum over the members, divided by M as a 0-d float64
+    members = np.array(float(spec.num_trajectories))
 
     def update(k, r, x):
-        means[k + 1] = r.mean(axis=0)
+        row = means[k + 1]
+        np.divide(np.add.reduce(r, axis=0, out=row), members, row)
     return update, lambda: np.max(np.abs(bloch_to_density(means)
                                          - master_on_grid(cfg, spec.rho0, cfg.n)))
 
@@ -182,14 +185,17 @@ def _mean_reducer(spec: EnsembleSpec, cfg: ModelConfig):
 def _qv_reducer(spec: EnsembleSpec, t: float, cfg: ModelConfig):
     """QV deviation from floor(nt)/n, QV mean and largest jump at time t."""
     n, m = cfg.n, int(np.floor(cfg.n * t))
-    qv = np.zeros(spec.num_trajectories)
+    qv, sq = np.zeros(spec.num_trajectories), np.empty(spec.num_trajectories)
+    # qv += (x x) / n, n as the 0-d float64 a Python int converts to
+    n_float = np.array(float(n))
     max_abs_x = 0.0
 
     def update(k, r, x):
-        nonlocal qv, max_abs_x
+        nonlocal max_abs_x
         if k < m:
-            qv += x * x / n
-            max_abs_x = max(max_abs_x, float(np.max(np.abs(x))))
+            np.add(qv, np.divide(np.multiply(x, x, sq), n_float, sq), qv)
+            # a NaN maximum loses every comparison, so max skips its step
+            max_abs_x = max(max_abs_x, np.maximum.reduce(np.abs(x, sq)))
     return update, lambda: (np.mean((qv - m / n) ** 2), np.mean(qv),
                             max_abs_x / np.sqrt(n))
 

@@ -235,8 +235,8 @@ def _euler_steps(cfg: ModelConfig, h: float) -> int:
     s_l = lindblad_superop(cfg.h0, cfg.coupling())
     norm = h * float(np.max(np.sum(np.abs(s_l), axis=1)))
     if not norm <= 2.0:
-        raise StepOutOfRange(f"step size {h:g} is too large for the coupling's "
-                             f"rate: h ||S_L|| = {norm:.6g} > 2")
+        raise StepOutOfRange(f"step size {h:g} is too large for the generator S_L: "
+                             f"h ||S_L|| = {norm:.6g} > 2")
     return _steps_to(cfg.t_horizon, h)
 
 
@@ -647,12 +647,14 @@ def master_evolve(cfg: ModelConfig, rho0: DensityMatrix, h: float) -> MasterPath
                       states=_master_states(cfg, rho0, h, steps))
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def _expm1(s_l: np.ndarray, h: float) -> np.ndarray:
     """exp(h S_L) - I by scaling and squaring (Higham, SIAM J. Matrix Anal.
     Appl. 26 (2005)): the degree-16 Taylor series of x = h S_L / 2^s, |x| <=
     1/2 in the max row sum, then s squarings d -> 2d + d d, which keep d's
-    low bits. StepOutOfRange first if h S_L or its norm is not finite."""
+    low bits. StepOutOfRange first if h S_L or its norm is not finite, and
+    after if the result is not: a finite h S_L of norm near the float
+    maximum takes about a thousand squarings, which can overflow."""
     a = h * s_l
     norm = float(np.max(np.sum(np.abs(a), axis=1)))
     if not math.isfinite(norm):
@@ -664,6 +666,8 @@ def _expm1(s_l: np.ndarray, h: float) -> np.ndarray:
         d = (x + x @ d) / k
     for _ in range(s):
         d = 2.0 * d + d @ d
+    if not np.isfinite(d).all():
+        raise StepOutOfRange(f"step size {h:g} is too large: exp(h S_L) overflows")
     return d
 
 

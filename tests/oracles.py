@@ -18,9 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import qtraj.discrete as discrete_mod
 from qtraj.discrete import (DEGENERATE_PROB, NULL_BRANCH, DegenerateProbability,
                             TrajectoryRecord, drive_ensemble, ensemble_streams)
-from qtraj.linalg import adjoint, bloch_to_density, density_to_bloch, project_ball, tensor
+from qtraj.linalg import (adjoint, bloch_apply, bloch_terms, bloch_to_density,
+                          density_to_bloch, project_ball, tensor)
 from qtraj.model import (
     _FIELD_LOWER,
     _FIELD_RAISE,
@@ -278,6 +280,41 @@ def girsanov_weights(path: SdePath, c: np.ndarray) -> np.ndarray:
     out[0] = 1.0
     out[1:] = np.exp(np.cumsum(incr))
     return out
+
+
+def drive_ensemble_where(cfg: ModelConfig, rho0: DensityMatrix, uniforms: np.ndarray):
+    """The steps of ``discrete.drive_ensemble`` with each member's branch
+    picked by ``np.where``, as the package did before it picked it by bit
+    masks, yielding the same (k, r, outcomes, x, p, q). The product is
+    ``bloch_apply``'s on the module's ``_chain_matrix`` (which a test may
+    patch); the invariant checks are left out, so a test may step states
+    that fail them."""
+    terms = bloch_terms(discrete_mod._chain_matrix(cfg))
+    num_traj, steps = uniforms.shape
+    r = np.repeat(density_to_bloch(rho0.m)[:, None], num_traj, axis=1)
+    w = np.empty((8, num_traj))
+    for k in range(steps):
+        bloch_apply(r, terms, w)
+        p, q = w[0].copy(), w[4].copy()
+        one = uniforms[:, k] < q
+        degenerate = np.minimum(p, q) < DEGENERATE_PROB
+        rare = degenerate.any()
+        if rare:
+            one = np.where(degenerate, q > p, one)
+        weight, other = np.where(one, q, p), np.where(one, p, q)
+        if rare:
+            if np.any(weight < NULL_BRANCH):
+                j = int(np.argmin(weight))
+                raise DegenerateProbability(
+                    f"step {k}, trajectory {j}: branch trace {weight[j]:.3e}")
+            other[degenerate] = 0.0
+        x = np.sqrt(other / weight)
+        x = np.where(one, x, np.negative(x))
+        if rare:
+            x[degenerate] = 0.0
+        r = np.where(one, w[5:], w[1:4])
+        r /= weight
+        yield k, r.T, one.astype(np.int64), x, p, q
 
 
 def member_streams_step_by_step(gen: np.random.Generator, count: int, steps: int,

@@ -922,6 +922,51 @@ class TestStepBoundsExit2:
         assert "h S_L is not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_master_step_that_overflows(self, tmp_path, capsys):
+        # h S_L is finite (norm 2e298), but its thousand squarings overflow
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("h0 = 1e300 0 0 -1e300\n")
+        out = tmp_path / "m.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("master", "--config", str(cfg), "--h", "1e-2", "--seed", "1",
+                           "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "exp(h S_L) overflows" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["two-lanes", "one-process"])
+    def test_converge_master_reference_that_overflows(self, tmp_path, capsys, monkeypatch,
+                                                      fork):
+        # the diffusion ensemble's Euler bound refuses every model whose master
+        # step on converge's grid overflows, so the reference alone is handed
+        # a generator of growth rate 1e300, whose squarings overflow at any
+        # step, in whichever lane runs the mean reducer
+        import qtraj.sde as sde_mod
+
+        expm1 = sde_mod._expm1
+        monkeypatch.setattr(sde_mod, "_expm1", lambda s_l, h: expm1(1e300 * np.eye(4), h))
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        out = tmp_path / "c.csv"
+        assert run_cli(*CONVERGE_ARGV, "--out", str(out)) == 2
+        _no_children_left()
+        err = capsys.readouterr().err
+        assert "exp(h S_L) overflows" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_step_bound_names_the_generator(self, tmp_path, capsys):
+        # the Hamiltonian, not the coupling, drives h ||S_L|| here
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text("h0 = 1e8 0 0 -1e8\n")
+        out = tmp_path / "s.csv"
+        assert run_cli("simulate-sde", "--config", str(cfg), "--h", "1e-2", "--seed", "1",
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "too large for the generator S_L: h ||S_L|| = 2e+06 > 2" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ("girsanov", "--trajectories", "200", "--h", "1e-2"),
         ("simulate-sde", "--h", "1e-2"),
@@ -937,7 +982,7 @@ class TestStepBoundsExit2:
             warnings.simplefilter("error")
             assert run_cli(*argv, "--config", str(cfg), "--seed", "1",
                            "--out", str(out)) == 2
-        assert "too large for the coupling's rate" in capsys.readouterr().err
+        assert "too large for the generator S_L" in capsys.readouterr().err
         assert not out.exists()
 
     def test_euler_step_within_the_rate(self, tmp_path, capsys):
@@ -957,7 +1002,7 @@ class TestStepBoundsExit2:
             warnings.simplefilter("error")
             assert run_cli("girsanov", "--trajectories", "10", "--h", "1e-2", "--config",
                            str(cfg), "--seed", "1", "--out", str(out)) == 2
-        assert "too large for the coupling's rate" in capsys.readouterr().err
+        assert "too large for the generator S_L" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

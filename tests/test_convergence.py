@@ -146,6 +146,35 @@ class TestQuadraticVariation:
             assert qv_means[i] == pytest.approx(expected, rel=1e-12)
 
 
+    def test_qv_reducer_skips_a_nan_step(self):
+        # the reducer against its plain form, qv += x * x / n and the
+        # largest |x| folded in by max(m, float(np.max(np.abs(x)))): a NaN
+        # maximum loses every comparison, so the step that holds it adds
+        # nothing to the largest jump, not even its 3.0 and -4.0
+        cfg = damping_cfg(n=20, phi=np.pi / 3)
+        spec = spec_for(cfg, (20,), m=3)
+
+        def both(steps, m=4):
+            update, result = convergence._qv_reducer(spec, 0.2, cfg)
+            qv, largest = np.zeros(3), 0.0
+            for k, x in enumerate(steps):
+                update(k, None, x)
+                if k < m:
+                    qv += x * x / cfg.n
+                    largest = max(largest, float(np.max(np.abs(x))))
+            return result(), (np.mean((qv - m / cfg.n) ** 2), np.mean(qv),
+                              largest / np.sqrt(cfg.n))
+
+        rng = np.random.default_rng(50)
+        steps = [rng.normal(size=3), np.array([np.nan, 3.0, -4.0]), rng.normal(size=3),
+                 np.array([2.5, -0.1, 0.0]), np.array([9.0, 9.0, 9.0])]
+        got, want = both(steps)
+        assert np.isnan(got[0]) and np.isnan(got[1])
+        assert got[2] == want[2] == 2.5 / np.sqrt(20)
+        # without the NaN step, the same bits as the plain form
+        got, want = both(steps[:1] + steps[2:])
+        assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
 class TestDistributional:
     def test_identical_point_masses(self):
         # no dynamics: both ensembles sit at the initial state, statistic 0
@@ -269,7 +298,7 @@ class TestReportParts:
         costs = [cost for cost, _ in convergence.report_parts(self.spec(), t=0.7)]
         # per member: round(0.7 / 1e-2) Euler steps, then floor(n 1.5) chain
         # steps per n at CHAIN_STEP_COST each
-        assert costs == pytest.approx([70, 2.2 * 10, 2.2 * 30, 2.2 * 49])
+        assert costs == pytest.approx([70, 1.9 * 10, 1.9 * 30, 1.9 * 49])
 
     def test_ks_runs_through_the_report_parts(self, monkeypatch):
         calls = []

@@ -40,6 +40,7 @@ from oracles import (
     FIELD_GROUND,
     apply_superop,
     backaction,
+    drive_ensemble_where,
     increment_update,
     interaction_state,
     lindblad,
@@ -387,6 +388,64 @@ class TestBlochChain:
             for a, b in zip(item[1:], copy[1:]):
                 assert np.array_equal(a, b)
 
+
+
+# A chain whose members move between three kinds at shared steps. With
+# p = (1 + x)/2 and q = 1/2 - (1/2 - 1e-13) x: at A = 0, p = q = 1/2, and
+# outcome 0 leads to D = (1, 0, 0), outcome 1 back to A with y' = 1/2 +
+# 2e60 y; at D, q = 1e-13 is degenerate, and the dominant outcome 0 leads
+# back to A. Seven outcomes 1 in a row at A overflow y, and from the next
+# step on the member's p and q are NaN (inf times a zero coefficient).
+_KINDS_MATRIX = np.zeros((4, 8))
+_KINDS_MATRIX[:, 0] = 0.5, 0.5, 0.0, 0.0
+_KINDS_MATRIX[:, 1] = 0.5, -0.5, 0.0, 0.0
+_KINDS_MATRIX[:, 4] = 0.5, -(0.5 - 1e-13), 0.0, 0.0
+_KINDS_MATRIX[:, 6] = 0.25, 0.0, 1e60, 0.0
+
+
+def _kinds_draws(num_traj, steps):
+    """Member 0 goes A, D (drawing 0, which alone would pick the minor
+    branch), A, ..., then outcome 1 at A until it is NaN; member 1 draws 0
+    at every step and is NaN from step 7 on; the rest draw 0, 0.3 or 0.7."""
+    draws = np.random.default_rng(49).choice([0.0, 0.3, 0.7], size=(num_traj, steps))
+    draws[0] = 0.0
+    draws[0, :12] = [0.7, 0.0] * 6
+    draws[0, 12:16] = 0.3, 0.3, 0.3, 0.7
+    if num_traj > 1:
+        draws[1] = 0.0
+    return draws
+
+
+class TestBranchPick:
+    """The bit-mask branch pick of ``drive_ensemble`` against the np.where
+    step it replaced, bit for bit, NaN sign and payload included."""
+
+    @pytest.mark.parametrize("num_traj", [1, 2, 1000])
+    def test_yields_the_bits_of_the_where_step(self, monkeypatch, num_traj):
+        monkeypatch.setattr(discrete_mod, "_chain_matrix", lambda cfg: _KINDS_MATRIX)
+        monkeypatch.setattr(discrete_mod, "validate_batch", lambda states, step: states)
+        cfg = damping_cfg(n=30)
+        uniforms = _kinds_draws(num_traj, cfg.steps)
+        kinds = set()
+        with np.errstate(all="ignore"):
+            for got, want in zip(drive_ensemble(cfg, EXCITED, uniforms),
+                                 drive_ensemble_where(cfg, EXCITED, uniforms), strict=True):
+                assert got[0] == want[0]
+                for name, a, b in zip(("r", "outcome", "x", "p", "q"), got[1:], want[1:]):
+                    assert a.dtype == b.dtype and a.shape == b.shape, name
+                    assert np.array_equal(a.view(np.int64), b.view(np.int64)), (name, got[0])
+                least = np.minimum(want[4], want[5])
+                step = {"NaN" if np.isnan(v) else "degenerate" if v < 1e-12 else "ordinary"
+                        for v in least}
+                kinds |= step
+                if num_traj == 1000:
+                    assert step == {"NaN", "degenerate", "ordinary"} or got[0] < 7
+        assert kinds == {"NaN", "degenerate", "ordinary"}
+        # member 0: degenerate at the steps where its draw 0 alone would
+        # pick outcome 1; x there is +0
+        _, _, out, x, p, q = next(item for item in drive_ensemble(cfg, EXCITED, uniforms)
+                                  if item[0] == 1)
+        assert q[0] < 1e-12 and out[0] == 0 and x[0] == 0.0 and not np.signbit(x[0])
 
 
 def _chain_batch_of_one(cfg, rho, uniforms):

@@ -1223,6 +1223,14 @@ class TestInputGuards:
         for bad in (np.nan, np.inf):
             with pytest.raises(StepOutOfRange, match="h S_L is not finite"):
                 sde_mod._expm1(np.full((4, 4), bad), 1.0)
+        # h S_L is finite, h0 = 1e300 sigma_z's (norm 2e298) and a growth
+        # rate's, but about a thousand squarings overflow, with no warning
+        for s_l in (lindblad_superop(np.diag([1e300, -1e300]), np.zeros((2, 2))),
+                    1e300 * np.eye(4)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(StepOutOfRange, match=r"exp\(h S_L\) overflows"):
+                    sde_mod._expm1(s_l, 1e-2)
 
     def test_euler_step_too_large_for_the_rate(self, monkeypatch):
         # h ||S_L|| <= 2, i.e. h gamma <= 1 for damping at rate gamma
@@ -1230,17 +1238,17 @@ class TestInputGuards:
                        (damping_cfg(c_scale=1.3e154), 1e-3)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(StepOutOfRange, match="too large for the coupling's rate"):
+                with pytest.raises(StepOutOfRange, match="too large for the generator S_L"):
                     sde_ensemble_final(cfg, EXCITED, h, 2, base_seed=1)
-                with pytest.raises(StepOutOfRange, match="too large for the coupling's rate"):
+                with pytest.raises(StepOutOfRange, match="too large for the generator S_L"):
                     simulate_belavkin(cfg, EXCITED, h, seed=1)
-                with pytest.raises(StepOutOfRange, match="too large for the coupling's rate"):
+                with pytest.raises(StepOutOfRange, match="too large for the generator S_L"):
                     wave_ensemble_final(cfg, WaveFunction(PLUS_VEC), h, 2, base_seed=1)
         # h gamma = 1 is inside
         finals, _ = sde_ensemble_final(damping_cfg(c_scale=10.0), EXCITED, 1e-2, 2, base_seed=1)
         assert_valid_states(finals)
         monkeypatch.setattr(sde_mod, "lindblad_superop", lambda h0, c: np.full((4, 4), np.nan))
-        with pytest.raises(StepOutOfRange, match="too large for the coupling's rate"):
+        with pytest.raises(StepOutOfRange, match="too large for the generator S_L"):
             sde_ensemble_final(damping_cfg(), EXCITED, 1e-3, 2, base_seed=1)
 
     @pytest.mark.parametrize("h", [1e-2, 5e-3])
