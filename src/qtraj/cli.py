@@ -40,6 +40,7 @@ do.
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import mmap
 import os
@@ -52,8 +53,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .convergence import DiagonalObservable, EnsembleSpec, assemble_report, report_parts
-from .csvio import (BLOCK_ROWS, SPLIT_ROWS, STATE_HEADER, RowFeed, csv_rows, state_columns,
-                    write_csv)
+from .csvio import (BLOCK_ROWS, CELL_BYTES, SPLIT_ROWS, STATE_HEADER, RowFeed, TableTooLarge,
+                    csv_rows, state_columns, write_csv)
 from .discrete import run_trajectory, trajectory_to_csv
 from .model import SIGMA_Z, DensityMatrix, ModelConfig, WaveFunction, make_observable
 from .rng import derive_seed
@@ -316,6 +317,12 @@ def _beside(func):
         os.waitpid(pid, 0)
 
 
+# bytes of the child's text decoded at a time (a character may straddle two
+# pieces), so that the command's process never holds the whole text as one
+# string (nor its encoding on the write)
+TEXT_CHUNK = 1 << 18
+
+
 class _FormattedAhead(RowFeed):
     """The commands' ``RowFeed``: where the platform has os.fork, the record
     table of a path of SPLIT_ROWS rows or more lives in an anonymous shared
@@ -325,15 +332,17 @@ class _FormattedAhead(RowFeed):
     formats a rows, this process steps all K and formats K - a, so
     a = K (1 + s / c) / 2 for a loop that costs s formatted cells a step and
     a table of c cells a row. Each published row count goes through a
-    notify pipe, closed before the child's text is read; the child's reply
-    comes through ``_beside``. Used as a context manager: leaving it kills
+    notify pipe, closed before the child's text is read. The child writes
+    its text into a second anonymous shared mapping, of csvio.CELL_BYTES a
+    cell of its rows, and replies with its length through ``_beside``, as
+    it replies with its error. Used as a context manager: leaving it kills
     the child if its reply was not read, and always reaps it. Elsewhere, and
     for smaller tables, the table is in process and nothing is formatted
     ahead, as with ``csvio.IN_PROCESS``."""
 
     def __init__(self):
         self._stack = ExitStack()
-        self._split, self._reply, self._notify = 0, None, None
+        self._split, self._reply, self._notify, self._text = 0, None, None, None
 
     def __enter__(self):
         return self
@@ -348,13 +357,15 @@ class _FormattedAhead(RowFeed):
         table = np.frombuffer(mmap.mmap(-1, 8 * rows * width)).reshape(shape)
         cells = len(columns(table[:0], 0))      # c, from the columns of no rows
         split = min(rows, round(rows * (1 + step_cells / cells) / 2))
+        self._text = mmap.mmap(-1, max(1, split * cells * CELL_BYTES))
+        self._stack.callback(self._text.close)
         read_fd, write_fd = os.pipe()
         self._notify = self._stack.enter_context(open(write_fd, "wb", buffering=0))
 
         def ahead():
             self._notify.close()
             with open(read_fd, "rb", buffering=0) as notices:
-                return _format_published(notices, table, columns, split)
+                return _format_published(notices, table, columns, split, self._text)
 
         try:
             self._reply = self._stack.enter_context(_beside(ahead))
@@ -377,16 +388,23 @@ class _FormattedAhead(RowFeed):
         if self._reply is None:
             return super().formatted()
         self._notify.close()
-        return self._split, self._reply
+
+        def text():
+            length = self._reply()      # or the child's error, before any text
+            return codecs.iterdecode((self._text[at:min(at + TEXT_CHUNK, length)]
+                                      for at in range(0, length, TEXT_CHUNK)), "utf-8")
+
+        return self._split, text
 
 
-def _format_published(notices, table, columns, split: int) -> list[str]:
-    """Text pieces of the CSV rows [0, split) of a record table, formatted in
-    blocks of at least BLOCK_ROWS rows (or the rest) as their row counts
-    arrive through the unbuffered pipe ``notices``; ``columns(rows, lo)``
-    gives the columns of table rows [lo, hi). The end of the pipe before
-    ``split`` rows arrived raises ChildProcessError."""
-    pieces, done, ready = [], 0, 0
+def _format_published(notices, table, columns, split: int, text: mmap.mmap) -> int:
+    """Write the CSV rows [0, split) of a record table into ``text``, formatted
+    in blocks of at least BLOCK_ROWS rows (or the rest) as their row counts
+    arrive through the unbuffered pipe ``notices``, and return their length
+    in bytes; ``columns(rows, lo)`` gives the columns of table rows [lo, hi).
+    The end of the pipe before ``split`` rows arrived raises
+    ChildProcessError, and text longer than ``text`` ValueError."""
+    length, done, ready = 0, 0, 0
     while done < split:
         while ready < min(done + BLOCK_ROWS, split):
             counts = notices.read(4096)
@@ -395,9 +413,14 @@ def _format_published(notices, table, columns, split: int) -> list[str]:
                                         f"{split} rows to format")
             ready = int.from_bytes(counts[-8:], "little")
         stop = min(ready, split)
-        pieces += csv_rows(columns(table[done:stop], done))
+        for piece in csv_rows(columns(table[done:stop], done)):
+            data = piece.encode()
+            if length + len(data) > len(text):
+                raise ValueError(f"the formatted rows outgrow their {len(text)} bytes")
+            text[length:length + len(data)] = data
+            length += len(data)
         done = stop
-    return pieces
+    return length
 
 
 def _cmd_girsanov(args) -> int:
@@ -489,7 +512,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, StepOutOfRange, DiagonalObservable) as exc:
+    except (ConfigError, StepOutOfRange, DiagonalObservable, TableTooLarge) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -68,7 +68,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .csvio import IN_PROCESS, STATE_HEADER, RowFeed, state_columns, write_csv
+from .csvio import IN_PROCESS, STATE_HEADER, RowFeed, check_rows, state_columns, write_csv
 from .linalg import (adjoint, bloch_apply, bloch_norm_sq, bloch_superop, bloch_terms,
                      bloch_to_density, density_to_bloch, sandwich_superop)
 from .model import (STATE_TOL, VALIDATE_EVERY, DensityMatrix, InteractionUnitary,
@@ -79,11 +79,12 @@ DEGENERATE_PROB = 1e-12
 NULL_BRANCH = 1e-14
 # cost of one _scalar_chain step in %.17g cells formatted, which places the
 # split of a table formatted beside the loop (cli._FormattedAhead). On the
-# 2-vCPU Xeon VM at n = 20000 a step costs 2.7 cells in one process (27.9 ms
-# of stepping, 0.52 us a cell); with a child formatting beside the loop both
-# lanes run slower, and they end together at 2.5 (the median lane ends of
-# 21 runs at 1.5, 2.5 and 3 cells differ by -17, 0 and +9 ms)
-CHAIN_STEP_CELLS = 2.5
+# 2-vCPU Xeon VM at n = 20000 a step costs 8.4-10.4 cells in one process
+# (29-50 ms of stepping, 0.19-0.24 us a cell, over two processes of 15
+# runs); with a child formatting beside the loop both lanes run slower, and
+# they end together at 7.5 (the median lane ends of 21 runs at 6, 7.5 and
+# 9 cells differ by -9, -2 and +8 ms)
+CHAIN_STEP_CELLS = 7.5
 
 
 class DegenerateProbability(ValueError):
@@ -303,7 +304,9 @@ def run_trajectory(cfg: ModelConfig, rho0: DensityMatrix, seed: int,
                    feed: RowFeed = IN_PROCESS) -> TrajectoryRecord:
     """Simulate floor(n * t_horizon) measurement steps; deterministic in seed.
     The initial state is checked first; the steps are ``_scalar_chain``'s,
-    in the record table of ``feed``, which gets each checked block."""
+    in the record table of ``feed``, which gets each checked block. A table
+    of more than csvio.MAX_ROWS rows is refused first."""
+    check_rows(cfg.steps + 1)
     uniforms = ensemble_streams(seed, 1, cfg.steps)[0]
     validate_batch(rho0.m, None)
 

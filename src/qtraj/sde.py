@@ -115,7 +115,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .csvio import IN_PROCESS, STATE_HEADER, RowFeed, state_columns, write_csv
+from .csvio import IN_PROCESS, STATE_HEADER, RowFeed, check_rows, state_columns, write_csv
 from .linalg import (adjoint, bloch_apply, bloch_norm_sq, bloch_superop, bloch_terms,
                      bloch_to_density, density_to_bloch, project_ball, sandwich_superop)
 from .model import (ID2, STATE_TOL, VALIDATE_EVERY, DensityMatrix, ModelConfig,
@@ -123,6 +123,13 @@ from .model import (ID2, STATE_TOL, VALIDATE_EVERY, DensityMatrix, ModelConfig,
 from .rng import generator_for, member_streams, step_blocks
 
 MAX_SDE_STEP = 1e-2
+# steps h ||S_L|| (= T ||S_L||, max row sum) past which the exact master
+# path is refused. The squarings in _expm1 leave the step of a fast rotation
+# a norm error of order eps h ||S_L||, and the steps compound it: a closed
+# system's |r| drifted from 1 by up to 1.8e-16 steps h ||S_L|| (140 random
+# rotation rates w in [1e3, 1e7] at h = 1e-2, 1e-3 and 1e-4), so at this
+# bound by at most 4e-11, below STATE_TOL
+MAX_TURN = 2e5
 # a step divides the horizon T when T / h is this close (relative) to an integer
 STEP_DIVIDES_TOL = 1e-9
 # |r|^2 at or below this leaves the projection's scale exactly 1: the
@@ -130,12 +137,14 @@ STEP_DIVIDES_TOL = 1e-9
 _INSIDE = 1.0 - 1e-12
 # cost of one _scalar_density or _scalar_wave step in %.17g cells formatted,
 # which places the split of a table formatted beside the loop
-# (cli._FormattedAhead). On the 2-vCPU Xeon VM at h = 1e-4 a step costs 2.6
-# (density) and 3.2 (wave) cells in one process; with a child formatting
-# beside the loop both lanes run slower, and they end together at 2.1 and
-# 2.3 (measured like discrete.CHAIN_STEP_CELLS)
-DENSITY_STEP_CELLS = 2.1
-WAVE_STEP_CELLS = 2.3
+# (cli._FormattedAhead). On the 2-vCPU Xeon VM at h = 1e-4 a step costs
+# 9.4-9.8 (density) and 10.8-12.9 (wave) cells in one process; with a child
+# formatting beside the loop both lanes run slower, and they end together at
+# 6 and 9 (the median lane ends of 21 runs differ by -6, 0 and 0 ms at 4, 6
+# and 8 density cells, where from 6 on the child formats every row, and by
+# -6, 0 and +5 ms at 7, 9 and 11 wave cells)
+DENSITY_STEP_CELLS = 6.0
+WAVE_STEP_CELLS = 9.0
 
 
 class StepOutOfRange(ValueError):
@@ -513,9 +522,11 @@ def _density_path(cfg: ModelConfig, rho0: DensityMatrix, h: float,
                   seed: int, physical: bool, feed: RowFeed = IN_PROCESS) -> SdePath:
     """``_scalar_density`` on one path, recording every state (and, in the
     physical form, the companion W path) in the record table of ``feed``,
-    which gets each checked block. The initial state is checked first, and
-    the path state by state once recorded."""
+    which gets each checked block. A path of more than csvio.MAX_ROWS rows
+    is refused first; the initial state is checked next, and the path state
+    by state once recorded."""
     steps = _euler_steps(cfg, h)
+    check_rows(steps + 1)
     noise = _path_noise(seed, steps, h)
     validate_batch(rho0.m, None)
 
@@ -620,9 +631,11 @@ def simulate_wave(cfg: ModelConfig, psi0: WaveFunction, h: float,
                   seed: int, feed: RowFeed = IN_PROCESS) -> WavePath:
     """Euler path of the wave form on [0, T], renormalized each step, with
     every norm checked: ``_scalar_wave`` on one path, in the record table of
-    ``feed``, which gets each checked block. The norm of psi0 is checked
-    first, and the recorded path once at the end."""
+    ``feed``, which gets each checked block. A path of more than
+    csvio.MAX_ROWS rows is refused first; the norm of psi0 is checked next,
+    and the recorded path once at the end."""
     steps = _euler_steps(cfg, h)
+    check_rows(steps + 1)
     noise = _path_noise(seed, steps, h)
     validate_norms(psi0.v, None)
 
@@ -640,9 +653,11 @@ def master_evolve(cfg: ModelConfig, rho0: DensityMatrix, h: float) -> MasterPath
     """The averaged equation d nu/dt = L(nu) on the grid of step h, stepped
     exactly: L is linear, so a step is v -> v @ exp(h S_L), and none in
     (0, T] is unstable. A step outside (0, T], or one that does not divide
-    T, raises StepOutOfRange."""
+    T, raises StepOutOfRange, and a path of more than csvio.MAX_ROWS rows
+    TableTooLarge, before anything is allocated."""
     _check_step(h, cfg.t_horizon)
     steps = _steps_to(cfg.t_horizon, h)
+    check_rows(steps + 1)
     return MasterPath(grid=np.arange(steps + 1) * h,
                       states=_master_states(cfg, rho0, h, steps))
 
@@ -680,9 +695,17 @@ def _master_states(cfg: ModelConfig, rho0: DensityMatrix, h: float,
     E_j = (I + d)^j - I, taken as E_j = E_{j-1} + d + E_{j-1} d to keep d's
     low bits, a block of B = isqrt(steps) steps from s is one stacked
     product u_{s+j} = u_s + u_s E_j. The initial state and the whole path
-    are checked against the invariants."""
+    are checked against the invariants. StepOutOfRange if steps h ||S_L||
+    exceeds MAX_TURN, past which rounding alone moves |r| by more than
+    STATE_TOL."""
     validate_batch(rho0.m, None)
-    d = bloch_superop(_expm1(lindblad_superop(cfg.h0, cfg.coupling()), h))
+    s_l = lindblad_superop(cfg.h0, cfg.coupling())
+    d = bloch_superop(_expm1(s_l, h))
+    turn = steps * h * float(np.max(np.sum(np.abs(s_l), axis=1)))
+    if not turn <= MAX_TURN:
+        raise StepOutOfRange(f"{steps} steps of size {h:g} are too many for the generator "
+                             f"S_L: steps h ||S_L|| = {turn:.6g} > {MAX_TURN:g}, past which "
+                             "rounding moves |r| by more than the state tolerance")
     d[:, 0] = 0.0
     block = max(1, math.isqrt(steps))
     incr = np.empty((block, 4, 4))

@@ -384,3 +384,27 @@ def wave_path_batch_of_one(cfg: ModelConfig, psi0: WaveFunction, h: float,
     vectors = parts.view(complex)
     validate_norms(vectors, steps)
     return WavePath(grid=np.arange(steps + 1) * h, vectors=vectors, noise=noise)
+
+
+def csv_rows_loop(columns, start: int = 0, block_rows: int = 1024) -> list[str]:
+    """``csvio.csv_rows`` as one %-format of a row's cells a row: every cell
+    of a string column as is, every other one converted to a Python float
+    and formatted by "%.17g"; row 0 alone, then blocks of ``block_rows``."""
+    columns = [col if col.dtype.kind == "U" else col.astype(float, copy=False)
+               for col in map(np.asarray, columns)]
+    num_rows = max(map(len, columns))
+    formats = ["%s" if col.dtype.kind == "U" else "%.17g" for col in columns]
+    full = [len(col) == num_rows for col in columns]
+    line = ",".join(formats) + "\n"
+    blocks = []
+    if start == 0 < num_rows:
+        first = ",".join(f if whole else "" for f, whole in zip(formats, full)) + "\n"
+        blocks.append(first % tuple(col[0].item() for col, whole in zip(columns, full)
+                                    if whole))
+        start = 1
+    for lo in range(start, num_rows, block_rows):
+        hi = min(lo + block_rows, num_rows)
+        cells = [col[lo:hi] if whole else col[lo - 1:hi - 1]
+                 for col, whole in zip(columns, full)]
+        blocks.append("".join(map(line.__mod__, zip(*(c.tolist() for c in cells)))))
+    return blocks

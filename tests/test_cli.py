@@ -544,7 +544,7 @@ class TestConvergeTwoProcesses:
 
 
 # sha256 of the CSVs written when every table was formatted in one process,
-# and the forks expected now: one from csvio.SPLIT_ROWS = 4096 rows
+# and the forks expected now: one from csvio.SPLIT_ROWS = 5000 rows
 SINGLE_PATH_DIGESTS = [
     (("simulate-discrete", "--n", "5000", "--seed", "7"), 1,
      "bfc5eb6ee7942d8a1ee22ac987d0bea40d02cddb6dd7689e059e8d4ece29c88a"),
@@ -556,12 +556,12 @@ SINGLE_PATH_DIGESTS = [
      "5dcae739f8065d1ff35455344327f38934a23afcfb68b413f40f7a58c03d4d7e"),
     (("master", "--h", "1e-4", "--seed", "1"), 1,
      "f2e15ab56f33dd5b01d05cd04476fe5ef0747dfb63235054f43d4cf5f5518d4b"),
-    # 4096 rows: the threshold itself
-    (("simulate-discrete", "--n", "4095", "--seed", "3"), 1,
-     "9e4b241cc489cf1fc09f62de7c15378908041682c6f21b35fbdcf4e38a1a9e39"),
-    # 4095 and 1001 rows: below it
-    (("simulate-discrete", "--n", "4094", "--seed", "3"), 0,
-     "7463883e45531080518726a3cd6954095fa4cc8d94bccf70f722ae801d137878"),
+    # 5000 rows: the threshold itself
+    (("simulate-discrete", "--n", "4999", "--seed", "3"), 1,
+     "3cf53171c97e32e935e3475a60df3de535a9084a8a3500848ca7addc4a10a5b8"),
+    # 4999 and 1001 rows: below it
+    (("simulate-discrete", "--n", "4998", "--seed", "3"), 0,
+     "d5fe7a8c10e12fa8c1e3c8af326e100ad2ae08a37e4ff58587ffe0bc82df9052"),
     (("master", "--h", "1e-3", "--seed", "1"), 0,
      "3f56046585025de7615f83f25cc97ce8a5bc05a73180bd47015983d318762246"),
 ]
@@ -733,6 +733,31 @@ class TestSinglePathTwoProcesses:
                                match=f"stopped after 100 of the {split} rows"):
                 text()
         assert time.monotonic() - start < 30
+        _no_children_left()
+
+    def test_child_text_decoded_in_pieces(self, monkeypatch):
+        # the child's text crosses in a shared mapping and is decoded in
+        # pieces of TEXT_CHUNK bytes; a piece may end inside a character
+        import qtraj.cli
+        from qtraj.cli import _FormattedAhead
+        from qtraj.csvio import SPLIT_ROWS
+
+        from oracles import csv_rows_loop
+
+        monkeypatch.setattr(qtraj.cli, "TEXT_CHUNK", 3)
+        words = np.resize(np.array(["\u00e9", "x", "\u20ac"]), SPLIT_ROWS)
+
+        def columns(rows, lo):
+            return [rows[:, 0], words[lo:lo + len(rows)]]
+
+        with _FormattedAhead() as feed:
+            table = feed.table((SPLIT_ROWS, 1), columns, 0.0)
+            table[:, 0] = np.arange(SPLIT_ROWS) / 7
+            feed.publish(SPLIT_ROWS)
+            split, text = feed.formatted()
+            ahead = "".join(text())
+        assert split == SPLIT_ROWS // 2
+        assert ahead == "".join(csv_rows_loop(columns(table[:split], 0)))
         _no_children_left()
 
     @pytest.mark.parametrize("step_cells", [-10.0, 0.0, 1e9], ids=["0", "half", "K"])
@@ -955,6 +980,32 @@ class TestStepBoundsExit2:
         assert "exp(h S_L) overflows" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("w,exit_code", [(9.9e4, 0), (1.01e5, 2), (9.9e5, 2), (1e12, 2)])
+    def test_master_refuses_a_rotation_too_fast_for_its_steps(self, tmp_path, capsys,
+                                                               w, exit_code):
+        # a closed system, h0 = w sigma_x: |r| stays 1. 100 steps of h = 1e-2
+        # have steps h ||S_L|| = 2 w; past MAX_TURN = 2e5 rounding alone can
+        # move |r| by more than STATE_TOL (by 1.5e-10 at w = 9.9e5 and 3e-4
+        # at w = 1e12, which wrote their paths with exit 0)
+        from qtraj.model import STATE_TOL
+
+        cfg = tmp_path / "rotation.cfg"
+        cfg.write_text(f"h0 = 0 {w} 0 0\nc = 0 0 0 0 0 0 0 0\n")
+        out = tmp_path / "m.csv"
+        assert run_cli("master", "--config", str(cfg), "--h", "1e-2", "--seed", "1",
+                       "--out", str(out)) == exit_code
+        err = capsys.readouterr().err
+        if exit_code:
+            assert "too many for the generator S_L: steps h ||S_L||" in err
+            assert "Traceback" not in err
+            assert not out.exists()
+            return
+        header, rows = read_rows(out)
+        rho = np.array([[float(v) for v in row[1:]] for row in rows])
+        r = np.stack([2 * rho[:, 1], -2 * rho[:, 2], rho[:, 0] - rho[:, 3]], axis=1)
+        assert len(rows) == 101
+        assert np.max(np.abs(np.linalg.norm(r, axis=1) - 1.0)) < STATE_TOL
+
     def test_step_bound_names_the_generator(self, tmp_path, capsys):
         # the Hamiltonian, not the coupling, drives h ||S_L|| here
         cfg = tmp_path / "fast.cfg"
@@ -1069,6 +1120,54 @@ class TestStepBoundsExit2:
         assert run_cli(*argv, "--config", str(cfg), "--seed", "1", "--out", str(out)) == 2
         assert not out.exists()
         assert "must be in (0, 0.004]" in capsys.readouterr().err
+
+
+class TestPathSizeBound:
+    """A single path's record table of more than csvio.MAX_ROWS rows exits 2
+    with no file, before its noise, states or table are allocated."""
+
+    @pytest.mark.parametrize("argv,config,never", [
+        (("simulate-discrete", "--n", "10000000"), "", ("qtraj.discrete", "ensemble_streams")),
+        (("simulate-sde", "--h", "1e-2"), "t_horizon = 1e6\n", ("qtraj.sde", "_path_noise")),
+        (("simulate-sde", "--form", "wave", "--h", "1e-2"), "t_horizon = 1e6\n",
+         ("qtraj.sde", "_path_noise")),
+        (("master", "--h", "1e-2"), "t_horizon = 1e6\n", ("qtraj.sde", "_master_states")),
+    ], ids=["discrete", "density", "wave", "master"])
+    def test_refused_before_anything_is_allocated(self, tmp_path, capsys, monkeypatch,
+                                                  argv, config, never):
+        import importlib
+
+        def not_started(*args, **kwargs):
+            raise AssertionError("the path was started")
+
+        monkeypatch.setattr(importlib.import_module(never[0]), never[1], not_started)
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "p.csv"
+        forks = _fork_counter(monkeypatch)
+        assert run_cli(*argv, "--config", str(cfg), "--seed", "1", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "more than 10000000" in err and "Traceback" not in err
+        assert forks == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate-discrete", "--n"), ("simulate-sde", "--h"),
+        ("simulate-sde", "--form", "wave", "--h"), ("master", "--h"),
+    ], ids=["discrete", "density", "wave", "master"])
+    def test_bound_is_on_the_rows(self, tmp_path, monkeypatch, argv):
+        # at a bound of 101 rows, 100 steps pass and 101 are refused
+        import qtraj.csvio
+
+        monkeypatch.setattr(qtraj.csvio, "MAX_ROWS", 101)
+        for steps, code in ((100, 0), (101, 2)):
+            value = str(steps) if argv[-1] == "--n" else repr(1 / steps)
+            out = tmp_path / f"p{steps}.csv"
+            assert run_cli(*argv, value, "--seed", "1", "--out", str(out),
+                           "--no-timestamp") == code
+            assert out.exists() == (code == 0)
+            if code == 0:
+                assert len(read_rows(out)[1]) == steps + 1
 
 
 def test_csv_cells():
