@@ -52,7 +52,6 @@ from .sde import (
     simulate_belavkin,
     simulate_physical,
     simulate_wave,
-    wave_ensemble_final,
 )
 
 __version__ = "0.1.0"

@@ -232,10 +232,12 @@ def _cmd_master(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    spec = EnsembleSpec(cfg=_load_model(args), rho0=EXCITED,
-                        num_trajectories=args.trajectories,
-                        base_seed=args.seed, n_values=args.n_values,
-                        sde_step=args.sde_step)
+    try:
+        spec = EnsembleSpec(cfg=_load_model(args), rho0=EXCITED,
+                            num_trajectories=args.trajectories, base_seed=args.seed,
+                            n_values=args.n_values, sde_step=args.sde_step)
+    except ValueError as exc:
+        raise ConfigError(f"bad ensemble: {exc}") from exc
     report = assemble_report(spec, _in_two_lanes(report_parts(spec)))
     with open(args.out, "w") as fh:
         report.to_csv(fh, timestamp=_timestamp(args))

@@ -85,6 +85,9 @@ class EnsembleSpec:
             raise ValueError("n_values must be positive")
         if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
             raise ValueError("n_values must be strictly increasing")
+        # the chain pass at the largest n steps this model, so ModelConfig
+        # must accept it (n T a finite float)
+        replace(self.cfg, n=self.n_values[-1])
 
 
 @dataclass

@@ -134,8 +134,12 @@ class ModelConfig:
             raise ValueError("h0, c, c+c and theta must be finite")
         if not self.n >= 1:
             raise ValueError("n must be a positive integer")
-        if not 0 < self.t_horizon < np.inf:
-            raise ValueError("t_horizon must be positive and finite")
+        try:    # floor(n T) steps are taken in floats
+            span = self.n * self.t_horizon
+        except OverflowError:   # an int n past the float range
+            span = np.inf
+        if not (0 < self.t_horizon < np.inf and span < np.inf):
+            raise ValueError("t_horizon and n * t_horizon must be positive and finite")
         if not max_abs(h0 - adjoint(h0)) <= HERMITICITY_TOL:
             raise ValueError("h0 must be Hermitian to tolerance "
                              f"{HERMITICITY_TOL:g}")

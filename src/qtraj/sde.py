@@ -69,35 +69,36 @@ members through ``project_ball``, after one max of the sums has said
 whether any goes; a finite max also tells the next product that every
 component is finite, so it takes its sparse plan untested.
 ``_scalar_density`` takes the same |r| and division in Python floats.
-Every numpy call of a density ensemble step (not yet of ``_wave_steps``)
-takes array operands and writes into an array given positionally: the plan
-holds A's entries, and the loops h, 0.5 and _INSIDE, as 0-d float64 arrays,
-because numpy 2 converts a Python-float operand anew on every call (NEP
-50), about 30 % of a call's cost at M = 1000. A 0-d array of the float64
-the Python float converts to gives the same IEEE operations on the same
-operands in the same order, so the bits do not change.
+Every numpy call of a density ensemble step takes array operands and
+writes into an array given positionally: the plan holds A's entries, and
+the loops h, 0.5 and _INSIDE, as 0-d float64 arrays, because numpy 2
+converts a Python-float operand anew on every call (NEP 50), about 30 % of
+a call's cost at M = 1000. A 0-d array of the float64 the Python float
+converts to gives the same IEEE operations on the same operands in the
+same order, so the bits do not change.
 
-Each equation has one ensemble Euler loop, a generator that reads the
-(M,) increments of each step as it takes it: ``_density_steps`` (density
-and innovation forms) and ``_wave_steps``. A seeded ensemble draws them
-from its seed's stream in blocks of at most ``rng.BLOCK_DRAWS`` draws
+The density equation has one ensemble Euler loop, a generator that reads
+the (M,) increments of each step as it takes it: ``_density_steps``
+(density and innovation forms). A seeded ensemble draws them from its
+seed's stream in blocks of at most ``rng.BLOCK_DRAWS`` draws
 (``_ensemble_noise``), so its memory grows with M but not with the steps;
 a single path draws all of its own at once, as its record keeps them. The
-ensembles keep the last step. The wave form is stepped
-in real arithmetic: psi is held as v = (Re psi_0, Im psi_0, Re psi_1,
-Im psi_1), and ``_wave_matrix`` turns the complex 2x2 matrices
-A = I + h (-i h0 - c+c/2) and c into one real (4, 8) matrix [A | C] with
-v @ A the real form of A psi. Every product of both loops is a fixed
+ensemble keeps the last step. Every product of the loop is a fixed
 sequence of elementwise products and sums, less the +-0 products that
 ``bloch_apply`` skips as they change no bit, so an ensemble row is
 bit-identical to the same member run alone, whatever M. A recorded path is
 stepped in Python floats instead: ``_scalar_density`` for
 ``simulate_belavkin`` and ``simulate_physical``, with the operations of
-``_bloch_step`` in the same order, skipped products included, and
-``_scalar_wave`` for ``simulate_wave``, with those of ``_wave_steps``. So a
-single path has the bits of the ensemble row; the tests check this step by
-step, as it does not hold by construction. Each fills a record table that
-a ``csvio.RowFeed`` provides and publishes each checked block of rows to
+``_bloch_euler`` and then ``_project`` in the same order, skipped products
+included, so a single path has the bits of the ensemble row; the tests
+check this step by step, as it does not hold by construction. The wave
+form has one stepping core, ``_scalar_wave`` for ``simulate_wave``, in real
+arithmetic: psi is held as v = (Re psi_0, Im psi_0, Re psi_1, Im psi_1),
+and ``_wave_matrix`` turns the complex 2x2 matrices A = I + h (-i h0 -
+c+c/2) and c into one real (4, 8) matrix [A | C] with v @ A the real form
+of A psi. Its bit reference is the ensemble loop ``wave_steps`` of
+``tests/oracles.py``. Each scalar loop fills a record table that a
+``csvio.RowFeed`` provides and publishes each checked block of rows to
 it, so the CLI can format the CSV beside the loop; the CSV columns of any
 row range come from ``_density_range`` or ``_wave_range`` and the writers'
 column functions.
@@ -345,15 +346,6 @@ def _project(r: np.ndarray, w: np.ndarray, inside: np.ndarray) -> bool:
     return top < math.inf
 
 
-def _bloch_step(terms: tuple, r: np.ndarray, dw: np.ndarray, h: np.ndarray | float,
-                physical: bool, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_bloch_euler``, then ``_project``: one step of ``_density_steps``,
-    which takes the two itself to carry the finite flag to the next step."""
-    r, g = _bloch_euler(terms, r, dw, h, physical, w)
-    _project(r, w, np.array(_INSIDE))
-    return r, g
-
-
 def _density_steps(cfg: ModelConfig, rho0: DensityMatrix, h: float,
                    num_paths: int, steps: int, noise: Iterable[np.ndarray],
                    physical: bool,
@@ -411,40 +403,6 @@ def _real_parts(psi: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(psi, dtype=complex).view(float)
 
 
-def _complex_rows(v: np.ndarray) -> np.ndarray:
-    """(M, 2) complex vectors of the (4, M) real parts, as a float view."""
-    return np.ascontiguousarray(v.T).view(complex)
-
-
-def _wave_steps(cfg: ModelConfig, psi0: WaveFunction, h: float, num_paths: int,
-                steps: int, noise: Iterable[np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
-    """Euler steps of num_paths wave paths, driven by ``noise`` as in
-    ``_density_steps``, renormalized each step. Yields (k, v) after
-    step k, with v the (4, M) real parts: column j is member j's
-    (Re psi_0, Im psi_0, Re psi_1, Im psi_1). The norm of psi0 is checked
-    first, and the norms every VALIDATE_EVERY steps and after the last one.
-
-    With w = v @ [A | C] from ``_wave_matrix`` and nu = Re<psi, c psi> =
-    v . (v @ C), a step is raw = v @ A + (dW + h nu) (v @ C) -
-    (dW nu + (0.5 h) nu nu) v over sqrt(raw_0^2 + raw_1^2 + raw_2^2 +
-    raw_3^2). Every product is four elementwise products summed in a fixed
-    order, as in ``linalg.bloch_apply``, and w is an (8, M) array, so a
-    column is computed by the same operations whatever M.
-    """
-    validate_norms(psi0.v, None)
-    col = _wave_matrix(cfg, h)[:, :, None]
-    v = np.broadcast_to(_real_parts(psi0.v)[:, None], (4, num_paths)).copy()
-    for k, dw in zip(range(steps), noise):
-        w = v[0] * col[0] + v[1] * col[1] + v[2] * col[2] + v[3] * col[3]
-        nu = v[0] * w[4] + v[1] * w[5] + v[2] * w[6] + v[3] * w[7]
-        raw = w[:4] + (dw + h * nu) * w[4:] - (dw * nu + 0.5 * h * nu * nu) * v
-        v = raw / np.sqrt(raw[0] * raw[0] + raw[1] * raw[1] + raw[2] * raw[2]
-                          + raw[3] * raw[3])
-        if (k + 1) % VALIDATE_EVERY == 0 or k + 1 == steps:
-            validate_norms(_complex_rows(v), k)
-        yield k, v
-
-
 def _scalar_density(a: np.ndarray, r0: np.ndarray, h: float, noise: np.ndarray,
                     physical: bool, table: np.ndarray | None = None,
                     publish=IN_PROCESS.publish) -> tuple[np.ndarray, np.ndarray]:
@@ -453,16 +411,16 @@ def _scalar_density(a: np.ndarray, r0: np.ndarray, h: float, noise: np.ndarray,
     Takes the (4, 7) matrix of ``_bloch_sde_matrix``, the initial Bloch
     vector and the (steps,) increments, and returns (Bloch vectors
     (steps+1, 3), g (steps,)). Each number comes from the operations that
-    ``_bloch_step`` takes on a member, in the same order, and the +-0
-    products ``bloch_apply`` skips, which change no bit, so it has the same
-    bits; the tests check this step by step. The projection takes |r| from
-    nested ``np.hypot``, as ``project_ball`` does (``math.hypot`` rounds
-    differently), and skips it when x^2 + y^2 + z^2 <= _INSIDE, where the
-    scale is exactly 1: the rule of ``_bloch_step``. A non-finite |r| makes
-    the state NaN. The states are checked every VALIDATE_EVERY steps and
-    after the last one, by the cheap test of ``discrete._scalar_chain``
-    first, x^2 + y^2 + z^2 <= 1 + STATE_TOL, and by ``validate_batch`` only
-    where that fails.
+    ``_bloch_euler`` and then ``_project`` take on a member, in the same
+    order, and the +-0 products ``bloch_apply`` skips, which change no bit,
+    so it has the same bits; the tests check this step by step. The
+    projection takes |r| from nested ``np.hypot``, as ``project_ball`` does
+    (``math.hypot`` rounds differently), and skips it when x^2 + y^2 + z^2
+    <= _INSIDE, where the scale is exactly 1: the rule of ``_project``. A
+    non-finite |r| makes the state NaN. The states are checked every
+    VALIDATE_EVERY steps and after the last one, by the cheap test of
+    ``discrete._scalar_chain`` first, x^2 + y^2 + z^2 <= 1 + STATE_TOL, and
+    by ``validate_batch`` only where that fails.
 
     The record table is ``table`` ((steps+1, 4), a new one by default): row
     0 holds r0 and NaN, row k + 1 the state after step k and g before it. A
@@ -563,21 +521,25 @@ def simulate_physical(cfg: ModelConfig, rho0: DensityMatrix, h: float,
 def _scalar_wave(m: np.ndarray, v0: np.ndarray, h: float, noise: np.ndarray,
                  table: np.ndarray | None = None,
                  publish=IN_PROCESS.publish) -> np.ndarray:
-    """The steps of ``_wave_steps`` for one path, in Python floats.
+    """Euler steps of one wave path, renormalized each step, in Python floats.
 
-    Takes the (4, 8) matrix of ``_wave_matrix``, the (4,) real parts of the
-    initial vector and the (steps,) increments, and returns the record
-    table: the real parts (steps+1, 4) of every vector, row 0 those of the
-    initial one. Each number comes from the operations that ``_wave_steps``
-    takes on a column, in the same order, so it has the same bits; the
-    tests check this step by step. A zero norm divides through numpy, so 0/0
-    gives NaN as in the ensemble rather than raising. The norms are checked
-    every VALIDATE_EVERY steps and after the last one, by a cheap test first:
-    |psi|^2 within STATE_TOL of 1 in Python floats, which leaves |psi|
-    within STATE_TOL/2 of 1 up to rounding, and by ``validate_norms`` only
-    where that fails (NaN and inf included). The table is ``table`` (a new
-    one by default); a block's rows go into it once its last norm is
-    checked, and then ``publish`` gets the number of rows filled.
+    Takes the (4, 8) matrix [A | C] of ``_wave_matrix``, the (4,) real parts
+    v of the initial vector and the (steps,) increments, and returns the
+    record table: the real parts (steps+1, 4) of every vector, row 0 those
+    of the initial one. With w = v @ [A | C] and nu = Re<psi, c psi> =
+    v . (v @ C), a step is raw = v @ A + (dW + h nu) (v @ C) - (dW nu +
+    (0.5 h) nu nu) v over sqrt(raw_0^2 + raw_1^2 + raw_2^2 + raw_3^2), every
+    product four products summed in a fixed order. Its bit reference is the
+    ensemble loop ``wave_steps`` of ``tests/oracles.py``, whose columns take
+    the same operations in the same order; the tests check this step by
+    step. A zero norm divides through numpy, so 0/0 gives NaN as in that
+    loop rather than raising. The norms are checked every VALIDATE_EVERY
+    steps and after the last one, by a cheap test first: |psi|^2 within
+    STATE_TOL of 1 in Python floats, which leaves |psi| within STATE_TOL/2
+    of 1 up to rounding, and by ``validate_norms`` only where that fails
+    (NaN and inf included). The table is ``table`` (a new one by default);
+    a block's rows go into it once its last norm is checked, and then
+    ``publish`` gets the number of rows filled.
     """
     (a00, a01, a02, a03, c00, c01, c02, c03), \
         (a10, a11, a12, a13, c10, c11, c12, c13), \
@@ -764,19 +726,6 @@ def sde_ensemble_final(cfg: ModelConfig, rho0: DensityMatrix, h: float,
             np.add(log_z, np.subtract(np.multiply(g, dw, gdw), tail, gdw), log_z)
     weights = np.exp(log_z) if with_weights else None
     return bloch_to_density(r), weights
-
-
-def wave_ensemble_final(cfg: ModelConfig, psi0: WaveFunction, h: float,
-                        num_paths: int, base_seed: int | None = None,
-                        noise: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized wave-form ensemble, final (M, 2) vectors only. The noise
-    and its checks are those of ``sde_ensemble_final``: base_seed's stream
-    in blocks of at most 512 KiB, or an explicit array, exactly one."""
-    steps = _euler_steps(cfg, h)
-    noise = _ensemble_noise(base_seed, noise, num_paths, steps, h)
-    for _, v in _wave_steps(cfg, psi0, h, num_paths, steps, noise):
-        pass
-    return _complex_rows(v)
 
 
 _PATH_HEADER = "time,dW," + STATE_HEADER

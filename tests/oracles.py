@@ -8,13 +8,16 @@ increment form, and the diffusive SME in 2x2 matrix form. The tests compare
 the package's stepping cores against them; nothing in ``qtraj`` calls them.
 The single paths taken as a batch of one through the ensemble cores are
 here too: the package steps single paths in Python floats, and these are the
-references their bits are checked against.
+references their bits are checked against. The wave form has no ensemble
+core in the package, so its ensemble loop ``wave_steps`` is here, as that
+reference and as the wave ensemble of the tests that need one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from qtraj.model import (
     FIELD_HAMILTONIANS,
     ID2,
     STATE_TOL,
+    VALIDATE_EVERY,
     DensityMatrix,
     InteractionUnitary,
     ModelConfig,
@@ -37,8 +41,9 @@ from qtraj.model import (
     validate_batch,
     validate_norms,
 )
+import qtraj.sde as sde_mod
 from qtraj.sde import (SdePath, WavePath, _density_steps, _ensemble_noise, _euler_steps,
-                       _real_parts, _wave_steps)
+                       _real_parts)
 
 FIELD_GROUND = np.array([[1, 0], [0, 0]], dtype=complex)   # |f0><f0|
 
@@ -260,6 +265,28 @@ def wavefunction_step(psi: WaveFunction, h: float, dw: float,
     return WaveFunction(raw / np.linalg.norm(raw))
 
 
+def commuting_exact_bloch(cfg: ModelConfig, rho0: DensityMatrix, t: float,
+                          y: np.ndarray) -> np.ndarray:
+    """(M, 3) Bloch vectors at t of the density equation's exact solutions
+    on M paths, for a Hermitian coupling c that commutes with h0, given each
+    path's record Y_t = W_t + int_0^t g ds (W the increments that drive it).
+
+    The linear equation d psi = (-i h0 - c^2/2) psi dt + c psi dY solves to
+    psi_t = U K psi_0 with U = exp(-i h0 t) and K = exp(c Y_t - c^2 t) (the
+    Ito correction adds -c^2 t / 2 to K's exponent), and its projector,
+    normalized, solves the density equation driven by dW = dY - g dt. So
+    rho_t = U K rho0 K U+ over its trace, a function of Y_t alone."""
+    h0, c = cfg.h0, cfg.coupling()
+    if not (np.allclose(c, adjoint(c)) and np.allclose(c @ h0, h0 @ c)):
+        raise ValueError("the closed form needs c Hermitian and commuting with h0")
+    lam, v = np.linalg.eigh(c)
+    k = (v * np.exp(np.multiply.outer(y, lam) - lam * lam * t)[:, None, :]) @ adjoint(v)
+    e, w = np.linalg.eigh(h0)
+    u = (w * np.exp(-1j * e * t)) @ adjoint(w)
+    m = u @ k @ rho0.m @ k @ adjoint(u)
+    return density_to_bloch(m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None])
+
+
 def innovation_path(path: SdePath, c: np.ndarray) -> np.ndarray:
     """Innovation values W~_k = W_k - sum_{i<k} g_i h reconstructed from a
     reference-measure path (bookkeeping inverse of the companion relation)."""
@@ -369,9 +396,58 @@ def density_path_batch_of_one(cfg: ModelConfig, rho0: DensityMatrix, h: float,
                    companion=companion)
 
 
+def _complex_rows(v: np.ndarray) -> np.ndarray:
+    """(M, 2) complex vectors of the (4, M) real parts, as a float view."""
+    return np.ascontiguousarray(v.T).view(complex)
+
+
+def wave_steps(cfg: ModelConfig, psi0: WaveFunction, h: float, num_paths: int,
+               steps: int, noise) -> Iterator[tuple[int, np.ndarray]]:
+    """Euler steps of num_paths wave paths, driven by ``noise`` as in
+    ``sde._density_steps``, renormalized each step: the bit reference of
+    ``sde._scalar_wave``. Yields (k, v) after step k, with v the (4, M) real
+    parts: column j is member j's (Re psi_0, Im psi_0, Re psi_1, Im psi_1).
+    The norm of psi0 is checked first, and the norms every VALIDATE_EVERY
+    steps and after the last one. The matrix and the check are the sde
+    module's ``_wave_matrix`` and ``validate_norms``, which a test may patch
+    for both loops.
+
+    With w = v @ [A | C] from ``_wave_matrix`` and nu = Re<psi, c psi> =
+    v . (v @ C), a step is raw = v @ A + (dW + h nu) (v @ C) -
+    (dW nu + (0.5 h) nu nu) v over sqrt(raw_0^2 + raw_1^2 + raw_2^2 +
+    raw_3^2). Every product is four elementwise products summed in a fixed
+    order, as in ``linalg.bloch_apply``, and w is an (8, M) array, so a
+    column is computed by the same operations whatever M.
+    """
+    sde_mod.validate_norms(psi0.v, None)
+    col = sde_mod._wave_matrix(cfg, h)[:, :, None]
+    v = np.broadcast_to(_real_parts(psi0.v)[:, None], (4, num_paths)).copy()
+    for k, dw in zip(range(steps), noise):
+        w = v[0] * col[0] + v[1] * col[1] + v[2] * col[2] + v[3] * col[3]
+        nu = v[0] * w[4] + v[1] * w[5] + v[2] * w[6] + v[3] * w[7]
+        raw = w[:4] + (dw + h * nu) * w[4:] - (dw * nu + 0.5 * h * nu * nu) * v
+        v = raw / np.sqrt(raw[0] * raw[0] + raw[1] * raw[1] + raw[2] * raw[2]
+                          + raw[3] * raw[3])
+        if (k + 1) % VALIDATE_EVERY == 0 or k + 1 == steps:
+            sde_mod.validate_norms(_complex_rows(v), k)
+        yield k, v
+
+
+def wave_finals(cfg: ModelConfig, psi0: WaveFunction, h: float,
+                noise: np.ndarray) -> np.ndarray:
+    """Final (M, 2) vectors of ``wave_steps`` driven by the explicit
+    (M, steps) increments ``noise``, checked as ``sde_ensemble_final``
+    checks its own: h in range and dividing T, the shape and finiteness."""
+    steps = _euler_steps(cfg, h)
+    for _, v in wave_steps(cfg, psi0, h, len(noise), steps,
+                           _ensemble_noise(None, noise, len(noise), steps, h)):
+        pass
+    return _complex_rows(v)
+
+
 def wave_path_batch_of_one(cfg: ModelConfig, psi0: WaveFunction, h: float,
                            seed: int, feed=None) -> WavePath:
-    """``sde.simulate_wave`` as a batch of one through ``_wave_steps``,
+    """``sde.simulate_wave`` as a batch of one through ``wave_steps``,
     recording every vector and checking the path's norms once recorded. It
     asks ``feed`` for no table, so a command's CSV is formatted in one
     process."""
@@ -379,7 +455,7 @@ def wave_path_batch_of_one(cfg: ModelConfig, psi0: WaveFunction, h: float,
     noise = np.concatenate(list(_ensemble_noise(seed, None, 1, steps, h)))
     parts = np.empty((steps + 1, 4))
     parts[0] = _real_parts(psi0.v)
-    for k, v in _wave_steps(cfg, psi0, h, 1, steps, noise[:, None]):
+    for k, v in wave_steps(cfg, psi0, h, 1, steps, noise[:, None]):
         parts[k + 1] = v[:, 0]
     vectors = parts.view(complex)
     validate_norms(vectors, steps)

@@ -30,7 +30,7 @@ from qtraj.discrete import drive_ensemble, ensemble_streams
 from qtraj.linalg import adjoint, bloch_to_density, max_abs
 from qtraj.model import ID2, SIGMA_Z
 from qtraj.rng import derive_seed, generator_for
-from qtraj.sde import sde_ensemble_final, wave_ensemble_final
+from qtraj.sde import sde_ensemble_final
 
 from helpers import (
     EXCITED,
@@ -41,7 +41,7 @@ from helpers import (
     rand_config,
     rand_density,
 )
-from oracles import field_ground_energy, increment_update, measurement_step
+from oracles import field_ground_energy, increment_update, measurement_step, wave_finals
 
 
 def _report(num, text, t0):
@@ -200,8 +200,7 @@ def test_criterion_09_pure_state_embedding():
     for h, fold in ((2e-3, 4), (1e-3, 2), (5e-4, 1)):
         noise = fine.reshape(num, -1, fold).sum(axis=2)
         rho_f, _ = sde_ensemble_final(cfg, PLUS, h, num, noise=noise)
-        psi_f = wave_ensemble_final(cfg, WaveFunction(PLUS_VEC), h, num,
-                                    noise=noise)
+        psi_f = wave_finals(cfg, WaveFunction(PLUS_VEC), h, noise)
         proj = np.einsum("ja,jb->jab", psi_f, psi_f.conj())
         gaps[h] = float(np.abs(rho_f - proj).max(axis=(1, 2)).mean())
         impurity[h] = float(np.mean(1.0 - np.einsum("jab,jba->j", rho_f, rho_f).real))

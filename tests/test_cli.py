@@ -906,6 +906,24 @@ class TestNonFiniteInputExits2:
         assert not out.exists()
 
 
+HUGE_N = "1" + "0" * 400     # an integer past the float range
+
+
+@pytest.mark.parametrize("argv,config", [
+    (("simulate-discrete", "--n", HUGE_N), ""),
+    (("simulate-discrete",), f"n = {HUGE_N}\n"),
+    (("converge", "--n-values", f"5,{HUGE_N}", "--trajectories", "2"), ""),
+], ids=["discrete-flag", "config-key", "converge-n-values"])
+def test_n_past_the_float_range_exits_2(tmp_path, capsys, argv, config):
+    cfg = tmp_path / "n.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "x.csv"
+    assert run_cli(*argv, "--config", str(cfg), "--seed", "1", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 class TestCouplingRateNotFinite:
     @pytest.mark.parametrize("command", ["master", "simulate-sde", "simulate-discrete",
                                          "converge", "girsanov"])

@@ -38,11 +38,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             spec_for(damping_cfg(), (20,), m=1)
         # what the CLI's parsers reject: derive_seed masks to 64 bits and
-        # int() truncates, so each of these would alias an accepted spec
+        # int() truncates, so each of these would alias an accepted spec;
+        # and an n past the float range, whose chain pass has no model
         for field, value in [("base_seed", -1), ("base_seed", 2 ** 64),
                              ("base_seed", 2 ** 64 + 3), ("base_seed", 3.0),
                              ("n_values", (2.5, 9.9)), ("n_values", (5, 9.0)),
-                             ("num_trajectories", 4.7), ("num_trajectories", 4.0)]:
+                             ("num_trajectories", 4.7), ("num_trajectories", 4.0),
+                             ("n_values", (5, 10 ** 400))]:
             args = {"base_seed": 0, "n_values": (5, 9), "num_trajectories": 4, field: value}
             with pytest.raises(ValueError):
                 EnsembleSpec(cfg=damping_cfg(n=10), rho0=EXCITED, **args)

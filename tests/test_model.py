@@ -110,6 +110,12 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(h0=np.zeros((2, 2)), c=LOWERING, observable=obs,
                         n=10, t_horizon=0.0)
+        # floor(n T) is taken in floats: an int n past their range, or a
+        # product that overflows, is refused where it enters
+        for n, t in ((10 ** 400, 1.0), (10 ** 300, 1e10)):
+            with pytest.raises(ValueError, match=r"n \* t_horizon must be"):
+                ModelConfig(h0=np.zeros((2, 2)), c=LOWERING, observable=obs,
+                            n=n, t_horizon=t)
         with pytest.raises(ValueError):
             ModelConfig(h0=np.array([[0, 1], [0, 0]]), c=LOWERING,
                         observable=obs, n=10, t_horizon=1.0)

@@ -7,10 +7,10 @@ from qtraj.linalg import bloch_to_density
 import qtraj.rng as rng_mod
 from qtraj.rng import generator_for, member_streams, step_blocks
 from qtraj.sde import (_ensemble_noise, sde_ensemble_final, simulate_belavkin,
-                       simulate_physical, simulate_wave, wave_ensemble_final)
+                       simulate_physical, simulate_wave)
 
 from helpers import EXCITED, PLUS, PLUS_VEC, SIGNED_ZEROS, damping_cfg
-from oracles import member_streams_step_by_step
+from oracles import member_streams_step_by_step, wave_path_batch_of_one
 
 DRAWS = ("random", "standard_normal")
 SHAPES = ((4, 25), (0, 5), (1, 5), (3, 0), (3, 1), (50, 200))
@@ -97,8 +97,7 @@ def test_one_bit_generator_per_call(monkeypatch):
     assert len(list(rows)) == 10
     cfg = damping_cfg()
     sde_ensemble_final(cfg, PLUS, 1e-2, 1000, base_seed=5, with_weights=True)
-    wave_ensemble_final(cfg, WaveFunction(PLUS_VEC), 1e-2, 1000, base_seed=6)
-    assert built == [(3,), (4,), (5,), (6,)]
+    assert built == [(3,), (4,), (5,)]
 
 
 def test_ensemble_streams_are_uniform_member_streams():
@@ -140,7 +139,7 @@ def _density_finals(physical):
 def _wave_finals(seed, start):
     h0_scale, _, psi0 = STARTS[start]
     cfg = damping_cfg(h0_scale=h0_scale)
-    return (wave_ensemble_final(cfg, psi0, 1e-3, 1, seed)[0],
+    return (wave_path_batch_of_one(cfg, psi0, 1e-3, seed).vectors[-1],
             simulate_wave(cfg, psi0, 1e-3, seed).vectors[-1])
 
 

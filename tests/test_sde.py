@@ -31,17 +31,16 @@ import qtraj.sde as sde_mod
 from qtraj.sde import STEP_DIVIDES_TOL, StepOutOfRange, dividing_step
 from qtraj.sde import (
     VALIDATE_EVERY,
+    _bloch_euler,
     _bloch_sde_matrix,
-    _bloch_step,
     _density_steps,
+    _project,
     _scalar_density,
     _scalar_wave,
-    _wave_steps,
     backaction_superop,
     lindblad_superop,
     sde_coefficients,
     sde_ensemble_final,
-    wave_ensemble_final,
 )
 
 from helpers import (
@@ -63,6 +62,7 @@ from helpers import (
 from oracles import (
     backaction,
     bloch_apply_broadcast,
+    commuting_exact_bloch,
     density_path_batch_of_one,
     euler_step_density,
     girsanov_weights,
@@ -71,12 +71,22 @@ from oracles import (
     member_streams_step_by_step,
     project_positive,
     purity,
+    wave_finals,
     wave_path_batch_of_one,
+    wave_steps,
     wavefunction_step,
 )
 
 ANTIHERM_C = 1j * SIGMA_X  # c + c+ = 0
 EXCITED_VEC = np.array([0.0, 1.0], dtype=complex)
+
+
+def _euler_then_project(terms, r, dw, h, physical, w):
+    """One step of ``_density_steps`` on the (3, M) Bloch rows r:
+    ``_bloch_euler``, then ``_project`` at the module's current _INSIDE."""
+    r, g = _bloch_euler(terms, r, dw, h, physical, w)
+    _project(r, w, np.array(sde_mod._INSIDE))
+    return r, g
 
 
 def antiherm_cfg(n: int = 100) -> ModelConfig:
@@ -411,8 +421,7 @@ class TestEnsembleConsistency:
     def test_wave_ensemble_matches_scalar_path(self):
         cfg = damping_cfg(h0_scale=0.5)
         wave = simulate_wave(cfg, WaveFunction(PLUS_VEC), 1e-3, seed=18)
-        finals = wave_ensemble_final(cfg, WaveFunction(PLUS_VEC), 1e-3, 1,
-                                     noise=wave.noise[None, :])
+        finals = wave_finals(cfg, WaveFunction(PLUS_VEC), 1e-3, wave.noise[None, :])
         assert np.array_equal(finals[0], wave.vectors[-1])
 
     def test_pure_density_coupling_shrinks_with_step(self):
@@ -424,11 +433,37 @@ class TestEnsembleConsistency:
         for h, fold in ((2e-3, 4), (1e-3, 2), (5e-4, 1)):
             noise = fine.reshape(40, -1, fold).sum(axis=2)
             rf, _ = sde_ensemble_final(cfg, PLUS, h, 40, noise=noise)
-            pf = wave_ensemble_final(cfg, WaveFunction(PLUS_VEC), h, 40, noise=noise)
+            pf = wave_finals(cfg, WaveFunction(PLUS_VEC), h, noise)
             proj = np.einsum("ja,jb->jab", pf, pf.conj())
             gaps.append(np.abs(rf - proj).max(axis=(1, 2)).mean())
         assert gaps[0] > gaps[2]
         assert gaps[1] > gaps[2]
+
+
+def test_density_euler_has_strong_order_one_half():
+    # h0 = 0 and c = sigma_z from |+>: the exact state is a function of the
+    # record Y_T alone (oracles.commuting_exact_bloch). One fine Brownian
+    # path per member is folded to each h, Y is rebuilt from the increments
+    # and g of each step, and the mean pathwise error of ``_density_steps``
+    # falls as h^(1/2), Euler's strong order under multiplicative noise
+    cfg = ModelConfig(h0=np.zeros((2, 2)), c=SIGMA_Z,
+                      observable=make_observable(np.pi / 2, 1.0, -1.0), n=100,
+                      t_horizon=1.0)
+    num, finest = 400, 10
+    fine = np.random.default_rng(62).normal(scale=2.0 ** (-finest / 2),
+                                            size=(num, 2 ** finest))
+    sizes, errors = [], []
+    for p in range(6, finest + 1):
+        h = 2.0 ** -p
+        noise = fine.reshape(num, 2 ** p, -1).sum(axis=2)
+        y = np.zeros(num)
+        for _, r, g, dw in _density_steps(cfg, PLUS, h, num, 2 ** p, noise.T, False):
+            y += dw + g * h
+        exact = commuting_exact_bloch(cfg, PLUS, 1.0, y)
+        sizes.append(h)
+        errors.append(np.linalg.norm(r - exact, axis=1).mean())
+    slope = np.polyfit(np.log(sizes), np.log(errors), 1)[0]
+    assert 0.4 <= slope <= 0.7, (slope, errors)
 
 
 class TestSuperoperators:
@@ -481,9 +516,9 @@ class TestBlochCore:
             c = cfg.coupling()
             rho = rand_density(rng).m
             dw = rng.normal(scale=0.5, size=1)
-            r, g = _bloch_step(bloch_terms(_bloch_sde_matrix(cfg, h)),
-                               density_to_bloch(rho)[:, None], dw, h, physical,
-                               np.empty((7, 1)))
+            r, g = _euler_then_project(bloch_terms(_bloch_sde_matrix(cfg, h)),
+                                       density_to_bloch(rho)[:, None], dw, h, physical,
+                                       np.empty((7, 1)))
             r = r.T
             g_oracle = np.trace(rho @ (c + adjoint(c))).real
             assert abs(g[0] - g_oracle) < 1e-13
@@ -553,8 +588,8 @@ class TestEnsembleCore:
         from qtraj.cli import build_model
 
         cfg, h, psi0 = build_model({}, {}), 1e-3, WaveFunction(EXCITED_VEC)
-        finals = wave_ensemble_final(cfg, psi0, h, 64, base_seed=7)
         noise = np.array(list(sde_mod._ensemble_noise(7, None, 64, 1000, h))).T
+        finals = wave_finals(cfg, psi0, h, noise)
         for j in range(64):
             table = _scalar_wave(sde_mod._wave_matrix(cfg, h), sde_mod._real_parts(psi0.v),
                                  h, noise[j])
@@ -597,7 +632,7 @@ class TestEnsembleCore:
         # 16 blocks of rng.step_blocks, the last one shorter
         from qtraj.rng import generator_for
 
-        cfg, psi0 = damping_cfg(h0_scale=0.5), WaveFunction(PLUS_VEC)
+        cfg = damping_cfg(h0_scale=0.5)
         for num_paths, h in ((3, 1e-2), (1000, 1e-3)):
             noise = member_streams_step_by_step(generator_for(9), num_paths, round(1 / h),
                                                 "standard_normal") * np.sqrt(h)
@@ -609,15 +644,11 @@ class TestEnsembleCore:
                 assert_same_bits(finals.view(float), explicit.view(float))
                 if weights is not None:
                     assert_same_bits(weights, explicit_weights)
-            assert_same_bits(wave_ensemble_final(cfg, psi0, h, num_paths, base_seed=9).view(float),
-                             wave_ensemble_final(cfg, psi0, h, num_paths, noise=noise).view(float))
 
     @pytest.mark.parametrize("shape", [(3, 250), (5, 100), (3,)])
-    def test_wave_noise_shape_checked(self, shape):
-        cfg = damping_cfg()
+    def test_noise_shape_checked(self, shape):
         with pytest.raises(ValueError, match="noise must have shape"):
-            wave_ensemble_final(cfg, WaveFunction(PLUS_VEC), 1e-2, 3,
-                                noise=np.zeros(shape))
+            sde_ensemble_final(damping_cfg(), EXCITED, 1e-2, 3, noise=np.zeros(shape))
 
 
 def _density_batch_of_one(cfg, rho, h, noise, physical):
@@ -766,9 +797,10 @@ class TestScalarDensity:
 
 
 def _identity_step_batch(rows, dw):
-    """``_bloch_step`` with an identity Euler matrix on the (M, 3) ``rows``
-    and kicks ``dw`` along (1, 1, 1); returns (stepped rows, the unprojected
-    rows from the broadcast form, the rows project_ball was called on)."""
+    """``_euler_then_project`` with an identity Euler matrix on the (M, 3)
+    ``rows`` and kicks ``dw`` along (1, 1, 1); returns (stepped rows, the
+    unprojected rows from the broadcast form, the rows project_ball was
+    called on)."""
     a = np.zeros((4, 7))
     a[1:, :3] = np.eye(3)
     a[0, 3:6] = 1.0
@@ -782,8 +814,8 @@ def _identity_step_batch(rows, dw):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sde_mod, "project_ball", recording)
-        r, _ = _bloch_step(bloch_terms(a), np.ascontiguousarray(rows.T), dw, 1e-3, False,
-                           np.empty((7, len(rows))))
+        r, _ = _euler_then_project(bloch_terms(a), np.ascontiguousarray(rows.T), dw, 1e-3,
+                                   False, np.empty((7, len(rows))))
     return r.T, raw, seen
 
 
@@ -805,7 +837,7 @@ def _rows_summing_near(target, count):
 
 
 class TestProjectionRule:
-    """``_bloch_step`` sends only the members with x^2 + y^2 + z^2 <=
+    """``_project`` sends only the members with x^2 + y^2 + z^2 <=
     _INSIDE false through project_ball; the batch must keep project_ball's
     bits on every member."""
 
@@ -945,9 +977,9 @@ def test_nan_member_fails_the_check_like_the_full_check(monkeypatch, physical):
 
 
 def _wave_batch_of_one(cfg, v, h, noise):
-    """``_wave_steps`` on a batch of one, in ``_scalar_wave``'s layout."""
+    """``wave_steps`` on a batch of one, in ``_scalar_wave``'s layout."""
     parts = [sde_mod._real_parts(v)]
-    for _, w in _wave_steps(cfg, WaveFunction(v), h, 1, len(noise), noise[:, None]):
+    for _, w in wave_steps(cfg, WaveFunction(v), h, 1, len(noise), noise[:, None]):
         parts.append(w[:, 0].copy())
     return np.array(parts)
 
@@ -963,7 +995,7 @@ def _assert_wave_paths_equal(cfg, v, h, noise, equal_nan=False):
 
 
 class TestScalarWave:
-    """The single-path loop ``_scalar_wave`` against ``_wave_steps`` on a
+    """The single-path loop ``_scalar_wave`` against ``wave_steps`` on a
     batch of one, bit for bit at every step."""
 
     @pytest.mark.parametrize("v", [PLUS_VEC, EXCITED_VEC], ids=["plus", "excited"])
@@ -1044,8 +1076,6 @@ class TestInitialStateRejected:
         "master_on_grid": lambda cfg, rho0: master_on_grid(cfg, rho0, 20),
     }
     WAVE_ENTRIES = {
-        "ensemble": lambda cfg, psi0: wave_ensemble_final(cfg, psi0, 1e-2, 3,
-                                                          base_seed=1),
         "path": lambda cfg, psi0: simulate_wave(cfg, psi0, 1e-2, seed=1),
     }
 
@@ -1133,56 +1163,34 @@ class TestBatchOfOneOracles:
 
 
 class TestWaveValidation:
-    def test_periodic_norm_checks(self, monkeypatch):
-        import qtraj.sde as sde_mod
+    """``_scalar_wave``, the stepping core of ``simulate_wave``, checks the
+    norms of a path that overflows."""
 
-        calls = []
-        original = sde_mod.validate_norms
-
-        def counting(vectors, step):
-            calls.append(step)
-            return original(vectors, step)
-
-        monkeypatch.setattr(sde_mod, "validate_norms", counting)
-        wave_ensemble_final(damping_cfg(), WaveFunction(PLUS_VEC), 1e-3, 4,
-                            base_seed=5)
-        assert calls == [None, *range(VALIDATE_EVERY - 1, 1000, VALIDATE_EVERY)]
+    @staticmethod
+    def _overflowing(steps):
+        # finite but huge increments overflow the norm to inf or NaN
+        cfg, h = damping_cfg(), 1e-2
+        with np.errstate(all="ignore"):
+            _scalar_wave(sde_mod._wave_matrix(cfg, h), sde_mod._real_parts(PLUS_VEC), h,
+                         np.full(steps, 1e300))
 
     def test_overflowing_path_rejected(self):
-        # finite but huge increments overflow the norm to inf or NaN
-        noise = np.full((2, 100), 1e300)
-        with np.errstate(all="ignore"), pytest.raises(NotAState, match="by step 99"):
-            wave_ensemble_final(damping_cfg(), WaveFunction(PLUS_VEC), 1e-2, 2,
-                                noise=noise)
+        with pytest.raises(NotAState, match="by step 99"):
+            self._overflowing(100)
 
     def test_last_step_validated(self):
-        # 50 steps never reach a VALIDATE_EVERY boundary: the final vectors
+        # 50 steps never reach a VALIDATE_EVERY boundary: the final vector
         # must still be checked rather than returned as NaN
-        noise = np.full((2, 50), 1e300)
-        with np.errstate(all="ignore"), pytest.raises(NotAState, match="by step 49"):
-            wave_ensemble_final(damping_cfg(t_horizon=0.5), WaveFunction(PLUS_VEC),
-                                1e-2, 2, noise=noise)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_noise_rejected(self, bad):
-        cfg = damping_cfg()
-        noise = np.zeros((2, 100))
-        noise[1, 50] = bad
-        with pytest.raises(ValueError, match="noise must be finite"):
-            wave_ensemble_final(cfg, WaveFunction(PLUS_VEC), 1e-2, 2, noise=noise)
-        with pytest.raises(ValueError, match="noise must be finite"):
-            sde_ensemble_final(cfg, EXCITED, 1e-2, 2, noise=noise)
+        with pytest.raises(NotAState, match="by step 49"):
+            self._overflowing(50)
 
 
 class TestInputGuards:
     @pytest.mark.parametrize("num_paths", [0, -3, 2.5, "4", None])
     def test_ensemble_size_is_a_positive_integer(self, num_paths):
-        psi0 = WaveFunction(PLUS_VEC)
         for kwargs in ({"base_seed": 1}, {"noise": np.zeros((1, 100))}):
             with pytest.raises(ValueError, match="num_paths must be"):
                 sde_ensemble_final(damping_cfg(), EXCITED, 1e-2, num_paths, **kwargs)
-            with pytest.raises(ValueError, match="num_paths must be"):
-                wave_ensemble_final(damping_cfg(), psi0, 1e-2, num_paths, **kwargs)
         # numpy integers are integers
         finals, _ = sde_ensemble_final(damping_cfg(), EXCITED, 1e-2, np.int64(2), base_seed=1)
         assert finals.shape == (2, 2, 2)
@@ -1192,8 +1200,13 @@ class TestInputGuards:
     def test_exactly_one_noise_source(self, given):
         with pytest.raises(ValueError, match="exactly one of base_seed and noise"):
             sde_ensemble_final(damping_cfg(), EXCITED, 1e-2, 2, **given)
-        with pytest.raises(ValueError, match="exactly one of base_seed and noise"):
-            wave_ensemble_final(damping_cfg(), WaveFunction(PLUS_VEC), 1e-2, 2, **given)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_noise_rejected(self, bad):
+        noise = np.zeros((2, 100))
+        noise[1, 50] = bad
+        with pytest.raises(ValueError, match="noise must be finite"):
+            sde_ensemble_final(damping_cfg(), EXCITED, 1e-2, 2, noise=noise)
 
     def test_physical_form_has_no_weights(self):
         with pytest.raises(ValueError, match="physical form"):
@@ -1243,7 +1256,7 @@ class TestInputGuards:
                 with pytest.raises(StepOutOfRange, match="too large for the generator S_L"):
                     simulate_belavkin(cfg, EXCITED, h, seed=1)
                 with pytest.raises(StepOutOfRange, match="too large for the generator S_L"):
-                    wave_ensemble_final(cfg, WaveFunction(PLUS_VEC), h, 2, base_seed=1)
+                    simulate_wave(cfg, WaveFunction(PLUS_VEC), h, seed=1)
         # h gamma = 1 is inside
         finals, _ = sde_ensemble_final(damping_cfg(c_scale=10.0), EXCITED, 1e-2, 2, base_seed=1)
         assert_valid_states(finals)
@@ -1259,7 +1272,7 @@ class TestInputGuards:
         with pytest.raises(ValueError, match="step size"):
             simulate_belavkin(cfg, EXCITED, h, seed=1)
         with pytest.raises(ValueError, match="step size"):
-            wave_ensemble_final(cfg, WaveFunction(PLUS_VEC), h, 2, base_seed=1)
+            simulate_wave(cfg, WaveFunction(PLUS_VEC), h, seed=1)
 
     @pytest.mark.parametrize("h", [0.006, 0.003, 7e-4])
     def test_step_must_divide_the_horizon(self, h):
@@ -1323,8 +1336,6 @@ class TestEnsembleMemory:
                                                      with_weights=True),
         "physical": lambda cfg, h: sde_ensemble_final(cfg, EXCITED, h, 1000, base_seed=3,
                                                       physical=True),
-        "wave": lambda cfg, h: wave_ensemble_final(cfg, WaveFunction(EXCITED_VEC), h, 1000,
-                                                   base_seed=3),
     }
 
     @pytest.mark.parametrize("form", CALLS)
