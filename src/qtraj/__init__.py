@@ -10,12 +10,8 @@ from .convergence import (
     DiagonalObservable,
     ConvergenceReport,
     EnsembleSpec,
-    distributional_test,
     ks_2samp,
     ks_critical_value,
-    mean_vs_master,
-    quadratic_variation_stats,
-    residual_decay,
     run_full_report,
 )
 from .discrete import (

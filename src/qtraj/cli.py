@@ -22,16 +22,18 @@ file keys. Model keys:
 
 The initial state is the excited level |f1><f1| for every command.
 
-Every command uses both CPUs where the platform has os.fork and its work
-splits. girsanov's two ensembles and converge's independent parts (its KS
-diffusion ensemble and one chain pass per n) go to two lanes by estimated
-cost, one lane in a forked child. simulate-discrete, simulate-sde and master
-write one path: for a table of csvio.SPLIT_ROWS rows or more, a child forked
-before the path is stepped formats the CSV rows [0, a) of the loop's record
-table as the loop publishes its checked blocks, while the command's own
-process steps the path and then formats the rows from a on (master publishes
-its whole table at once). There is no option for this, and the bytes are
-those of one process, as where os.fork does not exist. Library calls
+Every command but master uses both CPUs where the platform has os.fork and
+its work splits. girsanov's two ensembles and converge's independent parts
+(its KS diffusion ensemble and one chain pass per n) go to two lanes by
+estimated cost, one lane in a forked child. simulate-discrete and
+simulate-sde write one path: for a table of csvio.SPLIT_ROWS rows or more, a
+child forked before the path is stepped formats the CSV rows [0, a) of the
+loop's record table as the loop publishes its checked blocks, while the
+command's own process steps the path and then formats the rows from a on.
+master steps its whole path before writing it, so a fork could only split
+the formatting, and its fixed cost is more than the half it would save.
+There is no option for this, and the bytes are those of one process, as
+where os.fork does not exist. Library calls
 (sde_ensemble_final, run_full_report, run_trajectory, the simulate functions,
 master_evolve, write_csv and the path writers) never fork; only the commands
 do.
@@ -216,14 +218,9 @@ def _cmd_simulate_sde(args) -> int:
 
 def _cmd_master(args) -> int:
     path = master_evolve(_load_model(args), EXCITED, args.h)
-    columns = [path.grid, *state_columns(path.states)]
-    with _FormattedAhead() as feed:
-        # the whole table at once: the path is stepped before it is written
-        table = feed.table((len(path.grid), len(columns)), lambda rows, lo: list(rows.T), 0.0)
-        table.T[:] = columns
-        feed.publish(len(table))
-        with open(args.out, "w") as fh:
-            write_csv(fh, "time," + STATE_HEADER, columns, _timestamp(args), feed)
+    with open(args.out, "w") as fh:
+        write_csv(fh, "time," + STATE_HEADER, [path.grid, *state_columns(path.states)],
+                  _timestamp(args))
     final = path.states[-1]
     print(f"wrote {args.out}: {len(path.grid)} rows")
     print(f"final populations: ground {final[0, 0].real:.8f}, "
@@ -326,21 +323,22 @@ TEXT_CHUNK = 1 << 18
 
 
 class _FormattedAhead(RowFeed):
-    """The commands' ``RowFeed``: where the platform has os.fork, the record
-    table of a path of SPLIT_ROWS rows or more lives in an anonymous shared
-    mapping, and a child forked when the loop asks for the table formats the
-    CSV rows [0, a) as they are published, while this process steps the
-    path and then formats the rest. a balances the two lanes: the child
-    formats a rows, this process steps all K and formats K - a, so
-    a = K (1 + s / c) / 2 for a loop that costs s formatted cells a step and
-    a table of c cells a row. Each published row count goes through a
-    notify pipe, closed before the child's text is read. The child writes
-    its text into a second anonymous shared mapping, of csvio.CELL_BYTES a
-    cell of its rows, and replies with its length through ``_beside``, as
-    it replies with its error. Used as a context manager: leaving it kills
-    the child if its reply was not read, and always reaps it. Elsewhere, and
-    for smaller tables, the table is in process and nothing is formatted
-    ahead, as with ``csvio.IN_PROCESS``."""
+    """The ``RowFeed`` of simulate-discrete and simulate-sde (master's path
+    is stepped before it is written, so it has no loop to overlap): where
+    the platform has os.fork, the record table of a path of SPLIT_ROWS rows
+    or more lives in an anonymous shared mapping, and a child forked when
+    the loop asks for the table formats the CSV rows [0, a) as they are
+    published, while this process steps the path and then formats the
+    rest. a balances the two lanes: the child formats a rows, this process
+    steps all K and formats K - a, so a = K (1 + s / c) / 2 for a loop that
+    costs s formatted cells a step and a table of c cells a row. Each
+    published row count goes through a notify pipe, closed before the
+    child's text is read. The child writes its text into a second anonymous
+    shared mapping, of csvio.CELL_BYTES a cell of its rows, and replies with
+    its length through ``_beside``, as it replies with its error. Used as a
+    context manager: leaving it kills the child if its reply was not read,
+    and always reaps it. Elsewhere, and for smaller tables, the table is in
+    process and nothing is formatted ahead, as with ``csvio.IN_PROCESS``."""
 
     def __init__(self):
         self._stack = ExitStack()

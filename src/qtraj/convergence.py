@@ -8,13 +8,13 @@ distances between functionals of the chain at time t and of an independent
 diffusion ensemble; and the mean sup-norm of the chain's summed one-step
 defect against ``sde``'s Euler step at h = 1/n, the drift-diffusion remainder.
 
-Each is a reducer fed by ``_chain_pass``: one chain ensemble at one n, on
-one step-major block of the stream of derive_seed(derive_seed(base, 1), n),
-of which a pass that stops at t reads the first floor(n t) steps, so each
-standalone diagnostic gives its report row bit for bit. A report's parts:
-(a) the KS diffusion ensemble on derive_seed(base, 4), costing round(t/h)
-Euler path-steps per member; (b) one pass per n feeding all four reducers,
-costing CHAIN_STEP_COST floor(n T); (c) their assembly. ``run_full_report``
+Each is a reducer fed by ``_chain_pass``: one chain ensemble at one n over
+the horizon, on one step-major block of the stream of
+derive_seed(derive_seed(base, 1), n), of which the QV and KS reducers read
+the first floor(n t) steps. A report's parts: (a) the KS diffusion ensemble
+on derive_seed(base, 4), costing round(t/h) Euler path-steps per member;
+(b) one pass per n feeding all four reducers, costing CHAIN_STEP_COST
+floor(n T); (c) their assembly. ``run_full_report``, the library entry,
 runs them in turn, the CLI in two lanes. t defaults to min(1, T), and h to
 the spec's sde_step or, if None, the largest step not above
 min(5e-4, 1/(10 max n)) that divides t. Reductions run in fixed index
@@ -148,26 +148,19 @@ def ks_critical_value(m: int, mp: int, alpha: float) -> float:
     return float(c * np.sqrt((m + mp) / (m * mp)))
 
 
-def _chain_pass(spec: EnsembleSpec, reducers, n: int, t: float | None = None):
-    """One chain pass at discretization n on the chain stream of n, floor(n t)
-    steps long (t defaults to the horizon). ``reducers`` are factories cfg ->
-    (update, result): update(k, r, x) sees every step's (M, 3) Bloch vectors
-    and centered outcomes, result() gives the statistic for that n. Returns
-    each factory's result."""
-    t = spec.cfg.t_horizon if t is None else t
+def _chain_pass(spec: EnsembleSpec, reducers, n: int):
+    """One chain pass at discretization n on the chain stream of n, over the
+    horizon. ``reducers`` are factories cfg -> (update, result): update(k, r,
+    x) sees every step's (M, 3) Bloch vectors and centered outcomes,
+    result() gives the statistic for that n. Returns each factory's result."""
     cfg = replace(spec.cfg, n=n)
     active = [make(cfg) for make in reducers]
     base = derive_seed(derive_seed(spec.base_seed, _PURPOSE_CHAIN), n)
-    uniforms = ensemble_streams(base, spec.num_trajectories, int(np.floor(n * t)))
+    uniforms = ensemble_streams(base, spec.num_trajectories, cfg.steps)
     for k, r, _, x, _, _ in drive_ensemble(cfg, spec.rho0, uniforms):
         for update, _ in active:
             update(k, r, x)
     return [result() for _, result in active]
-
-
-def _chain_sweep(spec: EnsembleSpec, reducer, t: float | None = None) -> list:
-    """The per-n results of one reducer, from a ``_chain_pass`` per n."""
-    return [_chain_pass(spec, [reducer], n, t)[0] for n in spec.n_values]
 
 
 def _mean_reducer(spec: EnsembleSpec, cfg: ModelConfig):
@@ -286,42 +279,6 @@ def _report_time(spec: EnsembleSpec, t: float | None) -> float:
     return t
 
 
-def mean_vs_master(spec: EnsembleSpec) -> np.ndarray:
-    """Per-n sup over the grid of |ensemble mean - averaged evolution| in
-    max-entry norm."""
-    return np.array(_chain_sweep(spec, partial(_mean_reducer, spec)))
-
-
-def quadratic_variation_stats(spec: EnsembleSpec, t: float | None = None,
-                              ) -> dict[str, np.ndarray]:
-    """Per-n sample E[([w,w]_t - floor(nt)/n)^2], the QV sample mean, and the
-    largest normalized jump max |x| / sqrt(n); t defaults to min(1, horizon)."""
-    _check_nondiagonal(spec)
-    t = _report_time(spec, t)
-    rows = _chain_sweep(spec, partial(_qv_reducer, spec, t), t)
-    return dict(zip(("l2_deviation", "qv_mean", "max_jump"), map(np.array, zip(*rows))))
-
-
-def distributional_test(spec: EnsembleSpec, t: float | None = None,
-                        alpha: float = 0.01) -> dict[int, list[tuple[str, float, float]]]:
-    """Per-n KS statistics between chain and diffusion ensembles at time t
-    (by default min(1, horizon)), {n: [(name, statistic, critical value)]}.
-    The DEFAULT_FUNCTIONALS are (name, hermitian matrix) pairs evaluated as
-    Re Tr[rho F]; the diffusion ensemble's step is the module docstring's.
-    """
-    t = _report_time(spec, t)
-    sde_values = _diffusion_values(spec, t)
-    chain_values = _chain_sweep(spec, partial(_ks_reducer, spec, t), t)
-    return _ks_rows(spec, chain_values, sde_values, alpha)
-
-
-def residual_decay(spec: EnsembleSpec) -> np.ndarray:
-    """Per-n ensemble mean of sup_t |remainder| in max-entry norm: the
-    chain's one-step defects against ``sde``'s Euler step driven by the
-    record, summed (``_residual_reducer``), which the diffusive limit discards."""
-    return np.array(_chain_sweep(spec, partial(_residual_reducer, spec)))
-
-
 def report_parts(spec: EnsembleSpec, t: float | None = None) -> list[tuple[float, partial]]:
     """Check a report's inputs, the diffusion ensemble's step included, and
     return (a), (b) as (cost, call); t defaults to min(1, horizon)."""
@@ -348,7 +305,8 @@ def assemble_report(spec: EnsembleSpec, results: list) -> ConvergenceReport:
 
 
 def run_full_report(spec: EnsembleSpec, t: float | None = None) -> ConvergenceReport:
-    """All four diagnostics in one report, all parts run in this process;
-    with the library defaults (t = min(1, horizon), sde_step None) it is the
-    report of ``qtraj converge`` on the same config, seed and flags."""
+    """The library entry to the four diagnostics: their report, all parts
+    run in this process; with the library defaults (t = min(1, horizon),
+    sde_step None) it is the report of ``qtraj converge`` on the same
+    config, seed and flags."""
     return assemble_report(spec, [call() for _, call in report_parts(spec, t)])

@@ -26,10 +26,11 @@ A single path's table can be formatted beside the loop that steps it. The
 loop keeps its record table where a ``RowFeed`` puts it, and publishes each
 checked block of rows to it. The feed of a library call (``IN_PROCESS``)
 keeps the table in this process and formats nothing ahead, so the writer
-formats every row. The CLI's feed shares the table of a path of SPLIT_ROWS
-rows or more with a forked child, which formats rows [0, a) as they are
-published while the loop goes on; the writer then formats only rows [a, K)
-and writes the child's text before its own. Rows are formatted in blocks of
+formats every row. The feed of simulate-discrete and simulate-sde shares the
+table of a path of SPLIT_ROWS rows or more with a forked child, which
+formats rows [0, a) as they are published while the loop goes on; the
+writer then formats only rows [a, K) and writes the child's text before its
+own. Rows are formatted in blocks of
 at most BLOCK_ROWS, and the text is kept as one string per block (the
 child's comes through a shared mapping and is decoded in pieces), so no
 table is copied into one string."""

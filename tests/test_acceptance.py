@@ -19,13 +19,7 @@ from qtraj import (
     simulate_belavkin,
     simulate_physical,
 )
-from qtraj.convergence import (
-    EnsembleSpec,
-    distributional_test,
-    ks_critical_value,
-    mean_vs_master,
-    quadratic_variation_stats,
-)
+from qtraj.convergence import EnsembleSpec, ks_critical_value, run_full_report
 from qtraj.discrete import drive_ensemble, ensemble_streams
 from qtraj.linalg import adjoint, bloch_to_density, max_abs
 from qtraj.model import ID2, SIGMA_Z
@@ -118,8 +112,8 @@ def test_criterion_05_ensemble_mean_tracks_master():
     t0 = time.perf_counter()
     cfg = damping_cfg(c_scale=3.0)
     spec = EnsembleSpec(cfg=cfg, rho0=EXCITED, num_trajectories=5000,
-                        base_seed=505, n_values=(20, 80))
-    errs = mean_vs_master(spec)
+                        base_seed=505, n_values=(20, 80), sde_step=1e-2)
+    errs = run_full_report(spec).mean_errors
     assert errs[1] < errs[0]
     assert errs[1] < 0.05
     _report(5, f"sup errors: n=20 -> {errs[0]:.4f}, n=80 -> {errs[1]:.4f}", t0)
@@ -132,9 +126,8 @@ def test_criterion_06_quadratic_variation_rate():
     t0 = time.perf_counter()
     cfg = damping_cfg(phi=np.pi / 3)
     spec = EnsembleSpec(cfg=cfg, rho0=EXCITED, num_trajectories=5000,
-                        base_seed=606, n_values=(50, 200))
-    stats = quadratic_variation_stats(spec, 1.0)
-    dev = stats["l2_deviation"]
+                        base_seed=606, n_values=(50, 200), sde_step=1e-2)
+    dev = run_full_report(spec, 1.0).qv_deviations
     ratio = dev[0] / dev[1]
     assert 2.5 <= ratio <= 6.0
     _report(6, f"QV deviation ratio 50/200 = {ratio:.2f} in [2.5, 6]", t0)
@@ -153,7 +146,7 @@ def test_criterion_07_distributional_convergence():
         spec = EnsembleSpec(cfg=cfg, rho0=EXCITED, num_trajectories=2000,
                             base_seed=7000 + batch, n_values=(200,),
                             sde_step=5e-4)
-        rows = distributional_test(spec, t=1.0, alpha=0.01)[200]
+        rows = run_full_report(spec, t=1.0).ks_stats[200]
         stats = [s for _, s, _ in rows]
         worst = max(worst, max(stats))
         passes += all(s < crit for s in stats)

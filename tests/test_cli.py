@@ -554,7 +554,8 @@ SINGLE_PATH_DIGESTS = [
      "243ed467908b0b18081225ef9f016e92ec37373f89b9dd941fb3ea0e670efda3"),
     (("simulate-sde", "--form", "wave", "--h", "2e-4", "--seed", "5"), 1,
      "5dcae739f8065d1ff35455344327f38934a23afcfb68b413f40f7a58c03d4d7e"),
-    (("master", "--h", "1e-4", "--seed", "1"), 1,
+    # master writes in its own process at any size
+    (("master", "--h", "1e-4", "--seed", "1"), 0,
      "f2e15ab56f33dd5b01d05cd04476fe5ef0747dfb63235054f43d4cf5f5518d4b"),
     # 5000 rows: the threshold itself
     (("simulate-discrete", "--n", "4999", "--seed", "3"), 1,
@@ -591,10 +592,10 @@ def _replaced_parts(monkeypatch, first=None, second=None):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform has no os.fork")
 class TestSinglePathTwoProcesses:
-    """simulate-discrete, simulate-sde and master fork a child for a table
-    of csvio.SPLIT_ROWS rows or more, which formats the rows [0, a) as the
+    """simulate-discrete and simulate-sde fork a child for a table of
+    csvio.SPLIT_ROWS rows or more, which formats the rows [0, a) as the
     path's loop publishes them, while the command's own process steps the
-    path and then formats the rows from a on."""
+    path and then formats the rows from a on; master never forks."""
 
     @pytest.mark.parametrize("argv,num_forks,digest", SINGLE_PATH_DIGESTS)
     def test_same_bytes_forked_and_in_process(self, tmp_path, monkeypatch, capsys,
@@ -807,7 +808,7 @@ class TestSinglePathTwoProcesses:
             lambda out: write_csv(out, "time," + STATE_HEADER,
                                   [master.grid, *state_columns(master.states)]),
         ]
-        # the bytes of the forked CLI runs of the same paths
+        # the bytes of the CLI runs of the same paths
         digests = [SINGLE_PATH_DIGESTS[i][2] for i in (0, 1, 3, 4)]
         for write, digest in zip(writes, digests):
             out = io.StringIO()

@@ -8,12 +8,8 @@ import scipy.stats
 from qtraj import (
     DiagonalObservable,
     EnsembleSpec,
-    distributional_test,
     ks_2samp,
     ks_critical_value,
-    mean_vs_master,
-    quadratic_variation_stats,
-    residual_decay,
     run_full_report,
 )
 from qtraj import convergence
@@ -97,15 +93,16 @@ def _final_sz(cfg, base_seed, m):
 
 class TestMeanVsMaster:
     def test_trivial_model_exact(self):
-        spec = spec_for(trivial_cfg(), (10, 40), m=50)
-        errs = mean_vs_master(spec)
-        assert np.all(errs < 1e-12)
+        spec = spec_for(trivial_cfg(), (10, 40), m=50, sde_step=1e-2)
+        errs = run_full_report(spec).mean_errors
+        assert np.all(np.array(errs) < 1e-12)
 
     def test_monte_carlo_floor_shrinks_with_m(self):
         # at large n the error is sampling noise ~ M^(-1/2)
         cfg = damping_cfg()
-        err_small = mean_vs_master(spec_for(cfg, (80,), m=400, seed=3))[0]
-        err_large = mean_vs_master(spec_for(cfg, (80,), m=6400, seed=3))[0]
+        err_small, err_large = (
+            run_full_report(spec_for(cfg, (80,), m=m, seed=3, sde_step=1e-2)).mean_errors[0]
+            for m in (400, 6400))
         assert err_large < err_small
 
 
@@ -113,32 +110,33 @@ class TestQuadraticVariation:
     def test_diagonal_observable_rejected(self):
         spec = spec_for(damping_cfg(phi=0.0), (20,))
         with pytest.raises(DiagonalObservable):
-            quadratic_variation_stats(spec, 1.0)
+            run_full_report(spec, 1.0)
 
     def test_time_beyond_horizon_rejected(self):
         spec = spec_for(damping_cfg(), (20,))
         with pytest.raises(ValueError):
-            quadratic_variation_stats(spec, 2.0)
+            run_full_report(spec, 2.0)
 
     def test_qv_mean_near_compensator(self):
-        spec = spec_for(damping_cfg(phi=np.pi / 3), (50,), m=2000, seed=8)
-        stats = quadratic_variation_stats(spec, 1.0)
+        spec = spec_for(damping_cfg(phi=np.pi / 3), (50,), m=2000, seed=8, sde_step=1e-2)
+        report = run_full_report(spec, 1.0)
         # E[x^2] = 1 per step: sample mean of [w,w]_1 is 1 within 3 SE
-        dev = abs(stats["qv_mean"][0] - 1.0)
-        se = np.sqrt(stats["l2_deviation"][0] / spec.num_trajectories)
+        dev = abs(report.qv_means[0] - 1.0)
+        se = np.sqrt(report.qv_deviations[0] / spec.num_trajectories)
         assert dev <= 3.0 * se + 1e-3
 
     def test_jump_size_shrinks(self):
-        spec = spec_for(damping_cfg(phi=np.pi / 3), (50, 800), m=200, seed=9)
-        stats = quadratic_variation_stats(spec, 1.0)
-        assert stats["max_jump"][1] < stats["max_jump"][0]
+        spec = spec_for(damping_cfg(phi=np.pi / 3), (50, 800), m=200, seed=9, sde_step=1e-2)
+        jumps = run_full_report(spec, 1.0).qv_max_jumps
+        assert jumps[1] < jumps[0]
 
     def test_qv_mean_matches_record_sums(self):
         # the reducer against sum(x[:floor(n t)]**2)/n per member, on the
         # same streams, at a time below the horizon
         t, m, seed = 0.7, 30, 17
-        spec = spec_for(damping_cfg(phi=np.pi / 3, h0_scale=0.5), (20, 50), m=m, seed=seed)
-        qv_means = quadratic_variation_stats(spec, t)["qv_mean"]
+        spec = spec_for(damping_cfg(phi=np.pi / 3, h0_scale=0.5), (20, 50), m=m, seed=seed,
+                        sde_step=1e-2)
+        qv_means = run_full_report(spec, t).qv_means
         for i, n in enumerate(spec.n_values):
             cfg = damping_cfg(n=n, phi=np.pi / 3, h0_scale=0.5)
             base = derive_seed(derive_seed(seed, convergence._PURPOSE_CHAIN), n)
@@ -181,26 +179,25 @@ class TestDistributional:
     def test_identical_point_masses(self):
         # no dynamics: both ensembles sit at the initial state, statistic 0
         spec = spec_for(trivial_cfg(), (20,), m=100)
-        res = distributional_test(spec, t=1.0)
+        res = run_full_report(spec, t=1.0).ks_stats
         for _, stat, _ in res[20]:
             assert stat == 0.0
 
     def test_reports_all_functionals(self):
         spec = spec_for(damping_cfg(n=50, h0_scale=0.5), (50,), m=200)
-        res = distributional_test(spec, t=1.0)
+        res = run_full_report(spec, t=1.0).ks_stats
         names = [name for name, _, _ in res[50]]
         assert names == ["sigma_x", "sigma_y", "sigma_z"]
 
     def test_time_beyond_horizon_rejected(self):
         spec = spec_for(damping_cfg(), (20,))
         with pytest.raises(ValueError):
-            distributional_test(spec, t=2.0)
+            run_full_report(spec, t=2.0)
 
 
 class TestTimeCheck:
     @pytest.mark.parametrize("t", [-0.5, 0.0, np.nan, 2.0])
-    @pytest.mark.parametrize("diagnostic", ["quadratic_variation_stats",
-                                            "distributional_test", "run_full_report"])
+    @pytest.mark.parametrize("diagnostic", ["report_parts", "run_full_report"])
     def test_time_outside_horizon_rejected(self, monkeypatch, diagnostic, t):
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulation started")
@@ -214,12 +211,12 @@ class TestTimeCheck:
 
 class TestResidualDecay:
     def test_trivial_zero(self):
-        spec = spec_for(trivial_cfg(), (20, 40), m=50)
-        assert np.all(residual_decay(spec) < 1e-12)
+        spec = spec_for(trivial_cfg(), (20, 40), m=50, sde_step=1e-2)
+        assert np.all(np.array(run_full_report(spec).residual_sups) < 1e-12)
 
     def test_decreasing_trend(self):
-        spec = spec_for(damping_cfg(), (100, 400), m=100, seed=11)
-        sups = residual_decay(spec)
+        spec = spec_for(damping_cfg(), (100, 400), m=100, seed=11, sde_step=1e-2)
+        sups = run_full_report(spec).residual_sups
         assert sups[1] < sups[0]
 
 
@@ -280,7 +277,6 @@ class TestReportParts:
 
         monkeypatch.setattr(os, "fork", no_fork, raising=False)
         run_full_report(self.spec(), t=0.7)
-        distributional_test(self.spec(), t=0.7)
 
     def test_parts_in_reverse_order_assemble_the_same_report(self, tmp_path):
         spec = self.spec()
@@ -312,34 +308,18 @@ class TestReportParts:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(convergence, name, spy)
-        distributional_test(self.spec(), t=0.7)
         run_full_report(self.spec(), t=0.7)
-        assert calls == (["_diffusion_values"] + ["_ks_reducer"] * 3 + ["_ks_rows"]) * 2
+        assert calls == ["_diffusion_values"] + ["_ks_reducer"] * 3 + ["_ks_rows"]
 
 
 class TestSinglePass:
-    def test_report_mean_errors_match_standalone(self):
-        # every row, bit for bit: the standalone passes read the report's
-        # chain streams, and those that stop at t a prefix of them
-        spec = spec_for(damping_cfg(n=30, phi=np.pi / 3, h0_scale=0.5, t_horizon=1.5),
-                        (10, 30), m=60, seed=21, sde_step=1e-2)
-        for t in (1.5, 0.7):
-            report = run_full_report(spec, t=t)
-            assert report.mean_errors == list(mean_vs_master(spec))
-            qv = quadratic_variation_stats(spec, t)
-            assert report.qv_deviations == list(qv["l2_deviation"])
-            assert report.qv_means == list(qv["qv_mean"])
-            assert report.qv_max_jumps == list(qv["max_jump"])
-            assert report.ks_stats == distributional_test(spec, t)
-            assert report.residual_sups == list(residual_decay(spec))
-
     @pytest.mark.parametrize("index", range(4))
     def test_reducer_alone_matches_shared_pass(self, index):
         # t below the horizon, so QV and KS stop before the pass ends
         spec = spec_for(damping_cfg(phi=np.pi / 3, h0_scale=0.5, t_horizon=1.5),
                         (7, 20), m=40, seed=33, sde_step=1e-2)
         reducers = _reducers(spec, 0.7)
-        alone = convergence._chain_sweep(spec, reducers[index])
+        alone = [convergence._chain_pass(spec, [reducers[index]], n)[0] for n in spec.n_values]
         shared = [convergence._chain_pass(spec, reducers, n)[index] for n in spec.n_values]
         # the KS reducer gives each n's (3, M) functional values
         assert len(alone) == len(shared) == 2
@@ -376,20 +356,6 @@ class TestSinglePass:
         with pytest.raises(ValueError, match="horizon"):
             run_full_report(spec_for(damping_cfg(), (20,)), t=2.0)
 
-    @pytest.mark.parametrize("diagnostic", [quadratic_variation_stats, distributional_test])
-    def test_standalone_sweep_stops_at_t(self, monkeypatch, diagnostic):
-        columns = []
-        original = convergence.ensemble_streams
-
-        def recording(base_seed, num_traj, steps):
-            columns.append(steps)
-            return original(base_seed, num_traj, steps)
-
-        monkeypatch.setattr(convergence, "ensemble_streams", recording)
-        spec = spec_for(damping_cfg(h0_scale=0.5), (21, 40), m=20, sde_step=1e-2)
-        diagnostic(spec, t=0.5)
-        assert columns == [10, 20]
-
     def test_ks_finals_match_a_run_that_stops_at_t(self, monkeypatch):
         # at t = 0.5 the KS reducer must see the states of a run of exactly
         # floor(n t) steps on the same streams
@@ -404,7 +370,7 @@ class TestSinglePass:
             return original(a, b)
 
         monkeypatch.setattr(convergence, "ks_2samp", recording)
-        distributional_test(spec, t=t)
+        run_full_report(spec, t=t)
         base = derive_seed(derive_seed(seed, convergence._PURPOSE_CHAIN), n)
         steps = int(np.floor(n * t))
         for k, states, *_ in drive_ensemble(spec.cfg, EXCITED,

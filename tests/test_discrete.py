@@ -11,7 +11,7 @@ from qtraj import (
     run_trajectory,
 )
 from qtraj import convergence
-from qtraj.convergence import EnsembleSpec, residual_decay
+from qtraj.convergence import EnsembleSpec, run_full_report
 import qtraj.discrete as discrete_mod
 from qtraj.discrete import (
     _chain_matrix,
@@ -568,8 +568,8 @@ class TestResidual:
             worst = max(worst, max_abs(record.states[k + 1] - record.states[0] - total))
         assert worst < 1e-12
         spec = EnsembleSpec(cfg=cfg, rho0=EXCITED, num_trajectories=5,
-                            base_seed=31, n_values=(100,))
-        assert residual_decay(spec)[0] < 1e-12
+                            base_seed=31, n_values=(100,), sde_step=1e-2)
+        assert run_full_report(spec).residual_sups[0] < 1e-12
 
     def test_single_step_order(self):
         # one-step remainder after removing drift and noise terms is O(1/n)
@@ -594,8 +594,8 @@ class TestResidual:
     def test_residual_decays_with_n(self):
         spec = EnsembleSpec(cfg=damping_cfg(), rho0=EXCITED,
                             num_trajectories=100, base_seed=7,
-                            n_values=(50, 100, 200))
-        sups = residual_decay(spec)
+                            n_values=(50, 100, 200), sde_step=1e-2)
+        sups = run_full_report(spec).residual_sups
         assert sups[0] > sups[1] > sups[2]
 
     def test_matches_streaming_computation(self):
@@ -603,8 +603,9 @@ class TestResidual:
         # with the matrix-form drift and backaction, on the same streams
         m, seed = 6, 33
         spec = EnsembleSpec(cfg=damping_cfg(h0_scale=0.5), rho0=EXCITED,
-                            num_trajectories=m, base_seed=seed, n_values=(20, 40))
-        sups = residual_decay(spec)
+                            num_trajectories=m, base_seed=seed, n_values=(20, 40),
+                            sde_step=1e-2)
+        sups = run_full_report(spec).residual_sups
         c = spec.cfg.coupling()
         for i, n in enumerate(spec.n_values):
             cfg = damping_cfg(n=n, h0_scale=0.5)

@@ -62,10 +62,16 @@ def test_only_the_matrix_form_oracles_are_unpatched(tracer):
     # holds lindblad, backaction or check_state; the tracer also still names
     # the deleted kernels expm4 and herm_eigen2. All their per-layer metrics
     # read 0. converge calls report_parts and assemble_report, so qtraj.cli
-    # holds no run_full_report; its span fed no benchmark metric
+    # holds no run_full_report; its span fed no benchmark metric. The four
+    # standalone sweeps are gone: each report row comes from the one chain
+    # pass per n of report_parts, and their spans already read 0 on converge
     assert sorted(unpatched) == ["qtraj.cli.run_full_report",
                                  "qtraj.convergence.backaction",
+                                 "qtraj.convergence.distributional_test",
                                  "qtraj.convergence.lindblad",
+                                 "qtraj.convergence.mean_vs_master",
+                                 "qtraj.convergence.quadratic_variation_stats",
+                                 "qtraj.convergence.residual_decay",
                                  "qtraj.discrete.check_state",
                                  "qtraj.model.expm4",
                                  "qtraj.model.herm_eigen2",
